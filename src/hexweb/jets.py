@@ -4,10 +4,38 @@ A jet stores the Taylor coefficients of a scalar field at a base point up to
 a fixed total order K, i.e. ``coeffs[j1, j2] = d^(j1+j2) f / (j1! j2!)``.
 Everything downstream (connection forms, curvature, root jets) is built on
 top of this module, so operations are kept exact to the truncation order.
+
+The coefficient array is (K+1) x (K+1); only the triangle j1 + j2 <= K is
+meaningful.  Products, derivatives and truncations return zeros above it
+and never read an operand's entries there.
+
+Products run on an index plan built once per order (``_product_plan``).
+Each of the T = (K+1)(K+2)/2 outputs (m1, m2) of the triangle collects the
+terms a[j1, j2] * b[m1 - j1, m2 - j2], C(K+4, 4) terms in all.  The plan
+holds the flat gather indices of both factors, one column per output padded
+to the largest term count L (L x T), and, per flat output position, the
+row of the running sum that ends its own terms.  A product is one
+gather-multiply into rows 1..L below a row of zeros, one sequential
+``np.add.accumulate`` down the columns and one gather of the result: a
+fixed number of numpy calls and no Python loop.  Order 0 is the elementwise
+product.  The indices do not depend on the coefficients, so operands with a
+leading batch axis could use the same plan.
+
+Bit-identity contract: for finite coefficients, products, ``deriv`` and
+``truncate`` return exactly the floats of the dense reference (for each
+output, terms added one by one onto +0.0 in row-major order of ``a``'s
+multi-index).  The accumulation is sequential because pairwise or blocked
+sums (``reduceat``, ``einsum``, ``matmul``) round differently, and it
+starts from the +0.0 row so that a result never carries -0.0 where the
+reference has +0.0.  ``tests/test_jets.py`` checks this against the
+reference loop.  (With an inf or nan coefficient the reference skipped
+exact-zero terms of ``a`` that the plan multiplies, so 0 * inf may give nan
+there.)
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from dataclasses import dataclass
@@ -23,6 +51,55 @@ class JetError(ValueError):
 
 def _binom(n, k):
     return math.comb(n, k)
+
+
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+# +0.0 under an order-0 product, as under the terms of higher orders
+_ZERO_1x1 = _frozen(np.zeros((1, 1), dtype=complex))
+
+
+@functools.cache
+def _product_plan(K):
+    """Gather indices (ia, ib) and output map of the order-K product.
+
+    Column t of ia, ib lists the terms of the t-th triangle output (m1, m2),
+    the pairs (j1, j2) x (m1 - j1, m2 - j2) in row-major order of (j1, j2),
+    padded at the end.  The terms are accumulated below a row of zeros, so
+    row r of the running sum holds the first r terms; ``last`` maps each
+    flat output position to the row that ends its own terms (row 0, +0.0,
+    above the triangle).
+    """
+    n = K + 1
+    outs = [(m1, m2) for m1 in range(n) for m2 in range(n - m1)]
+    L = (K // 2 + 1) * (K - K // 2 + 1)
+    ia = np.zeros((L, len(outs)), dtype=np.intp)
+    ib = np.zeros((L, len(outs)), dtype=np.intp)
+    last = np.zeros(n * n, dtype=np.intp)
+    for t, (m1, m2) in enumerate(outs):
+        pairs = [(j1 * n + j2, (m1 - j1) * n + (m2 - j2))
+                 for j1 in range(m1 + 1) for j2 in range(m2 + 1)]
+        ia[:len(pairs), t], ib[:len(pairs), t] = zip(*pairs)
+        last[m1 * n + m2] = len(pairs) * len(outs) + t
+    return _frozen(ia), _frozen(ib), _frozen(last)
+
+
+@functools.cache
+def _triangle(K):
+    """Mask of the multi-indices j1 + j2 <= K of a (K+1) x (K+1) array."""
+    j = np.arange(K + 1)
+    return _frozen(j[:, None] + j[None, :] <= K)
+
+
+@functools.cache
+def _deriv_factor(K):
+    """j1 + 1 on the (K+1) x (K+1) grid, as complex factors; its transpose
+    holds j2 + 1."""
+    j = np.arange(1, K + 2, dtype=complex)
+    return _frozen(np.repeat(j[:, None], K + 1, axis=1))
 
 
 class Jet:
@@ -41,8 +118,21 @@ class Jet:
         self.order = int(order)
         if coeffs is None:
             self.c = np.zeros((order + 1, order + 1), dtype=complex)
+        elif np.shape(coeffs) != (order + 1, order + 1):
+            # products index the raveled (K+1) x (K+1) array
+            raise JetError(f"order-{order} jet needs {order + 1}x{order + 1}"
+                           f" coefficients, got shape {np.shape(coeffs)}")
         else:
             self.c = coeffs
+
+    @classmethod
+    def _raw(cls, base, order, c):
+        """A jet on an already canonical base tuple; no conversions."""
+        j = object.__new__(cls)
+        j.base = base
+        j.order = order
+        j.c = c
+        return j
 
     # -- constructors -------------------------------------------------
 
@@ -70,15 +160,8 @@ class Jet:
     def value(self):
         return self.c[0, 0]
 
-    def extract(self, index):
-        """Raw partial derivative d^J f at the base point (J! * coeff)."""
-        j1, j2 = index
-        if j1 + j2 > self.order:
-            raise JetError(f"multi-index {index} exceeds jet order {self.order}")
-        return self.c[j1, j2] * math.factorial(j1) * math.factorial(j2)
-
     def _check(self, other):
-        if self.base != other.base:
+        if self.base is not other.base and self.base != other.base:
             raise JetError("jet base points differ")
         if self.order != other.order:
             raise JetError("jet orders differ")
@@ -87,16 +170,16 @@ class Jet:
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            out = Jet(self.base, self.order, self.c.copy())
-            out.c[0, 0] += complex(other)
-            return out
+            out = self.c.copy()
+            out[0, 0] += complex(other)
+            return Jet._raw(self.base, self.order, out)
         self._check(other)
-        return Jet(self.base, self.order, self.c + other.c)
+        return Jet._raw(self.base, self.order, self.c + other.c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.base, self.order, -self.c)
+        return Jet._raw(self.base, self.order, -self.c)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -complex(other))
@@ -106,18 +189,16 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.base, self.order, self.c * complex(other))
+            return Jet._raw(self.base, self.order, self.c * complex(other))
         self._check(other)
         K = self.order
-        out = np.zeros((K + 1, K + 1), dtype=complex)
-        a = self.c
-        b = other.c
-        idx = np.argwhere(a != 0)
-        for j1, j2 in idx:
-            if j1 + j2 > K:
-                continue
-            out[j1:, j2:] += a[j1, j2] * b[: K + 1 - j1, : K + 1 - j2]
-        return Jet(self.base, self.order, _mask(out, K))
+        if K == 0:
+            return Jet._raw(self.base, 0, _ZERO_1x1 + self.c * other.c)
+        ia, ib, last = _product_plan(K)
+        terms = np.zeros((ia.shape[0] + 1, ia.shape[1]), dtype=complex)
+        np.multiply(self.c.ravel()[ia], other.c.ravel()[ib], out=terms[1:])
+        acc = np.add.accumulate(terms, axis=0)
+        return Jet._raw(self.base, K, acc.ravel()[last].reshape(K + 1, K + 1))
 
     __rmul__ = __mul__
 
@@ -162,51 +243,34 @@ class Jet:
         if self.order == 0:
             raise JetError("cannot differentiate an order-0 jet")
         K = self.order - 1
-        out = np.zeros((K + 1, K + 1), dtype=complex)
         if axis == 0:
-            for j1 in range(K + 1):
-                out[j1, : K + 1 - j1] = (j1 + 1) * self.c[j1 + 1, : K + 1 - j1]
+            src, fac = self.c[1:, :K + 1], _deriv_factor(K)
         else:
-            for j1 in range(K + 1):
-                for j2 in range(K + 1 - j1):
-                    out[j1, j2] = (j2 + 1) * self.c[j1, j2 + 1]
-        return Jet(self.base, K, out)
+            src, fac = self.c[:K + 1, 1:], _deriv_factor(K).T
+        out = np.multiply(src, fac, where=_triangle(K),
+                          out=np.zeros((K + 1, K + 1), dtype=complex))
+        return Jet._raw(self.base, K, out)
 
     def truncate(self, order):
         if order > self.order:
             raise JetError("cannot raise jet order by truncation")
-        out = self.c[: order + 1, : order + 1].copy()
-        return Jet(self.base, order, _mask(out, order))
+        if order < 0:
+            raise JetError("jet order must be >= 0")
+        out = np.where(_triangle(order), self.c[: order + 1, : order + 1], 0)
+        return Jet._raw(self.base, order, out)
 
     def swap_axes(self):
         """The same expansion with the two variables interchanged."""
-        return Jet((self.base[1], self.base[0]), self.order,
-                   self.c.T.copy())
+        return Jet._raw((self.base[1], self.base[0]), self.order,
+                        self.c.T.copy())
 
     def nilpotent_part(self):
         out = self.c.copy()
         out[0, 0] = 0.0
-        return Jet(self.base, self.order, out)
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.c)))
+        return Jet._raw(self.base, self.order, out)
 
     def __repr__(self):
         return f"Jet(base={self.base}, order={self.order}, value={self.value})"
-
-
-def _mask(arr, K):
-    n = arr.shape[0]
-    for j1 in range(n):
-        if j1 + 0 <= K:
-            arr[j1, K - j1 + 1:] = 0.0
-    return arr
-
-
-def jets_same_frame(*jets):
-    base = jets[0].base
-    order = min(j.order for j in jets)
-    return [j.truncate(order) if j.order != order else j for j in jets]
 
 
 # -- series / elementary functions -------------------------------------

@@ -15,8 +15,9 @@ from math import gcd
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cubic import (CallableJetField, PolyCoeffField, SingularPointError,
-                    depress, discriminant_of_coeffs, discriminant_scale)
+from .cubic import (CallableJetField, DegenerateFieldError, PolyCoeffField,
+                    SingularPointError, depress, discriminant_of_coeffs,
+                    discriminant_scale)
 from .jets import Jet, JetError, PolyExpr, compose_series, jet_pow, jet_tan
 from .webgeo import symmetry_residual
 
@@ -412,7 +413,9 @@ def classify_singularity(field, point=(0.0, 0.0), samples=None, a=0.08,
                 continue
             try:
                 res = symmetry_residual(f, (w1, w2), samples, a=a)
-            except Exception:
+            except (DegenerateFieldError, JetError):
+                # a scaled sample left the germ's domain (the jet guards
+                # of catalog forms 5 and 6) or hit a vanishing cubic
                 continue
             if best is None or res < best[1]:
                 best = ((w1, w2), res)

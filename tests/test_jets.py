@@ -3,6 +3,7 @@ closed-form series."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexweb.jets import (DEFAULT_ORDER, Jet, JetError, PolyExpr, compose_series,
                          jet_cbrt, jet_log, jet_pow, jet_tan,
@@ -62,6 +63,10 @@ class TestArithmetic:
             want = np.zeros_like(one.c)
             want[0, 0] = 1.0
             assert np.allclose(one.c, want, atol=1e-12)
+
+    def test_coefficient_shape_must_match_order(self):
+        with pytest.raises(JetError):
+            Jet((0.0, 0.0), 2, np.zeros((4, 4), dtype=complex))
 
     def test_reciprocal_rejects_zero_base(self):
         a = random_jet(base=0.0)
@@ -171,3 +176,201 @@ class TestPolyExpr:
         back = jet_to_polyexpr(j)
         for pt in [(0.3, 0.8), (-1.1, 0.2)]:
             assert back(*pt) == pytest.approx(p(*pt))
+
+
+# ---------------------------------------------------------------------------
+# The index-plan kernel against the dense loops it replaced, bit for bit
+
+
+def clear_above(arr, K):
+    for j1 in range(min(arr.shape[0], K + 1)):
+        arr[j1, K - j1 + 1:] = 0.0
+    return arr
+
+
+def dense_product(a, b, K):
+    """Reference product: for each nonzero entry of a in row-major order, a
+    shifted copy of b scaled by it is added onto +0.0."""
+    out = np.zeros((K + 1, K + 1), dtype=complex)
+    for j1, j2 in np.argwhere(a != 0):
+        if j1 + j2 > K:
+            continue
+        out[j1:, j2:] += a[j1, j2] * b[: K + 1 - j1, : K + 1 - j2]
+    return clear_above(out, K)
+
+
+def dense_deriv(c, order, axis):
+    K = order - 1
+    out = np.zeros((K + 1, K + 1), dtype=complex)
+    if axis == 0:
+        for j1 in range(K + 1):
+            out[j1, : K + 1 - j1] = (j1 + 1) * c[j1 + 1, : K + 1 - j1]
+    else:
+        for j1 in range(K + 1):
+            for j2 in range(K + 1 - j1):
+                out[j1, j2] = (j2 + 1) * c[j1, j2 + 1]
+    return out
+
+
+def dense_truncate(c, order):
+    return clear_above(c[: order + 1, : order + 1].copy(), order)
+
+
+def bits(arr):
+    """The raw float64 words: tells -0.0 from +0.0."""
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(bits(x), bits(y))
+
+
+def sparse_jet_coeffs(rng, order, zeros=0.3):
+    """Coefficients over many magnitudes, ~30% exact zeros (some -0.0 parts)
+    and nonzero junk above the triangle."""
+    n = order + 1
+    mag = lambda: 10.0 ** rng.integers(-6, 7, (n, n))
+    c = (rng.standard_normal((n, n)) * mag()
+         + 1j * rng.standard_normal((n, n)) * mag())
+    c[rng.random((n, n)) < zeros] = 0.0
+    c.real[rng.random((n, n)) < 0.1] = -0.0
+    c.imag[rng.random((n, n)) < 0.1] = -0.0
+    j = np.arange(n)
+    above = j[:, None] + j[None, :] > order
+    c[above] = rng.choice([3.5, -1e3, 7e-4], above.sum()) - 2j
+    return c
+
+
+class TestKernelExactness:
+    @pytest.mark.parametrize("order", range(7))
+    def test_product_bit_identical_to_dense_loop(self, order):
+        rng = np.random.default_rng(1000 + order)
+        base = (0.1, 1.0)
+        for _ in range(300):
+            a = sparse_jet_coeffs(rng, order)
+            b = sparse_jet_coeffs(rng, order)
+            got = (Jet(base, order, a.copy()) * Jet(base, order, b.copy())).c
+            assert same_bits(got, dense_product(a, b, order))
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_deriv_and_truncate_bit_identical(self, order):
+        rng = np.random.default_rng(2000 + order)
+        for _ in range(100):
+            c = sparse_jet_coeffs(rng, order)
+            jet = Jet((0.0, 0.0), order, c.copy())
+            for k in range(order + 1):
+                assert same_bits(jet.truncate(k).c, dense_truncate(c, k))
+            if order:
+                for axis in (0, 1):
+                    assert same_bits(jet.deriv(axis).c,
+                                     dense_deriv(c, order, axis))
+
+    def test_no_negative_zero_where_reference_has_positive_zero(self):
+        # -1 * (+0.0) is -0.0 term by term; the reference adds onto +0.0
+        for order in range(7):
+            n = order + 1
+            neg_one = np.zeros((n, n), dtype=complex)
+            neg_one[0, 0] = -1.0
+            zero = np.zeros((n, n), dtype=complex)
+            got = (Jet((0, 0), order, neg_one) * Jet((0, 0), order, zero)).c
+            assert not np.signbit(got.view(np.float64)).any()
+        rng = np.random.default_rng(3000)
+        for _ in range(300):
+            order = int(rng.integers(0, 7))
+            a = sparse_jet_coeffs(rng, order, zeros=0.6)
+            b = sparse_jet_coeffs(rng, order, zeros=0.6)
+            results = [((Jet((0, 0), order, a) * Jet((0, 0), order, b)).c,
+                        dense_product(a, b, order))]
+            results += [(Jet((0, 0), order, a).truncate(k).c,
+                         dense_truncate(a, k)) for k in range(order + 1)]
+            if order:
+                results += [(Jet((0, 0), order, a).deriv(axis).c,
+                             dense_deriv(a, order, axis)) for axis in (0, 1)]
+            for got, want in results:
+                got_f, want_f = got.view(np.float64), want.view(np.float64)
+                positive_zero = (want_f == 0) & ~np.signbit(want_f)
+                assert not np.signbit(got_f[positive_zero]).any()
+
+
+# ---------------------------------------------------------------------------
+# Ring laws (property tests)
+
+ORDERS = st.integers(min_value=0, max_value=6)
+
+
+def jets_of(data, order, base=(0.1, 1.0), elements=st.floats(-1.0, 1.0),
+            const=None):
+    n = order + 1
+    parts = data.draw(st.lists(elements, min_size=2 * n * n,
+                               max_size=2 * n * n))
+    c = (np.array(parts[: n * n], dtype=float)
+         + 1j * np.array(parts[n * n:], dtype=float)).reshape(n, n)
+    c = clear_above(c, order)
+    if const is not None:
+        c[0, 0] = const
+    return Jet(base, order, c)
+
+
+def close(x, y, tol=1e-12):
+    scale = 1.0 + max(np.max(np.abs(x.c)), np.max(np.abs(y.c)))
+    return x.order == y.order and np.max(np.abs(x.c - y.c)) <= tol * scale
+
+
+class TestRingLaws:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), ORDERS)
+    def test_commutative_exactly_on_exact_arithmetic(self, data, order):
+        # small Gaussian-integer coefficients: every product and partial sum
+        # is exact, so a*b and b*a must agree bit for bit (with general
+        # floats the complex multiply itself may round a*b and b*a apart)
+        ints = st.integers(-64, 64).map(float)
+        a = jets_of(data, order, elements=ints)
+        b = jets_of(data, order, elements=ints)
+        assert same_bits((a * b).c, (b * a).c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), ORDERS)
+    def test_associative_distributive_commutative(self, data, order):
+        a, b, c = (jets_of(data, order) for _ in range(3))
+        assert close((a * b) * c, a * (b * c))
+        assert close((a + b) * c, a * c + b * c)
+        assert close(a * b, b * a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), ORDERS,
+           st.floats(0.5, 2.0), st.floats(-np.pi, np.pi))
+    def test_reciprocal_is_inverse(self, data, order, modulus, phase):
+        a = jets_of(data, order, elements=st.floats(-0.5, 0.5),
+                    const=modulus * np.exp(1j * phase))
+        one = Jet.constant(1.0, a.base, order)
+        assert close(a * a.reciprocal(), one)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=6),
+           st.sampled_from((0, 1)))
+    def test_leibniz_rule(self, data, order, axis):
+        a, b = jets_of(data, order), jets_of(data, order)
+        k = order - 1
+        lhs = (a * b).deriv(axis)
+        rhs = a.deriv(axis) * b.truncate(k) + a.truncate(k) * b.deriv(axis)
+        assert close(lhs, rhs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), ORDERS, st.floats(1e-3, 2.0), st.sampled_from((0, 1)),
+           st.integers(1, 3))
+    def test_mismatched_operands_raise(self, data, order, shift, axis,
+                                       dorder):
+        a = jets_of(data, order)
+        # an equal base in a distinct tuple is the same base
+        twin = jets_of(data, order, base=(0.1, 1.0))
+        assert (a * twin).base == a.base and (a + twin).order == order
+        moved_base = [0.1, 1.0]
+        moved_base[axis] += shift
+        moved = jets_of(data, order, base=tuple(moved_base))
+        other = jets_of(data, order + dorder)
+        for bad in (moved, other):
+            for op in (lambda x, y: x * y, lambda x, y: x + y):
+                with pytest.raises(JetError):
+                    op(a, bad)
+                with pytest.raises(JetError):
+                    op(bad, a)
