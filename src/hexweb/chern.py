@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .cubic import (DirectionField, SingularPointError, depress,
+from .cubic import (SingularPointError, continue_along, depress,
                     discriminant_of_coeffs, match_roots, normalize_roots,
                     regular_cutoff)
 from .jets import Jet
@@ -42,14 +42,6 @@ class CurvatureValue:
     """Coefficient of d(gamma) against dx ^ dy."""
 
     K: complex
-
-
-@dataclass
-class FrameData:
-    point: tuple
-    triple: object
-    omega0: complex
-    h: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +112,10 @@ def gamma_depressed_from_AB(A, B):
     return ConnectionValue(gx=gx, gy=gy)
 
 
-def gamma_depressed(field, point, order=0, k2_tol=1e-9):
+K2_TOL = 1e-9  # relative size of a quadratic term that counts as absent
+
+
+def gamma_depressed(field, point, order=0):
     """Connection of the depressed presentation of a field's web.
 
     On presentations whose slope cubic already lacks the quadratic term the
@@ -136,7 +131,7 @@ def gamma_depressed(field, point, order=0, k2_tol=1e-9):
     k3, k2, k0, k1 = -co[0], co[1], co[3], -co[2]
     lead, quad = (k3, k2) if abs(k3) >= abs(k0) else (k0, k1)
     scale = 1.0 + float(np.max(np.abs(co)))
-    if abs(quad) <= k2_tol * scale * max(abs(lead) / scale, 1e-3):
+    if abs(quad) <= K2_TOL * scale * max(abs(lead) / scale, 1e-3):
         dep = depress(field, point, order=order + 1)
         if dep.chart == "yx":
             # the depressed cubic lives in swapped coordinates: transpose
@@ -155,17 +150,6 @@ def gamma_depressed(field, point, order=0, k2_tol=1e-9):
 # Definition via normalized roots
 
 
-def frame_data(field, point, order=1):
-    triple = normalize_roots(field, point, order=order)
-    (p1, q1), (p2, q2), _ = triple.sigma
-    omega0 = p1.value * q2.value - p2.value * q1.value
-    h = []
-    for p, q in triple.sigma:
-        h.append((q.deriv(0) - p.deriv(1)).value / omega0)
-    return FrameData(point=triple.point, triple=triple, omega0=omega0,
-                     h=tuple(h))
-
-
 def gamma_expressions_from_sigma(sigma):
     """The three defining expressions of gamma from sigma jets (order >= 1).
 
@@ -175,14 +159,13 @@ def gamma_expressions_from_sigma(sigma):
     (p1, q1), (p2, q2), (p3, q3) = sigma
     omega = p1 * q2 - p2 * q1
     inv = omega.reciprocal()
-    hs = []
-    for p, q in sigma:
-        hs.append((q.deriv(0) - p.deriv(1)) * inv.truncate(p.order - 1))
+    hs = [(q.deriv(0) - p.deriv(1)) * inv.truncate(p.order - 1)
+          for p, q in sigma]
     k = hs[0].order
     ps = [p.truncate(k) for p, _ in sigma]
     qs = [q.truncate(k) for _, q in sigma]
     h1, h2, h3 = hs
-    exprs = [
+    return [
         ConnectionValue(gx=h2 * ps[0] - h1 * ps[1],
                         gy=h2 * qs[0] - h1 * qs[1]),
         ConnectionValue(gx=h3 * ps[1] - h2 * ps[2],
@@ -190,10 +173,12 @@ def gamma_expressions_from_sigma(sigma):
         ConnectionValue(gx=h1 * ps[2] - h3 * ps[0],
                         gy=h1 * qs[2] - h3 * qs[0]),
     ]
-    return exprs
 
 
-def gamma_from_definition(field, point, order=0, agreement_tol=1e-9):
+AGREEMENT_TOL = 1e-9  # relative spread allowed among the three expressions
+
+
+def gamma_from_definition(field, point, order=0):
     """Chern connection straight from the definition.
 
     The three defining expressions must agree pairwise; their first one is
@@ -206,7 +191,7 @@ def gamma_from_definition(field, point, order=0, agreement_tol=1e-9):
         j = (i + 1) % 3
         diff = max(abs(exprs[i].gx.value - exprs[j].gx.value),
                    abs(exprs[i].gy.value - exprs[j].gy.value))
-        if diff / scale > agreement_tol:
+        if diff / scale > AGREEMENT_TOL:
             raise SingularPointError(
                 f"defining expressions for gamma disagree by {diff:.2e}")
     return exprs[0]
@@ -230,12 +215,6 @@ def curvature(field, point, route="cubic"):
     return CurvatureValue(K=K)
 
 
-def curvature_from_sigma(sigma):
-    """Curvature from sigma jets (order >= 2); used by covariance checks."""
-    g = gamma_expressions_from_sigma(sigma)[0]
-    return CurvatureValue(K=g.gy.deriv(0).value - g.gx.deriv(1).value)
-
-
 # ---------------------------------------------------------------------------
 # Identity for characteristic webs, path integrals, transport
 
@@ -253,50 +232,40 @@ def corollary_residual(pot, point, assoc_tol=1e-8):
             f"associativity residual {res:.3e} too large; identity only "
             "holds on solutions")
     field = pot.characteristic_field()
-    g = gamma_cubic(field, point, order=0)
-    jets = field.coeff_jets(x, y, 1)
-    D = discriminant_of_coeffs(*jets)
-    co = np.array([j.value for j in jets])
-    if abs(D.value) <= regular_cutoff(co):
-        raise SingularPointError("discriminant ~ 0", disc=D.value)
+    g = gamma_cubic(field, point, order=0)  # raises where D ~ 0
+    D = discriminant_of_coeffs(*field.coeff_jets(x, y, 1))
     ref_x = -D.deriv(0).value / (6.0 * D.value)
     ref_y = -D.deriv(1).value / (6.0 * D.value)
     gx, gy = g.values()
     return max(abs(gx - ref_x), abs(gy - ref_y)) / (1.0 + g.norm())
 
 
-def _polyline_segments(path):
-    pts = [np.asarray(p, dtype=complex) for p in path]
-    return list(zip(pts[:-1], pts[1:]))
+QUAD_TOL = 1e-10  # absolute and relative tolerance of the quadrature
 
 
-def integrate_gamma(field, path, tol=1e-10, sing_tol=None):
-    """Path integral of gamma along a polyline (adaptive quadrature)."""
+def integrate_gamma(field, path):
+    """Path integral of gamma along a polyline (adaptive quadrature).
+
+    Raises SingularPointError, from gamma_cubic, where the path meets the
+    discriminant.
+    """
     total = 0j
-    for P0, P1 in _polyline_segments(path):
+    pts = [np.asarray(p, dtype=complex) for p in path]
+    for P0, P1 in zip(pts[:-1], pts[1:]):
         dP = P1 - P0
 
         def integrand(t):
             pt = P0 + t * dP
-            co = field.coeffs(pt[0], pt[1])
-            D = discriminant_of_coeffs(*co)
-            cutoff = sing_tol if sing_tol is not None else regular_cutoff(co)
-            if abs(D) <= cutoff:
-                raise SingularPointError(
-                    f"path crosses the discriminant: |D| = {abs(D):.2e}")
-            g = gamma_cubic(field, (pt[0], pt[1]), order=0)
-            gx, gy = g.values()
+            gx, gy = gamma_cubic(field, (pt[0], pt[1]), order=0).values()
             return gx * dP[0] + gy * dP[1]
 
-        re, _ = quad(lambda t: integrand(t).real, 0.0, 1.0,
-                     epsabs=tol, epsrel=tol, limit=200)
-        im, _ = quad(lambda t: integrand(t).imag, 0.0, 1.0,
-                     epsabs=tol, epsrel=tol, limit=200)
-        total += re + 1j * im
+        val, _ = quad(integrand, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
+                      limit=200, complex_func=True)
+        total += val
     return total
 
 
-def exactness_potential(field, base, target, path=None, tol=1e-10):
+def exactness_potential(field, base, target, path=None):
     """Integral of gamma from base to target; path-independent iff flat."""
     if path is None:
         path = [base, target]
@@ -304,45 +273,32 @@ def exactness_potential(field, base, target, path=None, tol=1e-10):
         path = list(path)
         if not np.allclose(path[0], base) or not np.allclose(path[-1], target):
             raise ValueError("path must run from base to target")
-    return integrate_gamma(field, path, tol=tol)
+    return integrate_gamma(field, path)
+
+
+FRAME_ORDER = 1  # jet order of the continued root triples
+FRAME_MAX_MOVE = 0.2  # summed projective move allowed between checkpoints
 
 
 class PathFrame:
     """Continuation of the normalized root triple along a polyline.
 
     Keeps root labels and the cube-root branch coherent; checkpoints are
-    refined until consecutive root matches move by < max_move in the
+    refined until consecutive root matches move by <= FRAME_MAX_MOVE in the
     projective metric.
     """
 
-    def __init__(self, field, path, order=1, max_move=0.2):
-        self.field = field
-        self.order = order
-        self.checkpoints = []  # (point, RootTriple)
-        pts = [np.asarray(p, dtype=complex) for p in path]
-        triple = normalize_roots(field, (pts[0][0], pts[0][1]), order=order)
-        self.checkpoints.append((pts[0], triple))
-        for P0, P1 in zip(pts[:-1], pts[1:]):
-            self._walk(P0, P1, max_move)
+    def __init__(self, field, path):
+        def step(prev, pt):
+            ref = prev.values()
+            triple = normalize_roots(field, (pt[0], pt[1]), order=FRAME_ORDER,
+                                     label_ref=ref, lam_target=prev.lam)
+            return triple, match_roots(ref, triple.values())[1]
 
-    def _walk(self, P0, P1, max_move):
-        stack = [(0.0, 1.0)]
-        while stack:
-            t0, t1 = stack.pop()
-            prev_pt, prev = self.checkpoints[-1]
-            pt = P0 + t1 * (P1 - P0)
-            vals_ref = [(p.value, q.value) for p, q in prev.sigma]
-            triple = normalize_roots(
-                self.field, (pt[0], pt[1]), order=self.order,
-                label_ref=vals_ref, lam_target=prev.lam)
-            _, cost = match_roots(vals_ref,
-                                  [(p.value, q.value) for p, q in triple.sigma])
-            if cost > max_move and (t1 - t0) > 1e-8:
-                mid = 0.5 * (t0 + t1)
-                stack.append((mid, t1))
-                stack.append((t0, mid))
-            else:
-                self.checkpoints.append((pt, triple))
+        x0, y0 = np.asarray(path[0], dtype=complex)
+        start = normalize_roots(field, (x0, y0), order=FRAME_ORDER)
+        # (point, RootTriple)
+        self.checkpoints = continue_along(path, start, step, FRAME_MAX_MOVE)
 
     @property
     def start(self):
@@ -368,14 +324,10 @@ def dual_frame(triple):
     """
     (p1, q1), (p2, q2), _ = triple.values()
     om0 = p1 * q2 - p2 * q1
-    v1 = (q1, -p1)
-    v2 = (q2, -p2)
-    e1 = (v2[0] / om0, v2[1] / om0)
-    e2 = (-v1[0] / om0, -v1[1] / om0)
-    return e1, e2
+    return (q2 / om0, -p2 / om0), (-q1 / om0, p1 / om0)
 
 
-def blaschke_transport(field, curve, xi, tol=1e-10):
+def blaschke_transport(field, curve, xi):
     """Parallel transport of xi = (xi1, xi2) along a curve.
 
     The components live in the frame dual to the normalized root covectors
@@ -385,8 +337,8 @@ def blaschke_transport(field, curve, xi, tol=1e-10):
     (reconstruction in the raw leaf frame would miss the point-dependent
     area normalization and is not the connection's transport).
     """
-    frame = PathFrame(field, curve, order=1)
-    factor = np.exp(integrate_gamma(field, curve, tol=tol))
+    frame = PathFrame(field, curve)
+    factor = np.exp(integrate_gamma(field, curve))
     comps = (xi[0] * factor, xi[1] * factor)
     e1, e2 = dual_frame(frame.end)
     vec = (comps[0] * e1[0] + comps[1] * e2[0],

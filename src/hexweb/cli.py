@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -55,22 +57,37 @@ class SchemaError(ValueError):
 # Input parsing
 
 
+def _is_number(v):
+    """A finite JSON number (booleans excluded)."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
 def _parse_coef(raw):
     if isinstance(raw, str):
+        try:
+            Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise SchemaError(f"bad coefficient {raw!r}: not a rational 'p/q'")
         return raw  # exact rational "p/q"; PolyExpr coerces it
-    if isinstance(raw, (int, float)):
+    if _is_number(raw):
         return raw
-    if isinstance(raw, list) and len(raw) == 2:
+    if isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw)):
         return complex(raw[0], raw[1])
-    raise SchemaError(f"bad coefficient {raw!r}: expected [re, im] or 'p/q'")
+    raise SchemaError(f"bad coefficient {raw!r}: expected a finite number, "
+                      "[re, im] or 'p/q'")
 
 
 def _parse_monomials(items, nvars):
+    if not isinstance(items, list):
+        raise SchemaError(f"monomials {items!r} must be a list")
     d = {}
     for it in items:
         if not isinstance(it, dict) or "exps" not in it or "coef" not in it:
             raise SchemaError(f"monomial entry {it!r} needs 'exps' and 'coef'")
-        exps = tuple(int(e) for e in it["exps"])
+        try:
+            exps = tuple(int(e) for e in it["exps"])
+        except (TypeError, ValueError):
+            raise SchemaError(f"exponents {it['exps']!r} must be integers")
         if len(exps) != nvars or any(e < 0 for e in exps):
             raise SchemaError(
                 f"exponent tuple {exps} must be {nvars} nonnegative integers")
@@ -111,15 +128,25 @@ def load_config(path):
         raise SchemaError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict) or "input" not in cfg:
         raise SchemaError("config must be an object with an 'input' spec")
+    given = cfg.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise SchemaError("tolerances must be an object")
     tol = dict(DEFAULT_TOLERANCES)
-    tol.update(cfg.get("tolerances", {}))
-    if any(v <= 0 for v in tol.values()):
-        raise SchemaError("tolerances must be positive")
+    tol.update(given)
+    if not all(_is_number(v) and v > 0 for v in tol.values()):
+        raise SchemaError("tolerances must be positive numbers")
     cfg["tolerances"] = tol
     win = cfg.get("window", [[-1.0, 1.0], [0.5, 1.5]])
-    if not (win[0][0] < win[0][1] and win[1][0] < win[1][1]):
-        raise SchemaError("window must be nondegenerate")
+    if not (isinstance(win, list) and len(win) == 2
+            and all(isinstance(w, list) and len(w) == 2
+                    and all(map(_is_number, w)) and w[0] < w[1] for w in win)):
+        raise SchemaError("window must be [[xmin, xmax], [ymin, ymax]] "
+                          "with xmin < xmax and ymin < ymax")
     cfg["window"] = win
+    for key in ("samples", "grid"):
+        v = cfg.get(key, 1)
+        if type(v) is not int or v < 1:
+            raise SchemaError(f"{key} must be a positive integer")
     return cfg
 
 
@@ -130,11 +157,6 @@ def config_hash(cfg):
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
-
-
-def _c2l(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _json_default(o):
@@ -221,6 +243,8 @@ def run_check(obj, cfg, rng, report):
     field = _field_of(obj)
     pts = _random_regular_points(field, cfg["window"], rng,
                                  int(cfg.get("samples", 25)))
+    if not pts:
+        raise ValueError("no regular sample point found in the window")
     inv = {}
     if isinstance(obj, Potential):
         res = max(abs(obj.associativity_residual(x, y)) for x, y in pts)

@@ -9,7 +9,7 @@ hence leaf slope dy/dx = -p_i/q_i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,10 +85,7 @@ class TranslatedField(DirectionField):
 
     def coeff_jets(self, x, y, order):
         jets = self.base_field.coeff_jets(x + self.x0, y + self.y0, order)
-        out = []
-        for j in jets:
-            out.append(Jet((x, y), order, j.c.copy()))
-        return tuple(out)
+        return tuple(Jet((x, y), order, j.c.copy()) for j in jets)
 
 
 @dataclass(frozen=True)
@@ -100,10 +97,6 @@ class KForm:
     K1: PolyExpr
     K0: PolyExpr
 
-    def coeffs(self, x, y):
-        return np.array([complex(k(x, y)) for k in
-                         (self.K3, self.K2, self.K1, self.K0)])
-
     def to_field(self):
         K3, K2, K1, K0 = self.K3, self.K2, self.K1, self.K0
         return PolyCoeffField(-K3, K2, -K1, K0)
@@ -113,16 +106,6 @@ def to_kform(field):
     """KForm of a polynomial-coefficient field: K = (-a, b, -c, r)."""
     a, b, c, r = field.abcr
     return KForm(K3=-a, K2=b, K1=-c, K0=r)
-
-
-def field_from_kform_jets(kfun):
-    """Direction field from a closure returning (K3, K2, K1, K0) jets."""
-
-    def fn(x, y, order):
-        K3, K2, K1, K0 = kfun(x, y, order)
-        return (-K3, K2, -K1, K0)
-
-    return CallableJetField(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +147,15 @@ def roots_proj(coeffs):
     if scale == 0:
         raise DegenerateFieldError("all cubic coefficients are zero")
     a, b, c, r = a / scale, b / scale, c / scale, r / scale
-    out = []
     if abs(a) >= abs(r):
         # chart q = 1, slope s = p/q: a s^3 + b s^2 + c s + r = 0
         if abs(a) < 1e-14:
             raise DegenerateFieldError("cubic degenerate in both charts")
-        for s in np.roots([a, b, c, r]):
-            out.append(_unitize((s, 1.0)))
+        out = [_unitize((s, 1.0)) for s in np.roots([a, b, c, r])]
     else:
         # chart p = 1, v = q/p: r v^3 + c v^2 + b v + a = 0
-        for v in np.roots([r, c, b, a]):
-            out.append(_unitize((1.0, v)))
-    out.sort(key=_root_sort_key)
-    return out
+        out = [_unitize((1.0, v)) for v in np.roots([r, c, b, a])]
+    return sorted(out, key=_root_sort_key)
 
 
 def _root_sort_key(pq):
@@ -203,23 +182,56 @@ def proj_distance(u, v):
     return abs(cross) / (nu * nv)
 
 
-def match_roots(ref, new):
-    """Permutation of `new` minimizing total projective distance to `ref`."""
+def match_roots(ref, new, dist=proj_distance):
+    """Permutation of `new` minimizing the summed distance to `ref`.
+
+    Returns the reordered `new` and its cost.  This is the one labelling
+    rule for root triples, leaf directions and idempotent frames; `dist`
+    defaults to the projective distance.
+    """
     best = None
     best_cost = np.inf
     for perm in itertools.permutations(range(len(new))):
-        cost = sum(proj_distance(ref[i], new[perm[i]])
-                   for i in range(len(ref)))
+        cost = sum(dist(ref[i], new[perm[i]]) for i in range(len(ref)))
         if cost < best_cost:
             best_cost = cost
             best = perm
     return [new[i] for i in best], best_cost
 
 
+MIN_PIECE = 1e-8  # parameter length at which continue_along stops halving
+
+
+def continue_along(path, first, step, max_move, pieces=None):
+    """States continued along a polyline by adaptive bisection.
+
+    ``first`` is the state at path[0]; ``step(prev, pt)`` returns the state
+    at pt continued from the state prev, and the cost of that move.  Each
+    segment (P0, P1) starts as ``pieces(P0, P1)`` equal parts (one when
+    ``pieces`` is None); a part whose move costs more than ``max_move`` is
+    halved until its parameter length is MIN_PIECE.  Returns the list of
+    (point, state), beginning with (path[0], first).
+    """
+    pts = [np.asarray(p, dtype=complex) for p in path]
+    trail = [(pts[0], first)]
+    for P0, P1 in zip(pts[:-1], pts[1:]):
+        n = 1 if pieces is None else pieces(P0, P1)
+        stack = [(i / n, (i + 1) / n) for i in range(n - 1, -1, -1)]
+        while stack:
+            t0, t1 = stack.pop()
+            pt = P0 + t1 * (P1 - P0)
+            state, cost = step(trail[-1][1], pt)
+            if cost > max_move and (t1 - t0) > MIN_PIECE:
+                mid = 0.5 * (t0 + t1)
+                stack += [(mid, t1), (t0, mid)]
+            else:
+                trail.append((pt, state))
+    return trail
+
+
 def roots(field, point):
     """Projective roots of the field's cubic at a point."""
-    field.check_nondegenerate(point[0], point[1])
-    return roots_proj(field.coeffs(point[0], point[1]))
+    return roots_proj(field.check_nondegenerate(point[0], point[1]))
 
 
 def root_jets(field, x, y, order, root_values=None):
@@ -228,16 +240,21 @@ def root_jets(field, x, y, order, root_values=None):
     Each root is a pair of jets (p, q) with the chart component held at the
     constant 1.  Requires three pairwise distinct roots.
     """
-    ja, jb, jc, jr = field.coeff_jets(x, y, order)
+    return _root_jets(field.coeff_jets(x, y, order), x, y, order,
+                      root_values)
+
+
+def _root_jets(coeff_jets, x, y, order, root_values):
+    """root_jets from the field's coefficient jets at (x, y)."""
+    ja, jb, jc, jr = coeff_jets
     vals = root_values if root_values is not None else roots_proj(
         [ja.value, jb.value, jc.value, jr.value])
-    sep = min(proj_distance(u, v)
-              for u, v in itertools.combinations(vals, 2))
+    seps = [proj_distance(u, v) for u, v in itertools.combinations(vals, 2)]
+    sep = min(seps)
     if sep < 1e-8:
-        mult = _multiplicity_from_values(vals)
         raise SingularPointError(
             f"repeated root at ({x}, {y}), separation {sep:.2e}",
-            multiplicity=mult)
+            multiplicity=3 if max(seps) < 1e-8 else 2)
     out = []
     one = Jet.constant(1.0, (x, y), order)
     for p0, q0 in vals:
@@ -265,14 +282,6 @@ def _newton_root_jet(coeff_jets, s0, order):
     return s
 
 
-def _multiplicity_from_values(vals):
-    d12 = proj_distance(vals[0], vals[1])
-    d13 = proj_distance(vals[0], vals[2])
-    d23 = proj_distance(vals[1], vals[2])
-    close = sum(1 for d in (d12, d13, d23) if d < 1e-8)
-    return 3 if close == 3 else 2
-
-
 # ---------------------------------------------------------------------------
 # Normalized root triples
 
@@ -289,13 +298,21 @@ class RootTriple:
     point: tuple
     sigma: list
     lam: complex
-    order: int = dc_field(default=0)
 
     def values(self):
         return [(s[0].value, s[1].value) for s in self.sigma]
 
     def leaf_vectors(self):
         return [(q.value, -p.value) for p, q in self.sigma]
+
+
+def _product_coeffs(sigma):
+    """(a, b, c, r) of V1 V2 V3, V_i = q_i dx* - p_i dy*; numbers or jets."""
+    (p1, q1), (p2, q2), (p3, q3) = sigma
+    return (q1 * q2 * q3,
+            -(q1 * q2 * p3 + q1 * p2 * q3 + p1 * q2 * q3),
+            q1 * p2 * p3 + p1 * q2 * p3 + p1 * p2 * q3,
+            -(p1 * p2 * p3))
 
 
 def normalize_roots(field, point, order=1, label_ref=None, lam_target=None):
@@ -308,44 +325,26 @@ def normalize_roots(field, point, order=1, label_ref=None, lam_target=None):
     vals = roots(field, point)
     if label_ref is not None:
         vals, _ = match_roots(label_ref, vals)
-    rj = root_jets(field, x, y, order, root_values=vals)
-    (p1, q1), (p2, q2), (p3, q3) = rj
+    jets = field.coeff_jets(x, y, order)
+    (p1, q1), (p2, q2), (p3, q3) = _root_jets(jets, x, y, order, vals)
     # kernel of the 2x3 matrix [sigma_1 sigma_2 sigma_3] via cross products
     t1 = p2 * q3 - p3 * q2
     t2 = p3 * q1 - p1 * q3
     t3 = p1 * q2 - p2 * q1
     sp = [(t1 * p1, t1 * q1), (t2 * p2, t2 * q2), (t3 * p3, t3 * q3)]
-    # product form of the scaled roots, coefficient by coefficient
-    P1, Q1 = sp[0]
-    P2, Q2 = sp[1]
-    P3, Q3 = sp[2]
-    ahat = Q1 * Q2 * Q3
-    bhat = -(Q1 * Q2 * P3 + Q1 * P2 * Q3 + P1 * Q2 * Q3)
-    chat = Q1 * P2 * P3 + P1 * Q2 * P3 + P1 * P2 * Q3
-    rhat = -(P1 * P2 * P3)
-    ja, jb, jc, jr = field.coeff_jets(x, y, order)
-    hats = [ahat, bhat, chat, rhat]
-    target = [ja, jb, jc, jr]
+    hats = _product_coeffs(sp)
     k = int(np.argmax([abs(h.value) for h in hats]))
-    lam3 = target[k] * hats[k].reciprocal()
+    lam3 = jets[k] * hats[k].reciprocal()
     lam = jet_cbrt(lam3, target=lam_target)
     sigma = [(lam * P, lam * Q) for P, Q in sp]
     return RootTriple(point=(complex(x), complex(y)), sigma=sigma,
-                      lam=lam.value, order=order)
+                      lam=lam.value)
 
 
 def factorization_residual(field, triple):
     """Relative residual of the (p, q)-system: V1 V2 V3 must expand to V."""
-    x, y = triple.point
-    a, b, c, r = field.coeffs(x, y)
-    (p1, q1), (p2, q2), (p3, q3) = triple.values()
-    got = np.array([
-        q1 * q2 * q3,
-        -(q1 * q2 * p3 + q1 * p2 * q3 + p1 * q2 * q3),
-        q1 * p2 * p3 + p1 * q2 * p3 + p1 * p2 * q3,
-        -(p1 * p2 * p3),
-    ])
-    want = np.array([a, b, c, r])
+    got = np.array(_product_coeffs(triple.values()))
+    want = field.coeffs(*triple.point)
     return float(np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want))))
 
 

@@ -15,14 +15,14 @@ and Taylor-series solutions of the associativity equations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .cubic import (PolyCoeffField, characteristic_coeffs_from_f3,
-                    proj_distance, roots)
+                    continue_along, match_roots, proj_distance, roots)
 from .jets import Jet, PolyExpr, jet_to_polyexpr
 
 
@@ -189,26 +189,17 @@ def mult_operator(w, fp):
     return np.einsum("a,abg->gb", np.asarray(w, dtype=complex), fp.c)
 
 
-def associator_norm(fp, rng=None, samples=10):
-    """Max |(u.v).w - u.(v.w)| over random unit triples (sanity probe)."""
-    rng = np.random.default_rng(rng)
-    worst = 0.0
-    for _ in range(samples):
-        u, v, w = (rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                   for _ in range(3))
-        lhs = multiply(multiply(u, v, fp), w, fp)
-        rhs = multiply(u, multiply(v, w, fp), fp)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
 def _canonical_sort(vectors):
     def key(v):
         return tuple((round(z.real, 9), round(z.imag, 9)) for z in v)
     return sorted(vectors, key=key)
 
 
-def idempotents(fp, rng=None, tol=1e-8, max_tries=8):
+SPLIT_TOL = 1e-8  # relative eigenvalue gap (and |kappa|) forcing a redraw
+SPLIT_TRIES = 8  # draws of the randomized multiplication operator
+
+
+def idempotents(fp, rng=None):
     """The three idempotents e_i (e_i . e_j = delta_ij e_i, sum = e).
 
     Diagonalizes the multiplication operator of a randomized vector and
@@ -217,14 +208,14 @@ def idempotents(fp, rng=None, tol=1e-8, max_tries=8):
     """
     rng = np.random.default_rng(rng)
     last_gap = None
-    for _ in range(max_tries):
+    for _ in range(SPLIT_TRIES):
         w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         M = mult_operator(w, fp)
         vals, vecs = np.linalg.eig(M)
         gap = min(abs(vals[i] - vals[j])
                   for i, j in itertools.combinations(range(3), 2))
         last_gap = gap
-        if gap <= tol * (1.0 + np.max(np.abs(vals))):
+        if gap <= SPLIT_TOL * (1.0 + np.max(np.abs(vals))):
             continue
         out = []
         ok = True
@@ -233,7 +224,7 @@ def idempotents(fp, rng=None, tol=1e-8, max_tries=8):
             uu = multiply(u, u, fp)
             m = int(np.argmax(np.abs(u)))
             kappa = uu[m] / u[m]
-            if abs(kappa) <= tol:
+            if abs(kappa) <= SPLIT_TOL:
                 ok = False
                 break
             e = u / kappa
@@ -267,30 +258,10 @@ class EulerData:
 
     weights: tuple
 
-    @property
-    def w_t(self):
-        return self.weights[0]
-
-    @property
-    def w_x(self):
-        return self.weights[1]
-
-    @property
-    def w_y(self):
-        return self.weights[2]
-
-    @property
-    def w_F(self):
-        return self.weights[3]
-
-    def unity_rescaled(self):
-        """True when L_E(e) is a nonzero multiple of e (w_t != 0)."""
-        return self.w_t != 0
-
     def euler_vector(self, point):
         t, x, y = point
-        return np.array([self.w_t * t, self.w_x * x, self.w_y * y],
-                        dtype=complex)
+        w_t, w_x, w_y, _ = self.weights
+        return np.array([w_t * t, w_x * x, w_y * y], dtype=complex)
 
 
 def euler_data(pot):
@@ -321,10 +292,12 @@ class CanonicalValues:
 
     lambdas: tuple
     semisimple: bool
-    idempotents: tuple = dc_field(default=None)
 
 
-def mu_E(pot, point, euler=None, gap_tol=1e-8):
+SEMISIMPLE_GAP_TOL = 1e-8  # least relative eigenvalue gap of v -> E . v
+
+
+def mu_E(pot, point, euler=None):
     """Eigenvalues of v -> E . v, sorted lexicographically in (Re, Im)."""
     ed = euler if euler is not None else euler_data(pot)
     fp = multiplication_table(pot, point)
@@ -333,7 +306,7 @@ def mu_E(pot, point, euler=None, gap_tol=1e-8):
     vals = sorted(vals, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
     gap = min(abs(vals[i] - vals[j])
               for i, j in itertools.combinations(range(3), 2))
-    semisimple = gap > gap_tol * (1.0 + max(abs(v) for v in vals))
+    semisimple = gap > SEMISIMPLE_GAP_TOL * (1.0 + max(abs(v) for v in vals))
     return CanonicalValues(lambdas=tuple(vals), semisimple=semisimple)
 
 
@@ -365,19 +338,16 @@ def booklet_directions(pot, slice_point, t0=0.0, rng=None, table=None):
 def theorem2_residual(pot, point, rng=None, table=None):
     """Mismatch between booklet directions and characteristic leaf directions.
 
-    Returns the max (over the optimal matching) projective distance between
-    the idempotent slice directions and the leaf directions of the
-    characteristic cubic at the same (x, y).
+    Returns the max projective distance between the idempotent slice
+    directions and the leaf directions of the characteristic cubic at the
+    same (x, y), paired by match_roots.
     """
     t0, x, y = point
     dirs = booklet_directions(pot, (x, y), t0=t0, rng=rng, table=table)
     field = pot.characteristic_field()
     leaf = [(q, -p) for p, q in roots(field, (x, y))]
-    best = np.inf
-    for perm in itertools.permutations(range(3)):
-        worst = max(proj_distance(dirs[i], leaf[perm[i]]) for i in range(3))
-        best = min(best, worst)
-    return float(best)
+    matched, _ = match_roots(dirs, leaf)
+    return float(max(proj_distance(d, m) for d, m in zip(dirs, matched)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,47 +394,35 @@ def taylor_solve(case, data, order=8, x0=0.0):
 # Idempotent-coordinate parallel transport on a t-slice
 
 
-def _match_idempotents(ref, new):
-    best = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(3)):
-        cost = sum(float(np.max(np.abs(ref[i] - new[perm[i]])))
-                   for i in range(3))
-        if cost < best_cost:
-            best_cost = cost
-            best = perm
-    return [new[i] for i in best], best_cost
+IDEMPOTENT_STEP = 0.05  # longest first step (L1 length) along a curve
+IDEMPOTENT_MAX_MOVE = 0.5  # summed max-abs move allowed between points
 
 
-def continue_idempotents(pot, curve, t0=0.0, rng=None, max_step=0.05,
-                         max_move=0.5):
+def _max_abs_distance(u, v):
+    return float(np.max(np.abs(u - v)))
+
+
+def _idempotent_pieces(P0, P1):
+    seg_len = abs(P1[0] - P0[0]) + abs(P1[1] - P0[1])
+    return max(1, int(np.ceil(seg_len / IDEMPOTENT_STEP)))
+
+
+def continue_idempotents(pot, curve, t0=0.0, rng=None):
     """Idempotent bases continued along a slice polyline.
 
     Returns the list of (point, [e1, e2, e3]) with a coherent labeling;
     subdivides steps whenever the idempotents move too much at once.
     """
-    pts = [np.asarray(p, dtype=complex) for p in curve]
-    here = idempotents(multiplication_table(pot, (t0, pts[0][0], pts[0][1])),
-                       rng=rng)
-    trail = [(pts[0], here)]
-    for P0, P1 in zip(pts[:-1], pts[1:]):
-        seg_len = abs(P1[0] - P0[0]) + abs(P1[1] - P0[1])
-        n = max(1, int(np.ceil(seg_len / max_step)))
-        stack = [(i / n, (i + 1) / n) for i in range(n - 1, -1, -1)]
-        while stack:
-            s0, s1 = stack.pop()
-            pt = P0 + s1 * (P1 - P0)
-            prev = trail[-1][1]
-            new = idempotents(multiplication_table(pot, (t0, pt[0], pt[1])),
-                              rng=rng)
-            matched, cost = _match_idempotents(prev, new)
-            if cost > max_move and (s1 - s0) > 1e-8:
-                mid = 0.5 * (s0 + s1)
-                stack.append((mid, s1))
-                stack.append((s0, mid))
-            else:
-                trail.append((pt, matched))
-    return trail
+    def at(pt):
+        return idempotents(multiplication_table(pot, (t0, pt[0], pt[1])),
+                           rng=rng)
+
+    def step(prev, pt):
+        return match_roots(prev, at(pt), dist=_max_abs_distance)
+
+    first = at(np.asarray(curve[0], dtype=complex))
+    return continue_along(curve, first, step, IDEMPOTENT_MAX_MOVE,
+                          pieces=_idempotent_pieces)
 
 
 def frobenius_transport(pot, curve, v, t0=0.0, rng=None):

@@ -49,10 +49,6 @@ class JetError(ValueError):
     pass
 
 
-def _binom(n, k):
-    return math.comb(n, k)
-
-
 def _frozen(arr):
     arr.setflags(write=False)
     return arr
@@ -452,10 +448,14 @@ class PolyExpr:
             d[tuple(e)] = d.get(tuple(e), 0) + coef * n
         return PolyExpr(tuple(sorted(d.items())))
 
+    @functools.cached_property
+    def _complex_terms(self):
+        """``terms`` with each coefficient converted to complex once."""
+        return tuple((e, complex(c)) for e, c in self.terms)
+
     def __call__(self, *point):
         total = 0j
-        for exps, coef in self.terms:
-            term = complex(coef)
+        for exps, term in self._complex_terms:
             for e, p in zip(exps, point):
                 term *= complex(p) ** e
             total += term
@@ -472,12 +472,12 @@ class PolyExpr:
             raise JetError("jet lifting is defined for 2-variable polynomials")
         out = Jet((point[0], point[1]), order)
         x0, y0 = out.base
-        for (e1, e2), coef in self.terms:
-            cc = complex(coef)
+        for (e1, e2), cc in self._complex_terms:
             for j1 in range(min(e1, order) + 1):
-                fx = _binom(e1, j1) * x0 ** (e1 - j1)
+                fx = math.comb(e1, j1) * x0 ** (e1 - j1)
                 for j2 in range(min(e2, order - j1) + 1):
-                    out.c[j1, j2] += cc * fx * _binom(e2, j2) * y0 ** (e2 - j2)
+                    out.c[j1, j2] += (cc * fx * math.comb(e2, j2)
+                                      * y0 ** (e2 - j2))
         return out
 
 

@@ -29,7 +29,6 @@ from .webgeo import symmetry_residual
 @dataclass
 class DiscriminantTrace:
     curves: list          # list of (n, 2) float arrays
-    seeds: list           # polished seed points
     window: tuple         # ((xmin, xmax), (ymin, ymax))
 
     @property
@@ -50,11 +49,14 @@ def _disc_and_grad(field, x, y):
             discriminant_scale(co))
 
 
-def _newton_polish(field, pt, tol, iters=60):
+TRACE_TOL = 1e-10  # scaled |D| at which a polished point is on the curve
+
+
+def _newton_polish(field, pt, iters=60):
     z = np.array(pt, dtype=float)
     for _ in range(iters):
         D, g, scale = _disc_and_grad(field, z[0], z[1])
-        if abs(D) <= tol * scale:
+        if abs(D) <= TRACE_TOL * scale:
             return z, True
         g = g.real
         gg = float(g @ g)
@@ -65,15 +67,16 @@ def _newton_polish(field, pt, tol, iters=60):
             step = step / np.linalg.norm(step)
         z = z + step
     D, _, scale = _disc_and_grad(field, z[0], z[1])
-    return z, abs(D) <= tol * scale
+    return z, abs(D) <= TRACE_TOL * scale
 
 
-def trace_discriminant(field, window, n=32, tol=1e-10, max_steps=None):
+def trace_discriminant(field, window, n=32):
     """Trace the zero set of the discriminant inside a window.
 
     Grid sign changes seed a Newton polish; each polished seed is continued
     in both directions along the tangent (perpendicular to grad D) with a
-    predictor-corrector loop.  An empty trace is a valid result.
+    predictor-corrector loop of at most 20 n steps.  An empty trace is a
+    valid result.
     """
     (x0, x1), (y0, y1) = window
     if n < 8:
@@ -93,10 +96,7 @@ def trace_discriminant(field, window, n=32, tol=1e-10, max_steps=None):
             if j + 1 < n and Dg[i, j] * Dg[i, j + 1] <= 0:
                 raw.append((xs[i], 0.5 * (ys[j] + ys[j + 1])))
     h = max(x1 - x0, y1 - y0) / (2.0 * n)
-    if max_steps is None:
-        max_steps = 20 * n
     curves = []
-    seeds = []
 
     def near_existing(pt):
         for c in curves:
@@ -111,15 +111,14 @@ def trace_discriminant(field, window, n=32, tol=1e-10, max_steps=None):
         return (x0 - sx <= pt[0] <= x1 + sx) and (y0 - sy <= pt[1] <= y1 + sy)
 
     for seed in raw:
-        z, ok = _newton_polish(field, seed, tol)
+        z, ok = _newton_polish(field, seed)
         if not ok or not in_window(z) or near_existing(z):
             continue
-        seeds.append(tuple(z))
         halves = []
         for direction in (1.0, -1.0):
             pts = [z.copy()]
             prev_t = None
-            for _ in range(max_steps):
+            for _ in range(20 * n):
                 cur = pts[-1]
                 _, g, _ = _disc_and_grad(field, cur[0], cur[1])
                 g = g.real
@@ -131,7 +130,7 @@ def trace_discriminant(field, window, n=32, tol=1e-10, max_steps=None):
                     t = direction * t
                 elif np.dot(t, prev_t) < 0:
                     t = -t
-                cand, ok = _newton_polish(field, cur + h * t, tol, iters=20)
+                cand, ok = _newton_polish(field, cur + h * t, iters=20)
                 if not ok or not in_window(cand):
                     break
                 if np.linalg.norm(cand - cur) < 0.01 * h:
@@ -146,26 +145,29 @@ def trace_discriminant(field, window, n=32, tol=1e-10, max_steps=None):
             curves.append(curve)
         else:
             curves.append(np.array([z]))
-    return DiscriminantTrace(curves=curves, seeds=seeds, window=window)
+    return DiscriminantTrace(curves=curves, window=window)
 
 
 # ---------------------------------------------------------------------------
 # Root multiplicity
 
 
-def root_multiplicity(field, point, tol=1e-8):
+MULTIPLE_ROOT_TOL = 1e-8  # scaled |D| at which roots count as multiple
+
+
+def root_multiplicity(field, point):
     """Partition of the cubic's roots at a point: '1+1+1', '2+1' or '3'.
 
-    The simple/multiple split uses |D| against tol * scale with the ratio
-    rounded to a few significant digits, so that coefficient perturbations
-    far below the tolerance can never flip the answer; the double/triple
-    split uses the depressed invariants (triple root iff A and B both
-    vanish in a valid chart).
+    The simple/multiple split uses |D| against MULTIPLE_ROOT_TOL * scale
+    with the ratio rounded to a few significant digits, so that coefficient
+    perturbations far below the tolerance can never flip the answer; the
+    double/triple split uses the depressed invariants (triple root iff A
+    and B both vanish in a valid chart).
     """
     co = field.check_nondegenerate(point[0], point[1])
     D = discriminant_of_coeffs(*co)
     scale = discriminant_scale(co)
-    ratio = abs(D) / (tol * scale)
+    ratio = abs(D) / (MULTIPLE_ROOT_TOL * scale)
     if float(f"{ratio:.6g}") > 1.0:
         return "1+1+1"
     dep = depress(field, point, order=0)
@@ -191,16 +193,15 @@ class FSolution:
     def __call__(self, t):
         return float(self.sol.sol(t)[0])
 
-    @property
-    def slope0(self):
-        return 2.0 * (self.m0 + 3) / (3.0 * (self.m0 + 1))
-
 
 def _f_ode_constant(m0):
     return 2.0 * (m0 + 3) / (m0 + 1)
 
 
-def solve_F(m0, t_max=1.0, tol=1e-12):
+F_ODE_TOL = 1e-12  # rtol and atol of the F(t) ODE solve
+
+
+def solve_F(m0, t_max=1.0):
     """Solve [12 + 2t^2 - 9tF] F' = C (4 + 27 F^2), F(0) = 0, C as below.
 
     C = 2(m0+3)/(m0+1); the solver halts with a flag when the bracketed
@@ -218,8 +219,9 @@ def solve_F(m0, t_max=1.0, tol=1e-12):
 
     bracket.terminal = True
     bracket.direction = -1
-    out = solve_ivp(rhs, (0.0, float(t_max)), [0.0], rtol=tol, atol=tol,
-                    method="DOP853", dense_output=True, events=bracket)
+    out = solve_ivp(rhs, (0.0, float(t_max)), [0.0], rtol=F_ODE_TOL,
+                    atol=F_ODE_TOL, method="DOP853", dense_output=True,
+                    events=bracket)
     ok = out.status == 0
     return FSolution(m0=int(m0), t_max=float(out.t[-1]), sol=out,
                      bracket_ok=ok)
@@ -284,12 +286,11 @@ def _field_from_AB(A, B):
     return PolyCoeffField(-1 * one, PolyExpr.zero(), -1 * A, B)
 
 
-def normal_form_field(form_id, m0=0, f_interp=None):
+def normal_form_field(form_id, m0=0):
     """Catalog entry ``form_id`` in {1..6}; m0 parametrizes forms 1 and 6.
 
     Forms 1-4 are polynomial; form 5 uses tan jets; form 6 needs Re y > 0
-    (principal fractional powers) and an F-interpolant, solved on demand
-    when not supplied.
+    (principal fractional powers) and solves the F(t) ODE on [0, 8].
     """
     x = PolyExpr.var(0)
     y = PolyExpr.var(1)
@@ -334,7 +335,7 @@ def normal_form_field(form_id, m0=0, f_interp=None):
         return NormalForm(id=5, m0=0, weights=(0, 1),
                           field=CallableJetField(kfun), label="form5")
     if form_id == 6:
-        fs = f_interp if f_interp is not None else solve_F(m0, t_max=8.0)
+        fs = solve_F(m0, t_max=8.0)
 
         def kfun(px, py, order):
             if complex(py).real <= 0:
@@ -391,14 +392,18 @@ class Classification:
     status: str            # matched | weights-only | unclassified
 
 
-def classify_singularity(field, point=(0.0, 0.0), samples=None, a=0.08,
-                         residual_tol=1e-6, max_weight=12):
+CLASSIFY_FLOW_TIME = 0.08  # flow time of the scaling symmetry probe
+CLASSIFY_RESIDUAL_TOL = 1e-6  # largest residual of a detected symmetry
+CLASSIFY_MAX_WEIGHT = 12  # largest weight searched
+
+
+def classify_singularity(field, point=(0.0, 0.0), samples=None):
     """Detect diagonal quasi-homogeneity weights of a singular germ.
 
-    Searches coprime weight pairs (w1, w2) with 1 <= w1, w2 <= max_weight
-    by the symmetry residual of the exact scaling flow about the singular
-    point; a detected pair is matched against the catalog entries whose
-    weights are parameter-free.
+    Searches coprime weight pairs (w1, w2) with 1 <= w1, w2 <=
+    CLASSIFY_MAX_WEIGHT by the symmetry residual of the exact scaling flow
+    about the singular point; a detected pair is matched against the
+    catalog entries whose weights are parameter-free.
     """
     from .cubic import TranslatedField
 
@@ -407,19 +412,20 @@ def classify_singularity(field, point=(0.0, 0.0), samples=None, a=0.08,
     if samples is None:
         samples = [(0.31, 0.22), (-0.24, 0.18), (0.12, -0.27), (0.27, 0.33)]
     best = None
-    for w1 in range(1, max_weight + 1):
-        for w2 in range(1, max_weight + 1):
+    for w1 in range(1, CLASSIFY_MAX_WEIGHT + 1):
+        for w2 in range(1, CLASSIFY_MAX_WEIGHT + 1):
             if gcd(w1, w2) != 1:
                 continue
             try:
-                res = symmetry_residual(f, (w1, w2), samples, a=a)
+                res = symmetry_residual(f, (w1, w2), samples,
+                                        a=CLASSIFY_FLOW_TIME)
             except (DegenerateFieldError, JetError):
                 # a scaled sample left the germ's domain (the jet guards
                 # of catalog forms 5 and 6) or hit a vanishing cubic
                 continue
             if best is None or res < best[1]:
                 best = ((w1, w2), res)
-    if best is None or best[1] > residual_tol:
+    if best is None or best[1] > CLASSIFY_RESIDUAL_TOL:
         res = np.inf if best is None else best[1]
         return Classification(weights=None, matched_id=None,
                               residual=float(res), status="unclassified")

@@ -15,7 +15,8 @@ import numpy as np
 
 from .chern import gamma_cubic
 from .cubic import (SingularPointError, discriminant_of_coeffs, match_roots,
-                    normalize_roots, proj_distance, regular_cutoff, roots)
+                    normalize_roots, proj_distance, regular_cutoff, roots,
+                    roots_proj)
 
 
 class LeafIntegrationError(ValueError):
@@ -54,12 +55,14 @@ class Leaf:
         return (h00 * self.points[i] + h10 * h * self.tangents[i]
                 + h01 * self.points[i + 1] + h11 * h * self.tangents[i + 1])
 
-    @property
-    def length(self):
-        return float(self.params[-1] - self.params[0])
+
+START_IMAG_TOL = 1e-7  # relative Im part of a complex start direction
+TRACK_IMAG_TOL = 1e-6  # the same for a direction along a leaf
+LEAF_MAX_STEP = 0.05  # longest leaf step
+LEAF_PROX_FACTOR = 1e-6  # scaled |D| at which a leaf stops
 
 
-def real_directions(field, point, imag_tol=1e-7):
+def real_directions(field, point):
     """The three real leaf directions at a point as unit vectors.
 
     Each direction is normalized to the upper half plane (angle in [0, pi))
@@ -70,7 +73,7 @@ def real_directions(field, point, imag_tol=1e-7):
     dirs = []
     for p, q in rts:
         v = np.array([q, -p])
-        if np.max(np.abs(v.imag)) > imag_tol * np.max(np.abs(v)):
+        if np.max(np.abs(v.imag)) > START_IMAG_TOL * np.max(np.abs(v)):
             raise LeafIntegrationError(
                 f"complex leaf direction at {point} (D <= 0 region)")
         u = v.real / np.linalg.norm(v.real)
@@ -81,23 +84,23 @@ def real_directions(field, point, imag_tol=1e-7):
     return dirs
 
 
-def _tracked_direction(field, pt, ref_root, ref_dir, imag_tol=1e-6):
-    """Unit real direction of the root nearest ref_root, sign-aligned."""
-    rts = roots(field, (pt[0], pt[1]))
-    dists = [proj_distance(ref_root, r) for r in rts]
-    k = int(np.argmin(dists))
+def _tracked_direction(field, pt, ref_root, ref_dir):
+    """Unit real direction of the root nearest ref_root, sign-aligned, with
+    that root and the field's coefficients at pt."""
+    co = field.check_nondegenerate(pt[0], pt[1])
+    rts = roots_proj(co)
+    k = int(np.argmin([proj_distance(ref_root, r) for r in rts]))
     p, q = rts[k]
     v = np.array([q, -p])
-    if np.max(np.abs(v.imag)) > imag_tol * np.max(np.abs(v)):
+    if np.max(np.abs(v.imag)) > TRACK_IMAG_TOL * np.max(np.abs(v)):
         raise LeafIntegrationError(f"leaf direction not real at {pt}")
     u = v.real / np.linalg.norm(v.real)
     if ref_dir is not None and np.dot(u, ref_dir) < 0:
         u = -u
-    return u, rts[k], dists[k]
+    return u, rts[k], co
 
 
-def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None,
-                   max_step=0.05, prox_factor=1e-6):
+def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
     """Integrate one web leaf from a regular real point.
 
     Embedded Runge-Kutta (third order with second-order error estimate) on
@@ -126,20 +129,17 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None,
     params = [0.0]
     termination = "length"
     s_done = 0.0
-    h = min(max_step, total / 4 if total > 0 else max_step)
-    prox_scale = None
-
-    def f(p, root, dire):
-        return _tracked_direction(field, p, root, dire)
-
+    h = min(LEAF_MAX_STEP, total / 4 if total > 0 else LEAF_MAX_STEP)
+    prox_scale = k1 = None
     while s_done < total - 1e-14:
         h = min(h, total - s_done)
         try:
-            k1, r1, _ = f(pt, ref_root, ref_dir)
-            k2, r2, _ = f(pt + 0.5 * h * k1, r1, k1)
-            k3, r3, _ = f(pt + 0.75 * h * k2, r2, k2)
+            if k1 is None:
+                k1, r1, _ = _tracked_direction(field, pt, ref_root, ref_dir)
+            k2, r2, _ = _tracked_direction(field, pt + 0.5 * h * k1, r1, k1)
+            k3, r3, _ = _tracked_direction(field, pt + 0.75 * h * k2, r2, k2)
             y_new = pt + h * (2 * k1 + 3 * k2 + 4 * k3) / 9.0
-            k4, r4, move = f(y_new, r3, k3)
+            k4, r4, co = _tracked_direction(field, y_new, r3, k3)
             z_new = pt + h * (7 * k1 / 24 + k2 / 4 + k3 / 3 + k4 / 8)
         except (LeafIntegrationError, SingularPointError):
             if h > 1e-10:
@@ -151,17 +151,16 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None,
         if err > tol and h > 1e-12:
             h *= max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0))
             continue
-        # accepted
+        # accepted; the last stage is the first of the next step
         pt = y_new
-        ref_root, ref_dir = r4, k4
+        k1, r1 = k4, r4
         s_done += h
         pts.append(pt.copy())
         tans.append(k4.copy())
         params.append(s_done)
-        co = field.coeffs(pt[0], pt[1])
         if prox_scale is None:
             prox_scale = regular_cutoff(co) / 1e-12
-        if abs(discriminant_of_coeffs(*co)) <= prox_factor * prox_scale:
+        if abs(discriminant_of_coeffs(*co)) <= LEAF_PROX_FACTOR * prox_scale:
             termination = "discriminant-proximity"
             break
         if domain is not None:
@@ -173,7 +172,7 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None,
             h *= min(4.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0)))
         else:
             h *= 2.0
-        h = min(h, max_step)
+        h = min(h, LEAF_MAX_STEP)
     return Leaf(branch=branch, points=np.array(pts), tangents=np.array(tans),
                 params=np.array(params), termination=termination)
 
@@ -266,7 +265,10 @@ def _first_crossing(moving, target, skip=0.0):
     return min(crossings, key=abs)
 
 
-def thomsen_closure(field, base, eps, tol=1e-10, reach=6.0):
+CLOSURE_REACH = 6.0  # half-length of the hexagon's leaves, in units of eps
+
+
+def thomsen_closure(field, base, eps, tol=1e-10):
     """Build the closure hexagon and return its gap.
 
     Starting at arclength eps along the branch-1 leaf through base, leaves
@@ -275,7 +277,7 @@ def thomsen_closure(field, base, eps, tol=1e-10, reach=6.0):
     hexagonal web the sixth vertex returns to the first.
     """
     base = (float(base[0]), float(base[1]))
-    L = reach * eps
+    L = CLOSURE_REACH * eps
     C = {j: leaf_through(field, base, j, L, tol=tol) for j in (1, 2, 3)}
     X = np.asarray(C[1].point_at(eps), dtype=float)
     first = X.copy()
@@ -316,7 +318,10 @@ class FirstIntegralState:
         return self.u[-1]
 
 
-def first_integrals(field, base, path, step=0.004):
+FI_STEP = 0.004  # node spacing of the first-integral quadrature
+
+
+def first_integrals(field, base, path):
     """Integrate dk = -gamma k and du_i = k sigma_i along a polyline.
 
     k(base) = 1 and u_i(base) = 0; since all three sigma sum to zero the
@@ -329,32 +334,22 @@ def first_integrals(field, base, path, step=0.004):
     nodes = [pts[0]]
     for P0, P1 in zip(pts[:-1], pts[1:]):
         seg = np.linalg.norm(P1 - P0)
-        n = max(2, int(np.ceil(seg / step)))
+        n = max(2, int(np.ceil(seg / FI_STEP)))
         n += n % 2  # even count for composite Simpson
         for i in range(1, n + 1):
             nodes.append(P0 + (i / n) * (P1 - P0))
     nodes = np.array(nodes)
 
-    gam = []     # gamma . dP/ds at nodes (complex)
-    sig = []     # sigma_i . dP/ds at nodes, (3,) complex
+    gam = []     # (gamma_x, gamma_y) at the nodes
+    sig = []     # the three (p, q) of sigma_i at the nodes
     triple = None
-    for i, pt in enumerate(nodes):
-        if i == 0:
-            dP = nodes[1] - nodes[0]
-        elif i == len(nodes) - 1:
-            dP = nodes[-1] - nodes[-2]
-        else:
-            dP = 0.5 * (nodes[i + 1] - nodes[i - 1])
-        g = gamma_cubic(field, (pt[0], pt[1]), order=0)
-        gx, gy = g.values()
-        ref = None if triple is None else [
-            (p.value, q.value) for p, q in triple.sigma]
+    for pt in nodes:
+        gam.append(gamma_cubic(field, (pt[0], pt[1]), order=0).values())
+        ref = None if triple is None else triple.values()
         lam = None if triple is None else triple.lam
         triple = normalize_roots(field, (pt[0], pt[1]), order=0,
                                  label_ref=ref, lam_target=lam)
-        vals = triple.values()
-        gam.append((gx, gy))
-        sig.append(vals)
+        sig.append(triple.values())
 
     n = len(nodes)
     k = np.ones(n, dtype=complex)

@@ -107,6 +107,43 @@ class TestExitCodes:
         assert main(["check", "--config", cfg, "--strict",
                      "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("command, inp, extra", [
+        ("check", SOLUTION_A, {"window": "abc"}),
+        ("check", SOLUTION_A, {"window": [[0, 1]]}),
+        ("check", SOLUTION_A, {"window": [[0, 1], [0, "1"]]}),
+        ("check", SOLUTION_A, {"tolerances": {"corollary": "1e-8"}}),
+        ("check", SOLUTION_A, {"tolerances": [1e-8]}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": [2, 2],
+                                              "coef": "nan"}]), {}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": [2, 2],
+                                              "coef": [1, "x"]}]), {}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": ["a", 2],
+                                              "coef": 1}]), {}),
+        ("check", dict(SOLUTION_A, monomials=5), {}),
+        ("check", SOLUTION_A, {"samples": 0}),
+        ("gamma", SOLUTION_A, {"grid": -3}),
+        ("leaves", SOLUTION_A, {"grid": 2.5}),
+    ], ids=["window-string", "window-one-row", "window-string-bound",
+            "tolerance-string", "tolerances-list", "coef-nan",
+            "coef-string-imag", "exponent-string", "monomials-number",
+            "samples-zero", "grid-negative", "grid-float"])
+    def test_invalid_config_exits_2(self, tmp_path, capsys, command, inp,
+                                    extra):
+        cfg = write_config(tmp_path, inp, **extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_check_without_regular_samples_fails(self, tmp_path):
+        zero = {"kind": "field", "a": [], "b": [], "c": [], "r": []}
+        cfg = write_config(tmp_path, zero, samples=3)
+        out = tmp_path / "out"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+        rep = json.loads((out / "check_report.json").read_text())
+        assert rep["pass"] is False
+        assert "no regular sample" in rep["error"]
+
     def test_suite_failure_exits_1(self, tmp_path):
         # the generic non-flat field fails the closure suite at a regular base
         nonflat = {"kind": "field",

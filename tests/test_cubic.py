@@ -4,12 +4,15 @@ depressed form."""
 import numpy as np
 import pytest
 
-from hexweb.cubic import (CallableJetField, DegenerateFieldError, KForm,
-                          PolyCoeffField, RootTriple, SingularPointError,
-                          depress, discriminant, discriminant_of_coeffs,
+from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
+                          KForm, PolyCoeffField, RootTriple,
+                          SingularPointError, continue_along, depress,
+                          discriminant, discriminant_of_coeffs,
                           factorization_residual, match_roots,
                           normalize_roots, proj_distance, regular_cutoff,
                           root_jets, roots, roots_proj, to_kform)
+from hexweb.frobenius import (idempotents, multiplication_table,
+                              solution_potential)
 from hexweb.jets import PolyExpr
 
 RNG = np.random.default_rng(8571)
@@ -74,6 +77,24 @@ class TestRoots:
         matched, _ = match_roots(ref, shuffled)
         for u, v in zip(ref, matched):
             assert proj_distance(u, v) < 1e-12
+
+    @pytest.mark.parametrize("perm", [[0, 2, 1], [1, 2, 0], [2, 1, 0]])
+    def test_match_roots_custom_distance_recovers_idempotents(self, perm):
+        # 3-vectors, which the default projective distance cannot compare
+        fp = multiplication_table(solution_potential("A"), (0.0, 0.3, 0.9))
+        ref = idempotents(fp, rng=5)
+        calls = []
+
+        def max_abs(u, v):
+            calls.append(1)
+            return float(np.max(np.abs(u - v)))
+
+        matched, cost = match_roots(ref, [ref[i] for i in perm],
+                                    dist=max_abs)
+        assert cost == 0.0
+        assert len(calls) == 6 * 3
+        for u, v in zip(ref, matched):
+            assert u is v
 
     def test_root_jets_follow_the_root(self):
         # d/dx of the tracked slope matches a finite difference
@@ -191,3 +212,51 @@ class TestCallableJetField:
                               lam_target=tr1.lam)
         for u, v in zip(tr1.values(), tr2.values()):
             assert abs(u[0] - v[0]) + abs(u[1] - v[1]) < 1e-10
+
+
+class TestContinueAlong:
+    """The shared subdivision walker on a toy state: the x coordinate."""
+
+    PATH = [(0.0, 0.0), (1.0, 0.0)]
+
+    @staticmethod
+    def xs(trail):
+        return [float(pt[0].real) for pt, _ in trail]
+
+    @staticmethod
+    def slide(prev, pt):
+        x = float(pt[0].real)
+        return x, abs(x - prev)
+
+    def test_pieces_set_the_initial_steps(self):
+        trail = continue_along(self.PATH, 0.0, self.slide, 1.0,
+                               pieces=lambda P0, P1: 4)
+        assert self.xs(trail) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert [s for _, s in trail] == self.xs(trail)
+        assert trail[0][1] == 0.0
+
+    def test_one_piece_per_segment_by_default(self):
+        path = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+        trail = continue_along(path, 0, lambda prev, pt: (prev + 1, 0.0),
+                               0.5)
+        assert [s for _, s in trail] == [0, 1, 2]
+        assert [tuple(pt) for pt, _ in trail] == path
+
+    def test_costly_move_halves_the_step(self):
+        trail = continue_along(self.PATH, 0.0, self.slide, 0.3)
+        assert self.xs(trail) == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_halving_stops_at_the_floor(self):
+        # the state jumps at x = 1/2: no piece across it is cheap enough
+        def step(prev, pt):
+            state = float(pt[0].real >= 0.5)
+            return state, abs(state - prev)
+
+        trail = continue_along(self.PATH, 0.0, step, 0.5)
+        xs = self.xs(trail)
+        jumps = [i for i in range(1, len(trail))
+                 if trail[i][1] != trail[i - 1][1]]
+        assert len(jumps) == 1
+        gap = xs[jumps[0]] - xs[jumps[0] - 1]
+        assert MIN_PIECE / 2 < gap <= MIN_PIECE
+        assert xs[jumps[0]] == 0.5 and xs[-1] == 1.0
