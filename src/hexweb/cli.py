@@ -62,6 +62,25 @@ def _is_number(v):
     return type(v) in (int, float) and math.isfinite(v)
 
 
+def _is_positive(v):
+    return _is_number(v) and v > 0
+
+
+def _is_pair(v):
+    """A list of two finite numbers."""
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+
+
+# optional config keys that hold one value: the test a given value must pass
+VALUE_KEYS = {
+    "eps": (_is_positive, "a positive number"),
+    "leaf_length": (_is_positive, "a positive number"),
+    "t0": (_is_number, "a finite number"),
+    "base": (_is_pair, "a list of two finite numbers [x, y]"),
+    "point": (_is_pair, "a list of two finite numbers [x, y]"),
+}
+
+
 def _parse_coef(raw):
     if isinstance(raw, str):
         try:
@@ -71,7 +90,7 @@ def _parse_coef(raw):
         return raw  # exact rational "p/q"; PolyExpr coerces it
     if _is_number(raw):
         return raw
-    if isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw)):
+    if _is_pair(raw):
         return complex(raw[0], raw[1])
     raise SchemaError(f"bad coefficient {raw!r}: expected a finite number, "
                       "[re, im] or 'p/q'")
@@ -133,13 +152,12 @@ def load_config(path):
         raise SchemaError("tolerances must be an object")
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(given)
-    if not all(_is_number(v) and v > 0 for v in tol.values()):
+    if not all(map(_is_positive, tol.values())):
         raise SchemaError("tolerances must be positive numbers")
     cfg["tolerances"] = tol
     win = cfg.get("window", [[-1.0, 1.0], [0.5, 1.5]])
     if not (isinstance(win, list) and len(win) == 2
-            and all(isinstance(w, list) and len(w) == 2
-                    and all(map(_is_number, w)) and w[0] < w[1] for w in win)):
+            and all(_is_pair(w) and w[0] < w[1] for w in win)):
         raise SchemaError("window must be [[xmin, xmax], [ymin, ymax]] "
                           "with xmin < xmax and ymin < ymax")
     cfg["window"] = win
@@ -147,6 +165,9 @@ def load_config(path):
         v = cfg.get(key, 1)
         if type(v) is not int or v < 1:
             raise SchemaError(f"{key} must be a positive integer")
+    for key, (valid, what) in VALUE_KEYS.items():
+        if key in cfg and not valid(cfg[key]):
+            raise SchemaError(f"{key} must be {what}")
     return cfg
 
 
@@ -187,12 +208,15 @@ def write_csv(path, header, rows):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _svg_header(window, size=640):
+SVG_SIZE = 640  # width and height of an SVG figure, in pixels
+
+
+def _svg_header(window):
     (x0, x1), (y0, y1) = window
     w = x1 - x0
     h = y1 - y0
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-            f'height="{size}" viewBox="{x0} {-y1} {w} {h}">\n'
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+            f'height="{SVG_SIZE}" viewBox="{x0} {-y1} {w} {h}">\n'
             f'<rect x="{x0}" y="{-y1}" width="{w}" height="{h}" '
             'fill="white"/>\n')
 
@@ -206,7 +230,7 @@ def _svg_polyline(points, color, width):
 def write_svg(path, window, layers):
     """layers: list of (points-array, color, width)."""
     (x0, x1), _ = window
-    width_unit = (x1 - x0) / 640.0
+    width_unit = (x1 - x0) / SVG_SIZE
     parts = [_svg_header(window)]
     for pts, color, w in layers:
         if len(pts) >= 2:
@@ -223,7 +247,10 @@ def _field_of(obj):
     return obj.characteristic_field() if isinstance(obj, Potential) else obj
 
 
-def _random_regular_points(field, window, rng, count, dmin_factor=1e-3):
+SAMPLE_DMIN_FACTOR = 1e-3  # scaled |D| below which a random sample is dropped
+
+
+def _random_regular_points(field, window, rng, count):
     (x0, x1), (y0, y1) = window
     pts = []
     tries = 0
@@ -233,7 +260,7 @@ def _random_regular_points(field, window, rng, count, dmin_factor=1e-3):
         y = rng.uniform(y0, y1)
         co = field.coeffs(x, y)
         D = discriminant_of_coeffs(*co)
-        if abs(D) > dmin_factor * regular_cutoff(co) / 1e-12:
+        if abs(D) > SAMPLE_DMIN_FACTOR * regular_cutoff(co) / 1e-12:
             pts.append((x, y))
     return pts
 

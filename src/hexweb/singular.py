@@ -50,6 +50,7 @@ def _disc_and_grad(field, x, y):
 
 
 TRACE_TOL = 1e-10  # scaled |D| at which a polished point is on the curve
+TRACE_SLACK = 0.02  # margin around the window, as a share of its sides
 
 
 def _newton_polish(field, pt, iters=60):
@@ -105,9 +106,9 @@ def trace_discriminant(field, window, n=32):
                 return True
         return False
 
-    def in_window(pt, slack=0.02):
-        sx = slack * (x1 - x0)
-        sy = slack * (y1 - y0)
+    def in_window(pt):
+        sx = TRACE_SLACK * (x1 - x0)
+        sy = TRACE_SLACK * (y1 - y0)
         return (x0 - sx <= pt[0] <= x1 + sx) and (y0 - sy <= pt[1] <= y1 + sy)
 
     for seed in raw:

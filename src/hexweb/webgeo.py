@@ -38,28 +38,36 @@ class Leaf:
     params: np.ndarray        # (n,)
     termination: str          # length | domain | discriminant-proximity
 
-    def point_at(self, s):
-        """Cubic Hermite interpolation at arclength s."""
+    def hermite(self, s):
+        """Point and d/ds of the cubic Hermite piece containing arclength s;
+        beyond either end the leaf continues along its end tangent."""
         t = self.params
-        if s <= t[0]:
-            return self.points[0] + (s - t[0]) * self.tangents[0]
-        if s >= t[-1]:
-            return self.points[-1] + (s - t[-1]) * self.tangents[-1]
+        if s <= t[0] or s >= t[-1]:
+            k = 0 if s <= t[0] else -1
+            return (self.points[k] + (s - t[k]) * self.tangents[k],
+                    self.tangents[k])
         i = int(np.searchsorted(t, s) - 1)
         h = t[i + 1] - t[i]
         u = (s - t[i]) / h
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u * u * (3 - 2 * u)
-        h11 = u * u * (u - 1)
-        return (h00 * self.points[i] + h10 * h * self.tangents[i]
-                + h01 * self.points[i + 1] + h11 * h * self.tangents[i + 1])
+        w = np.array([[1.0, u, u * u, u ** 3],
+                      [0.0, 1.0, 2 * u, 3 * u * u]]) @ HERMITE_BASIS.T
+        knots = np.array([self.points[i], h * self.tangents[i],
+                          self.points[i + 1], h * self.tangents[i + 1]])
+        point, d_du = w @ knots
+        return point, d_du / h
+
+    def point_at(self, s):
+        """Cubic Hermite interpolation at arclength s."""
+        return self.hermite(s)[0]
 
 
 START_IMAG_TOL = 1e-7  # relative Im part of a complex start direction
 TRACK_IMAG_TOL = 1e-6  # the same for a direction along a leaf
 LEAF_MAX_STEP = 0.05  # longest leaf step
 LEAF_PROX_FACTOR = 1e-6  # scaled |D| at which a leaf stops
+# cubic Hermite basis h00, h10, h01, h11 (rows) in powers 1, u, u^2, u^3
+HERMITE_BASIS = np.array([[1.0, 0.0, -3.0, 2.0], [0.0, 1.0, -2.0, 1.0],
+                          [0.0, 0.0, 3.0, -2.0], [0.0, 0.0, -1.0, 1.0]])
 
 
 def real_directions(field, point):
@@ -203,66 +211,42 @@ class HexagonReport:
     gap: float
 
 
-def _signed_distance(curve, pt):
-    """Signed distance from pt to a leaf curve (positive to the left of
-    the curve's orientation); nearest parameter found by scan + refinement."""
-    d = curve.points - pt
-    i = int(np.argmin(np.einsum("ij,ij->i", d, d)))
-    lo = curve.params[max(0, i - 1)]
-    hi = curve.params[min(len(curve.params) - 1, i + 1)]
-    # golden-section refine |curve(s) - pt|^2
-    phi = 0.5 * (3 - np.sqrt(5.0))
-    a, b = lo, hi
-    c = a + phi * (b - a)
-    e = b - phi * (b - a)
-    fc = np.sum((curve.point_at(c) - pt) ** 2)
-    fe = np.sum((curve.point_at(e) - pt) ** 2)
-    for _ in range(60):
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = a + phi * (b - a)
-            fc = np.sum((curve.point_at(c) - pt) ** 2)
-        else:
-            a, c, fc = c, e, fe
-            e = b - phi * (b - a)
-            fe = np.sum((curve.point_at(e) - pt) ** 2)
-    s = 0.5 * (a + b)
-    q = curve.point_at(s)
-    ds = 1e-7
-    tan = (curve.point_at(s + ds) - curve.point_at(s - ds)) / (2 * ds)
-    n = np.linalg.norm(tan)
-    if n == 0:
-        return float(np.linalg.norm(pt - q))
-    tan = tan / n
-    return float(tan[0] * (pt[1] - q[1]) - tan[1] * (pt[0] - q[0]))
+CROSSING_SKIP = 1e-9  # |s| below which a crossing is the moving leaf's start
+CROSSING_TOL = 1e-12  # Newton step in arclength that ends a crossing solve
+CROSSING_ITERS = 8  # a seed not converged after this many steps is dropped
 
 
-def _first_crossing(moving, target, skip=0.0):
-    """Smallest-|s| parameter where the moving leaf crosses the target."""
-    ss = moving.params
-    vals = np.array([_signed_distance(target, p) for p in moving.points])
-    crossings = []
-    for i in range(len(ss) - 1):
-        if abs(ss[i]) < skip and abs(ss[i + 1]) < skip:
-            continue
-        if vals[i] == 0.0:
-            crossings.append(ss[i])
-        elif vals[i] * vals[i + 1] < 0:
-            a, b = ss[i], ss[i + 1]
-            fa = vals[i]
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = _signed_distance(target, moving.point_at(m))
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-                if abs(b - a) < 1e-13:
+def _crossing_step(m, t, f):
+    """(ds, dr) with m ds - t dr = -f; broadcasts over leading axes."""
+    (mx, my), (tx, ty), (fx, fy) = (np.moveaxis(v, -1, 0) for v in (m, t, f))
+    det = mx * ty - my * tx
+    return (tx * fy - ty * fx) / det, (mx * fy - my * fx) / det
+
+
+def _first_crossing(moving, target):
+    """Smallest |s| >= CROSSING_SKIP where the moving leaf crosses the
+    target, or None.  Each intersection of a chord of one polyline with a
+    chord of the other seeds Newton on moving(s) = target(r)."""
+    P, Q = moving.points, target.points
+    found = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = _crossing_step(np.diff(P, axis=0)[:, None], np.diff(Q, axis=0),
+                              P[:-1, None] - Q[:-1])
+        i, j = np.nonzero((a >= 0) & (a <= 1) & (b >= 0) & (b <= 1))
+        s0 = moving.params[i] + a[i, j] * np.diff(moving.params)[i]
+        r0 = target.params[j] + b[i, j] * np.diff(target.params)[j]
+        for s, r in zip(s0, r0):
+            for _ in range(CROSSING_ITERS):
+                (M, m), (T, t) = moving.hermite(s), target.hermite(r)
+                ds, dr = _crossing_step(m, t, M - T)
+                if not np.isfinite(ds + dr):
+                    break  # parallel tangents: drop the seed
+                s, r = s + ds, r + dr
+                if max(abs(ds), abs(dr)) <= CROSSING_TOL:
+                    found.append(s)
                     break
-            crossings.append(0.5 * (a + b))
-    if not crossings:
-        return None
-    return min(crossings, key=abs)
+    return min((s for s in found if abs(s) >= CROSSING_SKIP), key=abs,
+               default=None)
 
 
 CLOSURE_REACH = 6.0  # half-length of the hexagon's leaves, in units of eps
@@ -285,7 +269,7 @@ def thomsen_closure(field, base, eps, tol=1e-10):
     plan = [(2, 3), (1, 2), (3, 1), (2, 3), (1, 2), (3, 1)]
     for foliation, target in plan:
         moving = leaf_through(field, (X[0], X[1]), foliation, L, tol=tol)
-        s = _first_crossing(moving, C[target], skip=1e-9)
+        s = _first_crossing(moving, C[target])
         if s is None:
             raise LeafIntegrationError(
                 f"hexagon construction lost the target leaf {target}")

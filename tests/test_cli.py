@@ -123,10 +123,21 @@ class TestExitCodes:
         ("check", SOLUTION_A, {"samples": 0}),
         ("gamma", SOLUTION_A, {"grid": -3}),
         ("leaves", SOLUTION_A, {"grid": 2.5}),
+        ("closure", SOLUTION_A, {"eps": float("nan")}),
+        ("closure", SOLUTION_A, {"eps": "abc"}),
+        ("closure", SOLUTION_A, {"eps": 0}),
+        ("closure", SOLUTION_A, {"base": [0]}),
+        ("closure", SOLUTION_A, {"base": "ab"}),
+        ("classify", SOLUTION_A, {"point": 5}),
+        ("classify", SOLUTION_A, {"point": "ab"}),
+        ("leaves", SOLUTION_A, {"leaf_length": [1]}),
+        ("check", SOLUTION_A, {"t0": [1]}),
     ], ids=["window-string", "window-one-row", "window-string-bound",
             "tolerance-string", "tolerances-list", "coef-nan",
             "coef-string-imag", "exponent-string", "monomials-number",
-            "samples-zero", "grid-negative", "grid-float"])
+            "samples-zero", "grid-negative", "grid-float", "eps-nan",
+            "eps-string", "eps-zero", "base-one-number", "base-string",
+            "point-number", "point-string", "leaf-length-list", "t0-list"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, inp,
                                     extra):
         cfg = write_config(tmp_path, inp, **extra)
@@ -209,16 +220,16 @@ class TestReports:
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
         cfg = write_config(tmp_path, SOLUTION_A, samples=4, grid=4,
-                           window=[[-0.5, 0.5], [0.6, 1.4]])
+                           window=[[-0.5, 0.5], [0.6, 1.4]], eps=0.01)
         outs = []
         for name in ("o1", "o2"):
             out = tmp_path / name
-            assert main(["gamma", "--config", cfg, "--out", str(out),
-                         "--seed", "3"]) == 0
-            assert main(["check", "--config", cfg, "--out", str(out),
-                         "--seed", "3"]) == 0
+            for command in ("gamma", "check", "closure"):
+                assert main([command, "--config", cfg, "--out", str(out),
+                             "--seed", "3"]) == 0
             outs.append(out)
-        for fname in ("gamma.csv", "gamma_report.json", "check_report.json"):
+        for fname in ("gamma.csv", "gamma_report.json", "check_report.json",
+                      "closure.json", "closure_report.json"):
             b1 = (outs[0] / fname).read_bytes()
             b2 = (outs[1] / fname).read_bytes()
             assert b1 == b2

@@ -10,9 +10,10 @@ from hexweb.cubic import (PolyCoeffField, SingularPointError,
 from hexweb.frobenius import solution_potential
 from hexweb.jets import PolyExpr
 from hexweb.singular import symmetry_losing_web
-from hexweb.webgeo import (Leaf, LeafIntegrationError, first_integrals,
-                           integrate_leaf, leaf_through, real_directions,
-                           symmetry_residual, thomsen_closure)
+from hexweb.webgeo import (Leaf, LeafIntegrationError, _first_crossing,
+                           first_integrals, integrate_leaf, leaf_through,
+                           real_directions, symmetry_residual,
+                           thomsen_closure)
 
 X = PolyExpr.var(0, 2)
 Y = PolyExpr.var(1, 2)
@@ -102,6 +103,17 @@ class TestLeafIntegration:
         leaf = integrate_leaf(FIELD_A, (0.0, 0.4), 2, -10.0)
         assert leaf.termination == "discriminant-proximity"
 
+    def test_hermite_matches_nodes_and_point_at(self):
+        leaf = leaf_through(FIELD_A, (0.1, 1.0), 1, 0.3, tol=1e-10)
+        for i in (0, 5, len(leaf.params) // 2, len(leaf.params) - 1):
+            point, tangent = leaf.hermite(leaf.params[i])
+            assert np.array_equal(point, leaf.points[i])
+            assert np.max(np.abs(tangent - leaf.tangents[i])) < 1e-15
+        h = 1e-6
+        for s in (-0.2, 0.0123, 0.2345):
+            diff = (leaf.point_at(s + h) - leaf.point_at(s - h)) / (2 * h)
+            assert np.max(np.abs(leaf.hermite(s)[1] - diff)) < 1e-8
+
     def test_leaf_through_is_coherent(self):
         leaf = leaf_through(FIELD_A, (0.1, 1.0), 2, 0.4)
         assert np.all(np.diff(leaf.params) > 0)
@@ -119,7 +131,28 @@ class TestLeafIntegration:
 class TestThomsenClosure:
     def test_parallel_lines_close_exactly(self):
         rep = thomsen_closure(PARALLEL, (0.0, 0.0), 0.1)
-        assert rep.gap < 1e-10
+        assert rep.gap < 1e-15
+
+    def test_crossing_of_straight_leaves_is_exact(self):
+        # branch 1 is the line y = 0, branch 2 through (0.1, 0.2) has slope 1
+        # and meets it at (-0.1, 0), 0.2 sqrt(2) behind its start
+        target = leaf_through(PARALLEL, (0.0, 0.0), 1, 0.6)
+        moving = leaf_through(PARALLEL, (0.1, 0.2), 2, 0.6)
+        s = _first_crossing(moving, target)
+        assert abs(s + 0.2 * np.sqrt(2.0)) < 1e-15
+        assert np.linalg.norm(moving.point_at(s) - [-0.1, 0.0]) < 1e-15
+
+    def test_no_crossing_gives_none(self):
+        # leaves of one foliation: parallel lines, then curved leaves of A
+        line = leaf_through(PARALLEL, (0.0, 0.0), 1, 0.6)
+        assert _first_crossing(line, leaf_through(PARALLEL, (0.0, 0.1), 1,
+                                                  0.6)) is None
+        leaf = leaf_through(FIELD_A, (0.1, 1.0), 2, 0.3)
+        assert _first_crossing(leaf, leaf_through(FIELD_A, (0.1, 1.05), 2,
+                                                  0.3)) is None
+        # a crossing at the moving leaf's own start does not count
+        assert _first_crossing(leaf, leaf_through(FIELD_A, (0.1, 1.0), 1,
+                                                  0.3)) is None
 
     def test_characteristic_web_closes(self):
         rep = thomsen_closure(FIELD_A, (0.0, 1.0), 0.05, tol=1e-10)
