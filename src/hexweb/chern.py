@@ -276,7 +276,6 @@ def exactness_potential(field, base, target, path=None):
     return integrate_gamma(field, path)
 
 
-FRAME_ORDER = 1  # jet order of the continued root triples
 FRAME_MAX_MOVE = 0.2  # summed projective move allowed between checkpoints
 
 
@@ -291,12 +290,12 @@ class PathFrame:
     def __init__(self, field, path):
         def step(prev, pt):
             ref = prev.values()
-            triple = normalize_roots(field, (pt[0], pt[1]), order=FRAME_ORDER,
+            triple = normalize_roots(field, (pt[0], pt[1]), order=0,
                                      label_ref=ref, lam_target=prev.lam)
             return triple, match_roots(ref, triple.values())[1]
 
         x0, y0 = np.asarray(path[0], dtype=complex)
-        start = normalize_roots(field, (x0, y0), order=FRAME_ORDER)
+        start = normalize_roots(field, (x0, y0), order=0)
         # (point, RootTriple)
         self.checkpoints = continue_along(path, start, step, FRAME_MAX_MOVE)
 

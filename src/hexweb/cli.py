@@ -22,7 +22,8 @@ import numpy as np
 from .chern import (SingularPointError, corollary_residual, curvature,
                     gamma_cubic, gamma_depressed, gamma_from_definition)
 from .cubic import (PolyCoeffField, discriminant_of_coeffs,
-                    factorization_residual, normalize_roots, regular_cutoff)
+                    discriminant_scale, factorization_residual,
+                    normalize_roots, regular_cutoff)
 from .frobenius import Potential, theorem2_residual
 from .jets import PolyExpr
 from .singular import (classify_singularity, f_ode_residual,
@@ -260,7 +261,7 @@ def _random_regular_points(field, window, rng, count):
         y = rng.uniform(y0, y1)
         co = field.coeffs(x, y)
         D = discriminant_of_coeffs(*co)
-        if abs(D) > SAMPLE_DMIN_FACTOR * regular_cutoff(co) / 1e-12:
+        if abs(D) > SAMPLE_DMIN_FACTOR * discriminant_scale(co):
             pts.append((x, y))
     return pts
 
@@ -393,7 +394,7 @@ def run_discriminant(obj, cfg, rng, report, outdir):
         for p in curve:
             co = field.coeffs(p[0], p[1])
             D = discriminant_of_coeffs(*co)
-            scale = regular_cutoff(co) / 1e-12
+            scale = discriminant_scale(co)
             worst = max(worst, abs(D) / scale)
             rows.append([ci, p[0], p[1], D.real, D.imag])
     write_csv(outdir / "discriminant.csv",
@@ -432,7 +433,7 @@ def run_normalforms(obj, cfg, rng, report, outdir):
             try:
                 co = nf.field.coeffs(x, y)
                 D = discriminant_of_coeffs(*co)
-                if abs(D) <= 1e-3 * regular_cutoff(co) / 1e-12:
+                if abs(D) <= 1e-3 * discriminant_scale(co):
                     continue  # too close to the discriminant for a sharp test
                 worst_k = max(worst_k, abs(
                     curvature(nf.field, (x, y), route="cubic").K))

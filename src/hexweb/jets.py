@@ -198,14 +198,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return self * (1.0 / complex(other))
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * complex(other)
-
     def reciprocal(self):
         """Multiplicative inverse; requires a nonzero constant term."""
         c0 = self.c[0, 0]
@@ -460,9 +452,6 @@ class PolyExpr:
                 term *= complex(p) ** e
             total += term
         return total
-
-    def degree(self):
-        return max((sum(e) for e, _ in self.terms), default=0)
 
     def jet(self, point, order):
         """Jet lift at a point; exact for polynomials (they are entire)."""

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chern import gamma_cubic
-from .cubic import (SingularPointError, discriminant_of_coeffs, match_roots,
-                    normalize_roots, proj_distance, regular_cutoff, roots,
-                    roots_proj)
+from .cubic import (SingularPointError, discriminant_of_coeffs,
+                    discriminant_scale, match_roots, normalize_roots,
+                    proj_distance, regular_cutoff, roots, roots_proj)
 
 
 class LeafIntegrationError(ValueError):
@@ -167,7 +167,7 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
         tans.append(k4.copy())
         params.append(s_done)
         if prox_scale is None:
-            prox_scale = regular_cutoff(co) / 1e-12
+            prox_scale = discriminant_scale(co)
         if abs(discriminant_of_coeffs(*co)) <= LEAF_PROX_FACTOR * prox_scale:
             termination = "discriminant-proximity"
             break
@@ -312,68 +312,43 @@ def first_integrals(field, base, path):
     relation u1 + u2 + u3 = 0 holds along the path exactly up to quadrature
     error, which is what ``abelian_residual`` reports.
     """
-    pts = [np.asarray(p, dtype=float) for p in path]
+    pts = np.asarray(path, dtype=float)
     if np.linalg.norm(pts[0] - np.asarray(base, dtype=float)) > 1e-12:
         raise ValueError("path must start at the base point")
-    nodes = [pts[0]]
+    nodes = [pts[:1]]
     for P0, P1 in zip(pts[:-1], pts[1:]):
-        seg = np.linalg.norm(P1 - P0)
-        n = max(2, int(np.ceil(seg / FI_STEP)))
-        n += n % 2  # even count for composite Simpson
-        for i in range(1, n + 1):
-            nodes.append(P0 + (i / n) * (P1 - P0))
-    nodes = np.array(nodes)
+        n = max(2, int(np.ceil(np.linalg.norm(P1 - P0) / FI_STEP)))
+        n += n % 2  # even count, so every Simpson pair lies in one segment
+        nodes.append(P0 + (np.arange(1, n + 1) / n)[:, None] * (P1 - P0))
+    nodes = np.concatenate(nodes)
 
-    gam = []     # (gamma_x, gamma_y) at the nodes
-    sig = []     # the three (p, q) of sigma_i at the nodes
-    triple = None
-    for pt in nodes:
-        gam.append(gamma_cubic(field, (pt[0], pt[1]), order=0).values())
-        ref = None if triple is None else triple.values()
-        lam = None if triple is None else triple.lam
-        triple = normalize_roots(field, (pt[0], pt[1]), order=0,
-                                 label_ref=ref, lam_target=lam)
+    # gamma and the sigma_i at the nodes, each triple continuing the last
+    gam, sig, lam = [], [], None
+    for x, y in nodes:
+        gam.append(gamma_cubic(field, (x, y), order=0).values())
+        triple = normalize_roots(field, (x, y), order=0, lam_target=lam,
+                                 label_ref=sig[-1] if sig else None)
         sig.append(triple.values())
+        lam = triple.lam
 
-    n = len(nodes)
-    k = np.ones(n, dtype=complex)
-    u = np.zeros((n, 3), dtype=complex)
-    I = 0j
+    # composite Simpson on the pairs (2j, 2j + 1, 2j + 2) of equal steps dP
+    pair = 2 * np.arange(len(nodes) // 2)[:, None] + np.arange(3)
+    dP = nodes[pair[:, 1]] - nodes[pair[:, 0]]
 
-    # integrate with composite Simpson over consecutive node pairs; node
-    # spacing within a segment is uniform by construction
-    def form_dot(val, dP):
-        return val[0] * dP[0] + val[1] * dP[1]
+    def integral(f):
+        """Integral from node 0 to every node of f, given per pair node."""
+        zero = np.zeros((1,) + f.shape[2:])
+        steps = (f[:, 0] + 4 * f[:, 1] + f[:, 2]) / 3.0
+        ends = np.cumsum(np.concatenate([zero, steps]), axis=0)
+        out = np.empty((len(nodes),) + f.shape[2:], dtype=complex)
+        out[0::2] = ends
+        out[1::2] = ends[:-1] + (f[:, 0] * 5 + f[:, 1] * 8 - f[:, 2]) / 12.0
+        return out
 
-    i = 0
-    while i + 2 <= n - 1:
-        P0, P1, P2 = nodes[i], nodes[i + 1], nodes[i + 2]
-        if np.linalg.norm((P2 - P1) - (P1 - P0)) > 1e-9 * (
-                1 + np.linalg.norm(P1 - P0)):
-            # segment boundary: fall back to two trapezoid steps
-            for j in (i, i + 1):
-                dP = nodes[j + 1] - nodes[j]
-                dI = 0.5 * (form_dot(gam[j], dP) + form_dot(gam[j + 1], dP))
-                I += dI
-                k[j + 1] = np.exp(-I)
-                for m in range(3):
-                    sm0 = k[j] * form_dot(sig[j][m], dP)
-                    sm1 = k[j + 1] * form_dot(sig[j + 1][m], dP)
-                    u[j + 1, m] = u[j, m] + 0.5 * (sm0 + sm1)
-        else:
-            dP = P1 - P0
-            gv = [form_dot(gam[j], dP) for j in (i, i + 1, i + 2)]
-            I_mid = I + (gv[0] * 5 + gv[1] * 8 - gv[2]) / 12.0
-            I_end = I + (gv[0] + 4 * gv[1] + gv[2]) / 3.0
-            k[i + 1] = np.exp(-I_mid)
-            k[i + 2] = np.exp(-I_end)
-            for m in range(3):
-                sv = [k[j] * form_dot(sig[j][m], dP)
-                      for j in (i, i + 1, i + 2)]
-                u[i + 1, m] = u[i, m] + (sv[0] * 5 + sv[1] * 8 - sv[2]) / 12.0
-                u[i + 2, m] = u[i, m] + (sv[0] + 4 * sv[1] + sv[2]) / 3.0
-            I = I_end
-        i += 2
+    k = np.exp(-integral(np.einsum("pjc,pc->pj", np.array(gam)[pair], dP)))
+    k[0] = 1.0  # k(base) is 1 + 0j; exp(-0j) would give 1 - 0j
+    u = integral(k[pair][:, :, None]
+                 * np.einsum("pjmc,pc->pjm", np.array(sig)[pair], dP))
     residual = float(np.max(np.abs(u.sum(axis=1))))
     return FirstIntegralState(nodes=nodes, k=k, u=u,
                               abelian_residual=residual)

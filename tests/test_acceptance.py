@@ -19,32 +19,12 @@ from hexweb.jets import PolyExpr
 from hexweb.singular import (f_ode_residual, normal_form_field, solve_F,
                              symmetry_losing_web, trace_discriminant)
 from hexweb.webgeo import first_integrals, symmetry_residual, thomsen_closure
-
-X = PolyExpr.var(0, 2)
-Y = PolyExpr.var(1, 2)
+from webs import CONTROL_GENERIC, CONTROL_SLOPES
 
 POT_A = solution_potential("A")
 POT_B = solution_potential("B")
 FIELD_A = POT_A.characteristic_field()
 FIELD_B = POT_B.characteristic_field()
-
-# non-flat control fields used as negative witnesses
-CONTROL_GENERIC = PolyCoeffField(PolyExpr.const(1, 2), PolyExpr.zero(),
-                                 X + Y * Y, PolyExpr.const(1, 2))
-
-
-def slope_web(s1, s2, s3):
-    def P(v):
-        return v if isinstance(v, PolyExpr) else PolyExpr.const(v, 2)
-    s1, s2, s3 = P(s1), P(s2), P(s3)
-    k2 = PolyExpr.zero() - s1 - s2 - s3
-    k1 = s1 * s2 + s1 * s3 + s2 * s3
-    k0 = PolyExpr.zero() - s1 * s2 * s3
-    return PolyCoeffField(PolyExpr.const(-1, 2), k2,
-                          PolyExpr.zero() - k1, k0)
-
-
-CONTROL_SLOPES = slope_web(0.0, 1.0, X * 8 + 2.5)
 
 
 def verdict(num, name, ok, detail=""):

@@ -8,35 +8,20 @@ from hexweb.chern import (blaschke_transport, corollary_residual, curvature,
                           gamma_cubic, gamma_depressed, gamma_from_definition,
                           integrate_gamma)
 from hexweb.cubic import (PolyCoeffField, SingularPointError,
-                          discriminant_of_coeffs, normalize_roots,
-                          regular_cutoff)
+                          discriminant_of_coeffs, discriminant_scale,
+                          normalize_roots)
 from hexweb.frobenius import Potential, solution_potential
 from hexweb.jets import PolyExpr
+from webs import CONTROL_GENERIC as CONTROL, random_poly
 
 RNG = np.random.default_rng(431)
-
-X = PolyExpr.var(0, 2)
-Y = PolyExpr.var(1, 2)
-
-# generic non-flat control web used across the connection tests
-CONTROL = PolyCoeffField(PolyExpr.const(1, 2), PolyExpr.zero(),
-                         X + Y * Y, PolyExpr.const(1, 2))
-
-
-def random_poly(max_deg=2):
-    d = {}
-    for _ in range(RNG.integers(1, 4)):
-        e = (int(RNG.integers(0, max_deg + 1)),
-             int(RNG.integers(0, max_deg + 1)))
-        d[e] = complex(RNG.standard_normal(), RNG.standard_normal())
-    return PolyExpr.from_dict(d)
 
 
 def random_regular_point(field):
     for _ in range(100):
         x, y = RNG.standard_normal(2)
         co = field.coeffs(x, y)
-        if abs(discriminant_of_coeffs(*co)) > 1e-3 * regular_cutoff(co) / 1e-12:
+        if abs(discriminant_of_coeffs(*co)) > 1e-3 * discriminant_scale(co):
             return x, y
     raise AssertionError("no regular point found")
 
@@ -44,7 +29,7 @@ def random_regular_point(field):
 class TestRouteAgreement:
     def test_cubic_equals_definition_random_fields(self):
         for _ in range(20):
-            field = PolyCoeffField(*(random_poly() for _ in range(4)))
+            field = PolyCoeffField(*(random_poly(RNG) for _ in range(4)))
             for _ in range(5):
                 pt = random_regular_point(field)
                 g1 = np.array(gamma_cubic(field, pt).values())
@@ -55,7 +40,7 @@ class TestRouteAgreement:
     def test_depressed_route_differs_by_exact_form(self):
         # gauge difference: gamma_depressed - gamma_cubic = (1/6) d ln D
         for _ in range(10):
-            field = PolyCoeffField(*(random_poly() for _ in range(4)))
+            field = PolyCoeffField(*(random_poly(RNG) for _ in range(4)))
             pt = random_regular_point(field)
             g1 = np.array(gamma_cubic(field, pt).values())
             g3 = np.array(gamma_depressed(field, pt).values())

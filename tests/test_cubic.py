@@ -14,20 +14,13 @@ from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
 from hexweb.frobenius import (idempotents, multiplication_table,
                               solution_potential)
 from hexweb.jets import PolyExpr
+from webs import random_poly
 
 RNG = np.random.default_rng(8571)
 
 
-def random_poly(max_deg=2):
-    d = {}
-    for _ in range(RNG.integers(1, 4)):
-        e = (int(RNG.integers(0, max_deg + 1)), int(RNG.integers(0, max_deg + 1)))
-        d[e] = complex(RNG.standard_normal(), RNG.standard_normal())
-    return PolyExpr.from_dict(d)
-
-
 def random_field():
-    return PolyCoeffField(*(random_poly() for _ in range(4)))
+    return PolyCoeffField(*(random_poly(RNG) for _ in range(4)))
 
 
 def cubic_value(coeffs, p, q):

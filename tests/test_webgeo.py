@@ -4,7 +4,7 @@ scaling symmetries."""
 import numpy as np
 import pytest
 
-from hexweb.chern import curvature
+from hexweb.chern import curvature, integrate_gamma
 from hexweb.cubic import (PolyCoeffField, SingularPointError,
                           normalize_roots, proj_distance)
 from hexweb.frobenius import solution_potential
@@ -14,27 +14,9 @@ from hexweb.webgeo import (Leaf, LeafIntegrationError, _first_crossing,
                            first_integrals, integrate_leaf, leaf_through,
                            real_directions, symmetry_residual,
                            thomsen_closure)
-
-X = PolyExpr.var(0, 2)
-Y = PolyExpr.var(1, 2)
-
-
-def slope_web(s1, s2, s3):
-    """Field whose leaves have slopes s_i (PolyExpr or constants)."""
-    def P(v):
-        return v if isinstance(v, PolyExpr) else PolyExpr.const(v, 2)
-    s1, s2, s3 = P(s1), P(s2), P(s3)
-    # K-form (dy - s1 dx)(dy - s2 dx)(dy - s3 dx): K3=1, K2=-(s1+s2+s3), ...
-    k2 = PolyExpr.zero() - s1 - s2 - s3
-    k1 = s1 * s2 + s1 * s3 + s2 * s3
-    k0 = PolyExpr.zero() - s1 * s2 * s3
-    # field coefficients (a, b, c, r) = (-K3, K2, -K1, K0)
-    return PolyCoeffField(PolyExpr.const(-1, 2), k2,
-                          PolyExpr.zero() - k1, k0)
-
+from webs import CONTROL_GENERIC, CONTROL_SLOPES as CONTROL, slope_web
 
 PARALLEL = slope_web(0.0, 1.0, -2.0)        # three families of parallel lines
-CONTROL = slope_web(0.0, 1.0, X * 8 + 2.5)  # non-flat control web
 FIELD_A = solution_potential("A").characteristic_field()
 
 
@@ -195,6 +177,31 @@ class TestFirstIntegrals:
         assert abs(st.u_end[i]) < 1e-7
         others = [abs(st.u_end[j]) for j in range(3) if j != i]
         assert min(others) > 1e-3
+
+    def test_node_quadrature_matches_adaptive_gamma_integral(self):
+        # k = exp(-int gamma) by Simpson on the nodes against scipy's quad
+        for field, path in [
+                (FIELD_A, [(0.0, 1.0), (0.3, 1.1), (0.2, 1.3), (-0.1, 1.2)]),
+                (CONTROL_GENERIC, [(-2.5, 0.1), (-2.5, 0.2), (-2.3, 0.2)])]:
+            st = first_integrals(field, path[0], path)
+            want = np.exp(-integrate_gamma(field, path))
+            assert abs(st.k_end - want) < 1e-9
+
+    def test_one_point_path(self):
+        base = (0.0, 1.0)
+        st = first_integrals(FIELD_A, base, [base])
+        assert st.k.tolist() == [1.0]
+        assert not np.signbit(st.k[0].imag)  # k[0] is 1 + 0j, not 1 - 0j
+        assert np.all(st.u == 0)
+        assert st.abelian_residual == 0.0
+
+    def test_repeated_vertex_changes_nothing(self):
+        base = (0.0, 1.0)
+        path = [base, (0.1, 1.05), (0.05, 1.2)]
+        st1 = first_integrals(FIELD_A, base, path)
+        st2 = first_integrals(FIELD_A, base, path[:2] + path[1:])
+        assert st2.k_end == st1.k_end
+        assert np.array_equal(st2.u_end, st1.u_end)
 
 
 class TestSymmetry:
