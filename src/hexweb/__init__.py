@@ -11,14 +11,12 @@ Subpackages:
 - ``cli``: the ``hexweb`` batch command
 """
 
-from .cubic import (DegenerateFieldError, KForm, PolyCoeffField,
-                    SingularPointError, discriminant_of_coeffs,
-                    normalize_roots)
+from .cubic import (DegenerateFieldError, PolyCoeffField, SingularPointError,
+                    discriminant_of_coeffs, normalize_roots)
 from .frobenius import Potential, solution_potential
 
 __all__ = [
     "DegenerateFieldError",
-    "KForm",
     "PolyCoeffField",
     "Potential",
     "SingularPointError",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, PolyExpr, JetError, jet_cbrt
+from .jets import Jet, jet_cbrt
 
 COEF_VANISH_TOL = 1e-12
 
@@ -86,26 +86,6 @@ class TranslatedField(DirectionField):
     def coeff_jets(self, x, y, order):
         jets = self.base_field.coeff_jets(x + self.x0, y + self.y0, order)
         return tuple(Jet((x, y), order, j.c.copy()) for j in jets)
-
-
-@dataclass(frozen=True)
-class KForm:
-    """Binary form K3 dy^3 + K2 dy^2 dx + K1 dy dx^2 + K0 dx^3."""
-
-    K3: PolyExpr
-    K2: PolyExpr
-    K1: PolyExpr
-    K0: PolyExpr
-
-    def to_field(self):
-        K3, K2, K1, K0 = self.K3, self.K2, self.K1, self.K0
-        return PolyCoeffField(-K3, K2, -K1, K0)
-
-
-def to_kform(field):
-    """KForm of a polynomial-coefficient field: K = (-a, b, -c, r)."""
-    a, b, c, r = field.abcr
-    return KForm(K3=-a, K2=b, K1=-c, K0=r)
 
 
 # ---------------------------------------------------------------------------

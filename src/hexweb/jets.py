@@ -296,19 +296,6 @@ def jet_pow(u, s):
     return out * head
 
 
-def jet_log(u):
-    """log(u), principal branch at the constant term."""
-    c0 = u.value
-    if c0 == 0:
-        raise JetError("log of jet with zero constant term")
-    w = u.nilpotent_part() * (1.0 / c0)
-    out = Jet.constant(0.0, u.base, u.order)
-    for m in range(u.order, 0, -1):
-        out = out * w + ((-1) ** (m + 1)) / m
-    out = out * w
-    return out + np.log(c0)
-
-
 def jet_cbrt(u, target=None):
     """A cube root of u; the branch whose constant term is nearest target."""
     c0 = u.value

@@ -3,21 +3,21 @@
 Covers tracing of the discriminant curve |D| = 0 in a real window,
 classification of root multiplicity at a point, the six-entry catalog of
 quasi-homogeneous normal forms (with the auxiliary F(t) ODE of the last
-entry), and weight detection for singular germs.
+entry), and the weights of a singular germ's infinitesimal symmetry, read
+off the null vector of the linear conditions L_X C = mu C and confirmed
+by the exact scaling flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cubic import (CallableJetField, DegenerateFieldError, PolyCoeffField,
-                    SingularPointError, depress, discriminant_of_coeffs,
-                    discriminant_scale)
+from .cubic import (CallableJetField, PolyCoeffField, TranslatedField,
+                    depress, discriminant_of_coeffs, discriminant_scale)
 from .jets import Jet, JetError, PolyExpr, compose_series, jet_pow, jet_tan
 from .webgeo import symmetry_residual
 
@@ -141,11 +141,7 @@ def trace_discriminant(field, window, n=32):
                 if len(pts) > 5 and np.linalg.norm(cand - z) < 0.5 * h:
                     break  # closed loop
             halves.append(pts)
-        curve = np.array(halves[1][::-1] + halves[0][1:])
-        if len(curve) >= 2:
-            curves.append(curve)
-        else:
-            curves.append(np.array([z]))
+        curves.append(np.array(halves[1][::-1] + halves[0][1:]))
     return DiscriminantTrace(curves=curves, window=window)
 
 
@@ -393,44 +389,46 @@ class Classification:
     status: str            # matched | weights-only | unclassified
 
 
-CLASSIFY_FLOW_TIME = 0.08  # flow time of the scaling symmetry probe
+CLASSIFY_FLOW_TIME = 0.08  # flow time of the confirming scaling flow
 CLASSIFY_RESIDUAL_TOL = 1e-6  # largest residual of a detected symmetry
-CLASSIFY_MAX_WEIGHT = 12  # largest weight searched
+CLASSIFY_MAX_WEIGHT = 12  # largest denominator of the weight ratio
 
 
 def classify_singularity(field, point=(0.0, 0.0), samples=None):
     """Detect diagonal quasi-homogeneity weights of a singular germ.
 
-    Searches coprime weight pairs (w1, w2) with 1 <= w1, w2 <=
-    CLASSIFY_MAX_WEIGHT by the symmetry residual of the exact scaling flow
-    about the singular point; a detected pair is matched against the
-    catalog entries whose weights are parameter-free.
+    X = w1 x dx + w2 y dy about the point is a symmetry when L_X C = mu C:
+    at sample k the coefficient f of dx^i dy^j in C = a dy^3 + b dy^2 dx +
+    c dy dx^2 + r dx^3 gives w1 (x f_x + i f) + w2 (y f_y + j f) = mu_k f,
+    free of the form's sign convention.  The least right singular vector
+    of these rows gives w1 : w2 (denominator <= CLASSIFY_MAX_WEIGHT, first
+    nonzero weight positive), confirmed by the exact flow's symmetry
+    residual.  Raises JetError for a sample outside the germ's domain and
+    DegenerateFieldError for a vanishing cubic.
     """
-    from .cubic import TranslatedField
-
     x0, y0 = point
     f = field if (x0 == 0 and y0 == 0) else TranslatedField(field, x0, y0)
     if samples is None:
         samples = [(0.31, 0.22), (-0.24, 0.18), (0.12, -0.27), (0.27, 0.33)]
-    best = None
-    for w1 in range(1, CLASSIFY_MAX_WEIGHT + 1):
-        for w2 in range(1, CLASSIFY_MAX_WEIGHT + 1):
-            if gcd(w1, w2) != 1:
-                continue
-            try:
-                res = symmetry_residual(f, (w1, w2), samples,
-                                        a=CLASSIFY_FLOW_TIME)
-            except (DegenerateFieldError, JetError):
-                # a scaled sample left the germ's domain (the jet guards
-                # of catalog forms 5 and 6) or hit a vanishing cubic
-                continue
-            if best is None or res < best[1]:
-                best = ((w1, w2), res)
-    if best is None or best[1] > CLASSIFY_RESIDUAL_TOL:
-        res = np.inf if best is None else best[1]
+    n, i = len(samples), np.arange(4)
+    rows = np.zeros((n, 4, 2 + n), dtype=complex)
+    for k, (x, y) in enumerate(samples):
+        f.check_nondegenerate(x, y)
+        c = np.array([jet.c for jet in f.coeff_jets(x, y, 1)])
+        rows[k, :, 0] = x * c[:, 1, 0] + i * c[:, 0, 0]
+        rows[k, :, 1] = y * c[:, 0, 1] + (3 - i) * c[:, 0, 0]
+        rows[k, :, 2 + k] = -c[:, 0, 0]
+    v = np.linalg.svd(rows.reshape(4 * n, 2 + n))[2][-1, :2]
+    small, large = (0, 1) if abs(v[0]) <= abs(v[1]) else (1, 0)
+    q = Fraction(float((v[small] / v[large]).real))
+    q = q.limit_denominator(CLASSIFY_MAX_WEIGHT)
+    w = [0, 0]
+    w[small], w[large] = q.numerator, q.denominator
+    weights = (-w[0], -w[1]) if w[0] < 0 else tuple(w)
+    res = symmetry_residual(f, weights, samples, a=CLASSIFY_FLOW_TIME)
+    if res > CLASSIFY_RESIDUAL_TOL:
         return Classification(weights=None, matched_id=None,
                               residual=float(res), status="unclassified")
-    weights, res = best
     matched = _CATALOG_WEIGHTS.get(weights)
     status = "matched" if matched is not None else "weights-only"
     return Classification(weights=weights, matched_id=matched,

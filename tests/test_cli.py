@@ -155,6 +155,17 @@ class TestExitCodes:
         assert rep["pass"] is False
         assert "no regular sample" in rep["error"]
 
+    def test_classify_on_vanishing_cubic_reports_error(self, tmp_path,
+                                                       capsys):
+        zero = {"kind": "field", "a": [], "b": [], "c": [], "r": []}
+        cfg = write_config(tmp_path, zero)
+        out = tmp_path / "out"
+        assert main(["classify", "--config", cfg, "--out", str(out)]) == 1
+        rep = json.loads((out / "classify_report.json").read_text())
+        assert rep["pass"] is False
+        assert "vanish" in rep["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_suite_failure_exits_1(self, tmp_path):
         # the generic non-flat field fails the closure suite at a regular base
         nonflat = {"kind": "field",

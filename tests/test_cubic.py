@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
-                          KForm, PolyCoeffField, RootTriple,
-                          SingularPointError, continue_along, depress,
-                          discriminant, discriminant_of_coeffs,
-                          factorization_residual, match_roots,
-                          normalize_roots, proj_distance, regular_cutoff,
-                          root_jets, roots, roots_proj, to_kform)
+                          PolyCoeffField, RootTriple, SingularPointError,
+                          continue_along, depress, discriminant,
+                          discriminant_of_coeffs, factorization_residual,
+                          match_roots, normalize_roots, proj_distance,
+                          regular_cutoff, root_jets, roots, roots_proj)
 from hexweb.frobenius import (idempotents, multiplication_table,
                               solution_potential)
 from hexweb.jets import PolyExpr
@@ -150,14 +149,7 @@ class TestNormalizeRoots:
             normalize_roots(f, (0.0, 0.0))
 
 
-class TestKFormAndDepress:
-    def test_kform_round_trip(self):
-        f = random_field()
-        k = to_kform(f)
-        g = k.to_field()
-        x, y = 0.7, -0.3
-        assert np.allclose(f.coeffs(x, y), g.coeffs(x, y))
-
+class TestDepress:
     def test_depressed_roots_are_shifted_slopes(self):
         f = PolyCoeffField(
             PolyExpr.const(1, 2),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexweb.jets import (DEFAULT_ORDER, Jet, JetError, PolyExpr, compose_series,
-                         jet_cbrt, jet_log, jet_pow, jet_tan,
+                         jet_cbrt, jet_pow, jet_tan,
                          jet_to_polyexpr)
 
 RNG = np.random.default_rng(20260823)
@@ -109,13 +109,6 @@ class TestElementary:
         a = random_jet(base=2.0 + 0.3j)
         third = jet_pow(a, 1.0 / 3.0)
         assert np.allclose((third ** 3).c, a.c, atol=1e-10)
-
-    def test_log_of_product(self):
-        a = random_jet(base=1.5)
-        b = random_jet(base=0.8 + 0.1j)
-        lhs = jet_log(a * b)
-        rhs = jet_log(a) + jet_log(b)
-        assert np.allclose(lhs.c, rhs.c, atol=1e-10)
 
     def test_cbrt_branch_target(self):
         a = random_jet(base=-8.0)

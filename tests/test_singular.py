@@ -1,18 +1,21 @@
 """Singular loci: discriminant tracing, multiplicity, the normal-form
 catalog, and weight classification."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from hexweb.chern import curvature, gamma_depressed
-from hexweb.cubic import (PolyCoeffField, discriminant, discriminant_of_coeffs,
-                          discriminant_scale)
+from hexweb.cubic import (PolyCoeffField, TranslatedField, discriminant,
+                          discriminant_of_coeffs, discriminant_scale)
 from hexweb.frobenius import solution_potential
 from hexweb.jets import JetError, PolyExpr
-from hexweb.singular import (classify_singularity, f_ode_residual,
-                             normal_form_field, root_multiplicity, solve_F,
-                             symmetry_losing_web, trace_discriminant)
+from hexweb.singular import (CLASSIFY_RESIDUAL_TOL, classify_singularity,
+                             f_ode_residual, normal_form_field,
+                             root_multiplicity, solve_F, symmetry_losing_web,
+                             trace_discriminant)
 from hexweb.webgeo import symmetry_residual
+from webs import CONTROL_GENERIC, random_poly
 
 FIELD_A = solution_potential("A").characteristic_field()
 FIELD_B = solution_potential("B").characteristic_field()
@@ -91,6 +94,19 @@ class TestFOde:
         ts = np.linspace(0.01, 0.9 * fs.t_max, 25)
         assert f_ode_residual(fs, ts) < 1e-8
 
+    def test_true_error_against_30_digit_reference(self):
+        # the float solution against mpmath's Taylor-series ODE solver at
+        # 30 digits: the true error, not a finite-difference residual
+        fs = solve_F(0, t_max=1.0)
+        C = 6  # 2 (m0 + 3) / (m0 + 1) at m0 = 0
+        with mpmath.workdps(30):
+            ref = mpmath.odefun(
+                lambda t, F: C * (4 + 27 * F ** 2) / (12 + 2 * t * t
+                                                      - 9 * t * F), 0, 0)
+            ts = np.linspace(0.01, 0.9 * fs.t_max, 10)
+            err = max(abs(fs(t) - float(ref(t))) for t in ts)
+        assert err <= 1e-10
+
 
 class TestNormalForms:
     @pytest.mark.parametrize("fid,m0,samples", [
@@ -128,7 +144,61 @@ class TestNormalForms:
             normal_form_field(7)
 
 
+def _swap(p):
+    """The polynomial with x and y exchanged."""
+    return PolyExpr.from_dict({(e[1], e[0]): c for e, c in p.terms})
+
+
+# the samples run_normalforms uses for the non-polynomial forms 5 and 6
+FORM5_SAMPLES = [(0.1, 0.8), (-0.2, 0.6), (0.25, 1.0)]
+FORM6_SAMPLES = [(0.05, 0.8), (0.08, 0.6), (0.06, 1.0)]
+
+
 class TestClassify:
+    @pytest.mark.parametrize("fid,m0,samples,weights", [
+        (1, 0, None, (1, 1)),
+        (2, 0, None, (2, 3)),
+        (3, 0, None, (1, 2)),
+        (4, 0, None, (1, 3)),
+        (5, 0, FORM5_SAMPLES, (0, 1)),
+        (6, 0, FORM6_SAMPLES, (1, -2)),
+        (6, 1, FORM6_SAMPLES, (1, -1)),
+        (6, 2, FORM6_SAMPLES, (3, -2)),
+    ])
+    def test_catalog_ratio_in_lowest_terms(self, fid, m0, samples, weights):
+        nf = normal_form_field(fid, m0)
+        cls = classify_singularity(nf.field, samples=samples)
+        assert cls.weights == weights
+        assert cls.status != "unclassified"
+        assert cls.residual <= CLASSIFY_RESIDUAL_TOL
+
+    def test_translation_gives_the_same_classification(self):
+        form2 = normal_form_field(2).field
+        moved = TranslatedField(form2, -0.2, 0.1)
+        assert (classify_singularity(moved, point=(0.2, -0.1))
+                == classify_singularity(form2))
+
+    def test_mirror_swaps_the_weights(self):
+        a, b, c, r = normal_form_field(2).field.abcr
+        mirror = PolyCoeffField(_swap(r), _swap(c), _swap(b), _swap(a))
+        cls = classify_singularity(mirror)
+        assert cls.weights == (3, 2)
+        assert cls.status == "weights-only"
+
+    def test_generic_fields_unclassified(self):
+        rng = np.random.default_rng(5)
+        generic = PolyCoeffField(*(random_poly(rng) for _ in range(4)))
+        for f in (CONTROL_GENERIC, generic):
+            cls = classify_singularity(f)
+            assert cls.status == "unclassified"
+            assert cls.weights is None
+            assert cls.residual > CLASSIFY_RESIDUAL_TOL
+
+    def test_sample_outside_the_domain_raises(self):
+        # the default samples include (0.12, -0.27); form 6 needs y > 0
+        with pytest.raises(JetError):
+            classify_singularity(normal_form_field(6).field)
+
     def test_matches_parameter_free_catalog_forms(self):
         for fid, weights in ((2, (2, 3)), (3, (1, 2)), (4, (1, 3))):
             nf = normal_form_field(fid)
