@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .cubic import (SingularPointError, continue_along, depress,
-                    discriminant_of_coeffs, match_roots, normalize_roots,
+                    discriminant_of_coeffs, normalize_roots, proj_distance,
                     regular_cutoff)
 from .jets import Jet
 
@@ -292,7 +292,7 @@ class PathFrame:
             ref = prev.values()
             triple = normalize_roots(field, (pt[0], pt[1]), order=0,
                                      label_ref=ref, lam_target=prev.lam)
-            return triple, match_roots(ref, triple.values())[1]
+            return triple, sum(map(proj_distance, ref, triple.values()))
 
         x0, y0 = np.asarray(path[0], dtype=complex)
         start = normalize_roots(field, (x0, y0), order=0)

@@ -45,11 +45,15 @@ class DirectionField:
         return np.array([j.value for j in self.coeff_jets(x, y, 0)])
 
     def check_nondegenerate(self, x, y):
-        co = self.coeffs(x, y)
-        if np.max(np.abs(co)) <= COEF_VANISH_TOL:
-            raise DegenerateFieldError(
-                f"all cubic coefficients vanish at ({x}, {y})")
-        return co
+        return nonvanishing(self.coeffs(x, y), x, y)
+
+
+def nonvanishing(co, x, y):
+    """The coefficients co of a field at (x, y), unless all of them vanish."""
+    if np.max(np.abs(co)) <= COEF_VANISH_TOL:
+        raise DegenerateFieldError(
+            f"all cubic coefficients vanish at ({x}, {y})")
+    return co
 
 
 class PolyCoeffField(DirectionField):
@@ -302,10 +306,10 @@ def normalize_roots(field, point, order=1, label_ref=None, lam_target=None):
     the roots (path continuation); lam_target: preferred cube-root branch.
     """
     x, y = point
-    vals = roots(field, point)
+    jets = field.coeff_jets(x, y, order)
+    vals = roots_proj(nonvanishing(np.array([j.value for j in jets]), x, y))
     if label_ref is not None:
         vals, _ = match_roots(label_ref, vals)
-    jets = field.coeff_jets(x, y, order)
     (p1, q1), (p2, q2), (p3, q3) = _root_jets(jets, x, y, order, vals)
     # kernel of the 2x3 matrix [sigma_1 sigma_2 sigma_3] via cross products
     t1 = p2 * q3 - p3 * q2

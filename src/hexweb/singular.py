@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cubic import (CallableJetField, PolyCoeffField, TranslatedField,
-                    depress, discriminant_of_coeffs, discriminant_scale)
+from .cubic import (CallableJetField, PolyCoeffField, TranslatedField, depress,
+                    discriminant_of_coeffs, discriminant_scale, nonvanishing)
 from .jets import Jet, JetError, PolyExpr, compose_series, jet_pow, jet_tan
 from .webgeo import symmetry_residual
 
@@ -413,8 +413,8 @@ def classify_singularity(field, point=(0.0, 0.0), samples=None):
     n, i = len(samples), np.arange(4)
     rows = np.zeros((n, 4, 2 + n), dtype=complex)
     for k, (x, y) in enumerate(samples):
-        f.check_nondegenerate(x, y)
         c = np.array([jet.c for jet in f.coeff_jets(x, y, 1)])
+        nonvanishing(c[:, 0, 0], x, y)
         rows[k, :, 0] = x * c[:, 1, 0] + i * c[:, 0, 0]
         rows[k, :, 1] = y * c[:, 0, 1] + (3 - i) * c[:, 0, 0]
         rows[k, :, 2 + k] = -c[:, 0, 0]

@@ -1,10 +1,10 @@
 """Real-plane web geometry: leaves, hexagon closure, first integrals, symmetry.
 
 These routines work on regions of the real plane where the discriminant is
-positive (three distinct real slopes), integrating actual leaf curves and
-checking the classical geometric signatures of flatness: the Thomsen closure
-figure and the abelian relation u1 + u2 + u3 = const of the web's first
-integrals.
+positive (three distinct real slopes).  Leaves are integral curves on the
+surface C(x, y; dy : dx) = 0 of the web's implicit cubic ODE, projected to
+the plane; on them the classical signatures of flatness are checked: the
+Thomsen closure figure and the abelian relation u1 + u2 + u3 = const.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .chern import gamma_cubic
 from .cubic import (SingularPointError, discriminant_of_coeffs,
                     discriminant_scale, match_roots, normalize_roots,
-                    proj_distance, regular_cutoff, roots, roots_proj)
+                    proj_distance, regular_cutoff, roots)
 
 
 class LeafIntegrationError(ValueError):
@@ -62,9 +62,9 @@ class Leaf:
 
 
 START_IMAG_TOL = 1e-7  # relative Im part of a complex start direction
-TRACK_IMAG_TOL = 1e-6  # the same for a direction along a leaf
+TRACK_IMAG_TOL = 1e-6  # relative Im part of a leaf's turning rate
 LEAF_MAX_STEP = 0.05  # longest leaf step
-LEAF_PROX_FACTOR = 1e-6  # scaled |D| at which a leaf stops
+LEAF_PROX_FACTOR = 1e-6  # |D| at which a leaf stops, scaled at its start
 # cubic Hermite basis h00, h10, h01, h11 (rows) in powers 1, u, u^2, u^3
 HERMITE_BASIS = np.array([[1.0, 0.0, -3.0, 2.0], [0.0, 1.0, -2.0, 1.0],
                           [0.0, 0.0, 3.0, -2.0], [0.0, 0.0, -1.0, 1.0]])
@@ -77,9 +77,8 @@ def real_directions(field, point):
     and the list is sorted by angle; raises when any root is genuinely
     complex (D <= 0 region).
     """
-    rts = roots(field, point)
     dirs = []
-    for p, q in rts:
+    for p, q in roots(field, point):
         v = np.array([q, -p])
         if np.max(np.abs(v.imag)) > START_IMAG_TOL * np.max(np.abs(v)):
             raise LeafIntegrationError(
@@ -92,95 +91,93 @@ def real_directions(field, point):
     return dirs
 
 
-def _tracked_direction(field, pt, ref_root, ref_dir):
-    """Unit real direction of the root nearest ref_root, sign-aligned, with
-    that root and the field's coefficients at pt."""
-    co = field.check_nondegenerate(pt[0], pt[1])
-    rts = roots_proj(co)
-    k = int(np.argmin([proj_distance(ref_root, r) for r in rts]))
-    p, q = rts[k]
-    v = np.array([q, -p])
-    if np.max(np.abs(v.imag)) > TRACK_IMAG_TOL * np.max(np.abs(v)):
-        raise LeafIntegrationError(f"leaf direction not real at {pt}")
-    u = v.real / np.linalg.norm(v.real)
-    if ref_dir is not None and np.dot(u, ref_dir) < 0:
-        u = -u
-    return u, rts[k], co
+def _leaf_rate(field, state):
+    """d/ds of the leaf state (x, y, ux, uy), and (a, b, c, r) at (x, y).
+
+    The covector (p, q) = (-ny, nx) of n = u/|u| stays a root of C(x, y; p, q)
+    while n turns at omega = (C_x nx + C_y ny) / (C_p nx + C_q ny), formed in
+    complex arithmetic so that a nonvanishing factor on the field cancels.
+    """
+    x, y, ux, uy = state
+    jets = np.array([j.c for j in field.coeff_jets(x, y, 1)])
+    (a, b, c, r), co_x, co_y = jets[:, 0, 0], jets[:, 1, 0], jets[:, 0, 1]
+    nx, ny = np.array([ux, uy]) / np.hypot(ux, uy)
+    p, q = -ny, nx
+    mono = np.array([p ** 3, p * p * q, p * q * q, q ** 3])
+    C_p = 3 * a * p * p + 2 * b * p * q + c * q * q
+    C_q = b * p * p + 2 * c * p * q + 3 * r * q * q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = ((co_x @ mono) * nx + (co_y @ mono) * ny) / (C_p * nx + C_q * ny)
+    if not (np.isfinite(w) and abs(w.imag) <= TRACK_IMAG_TOL * (1 + abs(w))):
+        raise LeafIntegrationError(f"leaf direction not real at {(x, y)}")
+    return np.array([nx, ny, -w.real * ny, w.real * nx]), (a, b, c, r)
 
 
 def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
     """Integrate one web leaf from a regular real point.
 
-    Embedded Runge-Kutta (third order with second-order error estimate) on
-    the unit direction of the tracked root; the root branch is continued by
-    nearest projective neighbor at every stage evaluation.  Branches are
-    numbered 1..3 by ascending slope at the start; negative ``length``
-    integrates in the reverse orientation.
+    Embedded Runge-Kutta (Bogacki-Shampine 3(2)) on the state (x, y, u): the
+    direction u is carried and turned so that it stays a root of the cubic,
+    and only the start solves for roots; a step failing at a tiny size ends
+    the leaf.  Branches are numbered 1..3 by ascending angle at the start;
+    negative ``length`` integrates in the reverse orientation.
     """
     pt = np.array([float(start[0]), float(start[1])])
     co = field.coeffs(pt[0], pt[1])
     D0 = discriminant_of_coeffs(*co)
     if abs(D0) <= regular_cutoff(co):
         raise SingularPointError(f"start on the discriminant: |D|={abs(D0):.2e}")
+    prox = LEAF_PROX_FACTOR * discriminant_scale(co)
     dirs = real_directions(field, (pt[0], pt[1]))
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
-    u0 = dirs[branch - 1]
-    # leaf vector (q, -p) = u0, so the tracked covector is (p, q) = (-uy, ux)
-    ref_root = (-u0[1], u0[0])
     sign = 1.0 if length >= 0 else -1.0
-    ref_dir = sign * u0
+    state = np.concatenate([pt, sign * dirs[branch - 1]])
     total = abs(float(length))
 
-    pts = [pt.copy()]
-    tans = [ref_dir.copy()]
-    params = [0.0]
-    termination = "length"
-    s_done = 0.0
+    pts, tans, params = [pt], [state[2:]], [0.0]
+    termination, s_done = "length", 0.0
     h = min(LEAF_MAX_STEP, total / 4 if total > 0 else LEAF_MAX_STEP)
-    prox_scale = k1 = None
+    k1 = None
     while s_done < total - 1e-14:
         h = min(h, total - s_done)
         try:
             if k1 is None:
-                k1, r1, _ = _tracked_direction(field, pt, ref_root, ref_dir)
-            k2, r2, _ = _tracked_direction(field, pt + 0.5 * h * k1, r1, k1)
-            k3, r3, _ = _tracked_direction(field, pt + 0.75 * h * k2, r2, k2)
-            y_new = pt + h * (2 * k1 + 3 * k2 + 4 * k3) / 9.0
-            k4, r4, co = _tracked_direction(field, y_new, r3, k3)
-            z_new = pt + h * (7 * k1 / 24 + k2 / 4 + k3 / 3 + k4 / 8)
-        except (LeafIntegrationError, SingularPointError):
+                k1, _ = _leaf_rate(field, state)
+            k2, _ = _leaf_rate(field, state + 0.5 * h * k1)
+            k3, _ = _leaf_rate(field, state + 0.75 * h * k2)
+            y_new = state + h * (2 * k1 + 3 * k2 + 4 * k3) / 9.0
+            k4, co = _leaf_rate(field, y_new)
+            z_new = state + h * (7 * k1 / 24 + k2 / 4 + k3 / 3 + k4 / 8)
+        except LeafIntegrationError:
             if h > 1e-10:
                 h *= 0.25
                 continue
             termination = "discriminant-proximity"
             break
         err = float(np.max(np.abs(y_new - z_new)))
-        if err > tol and h > 1e-12:
-            h *= max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0))
-            continue
+        if err > tol:
+            if h > 1e-12:
+                h *= max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0))
+                continue
+            termination = "discriminant-proximity"
+            break
         # accepted; the last stage is the first of the next step
-        pt = y_new
-        k1, r1 = k4, r4
+        state, k1 = y_new, k4
         s_done += h
-        pts.append(pt.copy())
-        tans.append(k4.copy())
+        pts.append(state[:2])
+        tans.append(k4[:2])
         params.append(s_done)
-        if prox_scale is None:
-            prox_scale = discriminant_scale(co)
-        if abs(discriminant_of_coeffs(*co)) <= LEAF_PROX_FACTOR * prox_scale:
+        if abs(discriminant_of_coeffs(*co)) <= prox:
             termination = "discriminant-proximity"
             break
         if domain is not None:
             (x0, x1), (y0, y1) = domain
-            if not (x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1):
+            if not (x0 <= state[0] <= x1 and y0 <= state[1] <= y1):
                 termination = "domain"
                 break
-        if err > 0:
-            h *= min(4.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0)))
-        else:
-            h *= 2.0
-        h = min(h, LEAF_MAX_STEP)
+        grow = min(4.0, 0.9 * (tol / err) ** (1.0 / 3.0)) if err > 0 else 2.0
+        h = min(h * grow, LEAF_MAX_STEP)
     return Leaf(branch=branch, points=np.array(pts), tangents=np.array(tans),
                 params=np.array(params), termination=termination)
 
@@ -369,8 +366,7 @@ def symmetry_residual(field, weights, samples, a=0.1):
     w1, w2 = weights
     s1, s2 = np.exp(w1 * a), np.exp(w2 * a)
     worst = 0.0
-    for pt in samples:
-        x, y = pt
+    for x, y in samples:
         dirs = [(q, -p) for p, q in roots(field, (x, y))]
         pushed = [(s1 * vx, s2 * vy) for vx, vy in dirs]
         image_dirs = [(q, -p) for p, q in roots(field, (s1 * x, s2 * y))]

@@ -5,12 +5,10 @@ captured output) and asserts the invariant at its stated tolerance.
 """
 
 import numpy as np
-import pytest
 
 from hexweb.chern import (blaschke_transport, corollary_residual, curvature,
-                          dual_frame, frame_components, gamma_cubic,
-                          gamma_depressed, gamma_expressions_from_sigma,
-                          gamma_from_definition)
+                          frame_components, gamma_cubic, gamma_depressed,
+                          gamma_expressions_from_sigma, gamma_from_definition)
 from hexweb.cubic import (PolyCoeffField, discriminant_of_coeffs,
                           discriminant_scale, normalize_roots)
 from hexweb.frobenius import (frobenius_transport, mu_E, solution_potential,

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
-                          PolyCoeffField, RootTriple, SingularPointError,
-                          continue_along, depress, discriminant,
-                          discriminant_of_coeffs, factorization_residual,
-                          match_roots, normalize_roots, proj_distance,
-                          regular_cutoff, root_jets, roots, roots_proj)
+                          PolyCoeffField, SingularPointError, continue_along,
+                          depress, discriminant_of_coeffs,
+                          factorization_residual, match_roots,
+                          normalize_roots, proj_distance, regular_cutoff,
+                          root_jets, roots, roots_proj)
 from hexweb.frobenius import (idempotents, multiplication_table,
                               solution_potential)
 from hexweb.jets import PolyExpr

@@ -4,12 +4,11 @@ idempotents, Euler weights, booklet directions, series solver."""
 import numpy as np
 import pytest
 
-from hexweb.cubic import proj_distance, roots
 from hexweb.frobenius import (NonSemisimpleError, NotQuasiHomogeneousError,
                               Potential, euler_data, frobenius_transport,
                               idempotents, mu_E, multiplication_table,
-                              multiply, mult_operator, solution_potential,
-                              taylor_solve, theorem2_residual)
+                              multiply, solution_potential, taylor_solve,
+                              theorem2_residual)
 from hexweb.jets import PolyExpr
 
 RNG = np.random.default_rng(77123)

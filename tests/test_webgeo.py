@@ -6,31 +6,34 @@ import pytest
 
 from hexweb.chern import curvature, integrate_gamma
 from hexweb.cubic import (PolyCoeffField, SingularPointError,
-                          normalize_roots, proj_distance)
+                          normalize_roots, proj_distance, roots_proj)
 from hexweb.frobenius import solution_potential
 from hexweb.jets import PolyExpr
 from hexweb.singular import symmetry_losing_web
-from hexweb.webgeo import (Leaf, LeafIntegrationError, _first_crossing,
+from hexweb.webgeo import (LeafIntegrationError, _first_crossing,
                            first_integrals, integrate_leaf, leaf_through,
                            real_directions, symmetry_residual,
                            thomsen_closure)
-from webs import CONTROL_GENERIC, CONTROL_SLOPES as CONTROL, slope_web
+from webs import X, Y, CONTROL_GENERIC, CONTROL_SLOPES as CONTROL, slope_web
 
 PARALLEL = slope_web(0.0, 1.0, -2.0)        # three families of parallel lines
 FIELD_A = solution_potential("A").characteristic_field()
 
 
+def cubic_residual(field, point, direction):
+    """|C(x, y; -uy, ux)| / (1 + max |coeff|) for the direction (ux, uy)."""
+    a, b, c, r = co = field.coeffs(*point)
+    p, q = -direction[1], direction[0]  # leaf vector (q, -p)
+    val = a * p**3 + b * p * p * q + c * p * q * q + r * q**3
+    return abs(val) / (1 + np.max(np.abs(co)))
+
+
 class TestRealDirections:
     def test_directions_solve_the_cubic(self):
         for pt in [(0.2, 0.9), (-0.4, 1.1), (0.2, 0.5)]:
-            dirs = real_directions(FIELD_A, pt)
-            co = FIELD_A.coeffs(*pt)
-            a, b, c, r = co
-            for vx, vy in dirs:
+            for vx, vy in real_directions(FIELD_A, pt):
                 assert abs(np.hypot(vx, vy) - 1.0) < 1e-12
-                p, q = -vy, vx  # leaf vector (q, -p)
-                val = a * p**3 + b * p * p * q + c * p * q * q + r * q**3
-                assert abs(val) < 1e-9 * (1 + max(abs(z) for z in co))
+                assert cubic_residual(FIELD_A, pt, (vx, vy)) < 1e-9
 
     def test_angle_sorted_upper_half_plane(self):
         dirs = real_directions(PARALLEL, (0.0, 0.0))
@@ -108,6 +111,54 @@ class TestLeafIntegration:
     def test_singular_start_rejected(self):
         with pytest.raises(SingularPointError):
             integrate_leaf(FIELD_A, (0.0, 0.0), 1, 0.5)
+
+
+class TestCarriedDirection:
+    """The leaf carries its direction u: no root solve after the start."""
+
+    def test_direction_stays_a_root_of_the_cubic(self):
+        leaves = [(FIELD_A, integrate_leaf(FIELD_A, (0.0, 1.0), j, 0.6,
+                                           tol=1e-10)) for j in (1, 2, 3)]
+        end = integrate_leaf(FIELD_A, (0.1, 1.0), 2, -0.8, tol=1e-10)
+        assert end.termination == "discriminant-proximity"
+        leaves.append((FIELD_A, end))
+        leaves.append((CONTROL, integrate_leaf(CONTROL, (0.0, 0.0), 3, 0.6,
+                                               tol=1e-10)))
+        for field, leaf in leaves:
+            assert np.allclose(np.hypot(*leaf.tangents.T), 1.0, atol=1e-14)
+            assert max(cubic_residual(field, pt, u) for pt, u in
+                       zip(leaf.points, leaf.tangents)) <= 1e-9
+
+    @pytest.mark.parametrize("factor", ["1j", "1 + x^2 + y^2"])
+    def test_leaves_ignore_a_nonvanishing_factor(self, factor):
+        g = (PolyExpr.const(1j, 2) if factor == "1j"
+             else PolyExpr.const(1, 2) + X * X + Y * Y)
+        scaled = PolyCoeffField(*(g * f for f in FIELD_A.abcr))
+        for start, branch, length in [((0.0, 1.0), 1, 0.6),
+                                      ((0.1, 1.0), 3, -0.5)]:
+            want = integrate_leaf(FIELD_A, start, branch, length, tol=1e-10)
+            got = integrate_leaf(scaled, start, branch, length, tol=1e-10)
+            assert got.termination == want.termination
+            for s in np.linspace(0.0, min(got.params[-1], want.params[-1]),
+                                 7):
+                assert np.linalg.norm(got.point_at(s)
+                                      - want.point_at(s)) <= 1e-9
+
+    def test_one_root_solve_per_leaf(self, monkeypatch):
+        calls = []
+
+        def counted(co):
+            calls.append(co)
+            return roots_proj(co)
+
+        monkeypatch.setattr("hexweb.cubic.roots_proj", counted)
+        for start, branch, length in [((0.0, 1.0), 1, 0.6),
+                                      ((0.1, 1.0), 2, -0.8),
+                                      ((0.0, 0.4), 2, -10.0)]:
+            calls.clear()
+            leaf = integrate_leaf(FIELD_A, start, branch, length)
+            assert len(leaf.points) > 5
+            assert len(calls) == 1
 
 
 class TestThomsenClosure:
