@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .cubic import (SingularPointError, continue_along, depress,
-                    discriminant_of_coeffs, normalize_roots, proj_distance,
-                    regular_cutoff)
-from .jets import Jet
+from .cubic import (SingularPointError, at_first, coeff_values,
+                    continue_along, depress_jets, discriminant_of_coeffs,
+                    normalize_roots, proj_distance, regular_cutoff)
+from .jets import Jet, any_set
 
 
 @dataclass
@@ -78,16 +78,26 @@ def _gamma12_jets(a, b, c, r):
 
 
 def gamma_cubic(field, point, order=0):
-    """gamma = (gamma_1 dx + gamma_2 dy) / (3 D) as jets of given order."""
+    """gamma = (gamma_1 dx + gamma_2 dy) / (3 D) as jets of given order.
+
+    The point may be a pair of arrays: gamma then runs over those points,
+    and a point on the discriminant raises for the first such point.
+    """
     x, y = point
-    jets = field.coeff_jets(x, y, order + 1)
-    co = np.array([j.value for j in jets])
-    D0 = discriminant_of_coeffs(*co)
-    if abs(D0) <= regular_cutoff(co):
+    return gamma_from_jets(field.coeff_jets(x, y, order + 1), x, y)
+
+
+def gamma_from_jets(coeff_jets, x, y):
+    """gamma_cubic from the coefficient jets (order >= 1) at (x, y)."""
+    co = coeff_values(coeff_jets)
+    D0 = discriminant_of_coeffs(*(j.value for j in coeff_jets))
+    bad = abs(D0) <= regular_cutoff(co)
+    if any_set(bad):
+        x, y, D0 = at_first(bad, x, y, D0)
         raise SingularPointError(
             f"discriminant ~ 0 at ({x}, {y}): |D| = {abs(D0):.3e}",
             disc=D0)
-    g1, g2, D = _gamma12_jets(*jets)
+    g1, g2, D = _gamma12_jets(*coeff_jets)
     invD = (3 * D).reciprocal()
     return ConnectionValue(gx=g1 * invD, gy=g2 * invD)
 
@@ -127,20 +137,20 @@ def gamma_depressed(field, point, order=0):
     """
     x, y = point
     jets = field.coeff_jets(x, y, order + 1)
-    co = np.array([j.value for j in jets])
+    co = coeff_values(jets)
     k3, k2, k0, k1 = -co[0], co[1], co[3], -co[2]
     lead, quad = (k3, k2) if abs(k3) >= abs(k0) else (k0, k1)
     scale = 1.0 + float(np.max(np.abs(co)))
     if abs(quad) <= K2_TOL * scale * max(abs(lead) / scale, 1e-3):
-        dep = depress(field, point, order=order + 1)
+        dep = depress_jets(jets, x, y)
         if dep.chart == "yx":
             # the depressed cubic lives in swapped coordinates: transpose
             # the jets, apply the formula there, swap components back
             g = gamma_depressed_from_AB(dep.A.swap_axes(), dep.B.swap_axes())
             return ConnectionValue(gx=g.gy.swap_axes(), gy=g.gx.swap_axes())
         return gamma_depressed_from_AB(dep.A, dep.B)
-    g = gamma_cubic(field, point, order=order)
-    D = discriminant_of_coeffs(*(j.truncate(order + 1) for j in jets))
+    g = gamma_from_jets(jets, x, y)
+    D = discriminant_of_coeffs(*jets)
     invD = D.reciprocal() * (1.0 / 6.0)
     return ConnectionValue(gx=g.gx + D.deriv(0) * invD.truncate(order),
                            gy=g.gy + D.deriv(1) * invD.truncate(order))
@@ -231,9 +241,9 @@ def corollary_residual(pot, point, assoc_tol=1e-8):
         raise ValueError(
             f"associativity residual {res:.3e} too large; identity only "
             "holds on solutions")
-    field = pot.characteristic_field()
-    g = gamma_cubic(field, point, order=0)  # raises where D ~ 0
-    D = discriminant_of_coeffs(*field.coeff_jets(x, y, 1))
+    jets = pot.characteristic_field().coeff_jets(x, y, 1)
+    g = gamma_from_jets(jets, x, y)  # raises where D ~ 0
+    D = discriminant_of_coeffs(*jets)
     ref_x = -D.deriv(0).value / (6.0 * D.value)
     ref_y = -D.deriv(1).value / (6.0 * D.value)
     gx, gy = g.values()

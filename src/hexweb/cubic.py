@@ -8,12 +8,13 @@ hence leaf slope dy/dx = -p_i/q_i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, jet_cbrt
+from .jets import Jet, any_set, base_point, jet_cbrt
 
 COEF_VANISH_TOL = 1e-12
 
@@ -49,11 +50,33 @@ class DirectionField:
 
 
 def nonvanishing(co, x, y):
-    """The coefficients co of a field at (x, y), unless all of them vanish."""
-    if np.max(np.abs(co)) <= COEF_VANISH_TOL:
+    """The coefficients co of a field at (x, y), unless all of them vanish.
+
+    co may be an array (..., 4) over arrays of points; the error names the
+    first point (row-major) where all four vanish.
+    """
+    bad = np.max(np.abs(co), axis=-1) <= COEF_VANISH_TOL
+    if any_set(bad):
+        x, y = at_first(bad, x, y)
         raise DegenerateFieldError(
             f"all cubic coefficients vanish at ({x}, {y})")
     return co
+
+
+def at_first(bad, *values):
+    """Each value (a number, or an array broadcastable to the mask bad) at
+    the first set element of bad, in row-major order; a single point's
+    values as given."""
+    if np.ndim(bad) == 0:
+        return values
+    i = np.argmax(bad)
+    return tuple(np.broadcast_to(v, bad.shape).flat[i] for v in values)
+
+
+def coeff_values(jets):
+    """The values (..., 4) of the four coefficient jets (a, b, c, r)."""
+    co = np.array([j.value for j in jets])
+    return co if co.ndim == 1 else np.moveaxis(co, 0, -1)
 
 
 class PolyCoeffField(DirectionField):
@@ -63,7 +86,10 @@ class PolyCoeffField(DirectionField):
         self.abcr = (a, b, c, r)
 
     def coeff_jets(self, x, y, order):
-        return tuple(p.jet((x, y), order) for p in self.abcr)
+        """Coefficient jets at a point, or at arrays of points (real points
+        lift bit for bit as each point alone does; see PolyExpr.jet)."""
+        point = base_point(x, y)
+        return tuple(p.jet(point, order) for p in self.abcr)
 
     def coeffs(self, x, y):
         return np.array([complex(p(x, y)) for p in self.abcr])
@@ -89,7 +115,8 @@ class TranslatedField(DirectionField):
 
     def coeff_jets(self, x, y, order):
         jets = self.base_field.coeff_jets(x + self.x0, y + self.y0, order)
-        return tuple(Jet((x, y), order, j.c.copy()) for j in jets)
+        point = base_point(x, y)
+        return tuple(Jet(point, order, j.c.copy()) for j in jets)
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +138,43 @@ def discriminant(field, point):
 
 
 def discriminant_scale(coeffs):
-    """Scale-aware reference magnitude for |D| cutoffs (D is quartic)."""
-    return (1.0 + float(np.max(np.abs(coeffs)))) ** 4
+    """Scale-aware reference magnitude for |D| cutoffs (D is quartic); one
+    per row of an array (..., 4)."""
+    return (1.0 + np.max(np.abs(coeffs), axis=-1)) ** 4
 
 
 def regular_cutoff(coeffs):
     return 1e-12 * discriminant_scale(coeffs)
+
+
+# Python's complex arithmetic, elementwise on arrays.  The roots of a single
+# point are formed in Python complex numbers; these let arrays of points
+# round exactly as they do (numpy's complex division multiplies by a
+# reciprocal, and its abs takes another hypot).  Numbers pass straight to
+# Python's operators.
+
+def _py_abs(z):
+    """abs(z); on an array, as Python rounds it: hypot(Re z, Im z)."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def _py_div(a, b):
+    """a / b; on arrays, as Python's complex division rounds it (Smith's
+    method, dividing by the scaled denominator)."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a / b
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    big = np.abs(br) >= np.abs(bi)
+    ratio = np.where(big, bi, br) / np.where(big, br, bi)
+    denom = np.where(big, br + bi * ratio, br * ratio + bi)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = np.where(big, ar + ai * ratio, ar * ratio + ai) / denom
+    out.imag = np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
+    return out
+
+
+CHART_DEGENERATE_TOL = 1e-14  # scaled |a| = |r| below which no chart works
 
 
 def roots_proj(coeffs):
@@ -124,8 +182,13 @@ def roots_proj(coeffs):
 
     Each root is returned as a complex pair normalized to unit max component.
     Solved on the affine chart with the better-conditioned leading
-    coefficient (companion matrix via numpy.roots).
+    coefficient (companion matrix via numpy.roots).  An array (..., 4) of
+    coefficient rows gives an array (..., 3, 2), each row exactly as
+    its coefficient tuple would give it (``_roots_rows``).
     """
+    if np.ndim(coeffs) > 1:
+        rows = np.asarray(coeffs, dtype=complex).reshape(-1, 4)
+        return _roots_rows(rows).reshape(np.shape(coeffs)[:-1] + (3, 2))
     a, b, c, r = (complex(v) for v in coeffs)
     scale = max(abs(a), abs(b), abs(c), abs(r))
     if scale == 0:
@@ -133,7 +196,7 @@ def roots_proj(coeffs):
     a, b, c, r = a / scale, b / scale, c / scale, r / scale
     if abs(a) >= abs(r):
         # chart q = 1, slope s = p/q: a s^3 + b s^2 + c s + r = 0
-        if abs(a) < 1e-14:
+        if abs(a) < CHART_DEGENERATE_TOL:
             raise DegenerateFieldError("cubic degenerate in both charts")
         out = [_unitize((s, 1.0)) for s in np.roots([a, b, c, r])]
     else:
@@ -142,10 +205,64 @@ def roots_proj(coeffs):
     return sorted(out, key=_root_sort_key)
 
 
+def _roots_rows(rows):
+    """roots_proj of each row of rows (n, 4): the companion matrices as
+    numpy.roots builds them, stacked into one eigvals call, the scaling and
+    unitizing in Python's rounding, and one lexsort.  A row that numpy.roots
+    would trim (an exactly zero end coefficient) or whose order under
+    _root_sort_key rounding could change is solved by roots_proj alone."""
+    scale = np.max(_py_abs(rows), axis=1, keepdims=True)
+    if (scale == 0).any():
+        raise DegenerateFieldError("all cubic coefficients are zero")
+    scaled = _py_div(rows, scale)  # Python divides by a float as by x + 0j
+    lead = _py_abs(scaled[:, 0])
+    chart = lead >= _py_abs(scaled[:, 3])  # slope chart, as in roots_proj
+    if (chart & (lead < CHART_DEGENERATE_TOL)).any():
+        raise DegenerateFieldError("cubic degenerate in both charts")
+    poly = np.where(chart[:, None], scaled, scaled[:, ::-1])
+    companion = np.zeros((len(poly), 3, 3), dtype=complex)
+    companion[:, 0] = -poly[:, 1:] / poly[:, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    s = np.linalg.eigvals(companion)
+    one = np.ones_like(s)
+    p, q = np.where(chart[:, None], s, one), np.where(chart[:, None], one, s)
+    m = np.maximum(_py_abs(p), _py_abs(q))
+    p, q = _py_div(p, m), _py_div(q, m)
+    pq = np.stack([p, q], axis=-1)
+    # _root_sort_key compares (kind, round(Re w, 12), round(Im w, 12)) of the
+    # slope w; numpy's division puts w a few ulps from Python's.  Two keys
+    # of one kind are ordered safely by Re w when the real parts are well
+    # apart, or, when both real parts lie in one 1e-12 rounding bucket away
+    # from its edges (a conjugate pair, say), by Im w when those are apart.
+    finite = _py_abs(q) >= ROOT_SLOPE_TOL * _py_abs(p)
+    w = np.where(finite, p, q) / np.where(finite, q, p)
+    t = w.real * 1e12
+    bucket = np.floor(t + 0.5)
+    inside = (np.abs(w.real) <= 1.0) & (np.abs(t - np.floor(t) - 0.5) > 0.01)
+    i, j = (0, 0, 1), (1, 2, 2)
+
+    def apart(v):
+        return np.abs(v[:, i] - v[:, j]) > SORT_TIE_TOL * (
+            1 + np.abs(v[:, i]) + np.abs(v[:, j]))
+
+    one_bucket = (bucket[:, i] == bucket[:, j]) & inside[:, i] & inside[:, j]
+    safe = ((finite[:, i] != finite[:, j]) | apart(w.real)
+            | (one_bucket & apart(w.imag)))
+    pq = np.take_along_axis(
+        pq, np.lexsort((w.imag, bucket, ~finite))[..., None], axis=1)
+    for r in np.flatnonzero(~safe.all(axis=1) | (poly[:, 3] == 0)):
+        pq[r] = roots_proj(rows[r])
+    return pq
+
+
+ROOT_SLOPE_TOL = 1e-12  # |q| / |p| below which a root counts as vertical
+SORT_TIE_TOL = 1e-11  # relative gap of sort keys that rounding cannot close
+
+
 def _root_sort_key(pq):
     """Fixed labeling rule: finite slopes first, lexicographic in (Re, Im)."""
     p, q = pq
-    if abs(q) >= 1e-12 * abs(p):
+    if abs(q) >= ROOT_SLOPE_TOL * abs(p):
         s = p / q
         return (0, round(s.real, 12), round(s.imag, 12))
     v = q / p
@@ -228,36 +345,64 @@ def root_jets(field, x, y, order, root_values=None):
                       root_values)
 
 
+ROOT_SEP_TOL = 1e-8  # projective separation below which roots coincide
+
+
 def _root_jets(coeff_jets, x, y, order, root_values):
-    """root_jets from the field's coefficient jets at (x, y)."""
+    """root_jets from the field's coefficient jets at (x, y).  For arrays of
+    points the jets run over them and the root values are an array
+    (..., 3, 2); a single point's values are three (p, q) pairs."""
     ja, jb, jc, jr = coeff_jets
     vals = root_values if root_values is not None else roots_proj(
-        [ja.value, jb.value, jc.value, jr.value])
+        coeff_values(coeff_jets))
+    if isinstance(vals, np.ndarray):
+        vals = [(vals[..., i, 0], vals[..., i, 1]) for i in range(3)]
     seps = [proj_distance(u, v) for u, v in itertools.combinations(vals, 2)]
-    sep = min(seps)
-    if sep < 1e-8:
+    sep = functools.reduce(np.minimum, seps)
+    bad = sep < ROOT_SEP_TOL
+    if any_set(bad):
+        worst = functools.reduce(np.maximum, seps)
+        x, y, sep, worst = at_first(bad, x, y, sep, worst)
         raise SingularPointError(
             f"repeated root at ({x}, {y}), separation {sep:.2e}",
-            multiplicity=3 if max(seps) < 1e-8 else 2)
+            multiplicity=3 if worst < ROOT_SEP_TOL else 2)
     out = []
-    one = Jet.constant(1.0, (x, y), order)
+    one = ja._constant(1.0)
     for p0, q0 in vals:
-        if abs(q0) >= abs(p0):
-            s = _newton_root_jet([ja, jb, jc, jr], p0 / q0, order)
-            out.append((s, one))
-        else:
-            v = _newton_root_jet([jr, jc, jb, ja], q0 / p0, order)
-            out.append((one, v))
+        # chart q = 1 (slope s = p/q) where |q| >= |p|, else chart p = 1
+        chart = _py_abs(q0) >= _py_abs(p0)
+        s0 = _py_div(*_chart_pick(chart, (p0, q0), (q0, p0)))
+        s = _newton_root_jet(_chart_pick(chart, (ja, jb, jc, jr),
+                                         (jr, jc, jb, ja)), s0, order)
+        out.append(_chart_pick(chart, (s, one), (one, s)))
     return out
+
+
+def _chart_pick(chart, u, v):
+    """The members of u where chart is set and those of v elsewhere; u and
+    v are tuples of jets or of numbers (arrays of them for a batch)."""
+    if not isinstance(chart, np.ndarray):
+        return u if chart else v
+    if chart.all():
+        return u
+    if not chart.any():
+        return v
+    mask = chart[..., None, None]
+    return tuple(Jet._raw(a.base, a.order, np.where(mask, a.c, b.c))
+                 if isinstance(a, Jet) else np.where(chart, a, b)
+                 for a, b in zip(u, v))
+
+
+SIMPLE_ROOT_TOL = 1e-13  # relative |P'(s0)| below which a root is multiple
 
 
 def _newton_root_jet(coeff_jets, s0, order):
     """Jet of a simple root of c3 s^3 + c2 s^2 + c1 s + c0 (jets c_i)."""
     c3, c2, c1, c0 = coeff_jets
-    base = c3.base
-    s = Jet.constant(s0, base, order)
+    s = c3._constant(s0)
     dP0 = 3 * c3.value * s0**2 + 2 * c2.value * s0 + c1.value
-    if abs(dP0) < 1e-13 * (1 + max(abs(c.value) for c in coeff_jets)):
+    if any_set(np.abs(dP0) < SIMPLE_ROOT_TOL * (1 + np.max(
+            np.abs([c.value for c in coeff_jets]), axis=0))):
         raise SingularPointError("root is not simple (P'(s0) ~ 0)")
     for _ in range(max(1, order.bit_length()) + 2):
         P = ((c3 * s + c2) * s + c1) * s + c0
@@ -302,27 +447,52 @@ def _product_coeffs(sigma):
 def normalize_roots(field, point, order=1, label_ref=None, lam_target=None):
     """Normalized, exactly-factorizing root triple with jets.
 
-    label_ref: optional reference triple of projective pairs used to order
-    the roots (path continuation); lam_target: preferred cube-root branch.
+    The point may be a pair of arrays: the triple's jets then run over
+    those points and lam is an array.  label_ref: optional reference triple
+    of projective pairs used to order the roots of a single point (path
+    continuation); lam_target: preferred cube-root branch (per point).
     """
     x, y = point
     jets = field.coeff_jets(x, y, order)
-    vals = roots_proj(nonvanishing(np.array([j.value for j in jets]), x, y))
+    vals = roots_proj(nonvanishing(coeff_values(jets), x, y))
     if label_ref is not None:
         vals, _ = match_roots(label_ref, vals)
-    (p1, q1), (p2, q2), (p3, q3) = _root_jets(jets, x, y, order, vals)
+    sp, lam3 = normalization_core(jets, x, y, order, vals)
+    lam = jet_cbrt(lam3, target=lam_target)
+    return RootTriple(point=tuple(base_point(x, y)),
+                      sigma=[(lam * P, lam * Q) for P, Q in sp],
+                      lam=lam.value)
+
+
+def normalization_core(coeff_jets, x, y, order, root_values):
+    """(sp, lam3) for labelled roots: the normalized triple is
+    sigma_i = lam sp_i with lam a cube root of lam3.
+
+    Takes the coefficient jets and the labelled root values (..., 3, 2) at
+    (x, y), either of one point or over arrays of points.  The cross
+    products t_i of the other two roots make sum_i t_i (p_i, q_i) = 0, and
+    lam3 scales the product of the t_i sigma_i onto the field at the
+    coefficient of largest size.
+    """
+    (p1, q1), (p2, q2), (p3, q3) = _root_jets(coeff_jets, x, y, order,
+                                              root_values)
     # kernel of the 2x3 matrix [sigma_1 sigma_2 sigma_3] via cross products
     t1 = p2 * q3 - p3 * q2
     t2 = p3 * q1 - p1 * q3
     t3 = p1 * q2 - p2 * q1
     sp = [(t1 * p1, t1 * q1), (t2 * p2, t2 * q2), (t3 * p3, t3 * q3)]
     hats = _product_coeffs(sp)
-    k = int(np.argmax([abs(h.value) for h in hats]))
-    lam3 = jets[k] * hats[k].reciprocal()
-    lam = jet_cbrt(lam3, target=lam_target)
-    sigma = [(lam * P, lam * Q) for P, Q in sp]
-    return RootTriple(point=(complex(x), complex(y)), sigma=sigma,
-                      lam=lam.value)
+    k = np.argmax(np.abs(coeff_values(hats)), axis=-1)
+    return sp, _pick(coeff_jets, k) * _pick(hats, k).reciprocal()
+
+
+def _pick(jets, k):
+    """jets[k]; for a batch, k holds one index per element."""
+    if np.ndim(k) == 0:
+        return jets[k]
+    c = np.take_along_axis(np.stack([j.c for j in jets]),
+                           k[None, ..., None, None], axis=0)[0]
+    return Jet._raw(jets[0].base, jets[0].order, c)
 
 
 def factorization_residual(field, triple):
@@ -355,7 +525,12 @@ def depress(field, point, order=1):
     both K3 and K0 are below tolerance (no valid affine chart).
     """
     x, y = point
-    ja, jb, jc, jr = field.coeff_jets(x, y, order)
+    return depress_jets(field.coeff_jets(x, y, order), x, y)
+
+
+def depress_jets(coeff_jets, x, y):
+    """depress from the field's coefficient jets at (x, y)."""
+    ja, jb, jc, jr = coeff_jets
     # K-form coefficients: K3 = -a, K2 = b, K1 = -c, K0 = r
     K3, K2, K1, K0 = -ja, jb, -jc, jr
     scale = max(abs(K3.value), abs(K2.value), abs(K1.value), abs(K0.value))

@@ -5,21 +5,34 @@ a fixed total order K, i.e. ``coeffs[j1, j2] = d^(j1+j2) f / (j1! j2!)``.
 Everything downstream (connection forms, curvature, root jets) is built on
 top of this module, so operations are kept exact to the truncation order.
 
-The coefficient array is (K+1) x (K+1); only the triangle j1 + j2 <= K is
-meaningful.  Products, derivatives and truncations return zeros above it
-and never read an operand's entries there.
+Batch axis: the coefficient array has shape (..., K+1, K+1); the leading
+axes index independent jets (one per point of an array of base points), and
+a single jet is batch shape ().  Every operation acts on all of them with
+the same numpy calls, so a batch costs about as many calls as one jet.  The
+base is a pair of complex scalars, or of complex arrays broadcastable to the
+batch shape; operands of a binary operation share their base, and their
+batch shapes broadcast.  ``value`` is ``c[..., 0, 0]``, a numpy scalar for
+a single jet, so that scalar code keeps numpy's scalar arithmetic.  Scalar
+factors, summands and the constants of ``constant``, ``jet_pow`` and
+``jet_cbrt`` may be arrays over the batch axes; a check on a value (a zero
+constant term, say) fails when it fails for any element.
 
-Products run on an index plan built once per order (``_product_plan``).
+Only the triangle j1 + j2 <= K of the last two axes is meaningful.
+Products, derivatives and truncations return zeros above it and never read
+an operand's entries there.
+
+Products run on an index plan built once per order (``_product_plan``,
+offset per element for a batch by ``_batch_plan``).
 Each of the T = (K+1)(K+2)/2 outputs (m1, m2) of the triangle collects the
 terms a[j1, j2] * b[m1 - j1, m2 - j2], C(K+4, 4) terms in all.  The plan
 holds the flat gather indices of both factors, one column per output padded
 to the largest term count L (L x T), and, per flat output position, the
 row of the running sum that ends its own terms.  A product is one
-gather-multiply into rows 1..L below a row of zeros, one sequential
-``np.add.accumulate`` down the columns and one gather of the result: a
-fixed number of numpy calls and no Python loop.  Order 0 is the elementwise
-product.  The indices do not depend on the coefficients, so operands with a
-leading batch axis could use the same plan.
+gather-multiply, along the flattened last two axes, into rows 1..L below a
+row of zeros, one sequential ``np.add.accumulate`` down the term axis and
+one gather of the result: a fixed number of numpy calls and no Python loop,
+whatever the batch shape.  Order 0 is the elementwise product.  The indices
+do not depend on the coefficients, so batched operands use the same plan.
 
 Bit-identity contract: for finite coefficients, products, ``deriv`` and
 ``truncate`` return exactly the floats of the dense reference (for each
@@ -27,10 +40,13 @@ output, terms added one by one onto +0.0 in row-major order of ``a``'s
 multi-index).  The accumulation is sequential because pairwise or blocked
 sums (``reduceat``, ``einsum``, ``matmul``) round differently, and it
 starts from the +0.0 row so that a result never carries -0.0 where the
-reference has +0.0.  ``tests/test_jets.py`` checks this against the
-reference loop.  (With an inf or nan coefficient the reference skipped
-exact-zero terms of ``a`` that the plan multiplies, so 0 * inf may give nan
-there.)
+reference has +0.0.  Each element of a batch goes through the same
+elementwise operations in the same order, so every operation of this
+module returns, element by element, exactly the floats it returns for that
+element alone.  ``tests/test_jets.py`` checks both against the reference
+loop and the single jets.  (With an inf or nan coefficient the reference
+skipped exact-zero terms of ``a`` that the plan multiplies, so 0 * inf may
+give nan there.)
 """
 
 from __future__ import annotations
@@ -60,13 +76,15 @@ _ZERO_1x1 = _frozen(np.zeros((1, 1), dtype=complex))
 
 @functools.cache
 def _product_plan(K):
-    """Gather indices (ia, ib) and output map of the order-K product.
+    """Gather indices (ia, ib), output map and running-sum shape of the
+    order-K product.
 
     Column t of ia, ib lists the terms of the t-th triangle output (m1, m2),
     the pairs (j1, j2) x (m1 - j1, m2 - j2) in row-major order of (j1, j2),
-    padded at the end.  The terms are accumulated below a row of zeros, so
-    row r of the running sum holds the first r terms; ``last`` maps each
-    flat output position to the row that ends its own terms (row 0, +0.0,
+    padded at the end; the indices are flat positions in the raveled
+    operands.  The terms are accumulated below a row of zeros, so row r of
+    the running sum holds the first r terms; ``last[m1, m2]`` is the flat
+    position of the row that ends the output's own terms (row 0, +0.0,
     above the triangle).
     """
     n = K + 1
@@ -80,7 +98,25 @@ def _product_plan(K):
                  for j1 in range(m1 + 1) for j2 in range(m2 + 1)]
         ia[:len(pairs), t], ib[:len(pairs), t] = zip(*pairs)
         last[m1 * n + m2] = len(pairs) * len(outs) + t
-    return _frozen(ia), _frozen(ib), _frozen(last)
+    return (_frozen(ia), _frozen(ib), _frozen(last.reshape(n, n)),
+            (L + 1, len(outs)))
+
+
+@functools.lru_cache(maxsize=16)
+def _batch_plan(shape):
+    """``_product_plan`` for operands of shape (*batch, K+1, K+1).  The term
+    axis stays first, (L, *batch, T): element e's indices are offset by e
+    jets, so one gather over the raveled operands and one accumulation down
+    axis 0 serve every element, and ``last`` has the operands' shape."""
+    batch, n = shape[:-2], shape[-1]
+    ia, ib, last, (rows, T) = _product_plan(n - 1)
+    e = np.arange(math.prod(batch))
+    row, col = np.divmod(last, T)
+    last = row * (e.size * T) + col + T * e[:, None, None]
+    terms = (rows - 1,) + batch + (T,)
+    return (_frozen((ia[:, None] + n * n * e[:, None]).reshape(terms)),
+            _frozen((ib[:, None] + n * n * e[:, None]).reshape(terms)),
+            _frozen(last.reshape(shape)), (rows,) + batch + (T,))
 
 
 @functools.cache
@@ -98,11 +134,38 @@ def _deriv_factor(K):
     return _frozen(np.repeat(j[:, None], K + 1, axis=1))
 
 
+def base_point(x, y):
+    """A base point as jets hold it: two complex numbers, or two complex
+    arrays of one shape.  Canonical arrays come back as the same objects,
+    so jets lifted from one canonical point compare bases by identity."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.broadcast_arrays(np.asarray(x, dtype=complex),
+                                   np.asarray(y, dtype=complex))
+    return (complex(x), complex(y))
+
+
+def _scalar(v):
+    """A summand or factor: a number, or an array over the batch axes."""
+    return v if isinstance(v, np.ndarray) and v.ndim else complex(v)
+
+
+def _c00(c):
+    """Index of the constant terms of a coefficient array; a single jet's
+    2-d index takes numpy's faster path."""
+    return (0, 0) if c.ndim == 2 else (Ellipsis, 0, 0)
+
+
+def any_set(mask):
+    """Whether any element of a boolean scalar or array is set."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
 class Jet:
     """Truncated Taylor expansion at a base point, total order <= order.
 
-    Immutable by convention: operations return new jets and never modify
-    the coefficient array of an operand.
+    ``c`` has shape (..., order+1, order+1); see the module docstring for
+    the batch axes.  Immutable by convention: operations return new jets
+    and never modify the coefficient array of an operand.
     """
 
     __slots__ = ("base", "order", "c")
@@ -110,12 +173,13 @@ class Jet:
     def __init__(self, base, order, coeffs=None):
         if order < 0:
             raise JetError("jet order must be >= 0")
-        self.base = (complex(base[0]), complex(base[1]))
+        self.base = base_point(*base)
         self.order = int(order)
         if coeffs is None:
-            self.c = np.zeros((order + 1, order + 1), dtype=complex)
-        elif np.shape(coeffs) != (order + 1, order + 1):
-            # products index the raveled (K+1) x (K+1) array
+            batch = getattr(self.base[0], "shape", ())
+            self.c = np.zeros(batch + (order + 1, order + 1), dtype=complex)
+        elif np.shape(coeffs)[-2:] != (order + 1, order + 1):
+            # products index the raveled (K+1) x (K+1) trailing axes
             raise JetError(f"order-{order} jet needs {order + 1}x{order + 1}"
                            f" coefficients, got shape {np.shape(coeffs)}")
         else:
@@ -135,30 +199,40 @@ class Jet:
     @classmethod
     def constant(cls, value, base, order):
         j = cls(base, order)
-        j.c[0, 0] = complex(value)
+        value = _scalar(value)
+        if isinstance(value, np.ndarray) and value.shape != j.c.shape[:-2]:
+            shape = np.broadcast_shapes(value.shape, j.c.shape[:-2])
+            j.c = np.zeros(shape + (order + 1, order + 1), dtype=complex)
+        j.c[_c00(j.c)] = value
         return j
 
     @classmethod
     def variable(cls, axis, base, order):
         """The coordinate function x (axis=0) or y (axis=1) as a jet."""
         j = cls(base, order)
-        j.c[0, 0] = j.base[axis]
+        j.c[_c00(j.c)] = j.base[axis]
         if order >= 1:
             if axis == 0:
-                j.c[1, 0] = 1.0
+                j.c[..., 1, 0] = 1.0
             else:
-                j.c[0, 1] = 1.0
+                j.c[..., 0, 1] = 1.0
         return j
 
     # -- basic queries -------------------------------------------------
 
     @property
     def value(self):
-        return self.c[0, 0]
+        c = self.c
+        return c[0, 0] if c.ndim == 2 else c[..., 0, 0]
 
     def _check(self, other):
-        if self.base is not other.base and self.base != other.base:
-            raise JetError("jet base points differ")
+        if self.base is not other.base:
+            try:
+                differ = self.base != other.base
+            except ValueError:  # array bases that are distinct objects
+                differ = not all(map(np.array_equal, self.base, other.base))
+            if differ:
+                raise JetError("jet base points differ")
         if self.order != other.order:
             raise JetError("jet orders differ")
 
@@ -167,7 +241,10 @@ class Jet:
     def __add__(self, other):
         if not isinstance(other, Jet):
             out = self.c.copy()
-            out[0, 0] += complex(other)
+            if out.ndim == 2:
+                out[0, 0] += complex(other)
+            else:
+                out[..., 0, 0] += _scalar(other)
             return Jet._raw(self.base, self.order, out)
         self._check(other)
         return Jet._raw(self.base, self.order, self.c + other.c)
@@ -178,33 +255,43 @@ class Jet:
         return Jet._raw(self.base, self.order, -self.c)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -complex(other))
+        return self + (-other if isinstance(other, Jet) else -_scalar(other))
 
     def __rsub__(self, other):
-        return (-self) + complex(other)
+        out = -self.c
+        out[_c00(out)] += _scalar(other)
+        return Jet._raw(self.base, self.order, out)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
+            if isinstance(other, np.ndarray) and other.ndim:
+                return Jet._raw(self.base, self.order,
+                                self.c * other[..., None, None])
             return Jet._raw(self.base, self.order, self.c * complex(other))
         self._check(other)
         K = self.order
+        a, b = self.c, other.c
         if K == 0:
-            return Jet._raw(self.base, 0, _ZERO_1x1 + self.c * other.c)
-        ia, ib, last = _product_plan(K)
-        terms = np.zeros((ia.shape[0] + 1, ia.shape[1]), dtype=complex)
-        np.multiply(self.c.ravel()[ia], other.c.ravel()[ib], out=terms[1:])
+            return Jet._raw(self.base, 0, _ZERO_1x1 + a * b)
+        if a.shape != b.shape:
+            shape = np.broadcast_shapes(a.shape, b.shape)
+            a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+        ia, ib, last, rows = (_product_plan(K) if a.ndim == 2
+                              else _batch_plan(a.shape))
+        terms = np.zeros(rows, dtype=complex)
+        np.multiply(a.ravel()[ia], b.ravel()[ib], out=terms[1:])
         acc = np.add.accumulate(terms, axis=0)
-        return Jet._raw(self.base, K, acc.ravel()[last].reshape(K + 1, K + 1))
+        return Jet._raw(self.base, K, acc.ravel()[last])
 
     __rmul__ = __mul__
 
     def reciprocal(self):
         """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.c[0, 0]
-        if c0 == 0 or not np.isfinite(c0):
+        c0 = self.value
+        if any_set((c0 == 0) | ~np.isfinite(c0)):
             raise JetError("reciprocal of jet with zero constant term (pole)")
         # Newton iteration r <- r(2 - u r), quadratic convergence in order.
-        r = Jet.constant(1.0 / c0, self.base, self.order)
+        r = self._constant(1.0 / c0)
         n = 1
         while n <= self.order:
             r = r * (2.0 - self * r)
@@ -214,7 +301,7 @@ class Jet:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise JetError("integer power only; use jet_pow for fractional")
-        out = Jet.constant(1.0, self.base, self.order)
+        out = self._constant(1.0)
         p = self
         k = n
         while k:
@@ -232,11 +319,12 @@ class Jet:
             raise JetError("cannot differentiate an order-0 jet")
         K = self.order - 1
         if axis == 0:
-            src, fac = self.c[1:, :K + 1], _deriv_factor(K)
+            src, fac = self.c[..., 1:, :K + 1], _deriv_factor(K)
         else:
-            src, fac = self.c[:K + 1, 1:], _deriv_factor(K).T
+            src, fac = self.c[..., :K + 1, 1:], _deriv_factor(K).T
         out = np.multiply(src, fac, where=_triangle(K),
-                          out=np.zeros((K + 1, K + 1), dtype=complex))
+                          out=np.zeros(self.c.shape[:-2] + (K + 1, K + 1),
+                                       dtype=complex))
         return Jet._raw(self.base, K, out)
 
     def truncate(self, order):
@@ -244,17 +332,25 @@ class Jet:
             raise JetError("cannot raise jet order by truncation")
         if order < 0:
             raise JetError("jet order must be >= 0")
-        out = np.where(_triangle(order), self.c[: order + 1, : order + 1], 0)
+        out = np.where(_triangle(order),
+                       self.c[..., : order + 1, : order + 1], 0)
         return Jet._raw(self.base, order, out)
 
     def swap_axes(self):
         """The same expansion with the two variables interchanged."""
         return Jet._raw((self.base[1], self.base[0]), self.order,
-                        self.c.T.copy())
+                        np.swapaxes(self.c, -1, -2).copy())
+
+    def _constant(self, value):
+        """The constant jet ``value`` (a number, or an array over the batch
+        axes) on this jet's base, order and batch shape."""
+        c = np.zeros(self.c.shape, dtype=complex)
+        c[_c00(c)] = value
+        return Jet._raw(self.base, self.order, c)
 
     def nilpotent_part(self):
         out = self.c.copy()
-        out[0, 0] = 0.0
+        out[_c00(out)] = 0.0
         return Jet._raw(self.base, self.order, out)
 
     def __repr__(self):
@@ -271,7 +367,7 @@ def compose_series(coeffs, u):
     result is the jet of g(u).
     """
     w = u.nilpotent_part()
-    out = Jet.constant(0.0, u.base, u.order)
+    out = u._constant(0.0)
     # Horner from the top; w is nilpotent so terms beyond the order vanish.
     top = min(len(coeffs) - 1, u.order)
     for m in range(top, -1, -1):
@@ -282,12 +378,12 @@ def compose_series(coeffs, u):
 def jet_pow(u, s):
     """u**s for arbitrary complex/fractional s, principal branch at u0."""
     c0 = u.value
-    if c0 == 0:
+    if any_set(c0 == 0):
         raise JetError("fractional power of jet with zero constant term")
     s = complex(s)
     head = np.exp(s * np.log(c0))
     w = u.nilpotent_part() * (1.0 / c0)
-    out = Jet.constant(0.0, u.base, u.order)
+    out = u._constant(0.0)
     coeffs = [1.0 + 0j]
     for m in range(1, u.order + 1):
         coeffs.append(coeffs[-1] * (s - (m - 1)) / m)  # binomial series
@@ -296,18 +392,32 @@ def jet_pow(u, s):
     return out * head
 
 
+_OMEGA = np.exp(2j * np.pi / 3)
+_OMEGA2 = _OMEGA ** 2
+
+
+def cbrt_factor(root, target):
+    """The factor that takes the cube root ``root`` to the cube root of
+    root**3 nearest ``target``; numbers, not arrays (the branch is chosen
+    one element at a time, as a continued branch must be)."""
+    best = min((root, root * _OMEGA, root * _OMEGA2),
+               key=lambda z: abs(z - target))
+    return best / root
+
+
 def jet_cbrt(u, target=None):
-    """A cube root of u; the branch whose constant term is nearest target."""
-    c0 = u.value
-    if c0 == 0:
+    """A cube root of u; the branch whose constant term is nearest target
+    (per element, for a batch and an array of targets)."""
+    if any_set(u.value == 0):
         raise JetError("cube root of jet with zero constant term")
     r = jet_pow(u, Fraction(1, 3))
-    if target is not None:
-        omega = np.exp(2j * np.pi / 3)
-        best = min((r.value, r.value * omega, r.value * omega**2),
-                   key=lambda z: abs(z - target))
-        r = r * (best / r.value)
-    return r
+    if target is None:
+        return r
+    roots = r.value
+    targets = np.broadcast_to(target, np.shape(roots))
+    factor = [cbrt_factor(z, t) for z, t in zip(np.ravel(roots),
+                                                np.ravel(targets))]
+    return r * np.reshape(factor, np.shape(roots))
 
 
 def jet_tan(u):
@@ -441,20 +551,46 @@ class PolyExpr:
         return total
 
     def jet(self, point, order):
-        """Jet lift at a point; exact for polynomials (they are entire)."""
+        """Jet lift at a point, or at arrays of points (a batch of jets);
+        exact for polynomials (they are entire).
+
+        Each coefficient adds its terms in the same order either way.  At
+        real points every product has a real factor, where numpy's
+        vectorised complex multiply rounds as Python's does, and numpy's
+        integer powers of real values differ from Python's at most in the
+        sign of a zero imaginary part, which adding onto +0.0 drops: an
+        array of real points lifts bit for bit as each point alone does.
+        """
         if order < 0:
             raise JetError("jet order must be >= 0")
         if self.terms and self.nvars != 2:
             raise JetError("jet lifting is defined for 2-variable polynomials")
         out = Jet((point[0], point[1]), order)
         x0, y0 = out.base
-        for (e1, e2), cc in self._complex_terms:
-            for j1 in range(min(e1, order) + 1):
-                fx = math.comb(e1, j1) * x0 ** (e1 - j1)
-                for j2 in range(min(e2, order - j1) + 1):
-                    out.c[j1, j2] += (cc * fx * math.comb(e2, j2)
-                                      * y0 ** (e2 - j2))
+        # c[j1, j2] is the coefficient, or its array over the points
+        c = out.c if out.c.ndim == 2 else np.moveaxis(out.c, (-2, -1), (0, 1))
+        for j1, j2, cc, k1, n1, k2, n2 in self._lift_terms(order):
+            c[j1, j2] += cc * (k1 * x0 ** n1) * k2 * y0 ** n2
         return out
+
+    @functools.cached_property
+    def _lift_plans(self):
+        return {}
+
+    def _lift_terms(self, order):
+        """The terms of the order-``order`` lift in accumulation order: the
+        coefficient, cc * (C(e1, j1) x0^(e1-j1)) * C(e2, j2) y0^(e2-j2), of
+        each term (e1, e2) adds onto c[j1, j2], as (j1, j2, cc, C(e1, j1),
+        e1 - j1, C(e2, j2), e2 - j2)."""
+        plans = self._lift_plans
+        if order not in plans:
+            plans[order] = [
+                (j1, j2, cc, math.comb(e1, j1), e1 - j1, math.comb(e2, j2),
+                 e2 - j2)
+                for (e1, e2), cc in self._complex_terms
+                for j1 in range(min(e1, order) + 1)
+                for j2 in range(min(e2, order - j1) + 1)]
+        return plans[order]
 
 
 def jet_to_polyexpr(jet):

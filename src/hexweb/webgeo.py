@@ -13,14 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import gamma_cubic
-from .cubic import (SingularPointError, discriminant_of_coeffs,
-                    discriminant_scale, match_roots, normalize_roots,
-                    proj_distance, regular_cutoff, roots)
+from . import chern
+from .cubic import (SingularPointError, coeff_values, discriminant_of_coeffs,
+                    discriminant_scale, match_roots, nonvanishing,
+                    normalization_core, proj_distance, regular_cutoff, roots,
+                    roots_proj)
+from .jets import Jet, cbrt_factor, jet_cbrt
 
 
 class LeafIntegrationError(ValueError):
     pass
+
+
+# The benchmark's tracer self-test (perfbench/test_perfbench.py) reads this
+# module's binding of gamma_cubic; first_integrals uses its jets-taking core.
+gamma_cubic = chern.gamma_cubic
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +315,12 @@ def first_integrals(field, base, path):
     k(base) = 1 and u_i(base) = 0; since all three sigma sum to zero the
     relation u1 + u2 + u3 = 0 holds along the path exactly up to quadrature
     error, which is what ``abelian_residual`` reports.
+
+    gamma and the sigma_i come from one order-1 lift at all nodes; each
+    node's triple continues the last one's labels and cube-root branch.
+    Raises DegenerateFieldError naming the first node where the field
+    vanishes, else SingularPointError naming the first node on the
+    discriminant.
     """
     pts = np.asarray(path, dtype=float)
     if np.linalg.norm(pts[0] - np.asarray(base, dtype=float)) > 1e-12:
@@ -319,14 +332,11 @@ def first_integrals(field, base, path):
         nodes.append(P0 + (np.arange(1, n + 1) / n)[:, None] * (P1 - P0))
     nodes = np.concatenate(nodes)
 
-    # gamma and the sigma_i at the nodes, each triple continuing the last
-    gam, sig, lam = [], [], None
-    for x, y in nodes:
-        gam.append(gamma_cubic(field, (x, y), order=0).values())
-        triple = normalize_roots(field, (x, y), order=0, lam_target=lam,
-                                 label_ref=sig[-1] if sig else None)
-        sig.append(triple.values())
-        lam = triple.lam
+    x, y = nodes[:, 0], nodes[:, 1]
+    jets = field.coeff_jets(x, y, 1)
+    co = nonvanishing(coeff_values(jets), x, y)
+    gam = np.stack(chern.gamma_from_jets(jets, x, y).values(), axis=-1)
+    sig = _continued_sigma([j.truncate(0) for j in jets], x, y, roots_proj(co))
 
     # composite Simpson on the pairs (2j, 2j + 1, 2j + 2) of equal steps dP
     pair = 2 * np.arange(len(nodes) // 2)[:, None] + np.arange(3)
@@ -342,13 +352,41 @@ def first_integrals(field, base, path):
         out[1::2] = ends[:-1] + (f[:, 0] * 5 + f[:, 1] * 8 - f[:, 2]) / 12.0
         return out
 
-    k = np.exp(-integral(np.einsum("pjc,pc->pj", np.array(gam)[pair], dP)))
+    k = np.exp(-integral(np.einsum("pjc,pc->pj", gam[pair], dP)))
     k[0] = 1.0  # k(base) is 1 + 0j; exp(-0j) would give 1 - 0j
     u = integral(k[pair][:, :, None]
-                 * np.einsum("pjmc,pc->pjm", np.array(sig)[pair], dP))
+                 * np.einsum("pjmc,pc->pjm", sig[pair], dP))
     residual = float(np.max(np.abs(u.sum(axis=1))))
     return FirstIntegralState(nodes=nodes, k=k, u=u,
                               abelian_residual=residual)
+
+
+def _continued_sigma(jets, x, y, vals):
+    """Normalized root covectors (n, 3, 2) at the nodes of a path from the
+    order-0 coefficient jets and the sorted root values there.
+
+    Node i's roots take the labels that move them least from node i - 1's
+    (match_roots on the distances between the two nodes' roots), and its
+    cube-root branch is the one nearest node i - 1's lam; node 0 keeps the
+    sorted order and the principal branch.  Both are sequential, and read
+    values computed for all nodes at once.
+    """
+    d = proj_distance((vals[:-1, :, None, 0], vals[:-1, :, None, 1]),
+                      (vals[1:, None, :, 0], vals[1:, None, :, 1])).tolist()
+    labels = [(0, 1, 2)]
+    for di in d:
+        labels.append(match_roots(labels[-1], (0, 1, 2),
+                                  dist=lambda a, b: di[a][b])[0])
+    vals = np.take_along_axis(vals, np.array(labels)[:, :, None], axis=1)
+    sp, lam3 = normalization_core(jets, x, y, 0, vals)
+    r = jet_cbrt(lam3).value
+    lam = [r[0]]
+    for i in range(1, len(r)):
+        # as jet_cbrt rescales the principal root to the continued branch
+        lam.append((r[i:i + 1] * cbrt_factor(r[i], lam[-1]))[0])
+    lam = Jet._raw(lam3.base, 0, np.array(lam)[:, None, None])
+    return np.stack([np.stack([(lam * P).value, (lam * Q).value], axis=-1)
+                     for P, Q in sp], axis=1)
 
 
 # ---------------------------------------------------------------------------

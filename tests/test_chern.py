@@ -12,6 +12,7 @@ from hexweb.cubic import (PolyCoeffField, SingularPointError,
                           normalize_roots)
 from hexweb.frobenius import Potential, solution_potential
 from hexweb.jets import PolyExpr
+from hexweb.singular import symmetry_losing_web
 from webs import CONTROL_GENERIC as CONTROL, random_poly
 
 RNG = np.random.default_rng(431)
@@ -156,3 +157,55 @@ class TestDepressedChart:
             PolyExpr.const(-2.0, 2), PolyExpr.const(0.5, 2))
         g = gamma_depressed(field, (0.9, -0.4))
         assert g.norm() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Arrays of points and single lifts
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=complex).view(np.uint64)
+
+
+class TestPointArrays:
+    @pytest.mark.parametrize("name", ["A", "B", "symmetry-losing", "control"])
+    def test_gamma_cubic_equals_stacked_single_points(self, name):
+        field = {"A": solution_potential("A").characteristic_field(),
+                 "B": solution_potential("B").characteristic_field(),
+                 "symmetry-losing": symmetry_losing_web(),
+                 "control": CONTROL}[name]
+        pts = np.array([random_regular_point(field) for _ in range(12)]).T
+        for order in (0, 1):
+            got = gamma_cubic(field, tuple(pts), order=order)
+            for i, p in enumerate(pts.T):
+                want = gamma_cubic(field, tuple(p), order=order)
+                assert np.array_equal(bits(got.gx.c[i]), bits(want.gx.c))
+                assert np.array_equal(bits(got.gy.c[i]), bits(want.gy.c))
+
+    def test_singular_point_raises_as_its_single_call(self):
+        field = solution_potential("A").characteristic_field()
+        xs = np.array([0.1, 0.2, 0.0, 0.3, 0.0])
+        ys = np.array([1.0, 0.9, 0.0, 1.1, 0.0])  # D = 0 at the origin
+        with pytest.raises(SingularPointError) as single:
+            gamma_cubic(field, (xs[2], ys[2]))
+        with pytest.raises(SingularPointError) as batch:
+            gamma_cubic(field, (xs, ys))
+        assert str(batch.value) == str(single.value)
+        assert "(0.0, 0.0)" in str(batch.value)
+        assert batch.value.disc == single.value.disc
+
+    @pytest.mark.parametrize("route,case", [("corollary", "A"),
+                                            ("depressed", "A"),
+                                            ("depressed", "B")])
+    def test_one_lift_per_point(self, route, case, monkeypatch):
+        # web B's slope cubic has no quadratic term (the printed (A, B)
+        # formula); web A's has one (gamma_cubic + d ln D / 6)
+        pot = solution_potential(case)
+        lifts = []
+        lift = PolyCoeffField.coeff_jets
+        monkeypatch.setattr(PolyCoeffField, "coeff_jets",
+                            lambda *a: lifts.append(1) or lift(*a))
+        if route == "corollary":
+            corollary_residual(pot, (0.1, 1.0))
+        else:
+            gamma_depressed(pot.characteristic_field(), (0.1, 1.0), order=1)
+        assert len(lifts) == 1

@@ -13,7 +13,8 @@ from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
 from hexweb.frobenius import (idempotents, multiplication_table,
                               solution_potential)
 from hexweb.jets import PolyExpr
-from webs import random_poly
+from hexweb.singular import symmetry_losing_web
+from webs import CONTROL_GENERIC, random_poly
 
 RNG = np.random.default_rng(8571)
 
@@ -245,3 +246,102 @@ class TestContinueAlong:
         gap = xs[jumps[0]] - xs[jumps[0] - 1]
         assert MIN_PIECE / 2 < gap <= MIN_PIECE
         assert xs[jumps[0]] == 0.5 and xs[-1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Arrays of points: each row exactly as the single point gives it
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=complex).view(np.uint64)
+
+
+def regular_grid(field, window=((-0.9, 0.9), (-0.9, 1.3)), n=7):
+    """Points of an n x n grid where the normalized triple exists."""
+    (x0, x1), (y0, y1) = window
+    pts = []
+    for x in np.linspace(x0, x1, n):
+        for y in np.linspace(y0, y1, n):
+            try:
+                normalize_roots(field, (x, y), order=1)
+            except (SingularPointError, DegenerateFieldError):
+                continue
+            pts.append((x, y))
+    return np.array(pts).T
+
+
+ARRAY_FIELDS = {
+    "web A": solution_potential("A").characteristic_field(),
+    "web B": solution_potential("B").characteristic_field(),
+    "symmetry-losing": symmetry_losing_web(),
+    "control": CONTROL_GENERIC,
+}
+
+
+class TestPointArrays:
+    @pytest.mark.parametrize("name", ARRAY_FIELDS)
+    def test_roots_and_triples_equal_stacked_single_points(self, name):
+        f = ARRAY_FIELDS[name]
+        x, y = regular_grid(f)
+        assert len(x) >= 10
+        co = np.array([f.coeffs(*p) for p in zip(x, y)])
+        assert np.array_equal(bits(roots_proj(co)),
+                              bits([roots_proj(c) for c in co]))
+        targets = np.exp(0.3j * np.arange(len(x))) * 2.0
+        for order, lam_target in [(0, None), (1, None), (1, targets)]:
+            got = normalize_roots(f, (x, y), order=order,
+                                  lam_target=lam_target)
+            for i, p in enumerate(zip(x, y)):
+                t = None if lam_target is None else lam_target[i]
+                want = normalize_roots(f, p, order=order, lam_target=t)
+                assert np.array_equal(bits(got.lam[i]), bits(want.lam))
+                for (P, Q), (Pw, Qw) in zip(got.sigma, want.sigma):
+                    assert np.array_equal(bits(P.c[i]), bits(Pw.c))
+                    assert np.array_equal(bits(Q.c[i]), bits(Qw.c))
+
+    def test_rows_in_both_charts_and_with_zero_end_coefficients(self):
+        co = np.array([
+            [1.0, 0.3, -2.0, 0.5],         # |a| >= |r|: slope chart
+            [0.2, 1.0, -1.0, 3.0],         # |r| > |a|: inverse-slope chart
+            [1.0, -3.0, 2.0, 0.0],         # numpy.roots drops r = 0 ...
+            [0.0, 1.0, -1.0, 3.0],         # ... and a = 0 in the other chart
+            [1.0, 0.0, 1.0, 1.0],          # a conjugate pair: tied sort keys
+            [2.0 + 1j, 0.5j, -1.0, 1e-13],
+            [1e-15, 2.0, -1.0, 1.0 - 1j],
+        ], dtype=complex)
+        got = roots_proj(co)
+        assert np.array_equal(bits(got), bits([roots_proj(c) for c in co]))
+        assert np.array_equal(bits(roots_proj(co[[2, 4]].reshape(2, 1, 4))),
+                              bits(got[[2, 4]].reshape(2, 1, 3, 2)))
+        for c, row in zip(co, got):
+            for p, q in row:
+                assert abs(cubic_value(c, p, q)) < 1e-12
+
+    def test_random_rows_and_near_ties_equal_single_rows(self):
+        # real rows carry conjugate pairs (equal real parts up to rounding);
+        # the built rows put two slopes' real parts within and across a
+        # 1e-12 rounding step of each other
+        rng = np.random.default_rng(8572)
+        co = [rng.standard_normal((300, 4)),
+              rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))]
+        for gap in (0.0, 1e-16, 1e-13, 4.9e-13, 5e-13, 1e-12, 3e-12, 2e-11):
+            for re in (0.25, 0.3333333333335, -0.7, 1.5, 12.0):
+                a, b = re + 0.2j, re + gap - 0.4j
+                c = complex(rng.standard_normal(), rng.standard_normal())
+                co.append(np.array([[1.0, -(a + b + c), a * b + a * c + b * c,
+                                     -a * b * c]]))
+        co = np.concatenate(co)
+        assert np.array_equal(bits(roots_proj(co)),
+                              bits([roots_proj(c) for c in co]))
+
+    def test_errors_name_the_first_offending_point(self):
+        zero = PolyExpr.zero()
+        x = PolyExpr.var(0, 2)
+        f = PolyCoeffField(x, zero, x, zero)  # vanishes on x = 0
+        xs = np.array([0.5, 0.0, -0.3, 0.0])
+        with pytest.raises(DegenerateFieldError,
+                           match=r"vanish at \(0\.0, 0\.25\)"):
+            normalize_roots(f, (xs, np.array([0.1, 0.25, 0.3, 0.4])))
+        # p^3 - p q^2 = p (p - q)(p + q) has simple roots; a p^3 does not
+        cube = PolyCoeffField(PolyExpr.const(1, 2), zero, zero, zero)
+        with pytest.raises(SingularPointError, match="repeated root"):
+            normalize_roots(cube, (np.zeros(3), np.ones(3)))

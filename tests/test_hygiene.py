@@ -1,10 +1,13 @@
-"""Import hygiene: every name a module imports is read somewhere in it.
+"""Import hygiene: every name a module imports is read somewhere in it,
+and every name the benchmark reads from the package still exists.
 
 An AST scan of the modules under src/ and tests/; package __init__.py files
 are exempt because their imports are the package's re-exports.
 """
 
 import ast
+import dataclasses
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,42 @@ def test_scan_finds_unread_imports():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# Names the benchmark reads from outside the package.  perfbench/ rebinds
+# them by name and its hooks read result fields, so a rename must fail here
+# rather than in a benchmark run.
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    traced = load_tracing().TRACED
+    assert len(traced) >= 30
+    for owner, attr, _span, _hook in traced:
+        assert callable(getattr(owner, attr)), (owner, attr)
+
+
+def test_names_the_benchmark_self_test_reads():
+    import hexweb.cli
+    import hexweb.webgeo
+
+    assert callable(hexweb.cli.integrate_leaf)
+    assert callable(hexweb.cli.normalize_roots)
+    assert hexweb.webgeo.gamma_cubic is hexweb.chern.gamma_cubic
+
+
+@pytest.mark.parametrize("cls,name", [("Leaf", "points"),
+                                      ("Leaf", "termination"),
+                                      ("FirstIntegralState", "nodes")])
+def test_result_fields_the_tracer_hooks_read(cls, name):
+    import hexweb.webgeo
+
+    fields = dataclasses.fields(getattr(hexweb.webgeo, cls))
+    assert name in {f.name for f in fields}

@@ -4,6 +4,7 @@ closed-form series."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hexweb.jets import (DEFAULT_ORDER, Jet, JetError, PolyExpr, compose_series,
                          jet_cbrt, jet_pow, jet_tan,
@@ -367,3 +368,95 @@ class TestRingLaws:
                     op(a, bad)
                 with pytest.raises(JetError):
                     op(bad, a)
+
+
+# ---------------------------------------------------------------------------
+# The batch axis: a batch of jets equals its elements taken one by one
+
+BATCHES = st.sampled_from([(), (1,), (5,), (2, 3)])
+
+
+def batch_of(data, shape, order, const=None):
+    """A jet over the batch shape (base points along it, random triangles;
+    const sets the constant terms) and its elements as single jets."""
+    n = order + 1
+    part = arrays(np.float64, shape + (n, n), elements=st.floats(-1.0, 1.0))
+    c = data.draw(part) + 1j * data.draw(part)
+    c[..., ~(np.arange(n)[:, None] + np.arange(n) <= order)] = 0.0
+    if const is not None:
+        c[..., 0, 0] = const
+    x = np.linspace(-1.0, 1.0, max(1, int(np.prod(shape)))).reshape(shape)
+    batch = Jet((x, x + 2.0), order, c)
+    return batch, {i: Jet((x[i], x[i] + 2.0), order, c[i].copy())
+                   for i in np.ndindex(shape)}
+
+
+def nonzero_constants(data, shape):
+    modulus = data.draw(arrays(np.float64, shape, elements=st.floats(0.5, 2.0)))
+    phase = data.draw(arrays(np.float64, shape,
+                             elements=st.floats(-np.pi, np.pi)))
+    return modulus * np.exp(1j * phase)
+
+
+class TestBatchAxis:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), BATCHES, st.integers(0, 3))
+    def test_operations_equal_their_elements_bit_for_bit(self, data, shape,
+                                                         order):
+        a, ea = batch_of(data, shape, order,
+                         const=nonzero_constants(data, shape))
+        b, eb = batch_of(data, shape, order)
+        f = data.draw(arrays(np.float64, shape, elements=st.floats(-2, 2)))
+        target = nonzero_constants(data, shape)
+        ops = [(lambda u, v, f, t: u * v),
+               (lambda u, v, f, t: u + v),
+               (lambda u, v, f, t: 2.0 - u * 3.5),
+               (lambda u, v, f, t: (u * f) * (v + f)),
+               (lambda u, v, f, t: Jet.constant(f, u.base, u.order) - v),
+               (lambda u, v, f, t: u.reciprocal()),
+               (lambda u, v, f, t: jet_pow(u, 0.5)),
+               (lambda u, v, f, t: jet_cbrt(u)),
+               (lambda u, v, f, t: jet_cbrt(u, target=t))]
+        ops += [(lambda u, v, f, t, k=k: u.truncate(k))
+                for k in range(order + 1)]
+        if order:
+            ops += [(lambda u, v, f, t, k=k: u.deriv(k)) for k in (0, 1)]
+        for op in ops:
+            got = op(a, b, f, target).c
+            assert got.shape == shape + (got.shape[-1],) * 2
+            for i in np.ndindex(shape):
+                want = op(ea[i], eb[i], f[i], target[i]).c
+                assert same_bits(got[i], want)
+
+    def test_single_jet_values_are_numpy_scalars(self):
+        # scalar code keeps numpy's scalar arithmetic, which rounds complex
+        # products unlike its vectorised loops
+        a = random_jet(order=2)
+        assert isinstance(a.value, np.complex128)
+        assert isinstance(a.reciprocal().value, np.complex128)
+
+    def test_mismatched_batch_bases_raise(self):
+        c = np.ones((3, 2, 2), dtype=complex)
+        x = np.array([0.0, 0.1, 0.2])
+        a = Jet((x, x), 1, c)
+        assert np.array_equal((a * Jet((x.copy(), x), 1, c)).c, (a * a).c)
+        with pytest.raises(JetError):
+            a * Jet((x + 1.0, x), 1, c)
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_lift_of_real_points_equals_single_lifts(self, order):
+        # every product has a real factor at real points, and integer powers
+        # agree up to the sign of a zero imaginary part: the lifts agree bit
+        # for bit (negative coordinates and signed zeros included)
+        rng = np.random.default_rng(4000 + order)
+        x = PolyExpr.var(0, 2)
+        y = PolyExpr.var(1, 2)
+        p = (x * y * y * y * (2.5 - 1j) + x * x * x * x * x * 3
+             - y * y * (0.7 + 2j) + PolyExpr.const(1.25, 2))
+        pts = rng.uniform(-2.0, 2.0, (2, 4, 3))
+        pts[:, 0, 0] = 0.0
+        pts[0, 1, 1] = -0.0
+        got = p.jet(pts, order).c
+        for i in np.ndindex(pts.shape[1:]):
+            want = p.jet((pts[0][i], pts[1][i]), order).c
+            assert same_bits(got[i], want)

@@ -4,15 +4,16 @@ scaling symmetries."""
 import numpy as np
 import pytest
 
-from hexweb.chern import curvature, integrate_gamma
-from hexweb.cubic import (PolyCoeffField, SingularPointError,
-                          normalize_roots, proj_distance, roots_proj)
+from hexweb.chern import curvature, gamma_cubic, integrate_gamma
+from hexweb.cubic import (DegenerateFieldError, PolyCoeffField,
+                          SingularPointError, normalize_roots, proj_distance,
+                          roots_proj)
 from hexweb.frobenius import solution_potential
 from hexweb.jets import PolyExpr
 from hexweb.singular import symmetry_losing_web
-from hexweb.webgeo import (LeafIntegrationError, _first_crossing,
-                           first_integrals, integrate_leaf, leaf_through,
-                           real_directions, symmetry_residual,
+from hexweb.webgeo import (FI_STEP, FirstIntegralState, LeafIntegrationError,
+                           _first_crossing, first_integrals, integrate_leaf,
+                           leaf_through, real_directions, symmetry_residual,
                            thomsen_closure)
 from webs import X, Y, CONTROL_GENERIC, CONTROL_SLOPES as CONTROL, slope_web
 
@@ -253,6 +254,118 @@ class TestFirstIntegrals:
         st2 = first_integrals(FIELD_A, base, path[:2] + path[1:])
         assert st2.k_end == st1.k_end
         assert np.array_equal(st2.u_end, st1.u_end)
+
+
+def first_integrals_per_node(field, base, path):
+    """Reference: first_integrals with gamma and the normalized triple
+    evaluated one node at a time, each triple labelled and branched from
+    the last."""
+    pts = np.asarray(path, dtype=float)
+    if np.linalg.norm(pts[0] - np.asarray(base, dtype=float)) > 1e-12:
+        raise ValueError("path must start at the base point")
+    nodes = [pts[:1]]
+    for P0, P1 in zip(pts[:-1], pts[1:]):
+        n = max(2, int(np.ceil(np.linalg.norm(P1 - P0) / FI_STEP)))
+        n += n % 2
+        nodes.append(P0 + (np.arange(1, n + 1) / n)[:, None] * (P1 - P0))
+    nodes = np.concatenate(nodes)
+    gam, sig, lam = [], [], None
+    for x, y in nodes:
+        gam.append(gamma_cubic(field, (x, y), order=0).values())
+        triple = normalize_roots(field, (x, y), order=0, lam_target=lam,
+                                 label_ref=sig[-1] if sig else None)
+        sig.append(triple.values())
+        lam = triple.lam
+    pair = 2 * np.arange(len(nodes) // 2)[:, None] + np.arange(3)
+    dP = nodes[pair[:, 1]] - nodes[pair[:, 0]]
+
+    def integral(f):
+        zero = np.zeros((1,) + f.shape[2:])
+        steps = (f[:, 0] + 4 * f[:, 1] + f[:, 2]) / 3.0
+        ends = np.cumsum(np.concatenate([zero, steps]), axis=0)
+        out = np.empty((len(nodes),) + f.shape[2:], dtype=complex)
+        out[0::2] = ends
+        out[1::2] = ends[:-1] + (f[:, 0] * 5 + f[:, 1] * 8 - f[:, 2]) / 12.0
+        return out
+
+    k = np.exp(-integral(np.einsum("pjc,pc->pj", np.array(gam)[pair], dP)))
+    k[0] = 1.0
+    u = integral(k[pair][:, :, None]
+                 * np.einsum("pjmc,pc->pjm", np.array(sig)[pair], dP))
+    return FirstIntegralState(nodes=nodes, k=k, u=u,
+                              abelian_residual=float(np.max(np.abs(
+                                  u.sum(axis=1)))))
+
+
+def criterion_6_paths():
+    """The paths of acceptance criterion 6 (same generator and seed): per
+    fixture ten random three-segment paths and a two-path pair, in order."""
+    rng = np.random.default_rng(106)
+    fixtures = [
+        (FIELD_A, (0.0, 1.0), ((-0.45, 0.45), (0.7, 1.35))),
+        (solution_potential("B").characteristic_field(), (0.0, 0.0),
+         ((-0.8, 0.8), (-0.8, 0.8))),
+        (symmetry_losing_web(), (0.5, 0.7), ((0.25, 0.75), (0.45, 1.0))),
+    ]
+    out = []
+    for field, base, ((x0, x1), (y0, y1)) in fixtures:
+        for _ in range(10):
+            out.append((field, base, [base] + [
+                (rng.uniform(x0, x1), rng.uniform(y0, y1)) for _ in range(3)]))
+        end = (0.5 * (x0 + x1), 0.75 * y1 + 0.25 * y0)
+        for fx, fy in ((0.3, 0.6), (0.7, 0.7)):
+            mid = (x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
+            out.append((field, base, [base, mid, end]))
+    return out
+
+
+def state_bytes(st):
+    return (st.nodes.tobytes(), st.k.tobytes(), st.u.tobytes(),
+            np.float64(st.abelian_residual).tobytes())
+
+
+class TestFirstIntegralsOnArrays:
+    @pytest.mark.parametrize("index", [0, 10, 11, 12, 22, 23, 24, 34, 35])
+    def test_equal_to_the_per_node_loop(self, index):
+        # a random path and the two-path pair of each criterion-6 fixture;
+        # the per-node reference costs 0.5-1.5 s a path
+        field, base, path = criterion_6_paths()[index]
+        assert (state_bytes(first_integrals(field, base, path))
+                == state_bytes(first_integrals_per_node(field, base, path)))
+
+    @pytest.mark.parametrize("path", [
+        [(0.0, 1.0)],
+        [(0.0, 1.0), (0.1, 1.05), (0.1, 1.05), (0.05, 1.2)],
+        [(0.0, 1.0), (0.1, 1.05), (0.05, 1.2), (0.05, 1.2)],
+    ], ids=["one point", "repeated vertex", "repeated end"])
+    def test_degenerate_paths_equal_the_per_node_loop(self, path):
+        assert (state_bytes(first_integrals(FIELD_A, path[0], path))
+                == state_bytes(first_integrals_per_node(FIELD_A, path[0],
+                                                        path)))
+
+    def test_node_on_the_discriminant_is_named(self):
+        # web A's discriminant 32 y^3 = 27 x^2 passes the vertex (0, 0)
+        path = [(0.0, 0.5), (0.0, 0.0), (0.1, 0.3)]
+        with pytest.raises(SingularPointError) as single:
+            gamma_cubic(FIELD_A, (np.float64(0.0), np.float64(0.0)))
+        with pytest.raises(SingularPointError) as err:
+            first_integrals(FIELD_A, path[0], path)
+        assert str(err.value) == str(single.value)
+        assert "(0.0, 0.0)" in str(err.value)
+
+    def test_vanishing_field_raises_degenerate(self):
+        f = PolyCoeffField(X, Y, X, Y)  # every coefficient vanishes at 0
+        with pytest.raises(DegenerateFieldError, match=r"\(0\.0, 0\.0\)"):
+            first_integrals(f, (0.5, 0.5), [(0.5, 0.5), (0.0, 0.0)])
+
+    def test_one_lift_per_path(self, monkeypatch):
+        lifts = []
+        lift = PolyCoeffField.coeff_jets
+        monkeypatch.setattr(PolyCoeffField, "coeff_jets",
+                            lambda *a: lifts.append(1) or lift(*a))
+        st = first_integrals(FIELD_A, (0.0, 1.0),
+                             [(0.0, 1.0), (0.3, 1.1), (0.2, 1.3)])
+        assert len(lifts) == 1 and len(st.nodes) > 100
 
 
 class TestSymmetry:
