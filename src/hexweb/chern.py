@@ -106,6 +106,9 @@ def gamma_from_jets(coeff_jets, x, y):
 # Depressed-form formula
 
 
+DEPRESSED_DEN_TOL = 1e-12  # scaled |4A^3 + 27B^2| at which (A, B) is singular
+
+
 def gamma_depressed_from_AB(A, B):
     """Connection components from (A, B) jets of order >= 1."""
     Ax, Ay = A.deriv(0), A.deriv(1)
@@ -113,7 +116,8 @@ def gamma_depressed_from_AB(A, B):
     k = Ax.order
     A, B = A.truncate(k), B.truncate(k)
     den = 4 * A * A * A + 27 * B * B
-    if abs(den.value) <= 1e-12 * (1.0 + max(abs(A.value), abs(B.value))) ** 3:
+    if abs(den.value) <= DEPRESSED_DEN_TOL * (
+            1.0 + max(abs(A.value), abs(B.value))) ** 3:
         raise SingularPointError(
             f"4A^3 + 27B^2 ~ 0: {abs(den.value):.3e}", disc=den.value)
     inv = den.reciprocal()
@@ -123,6 +127,7 @@ def gamma_depressed_from_AB(A, B):
 
 
 K2_TOL = 1e-9  # relative size of a quadratic term that counts as absent
+K2_LEAD_FLOOR = 1e-3  # least relative leading coefficient in that test
 
 
 def gamma_depressed(field, point, order=0):
@@ -141,7 +146,7 @@ def gamma_depressed(field, point, order=0):
     k3, k2, k0, k1 = -co[0], co[1], co[3], -co[2]
     lead, quad = (k3, k2) if abs(k3) >= abs(k0) else (k0, k1)
     scale = 1.0 + float(np.max(np.abs(co)))
-    if abs(quad) <= K2_TOL * scale * max(abs(lead) / scale, 1e-3):
+    if abs(quad) <= K2_TOL * scale * max(abs(lead) / scale, K2_LEAD_FLOOR):
         dep = depress_jets(jets, x, y)
         if dep.chart == "yx":
             # the depressed cubic lives in swapped coordinates: transpose

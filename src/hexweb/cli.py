@@ -249,6 +249,8 @@ def _field_of(obj):
 
 
 SAMPLE_DMIN_FACTOR = 1e-3  # scaled |D| below which a random sample is dropped
+CLOSURE_LEAF_TOL = 1e-10  # leaf tolerance of the closure hexagon
+NF2_GAMMA_TOL = 1e-12  # |gamma| of normal form 2 that counts as zero
 
 
 def _random_regular_points(field, window, rng, count):
@@ -368,7 +370,7 @@ def run_closure(obj, cfg, rng, report, outdir):
     base = tuple(cfg.get("base", [0.0, 1.0]))
     eps = float(cfg.get("eps", 0.05))
     tol = cfg["tolerances"]
-    rep = thomsen_closure(field, base, eps, tol=1e-10)
+    rep = thomsen_closure(field, base, eps, tol=CLOSURE_LEAF_TOL)
     ok = rep.gap <= tol["closure_gap"]
     report["closure"] = {
         "base": list(rep.base),
@@ -433,7 +435,7 @@ def run_normalforms(obj, cfg, rng, report, outdir):
             try:
                 co = nf.field.coeffs(x, y)
                 D = discriminant_of_coeffs(*co)
-                if abs(D) <= 1e-3 * discriminant_scale(co):
+                if abs(D) <= SAMPLE_DMIN_FACTOR * discriminant_scale(co):
                     continue  # too close to the discriminant for a sharp test
                 worst_k = max(worst_k, abs(
                     curvature(nf.field, (x, y), route="cubic").K))
@@ -455,7 +457,7 @@ def run_normalforms(obj, cfg, rng, report, outdir):
             g = gamma_depressed(nf.field, (0.3, 0.4))
             gnorm = g.norm()
             entry["gamma_norm"] = gnorm
-            entry["pass"] = entry["pass"] and gnorm <= 1e-12
+            entry["pass"] = entry["pass"] and gnorm <= NF2_GAMMA_TOL
         entries.append(entry)
         ok_all = ok_all and entry["pass"]
     fres = {}

@@ -8,7 +8,6 @@ hence leaf slope dy/dx = -p_i/q_i.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ class DirectionField:
         raise NotImplementedError
 
     def coeffs(self, x, y):
-        return np.array([j.value for j in self.coeff_jets(x, y, 0)])
+        return coeff_values(self.coeff_jets(x, y, 0))
 
     def check_nondegenerate(self, x, y):
         return nonvanishing(self.coeffs(x, y), x, y)
@@ -143,136 +142,55 @@ def discriminant_scale(coeffs):
     return (1.0 + np.max(np.abs(coeffs), axis=-1)) ** 4
 
 
+REGULAR_DISC_TOL = 1e-12  # scaled |D| at or below which a point is singular
+
+
 def regular_cutoff(coeffs):
-    return 1e-12 * discriminant_scale(coeffs)
+    return REGULAR_DISC_TOL * discriminant_scale(coeffs)
 
 
-# Python's complex arithmetic, elementwise on arrays.  The roots of a single
-# point are formed in Python complex numbers; these let arrays of points
-# round exactly as they do (numpy's complex division multiplies by a
-# reciprocal, and its abs takes another hypot).  Numbers pass straight to
-# Python's operators.
-
-def _py_abs(z):
-    """abs(z); on an array, as Python rounds it: hypot(Re z, Im z)."""
-    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
-
-
-def _py_div(a, b):
-    """a / b; on arrays, as Python's complex division rounds it (Smith's
-    method, dividing by the scaled denominator)."""
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-        return a / b
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    big = np.abs(br) >= np.abs(bi)
-    ratio = np.where(big, bi, br) / np.where(big, br, bi)
-    denom = np.where(big, br + bi * ratio, br * ratio + bi)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = np.where(big, ar + ai * ratio, ar * ratio + ai) / denom
-    out.imag = np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
-    return out
-
-
-CHART_DEGENERATE_TOL = 1e-14  # scaled |a| = |r| below which no chart works
+CHART_DEGENERATE_TOL = 1e-14  # scaled |a| >= |r| at which neither chart works
+ROOT_SLOPE_TOL = 1e-12  # |q| / |p| below which a root counts as vertical
+SORT_SCALE = 1e12  # the roots sort by Re, Im of their slope rounded to 1/this
 
 
 def roots_proj(coeffs):
-    """Three projective roots [p_i : q_i] of C(p, q) = 0.
+    """Three projective roots [p_i : q_i] of C(p, q) = 0 per coefficient row.
 
-    Each root is returned as a complex pair normalized to unit max component.
-    Solved on the affine chart with the better-conditioned leading
-    coefficient (companion matrix via numpy.roots).  An array (..., 4) of
-    coefficient rows gives an array (..., 3, 2), each row exactly as
-    its coefficient tuple would give it (``_roots_rows``).
+    coeffs is a row (4,) or an array of rows (..., 4); the roots come back
+    as (..., 3, 2), each a complex pair scaled to unit max component.  Each
+    row is solved on the affine chart of its larger end coefficient, as the
+    eigenvalues of its companion matrix (all rows in one eigvals call).  The
+    roots are labelled in a fixed order: finite slopes w = p/q first (else
+    w = q/p), then by Re w and Im w rounded to 12 decimals.  A row is a
+    batch of one, so a row in a batch gives exactly the floats it gives
+    alone.
     """
-    if np.ndim(coeffs) > 1:
-        rows = np.asarray(coeffs, dtype=complex).reshape(-1, 4)
-        return _roots_rows(rows).reshape(np.shape(coeffs)[:-1] + (3, 2))
-    a, b, c, r = (complex(v) for v in coeffs)
-    scale = max(abs(a), abs(b), abs(c), abs(r))
-    if scale == 0:
-        raise DegenerateFieldError("all cubic coefficients are zero")
-    a, b, c, r = a / scale, b / scale, c / scale, r / scale
-    if abs(a) >= abs(r):
-        # chart q = 1, slope s = p/q: a s^3 + b s^2 + c s + r = 0
-        if abs(a) < CHART_DEGENERATE_TOL:
-            raise DegenerateFieldError("cubic degenerate in both charts")
-        out = [_unitize((s, 1.0)) for s in np.roots([a, b, c, r])]
-    else:
-        # chart p = 1, v = q/p: r v^3 + c v^2 + b v + a = 0
-        out = [_unitize((1.0, v)) for v in np.roots([r, c, b, a])]
-    return sorted(out, key=_root_sort_key)
-
-
-def _roots_rows(rows):
-    """roots_proj of each row of rows (n, 4): the companion matrices as
-    numpy.roots builds them, stacked into one eigvals call, the scaling and
-    unitizing in Python's rounding, and one lexsort.  A row that numpy.roots
-    would trim (an exactly zero end coefficient) or whose order under
-    _root_sort_key rounding could change is solved by roots_proj alone."""
-    scale = np.max(_py_abs(rows), axis=1, keepdims=True)
-    if (scale == 0).any():
-        raise DegenerateFieldError("all cubic coefficients are zero")
-    scaled = _py_div(rows, scale)  # Python divides by a float as by x + 0j
-    lead = _py_abs(scaled[:, 0])
-    chart = lead >= _py_abs(scaled[:, 3])  # slope chart, as in roots_proj
-    if (chart & (lead < CHART_DEGENERATE_TOL)).any():
-        raise DegenerateFieldError("cubic degenerate in both charts")
-    poly = np.where(chart[:, None], scaled, scaled[:, ::-1])
-    companion = np.zeros((len(poly), 3, 3), dtype=complex)
-    companion[:, 0] = -poly[:, 1:] / poly[:, :1]
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    co = np.asarray(coeffs, dtype=complex)
+    mag = np.abs(co)
+    scale = np.maximum.reduce(mag, axis=-1)
+    chart = mag[..., 0] >= mag[..., 3]  # slope chart q = 1: a s^3 + .. + r
+    if (chart & (mag[..., 0] <= CHART_DEGENERATE_TOL * scale)).any():
+        raise DegenerateFieldError("all cubic coefficients are zero"
+                                   if not scale.all() else
+                                   "cubic degenerate in both charts")
+    chart = chart[..., None]
+    poly = np.where(chart, co, co[..., ::-1])  # else p = 1: r v^3 + .. + a
+    companion = np.zeros(co.shape[:-1] + (3, 3), dtype=complex)
+    np.divide(poly[..., 1:], -poly[..., :1], out=companion[..., 0, :])
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
     s = np.linalg.eigvals(companion)
-    one = np.ones_like(s)
-    p, q = np.where(chart[:, None], s, one), np.where(chart[:, None], one, s)
-    m = np.maximum(_py_abs(p), _py_abs(q))
-    p, q = _py_div(p, m), _py_div(q, m)
-    pq = np.stack([p, q], axis=-1)
-    # _root_sort_key compares (kind, round(Re w, 12), round(Im w, 12)) of the
-    # slope w; numpy's division puts w a few ulps from Python's.  Two keys
-    # of one kind are ordered safely by Re w when the real parts are well
-    # apart, or, when both real parts lie in one 1e-12 rounding bucket away
-    # from its edges (a conjugate pair, say), by Im w when those are apart.
-    finite = _py_abs(q) >= ROOT_SLOPE_TOL * _py_abs(p)
-    w = np.where(finite, p, q) / np.where(finite, q, p)
-    t = w.real * 1e12
-    bucket = np.floor(t + 0.5)
-    inside = (np.abs(w.real) <= 1.0) & (np.abs(t - np.floor(t) - 0.5) > 0.01)
-    i, j = (0, 0, 1), (1, 2, 2)
-
-    def apart(v):
-        return np.abs(v[:, i] - v[:, j]) > SORT_TIE_TOL * (
-            1 + np.abs(v[:, i]) + np.abs(v[:, j]))
-
-    one_bucket = (bucket[:, i] == bucket[:, j]) & inside[:, i] & inside[:, j]
-    safe = ((finite[:, i] != finite[:, j]) | apart(w.real)
-            | (one_bucket & apart(w.imag)))
-    pq = np.take_along_axis(
-        pq, np.lexsort((w.imag, bucket, ~finite))[..., None], axis=1)
-    for r in np.flatnonzero(~safe.all(axis=1) | (poly[:, 3] == 0)):
-        pq[r] = roots_proj(rows[r])
-    return pq
-
-
-ROOT_SLOPE_TOL = 1e-12  # |q| / |p| below which a root counts as vertical
-SORT_TIE_TOL = 1e-11  # relative gap of sort keys that rounding cannot close
-
-
-def _root_sort_key(pq):
-    """Fixed labeling rule: finite slopes first, lexicographic in (Re, Im)."""
-    p, q = pq
-    if abs(q) >= ROOT_SLOPE_TOL * abs(p):
-        s = p / q
-        return (0, round(s.real, 12), round(s.imag, 12))
-    v = q / p
-    return (1, round(v.real, 12), round(v.imag, 12))
-
-
-def _unitize(pq):
-    p, q = complex(pq[0]), complex(pq[1])
-    m = max(abs(p), abs(q))
-    return (p / m, q / m)
+    size = np.abs(s)
+    finite = np.where(chart, size <= 1 / ROOT_SLOPE_TOL,
+                      size >= ROOT_SLOPE_TOL)
+    as_is = chart == finite  # s is the sort value w, else 1 / s is
+    w = np.where(as_is, s, 1.0) / np.where(as_is, 1.0, s)
+    key = np.rint(w * SORT_SCALE)
+    s = np.take_along_axis(s, np.lexsort((key.imag, key.real, ~finite)), -1)
+    pq = np.empty(s.shape + (2,), dtype=complex)
+    pq[..., 0] = np.where(chart, s, 1.0)
+    pq[..., 1] = np.where(chart, 1.0, s)
+    return pq / np.maximum(np.abs(s), 1.0)[..., None]
 
 
 def proj_distance(u, v):
@@ -350,47 +268,34 @@ ROOT_SEP_TOL = 1e-8  # projective separation below which roots coincide
 
 def _root_jets(coeff_jets, x, y, order, root_values):
     """root_jets from the field's coefficient jets at (x, y).  For arrays of
-    points the jets run over them and the root values are an array
-    (..., 3, 2); a single point's values are three (p, q) pairs."""
-    ja, jb, jc, jr = coeff_jets
-    vals = root_values if root_values is not None else roots_proj(
-        coeff_values(coeff_jets))
-    if isinstance(vals, np.ndarray):
-        vals = [(vals[..., i, 0], vals[..., i, 1]) for i in range(3)]
-    seps = [proj_distance(u, v) for u, v in itertools.combinations(vals, 2)]
-    sep = functools.reduce(np.minimum, seps)
+    points the jets run over them; the root values are (..., 3, 2), or
+    three (p, q) pairs for one point.  The three roots ride a leading batch
+    axis (3, ...) through one Newton pass, each on its own chart."""
+    if root_values is None:
+        root_values = roots_proj(coeff_values(coeff_jets))
+    p0, q0 = np.moveaxis(np.asarray(root_values), (-1, -2), (0, 1))
+    i, j = [0, 0, 1], [1, 2, 2]
+    seps = proj_distance((p0[i], q0[i]), (p0[j], q0[j]))
+    sep = seps.min(axis=0)
     bad = sep < ROOT_SEP_TOL
     if any_set(bad):
-        worst = functools.reduce(np.maximum, seps)
-        x, y, sep, worst = at_first(bad, x, y, sep, worst)
+        x, y, sep, worst = at_first(bad, x, y, sep, seps.max(axis=0))
         raise SingularPointError(
             f"repeated root at ({x}, {y}), separation {sep:.2e}",
             multiplicity=3 if worst < ROOT_SEP_TOL else 2)
-    out = []
-    one = ja._constant(1.0)
-    for p0, q0 in vals:
-        # chart q = 1 (slope s = p/q) where |q| >= |p|, else chart p = 1
-        chart = _py_abs(q0) >= _py_abs(p0)
-        s0 = _py_div(*_chart_pick(chart, (p0, q0), (q0, p0)))
-        s = _newton_root_jet(_chart_pick(chart, (ja, jb, jc, jr),
-                                         (jr, jc, jb, ja)), s0, order)
-        out.append(_chart_pick(chart, (s, one), (one, s)))
-    return out
-
-
-def _chart_pick(chart, u, v):
-    """The members of u where chart is set and those of v elsewhere; u and
-    v are tuples of jets or of numbers (arrays of them for a batch)."""
-    if not isinstance(chart, np.ndarray):
-        return u if chart else v
-    if chart.all():
-        return u
-    if not chart.any():
-        return v
+    # chart q = 1 (slope s = p/q) where |q| >= |p|, else chart p = 1 with
+    # the coefficients reversed
+    chart = np.abs(q0) >= np.abs(p0)
+    s0 = np.where(chart, p0, q0) / np.where(chart, q0, p0)
     mask = chart[..., None, None]
-    return tuple(Jet._raw(a.base, a.order, np.where(mask, a.c, b.c))
-                 if isinstance(a, Jet) else np.where(chart, a, b)
-                 for a, b in zip(u, v))
+    c = np.stack([jet.c for jet in coeff_jets])[:, None]
+    base = coeff_jets[0].base
+    s = _newton_root_jet([Jet._raw(base, order, ci)
+                          for ci in np.where(mask, c, c[::-1])], s0, order)
+    one = s._constant(1.0).c
+    p, q = np.where(mask, s.c, one), np.where(mask, one, s.c)
+    return [(Jet._raw(base, order, p[k]), Jet._raw(base, order, q[k]))
+            for k in range(3)]
 
 
 SIMPLE_ROOT_TOL = 1e-13  # relative |P'(s0)| below which a root is multiple
@@ -448,9 +353,12 @@ def normalize_roots(field, point, order=1, label_ref=None, lam_target=None):
     """Normalized, exactly-factorizing root triple with jets.
 
     The point may be a pair of arrays: the triple's jets then run over
-    those points and lam is an array.  label_ref: optional reference triple
-    of projective pairs used to order the roots of a single point (path
-    continuation); lam_target: preferred cube-root branch (per point).
+    those points and lam is an array.  The roots come from one roots_proj
+    call and keep its fixed labels, unless label_ref (a reference triple
+    of projective pairs, for a single point) relabels them by match_roots
+    for path continuation; the connection built from the triple does not
+    depend on the labels.  lam_target: preferred cube-root branch (per
+    point).
     """
     x, y = point
     jets = field.coeff_jets(x, y, order)

@@ -197,6 +197,8 @@ def _canonical_sort(vectors):
 
 SPLIT_TOL = 1e-8  # relative eigenvalue gap (and |kappa|) forcing a redraw
 SPLIT_TRIES = 8  # draws of the randomized multiplication operator
+IDEMPOTENT_TOL = 1e-7  # relative residual of e * e = e
+PARTITION_TOL = 1e-6  # relative residual of e1 + e2 + e3 = 1
 
 
 def idempotents(fp, rng=None):
@@ -228,7 +230,7 @@ def idempotents(fp, rng=None):
                 ok = False
                 break
             e = u / kappa
-            if np.max(np.abs(multiply(e, e, fp) - e)) > 1e-7 * (
+            if np.max(np.abs(multiply(e, e, fp) - e)) > IDEMPOTENT_TOL * (
                     1.0 + np.max(np.abs(e)) ** 2):
                 ok = False
                 break
@@ -236,7 +238,7 @@ def idempotents(fp, rng=None):
         if not ok:
             continue
         total = out[0] + out[1] + out[2]
-        if np.max(np.abs(total - np.array([1.0, 0, 0]))) > 1e-6 * (
+        if np.max(np.abs(total - np.array([1.0, 0, 0]))) > PARTITION_TOL * (
                 1.0 + np.max(np.abs(out))):
             continue
         return _canonical_sort(out)
@@ -354,6 +356,9 @@ def theorem2_residual(pot, point, rng=None, table=None):
 # Series solutions of the associativity equations
 
 
+FXXX_VANISH_TOL = 1e-12  # |f_xxx| at the base at which case B fails
+
+
 def taylor_solve(case, data, order=8, x0=0.0):
     """Solve the associativity equation as a y-evolution from slice data.
 
@@ -371,7 +376,7 @@ def taylor_solve(case, data, order=8, x0=0.0):
     for k, fac in ((0, 1.0), (1, 1.0), (2, 0.5)):
         for j in range(order + 1 - k):
             U[j, k] = g[k].c[j, 0] * fac
-    if case == "B" and abs(6.0 * U[3, 0]) < 1e-12:
+    if case == "B" and abs(6.0 * U[3, 0]) < FXXX_VANISH_TOL:
         raise ValueError("f_xxx vanishes at the base point (case B)")
     one = Jet.constant(1.0, base, order - 3)
     for k in range(order - 2):

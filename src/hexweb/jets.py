@@ -420,13 +420,16 @@ def jet_cbrt(u, target=None):
     return r * np.reshape(factor, np.shape(roots))
 
 
+TAN_POLE_TOL = 1e-12  # |cos u0| below which tan(u) has a pole
+
+
 def jet_tan(u):
     """tan(u) via the Taylor recursion w' = 1 + w^2 at u's constant term."""
     t0 = u.value
     K = u.order
     c = np.zeros(K + 1, dtype=complex)
     c[0] = np.tan(t0)
-    if abs(np.cos(t0)) < 1e-12:
+    if abs(np.cos(t0)) < TAN_POLE_TOL:
         raise JetError("tan evaluated at a pole")
     for m in range(K):
         sq = sum(c[i] * c[m - i] for i in range(m + 1))

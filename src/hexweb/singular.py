@@ -16,8 +16,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cubic import (CallableJetField, PolyCoeffField, TranslatedField, depress,
-                    discriminant_of_coeffs, discriminant_scale, nonvanishing)
+from .cubic import (CallableJetField, PolyCoeffField, TranslatedField,
+                    coeff_values, depress, discriminant_of_coeffs,
+                    discriminant_scale, nonvanishing)
 from .jets import Jet, JetError, PolyExpr, compose_series, jet_pow, jet_tan
 from .webgeo import symmetry_residual
 
@@ -44,13 +45,14 @@ class DiscriminantTrace:
 def _disc_and_grad(field, x, y):
     jets = field.coeff_jets(x, y, 1)
     D = discriminant_of_coeffs(*jets)
-    co = np.array([j.value for j in jets])
     return (D.value, np.array([D.deriv(0).value, D.deriv(1).value]),
-            discriminant_scale(co))
+            discriminant_scale(coeff_values(jets)))
 
 
 TRACE_TOL = 1e-10  # scaled |D| at which a polished point is on the curve
 TRACE_SLACK = 0.02  # margin around the window, as a share of its sides
+POLISH_GRAD_FLOOR = 1e-28  # |grad D|^2 at which Newton polishing gives up
+TRACE_GRAD_FLOOR = 1e-12  # |grad D| at which tracing stops (a cusp, say)
 
 
 def _newton_polish(field, pt, iters=60):
@@ -61,7 +63,7 @@ def _newton_polish(field, pt, iters=60):
             return z, True
         g = g.real
         gg = float(g @ g)
-        if gg < 1e-28:
+        if gg < POLISH_GRAD_FLOOR:
             return z, False
         step = -D.real / gg * g
         if np.linalg.norm(step) > 1.0:
@@ -124,7 +126,7 @@ def trace_discriminant(field, window, n=32):
                 _, g, _ = _disc_and_grad(field, cur[0], cur[1])
                 g = g.real
                 ng = np.linalg.norm(g)
-                if ng < 1e-12:
+                if ng < TRACE_GRAD_FLOOR:
                     break  # singular point of the curve (e.g. a cusp)
                 t = np.array([-g[1], g[0]]) / ng
                 if prev_t is None:
@@ -150,6 +152,7 @@ def trace_discriminant(field, window, n=32):
 
 
 MULTIPLE_ROOT_TOL = 1e-8  # scaled |D| at which roots count as multiple
+TRIPLE_ROOT_TOL = 1e-6  # scaled |A|, |B| at which a multiple root is triple
 
 
 def root_multiplicity(field, point):
@@ -169,9 +172,8 @@ def root_multiplicity(field, point):
         return "1+1+1"
     dep = depress(field, point, order=0)
     lead = 1.0 + float(np.max(np.abs(co)))
-    ab_tol = 1e-6
-    if (abs(dep.A.value) <= ab_tol * lead ** 2
-            and abs(dep.B.value) <= ab_tol * lead ** 3):
+    if (abs(dep.A.value) <= TRIPLE_ROOT_TOL * lead ** 2
+            and abs(dep.B.value) <= TRIPLE_ROOT_TOL * lead ** 3):
         return "3"
     return "2+1"
 
@@ -196,6 +198,8 @@ def _f_ode_constant(m0):
 
 
 F_ODE_TOL = 1e-12  # rtol and atol of the F(t) ODE solve
+F_BRACKET_MARGIN = 1e-6  # quasi-linear factor at which the F solve halts
+F_DIFF_STEP = 1e-4  # relative step of the five-point difference of F
 
 
 def solve_F(m0, t_max=1.0):
@@ -212,7 +216,7 @@ def solve_F(m0, t_max=1.0):
         return C * (4.0 + 27.0 * F[0] ** 2) / (12.0 + 2 * t * t - 9 * t * F[0])
 
     def bracket(t, F):
-        return 12.0 + 2 * t * t - 9 * t * F[0] - 1e-6
+        return 12.0 + 2 * t * t - 9 * t * F[0] - F_BRACKET_MARGIN
 
     bracket.terminal = True
     bracket.direction = -1
@@ -234,7 +238,7 @@ def f_ode_residual(fs, ts):
     C = _f_ode_constant(fs.m0)
     worst = 0.0
     for t in ts:
-        d = 1e-4 * (1 + abs(t))
+        d = F_DIFF_STEP * (1 + abs(t))
         Fp = (fs(t - 2 * d) - 8 * fs(t - d) + 8 * fs(t + d)
               - fs(t + 2 * d)) / (12 * d)
         F = fs(t)

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chern
+from . import chern, cubic
 from .cubic import (SingularPointError, coeff_values, discriminant_of_coeffs,
                     discriminant_scale, match_roots, nonvanishing,
-                    normalization_core, proj_distance, regular_cutoff, roots,
-                    roots_proj)
+                    normalization_core, proj_distance, regular_cutoff, roots)
 from .jets import Jet, cbrt_factor, jet_cbrt
 
 
@@ -72,30 +71,35 @@ START_IMAG_TOL = 1e-7  # relative Im part of a complex start direction
 TRACK_IMAG_TOL = 1e-6  # relative Im part of a leaf's turning rate
 LEAF_MAX_STEP = 0.05  # longest leaf step
 LEAF_PROX_FACTOR = 1e-6  # |D| at which a leaf stops, scaled at its start
+LEAF_LENGTH_SLACK = 1e-14  # arclength short of the goal that ends a leaf
+LEAF_RETRY_STEP = 1e-10  # step at or below which a failed stage ends a leaf
+LEAF_MIN_STEP = 1e-12  # step at or below which a rejected step ends a leaf
 # cubic Hermite basis h00, h10, h01, h11 (rows) in powers 1, u, u^2, u^3
 HERMITE_BASIS = np.array([[1.0, 0.0, -3.0, 2.0], [0.0, 1.0, -2.0, 1.0],
                           [0.0, 0.0, 3.0, -2.0], [0.0, 0.0, -1.0, 1.0]])
 
 
 def real_directions(field, point):
-    """The three real leaf directions at a point as unit vectors.
+    """The three real leaf directions at a point as unit vectors (3, 2).
 
     Each direction is normalized to the upper half plane (angle in [0, pi))
-    and the list is sorted by angle; raises when any root is genuinely
+    and the rows are sorted by angle; raises when any root is genuinely
     complex (D <= 0 region).
     """
-    dirs = []
-    for p, q in roots(field, point):
-        v = np.array([q, -p])
-        if np.max(np.abs(v.imag)) > START_IMAG_TOL * np.max(np.abs(v)):
-            raise LeafIntegrationError(
-                f"complex leaf direction at {point} (D <= 0 region)")
-        u = v.real / np.linalg.norm(v.real)
-        if u[1] < 0 or (u[1] == 0 and u[0] < 0):
-            u = -u
-        dirs.append(u)
-    dirs.sort(key=lambda u: np.arctan2(u[1], u[0]) % np.pi)
-    return dirs
+    return _real_directions(field.coeffs(point[0], point[1]), point)
+
+
+def _real_directions(co, point):
+    """real_directions from the field's coefficients co at the point."""
+    p, q = cubic.roots_proj(nonvanishing(co, point[0], point[1])).T
+    v = np.stack([q, -p], axis=-1)
+    if (np.max(np.abs(v.imag), axis=1)
+            > START_IMAG_TOL * np.max(np.abs(v), axis=1)).any():
+        raise LeafIntegrationError(
+            f"complex leaf direction at {point} (D <= 0 region)")
+    u = v.real / np.linalg.norm(v.real, axis=1, keepdims=True)
+    u[(u[:, 1] < 0) | ((u[:, 1] == 0) & (u[:, 0] < 0))] *= -1
+    return u[np.argsort(np.arctan2(u[:, 1], u[:, 0]) % np.pi, kind="stable")]
 
 
 def _leaf_rate(field, state):
@@ -135,7 +139,7 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
     if abs(D0) <= regular_cutoff(co):
         raise SingularPointError(f"start on the discriminant: |D|={abs(D0):.2e}")
     prox = LEAF_PROX_FACTOR * discriminant_scale(co)
-    dirs = real_directions(field, (pt[0], pt[1]))
+    dirs = _real_directions(co, (pt[0], pt[1]))
     if branch not in (1, 2, 3):
         raise ValueError("branch must be 1, 2 or 3")
     sign = 1.0 if length >= 0 else -1.0
@@ -146,7 +150,7 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
     termination, s_done = "length", 0.0
     h = min(LEAF_MAX_STEP, total / 4 if total > 0 else LEAF_MAX_STEP)
     k1 = None
-    while s_done < total - 1e-14:
+    while s_done < total - LEAF_LENGTH_SLACK:
         h = min(h, total - s_done)
         try:
             if k1 is None:
@@ -157,14 +161,14 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
             k4, co = _leaf_rate(field, y_new)
             z_new = state + h * (7 * k1 / 24 + k2 / 4 + k3 / 3 + k4 / 8)
         except LeafIntegrationError:
-            if h > 1e-10:
+            if h > LEAF_RETRY_STEP:
                 h *= 0.25
                 continue
             termination = "discriminant-proximity"
             break
         err = float(np.max(np.abs(y_new - z_new)))
         if err > tol:
-            if h > 1e-12:
+            if h > LEAF_MIN_STEP:
                 h *= max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0))
                 continue
             termination = "discriminant-proximity"
@@ -307,6 +311,7 @@ class FirstIntegralState:
 
 
 FI_STEP = 0.004  # node spacing of the first-integral quadrature
+FI_BASE_TOL = 1e-12  # distance at which a path's first node is the base
 
 
 def first_integrals(field, base, path):
@@ -323,7 +328,7 @@ def first_integrals(field, base, path):
     discriminant.
     """
     pts = np.asarray(path, dtype=float)
-    if np.linalg.norm(pts[0] - np.asarray(base, dtype=float)) > 1e-12:
+    if np.linalg.norm(pts[0] - np.asarray(base, dtype=float)) > FI_BASE_TOL:
         raise ValueError("path must start at the base point")
     nodes = [pts[:1]]
     for P0, P1 in zip(pts[:-1], pts[1:]):
@@ -336,7 +341,8 @@ def first_integrals(field, base, path):
     jets = field.coeff_jets(x, y, 1)
     co = nonvanishing(coeff_values(jets), x, y)
     gam = np.stack(chern.gamma_from_jets(jets, x, y).values(), axis=-1)
-    sig = _continued_sigma([j.truncate(0) for j in jets], x, y, roots_proj(co))
+    sig = _continued_sigma([j.truncate(0) for j in jets], x, y,
+                           cubic.roots_proj(co))
 
     # composite Simpson on the pairs (2j, 2j + 1, 2j + 2) of equal steps dP
     pair = 2 * np.arange(len(nodes) // 2)[:, None] + np.arange(3)

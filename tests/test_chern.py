@@ -1,15 +1,18 @@
 """Web connection: route agreement, flatness, path integrals, transport."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from hexweb.chern import (blaschke_transport, corollary_residual, curvature,
                           dual_frame, exactness_potential, frame_components,
-                          gamma_cubic, gamma_depressed, gamma_from_definition,
+                          gamma_cubic, gamma_depressed,
+                          gamma_expressions_from_sigma, gamma_from_definition,
                           integrate_gamma)
 from hexweb.cubic import (PolyCoeffField, SingularPointError,
                           discriminant_of_coeffs, discriminant_scale,
-                          normalize_roots)
+                          normalize_roots, roots)
 from hexweb.frobenius import Potential, solution_potential
 from hexweb.jets import PolyExpr
 from hexweb.singular import symmetry_losing_web
@@ -157,6 +160,33 @@ class TestDepressedChart:
             PolyExpr.const(-2.0, 2), PolyExpr.const(0.5, 2))
         g = gamma_depressed(field, (0.9, -0.4))
         assert g.norm() < 1e-12
+
+
+LABEL_FIELDS = {"A": solution_potential("A").characteristic_field(),
+                "B": solution_potential("B").characteristic_field(),
+                "control": CONTROL}
+
+
+class TestLabelInvariance:
+    @pytest.mark.parametrize("name", LABEL_FIELDS)
+    def test_gamma_ignores_the_root_labels(self, name):
+        """The connection does not depend on how the roots are labelled:
+        all six orders of the roots give the same gamma jet (order 1).
+        Web B's field is constant, so its gamma vanishes under every label;
+        the others are checked where gamma does not."""
+        f = LABEL_FIELDS[name]
+        for point in [(0.1, 1.0), (0.3, 0.7)]:
+            ref = roots(f, point)
+            got = []
+            for perm in itertools.permutations(range(3)):
+                triple = normalize_roots(f, point, order=2,
+                                         label_ref=[ref[i] for i in perm])
+                g = gamma_expressions_from_sigma(triple.sigma)[0]
+                got.append(np.stack([g.gx.c, g.gy.c]))
+            scale = np.max(np.abs(got[0]))
+            assert (scale == 0) == (name == "B")
+            for g in got[1:]:
+                assert np.max(np.abs(g - got[0])) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ depressed form."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
                           PolyCoeffField, SingularPointError, continue_along,
@@ -109,6 +110,78 @@ class TestRoots:
             sn = pn / qn
             ds = (pj.deriv(0).value * q0 - p0 * qj.deriv(0).value) / q0 ** 2
             assert abs((sn - s0) / h - ds) < 1e-4 * (1 + abs(ds))
+
+
+def cubic_from_roots(slopes, vertical):
+    """Coefficients of prod (p - s q) over the slopes, times q when
+    vertical (a root at [1 : 0])."""
+    s1, s2 = slopes[:2]
+    if vertical:
+        return np.array([0.0, 1.0, -(s1 + s2), s1 * s2])
+    s3 = slopes[2]
+    return np.array([1.0, -(s1 + s2 + s3), s1 * s2 + s1 * s3 + s2 * s3,
+                     -s1 * s2 * s3])
+
+
+# slopes on a lattice of step 1/8, so that equal real parts are exact ties
+# and distinct keys are far apart at the sort's 12 decimals
+LATTICE_SLOPES = st.lists(
+    st.tuples(st.integers(-16, 16), st.integers(-16, 16)),
+    min_size=3, max_size=3, unique=True).map(
+        lambda ab: [complex(a / 8, b / 8) for a, b in ab])
+SCALES = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                            allow_nan=False, allow_infinity=False)
+
+
+class TestRootKernel:
+    """roots_proj: one code path for a row and for arrays of rows."""
+
+    def test_one_eigvals_call_for_a_batch(self, monkeypatch):
+        calls = {"eigvals": 0, "roots": 0}
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls["eigvals"] += 1
+            return eigvals(a)
+
+        def no_roots(p):
+            calls["roots"] += 1
+            return np.array([])
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        monkeypatch.setattr(np, "roots", no_roots)
+        co = np.random.default_rng(8573).standard_normal((1000, 4))
+        got = roots_proj(co)
+        assert got.shape == (1000, 3, 2)
+        assert calls == {"eigvals": 1, "roots": 0}
+        scale = 1 + np.max(np.abs(co), axis=1)
+        residual = cubic_value(co.T[:, :, None], got[..., 0], got[..., 1])
+        assert np.max(np.abs(residual) / scale[:, None]) < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(LATTICE_SLOPES, st.booleans(), SCALES)
+    def test_scaled_row_gives_the_same_labelled_roots(self, slopes, vertical,
+                                                      g):
+        # a vertical root and a zero slope leave no chart (a = r = 0)
+        assume(not (vertical and 0 in slopes[:2]))
+        co = cubic_from_roots(slopes, vertical)
+        want = roots_proj(co)
+        got = roots_proj(g * co)
+        for u, v in zip(want, got):
+            assert proj_distance(u, v) <= 1e-12
+        for c, row in ((co, want), (g * co, got)):
+            scale = np.max(np.abs(c))
+            for p, q in row:
+                assert max(abs(p), abs(q)) == pytest.approx(1.0)
+                assert abs(cubic_value(c, p, q)) <= 1e-12 * scale
+        # finite slopes first, then by Re and Im of the slope w = p / q
+        keys = []
+        for p, q in want:
+            w = p / q if abs(q) > 1e-6 else None
+            keys.append((1,) if w is None
+                        else (0, round(w.real, 12), round(w.imag, 12)))
+        assert keys == sorted(keys)
+        assert keys.count((1,)) == int(vertical)
 
 
 class TestNormalizeRoots:

@@ -1,8 +1,10 @@
 """Import hygiene: every name a module imports is read somewhere in it,
-and every name the benchmark reads from the package still exists.
+every name the benchmark reads from the package still exists, and no
+tolerance hides as a literal inside a function.
 
-An AST scan of the modules under src/ and tests/; package __init__.py files
-are exempt because their imports are the package's re-exports.
+AST scans of the modules under src/ and tests/; package __init__.py files
+are exempt from the import scan because their imports are the package's
+re-exports.
 """
 
 import ast
@@ -42,6 +44,56 @@ def test_scan_finds_unread_imports():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# Tolerances are named: a float literal below SMALL_LITERAL belongs in a
+# module-level constant, not in a function body.  Default parameter values
+# are not part of a body.
+
+SMALL_LITERAL = 1e-2
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+
+
+def small_literals(source):
+    """(line, value) of each float or complex literal of modulus in
+    (0, SMALL_LITERAL) inside a function body of source."""
+    found = []
+
+    def visit(node, in_body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for child in body:
+                visit(child, True)
+            return
+        if (in_body and isinstance(node, ast.Constant)
+                and isinstance(node.value, (float, complex))
+                and 0 < abs(node.value) < SMALL_LITERAL):
+            found.append((node.lineno, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_body)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_scan_finds_small_literals_in_bodies():
+    source = ("TOL = 1e-9\nTABLE = {'a': 1e-12}\n"
+              "def f(x, tol=1e-8, *, h=1e-4):\n"
+              "    y = x * 1e-3 + 0.5 - 0.01\n"
+              "    g = lambda t, eps=1e-6: t > 2e-7\n"
+              "    return y > -1e-12j and x < TOL\n"
+              "class C:\n    SLACK = 1e-3\n"
+              "    def m(self):\n        return 0.0 + 5e-3\n")
+    assert small_literals(source) == [(4, 1e-3), (5, 2e-7), (6, 1e-12j),
+                                      (10, 5e-3)]
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_inline_tolerance(path):
+    assert small_literals(path.read_text()) == []
 
 
 # ---------------------------------------------------------------------------
