@@ -21,7 +21,7 @@ import numpy as np
 
 from .chern import (SingularPointError, corollary_residual, curvature,
                     gamma_cubic, gamma_depressed, gamma_from_definition)
-from .cubic import (PolyCoeffField, discriminant_of_coeffs,
+from .cubic import (PolyCoeffField, coeff_values, discriminant_of_coeffs,
                     discriminant_scale, factorization_residual,
                     normalize_roots, regular_cutoff)
 from .frobenius import Potential, theorem2_residual
@@ -390,15 +390,13 @@ def run_discriminant(obj, cfg, rng, report, outdir):
     n = int(cfg.get("grid", 32))
     tol = cfg["tolerances"]["discriminant"]
     trace = trace_discriminant(field, window, n=max(8, n))
-    rows = []
-    worst = 0.0
-    for ci, curve in enumerate(trace.curves):
-        for p in curve:
-            co = field.coeffs(p[0], p[1])
-            D = discriminant_of_coeffs(*co)
-            scale = discriminant_scale(co)
-            worst = max(worst, abs(D) / scale)
-            rows.append([ci, p[0], p[1], D.real, D.imag])
+    pts = trace.all_points()
+    jets = field.coeff_jets(pts[:, 0], pts[:, 1], 0)
+    D = discriminant_of_coeffs(*(j.value for j in jets))
+    worst = float(np.max(abs(D) / discriminant_scale(coeff_values(jets)),
+                         initial=0.0))
+    ci = np.repeat(range(len(trace.curves)), [len(c) for c in trace.curves])
+    rows = np.stack([ci, pts[:, 0], pts[:, 1], D.real, D.imag], axis=1)
     write_csv(outdir / "discriminant.csv",
               ["curve", "x", "y", "re_D", "im_D"], rows)
     layers = [(c, "#000000", 2.0) for c in trace.curves]

@@ -95,13 +95,20 @@ class PolyCoeffField(DirectionField):
 
 
 class CallableJetField(DirectionField):
-    """Field whose coefficient jets come from an arbitrary closure."""
+    """Field whose coefficient jets come from an arbitrary closure; arrays
+    of points go through it one point at a time, stacked into batch jets."""
 
     def __init__(self, fn):
         self.fn = fn
 
     def coeff_jets(self, x, y, order):
-        return self.fn(x, y, order)
+        if np.ndim(x) == 0 and np.ndim(y) == 0:
+            return self.fn(x, y, order)
+        X, Y = base_point(x, y)
+        each = [self.fn(a, b, order) for a, b in zip(X.flat, Y.flat)]
+        return tuple(Jet((X, Y), order, np.array(
+            [e[k].c for e in each], dtype=complex).reshape(
+                X.shape + (order + 1, order + 1))) for k in range(4))
 
 
 class TranslatedField(DirectionField):

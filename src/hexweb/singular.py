@@ -17,8 +17,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .cubic import (CallableJetField, PolyCoeffField, TranslatedField,
-                    coeff_values, depress, discriminant_of_coeffs,
-                    discriminant_scale, nonvanishing)
+                    depress, discriminant_of_coeffs, discriminant_scale,
+                    nonvanishing)
 from .jets import Jet, JetError, PolyExpr, compose_series, jet_pow, jet_tan
 from .webgeo import symmetry_residual
 
@@ -43,10 +43,29 @@ class DiscriminantTrace:
 
 
 def _disc_and_grad(field, x, y):
-    jets = field.coeff_jets(x, y, 1)
-    D = discriminant_of_coeffs(*jets)
-    return (D.value, np.array([D.deriv(0).value, D.deriv(1).value]),
-            discriminant_scale(coeff_values(jets)))
+    """D, grad D (chain rule through a, b, c, r) and |D|'s scale at (x, y)."""
+    jets = np.array([j.c for j in field.coeff_jets(x, y, 1)])
+    a, b, c, r = co = jets[:, 0, 0]
+    dD = np.array([18 * b * c * r - 54 * a * r * r - 4 * c ** 3,
+                   18 * a * c * r + 2 * b * c * c - 12 * b * b * r,
+                   18 * a * b * r - 12 * a * c * c + 2 * b * b * c,
+                   18 * a * b * c - 54 * a * a * r - 4 * b ** 3])
+    return (discriminant_of_coeffs(*co), dD @ jets[:, [1, 0], [0, 1]],
+            discriminant_scale(co))
+
+
+def _grid_seeds(field, xs, ys):
+    """Re D on the grid xs x ys (one array lift), and the midpoints of the
+    grid edges where it changes sign or vanishes (row-major, x edge first)."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    Dg = discriminant_of_coeffs(
+        *(j.value for j in field.coeff_jets(X, Y, 0))).real
+    change = np.zeros(Dg.shape + (2,), dtype=bool)
+    change[:-1, :, 0] = Dg[:-1] * Dg[1:] <= 0
+    change[:, :-1, 1] = Dg[:, :-1] * Dg[:, 1:] <= 0
+    return Dg, [(0.5 * (xs[i] + xs[i + 1]), ys[j]) if k == 0 else
+                (xs[i], 0.5 * (ys[j] + ys[j + 1]))
+                for i, j, k in zip(*np.nonzero(change))]
 
 
 TRACE_TOL = 1e-10  # scaled |D| at which a polished point is on the curve
@@ -76,28 +95,18 @@ def _newton_polish(field, pt, iters=60):
 def trace_discriminant(field, window, n=32):
     """Trace the zero set of the discriminant inside a window.
 
-    Grid sign changes seed a Newton polish; each polished seed is continued
-    in both directions along the tangent (perpendicular to grad D) with a
-    predictor-corrector loop of at most 20 n steps.  An empty trace is a
-    valid result.
+    Sign changes of D on an n x n grid (one array lift) seed a Newton
+    polish on D and its closed-form gradient; each polished seed is
+    continued in both directions along the tangent (perpendicular to grad
+    D) with a predictor-corrector loop of at most 20 n steps.  An empty
+    trace is a valid result.
     """
     (x0, x1), (y0, y1) = window
     if n < 8:
         raise ValueError("grid size n must be >= 8")
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
-    Dg = np.empty((n, n))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            co = field.coeffs(x, y)
-            Dg[i, j] = discriminant_of_coeffs(*co).real
-    raw = []
-    for i in range(n):
-        for j in range(n):
-            if i + 1 < n and Dg[i, j] * Dg[i + 1, j] <= 0:
-                raw.append((0.5 * (xs[i] + xs[i + 1]), ys[j]))
-            if j + 1 < n and Dg[i, j] * Dg[i, j + 1] <= 0:
-                raw.append((xs[i], 0.5 * (ys[j] + ys[j + 1])))
+    _, raw = _grid_seeds(field, xs, ys)
     h = max(x1 - x0, y1 - y0) / (2.0 * n)
     curves = []
 

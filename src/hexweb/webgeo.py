@@ -103,14 +103,19 @@ def _real_directions(co, point):
 
 
 def _leaf_rate(field, state):
-    """d/ds of the leaf state (x, y, ux, uy), and (a, b, c, r) at (x, y).
+    jets = field.coeff_jets(state[0], state[1], 1)
+    return _turning_rate(np.array([j.c for j in jets]), state)
+
+
+def _turning_rate(jets, state):
+    """d/ds of the leaf state (x, y, ux, uy), and (a, b, c, r) at (x, y),
+    from the (4, 2, 2) order-1 coefficient jets there.
 
     The covector (p, q) = (-ny, nx) of n = u/|u| stays a root of C(x, y; p, q)
     while n turns at omega = (C_x nx + C_y ny) / (C_p nx + C_q ny), formed in
     complex arithmetic so that a nonvanishing factor on the field cancels.
     """
     x, y, ux, uy = state
-    jets = np.array([j.c for j in field.coeff_jets(x, y, 1)])
     (a, b, c, r), co_x, co_y = jets[:, 0, 0], jets[:, 1, 0], jets[:, 0, 1]
     nx, ny = np.array([ux, uy]) / np.hypot(ux, uy)
     p, q = -ny, nx
@@ -134,7 +139,8 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
     negative ``length`` integrates in the reverse orientation.
     """
     pt = np.array([float(start[0]), float(start[1])])
-    co = field.coeffs(pt[0], pt[1])
+    jets0 = np.array([j.c for j in field.coeff_jets(pt[0], pt[1], 1)])
+    co = jets0[:, 0, 0]
     D0 = discriminant_of_coeffs(*co)
     if abs(D0) <= regular_cutoff(co):
         raise SingularPointError(f"start on the discriminant: |D|={abs(D0):.2e}")
@@ -154,7 +160,7 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
         h = min(h, total - s_done)
         try:
             if k1 is None:
-                k1, _ = _leaf_rate(field, state)
+                k1, _ = _turning_rate(jets0, state)
             k2, _ = _leaf_rate(field, state + 0.5 * h * k1)
             k3, _ = _leaf_rate(field, state + 0.75 * h * k2)
             y_new = state + h * (2 * k1 + 3 * k2 + 4 * k3) / 9.0

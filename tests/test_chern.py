@@ -1,10 +1,12 @@
 """Web connection: route agreement, flatness, path integrals, transport."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from hexweb import chern
 from hexweb.chern import (blaschke_transport, corollary_residual, curvature,
                           dual_frame, exactness_potential, frame_components,
                           gamma_cubic, gamma_depressed,
@@ -15,7 +17,7 @@ from hexweb.cubic import (PolyCoeffField, SingularPointError,
                           normalize_roots, roots)
 from hexweb.frobenius import Potential, solution_potential
 from hexweb.jets import PolyExpr
-from hexweb.singular import symmetry_losing_web
+from hexweb.singular import normal_form_field, symmetry_losing_web
 from webs import CONTROL_GENERIC as CONTROL, random_poly
 
 RNG = np.random.default_rng(431)
@@ -117,6 +119,78 @@ class TestPathIntegrals:
         # the y=0 axis is on the discriminant 32y^3 = 27x^2
         with pytest.raises(SingularPointError):
             integrate_gamma(field, [(-0.2, 0.5), (0.2, -0.5)])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_log_discriminant_oracle(self, seed):
+        """On a characteristic web gamma = -(1/6) d ln D, so the integral
+        is -(1/6) ln(D(end) / D(start)) along any path where D > 0."""
+        field = solution_potential("A").characteristic_field()
+        rng = np.random.default_rng(seed)
+        path = [(0.0, 1.0)] + [(rng.uniform(-0.4, 0.4), rng.uniform(0.75, 1.3))
+                               for _ in range(2)]
+
+        def D(p):
+            return discriminant_of_coeffs(*field.coeffs(*p)).real
+
+        want = -np.log(D(path[-1]) / D(path[0])) / 6.0
+        assert abs(integrate_gamma(field, path) - want) <= 1e-12
+
+    def test_constant_field_integrates_to_zero(self):
+        field = solution_potential("B").characteristic_field()
+        assert integrate_gamma(field, [(0.0, 0.0), (0.3, -0.2),
+                                       (0.5, 0.4)]) == 0
+
+    def test_reversal_and_additivity(self):
+        field = solution_potential("A").characteristic_field()
+        path = [(0.0, 1.0), (0.2, 1.1), (0.1, 1.3), (-0.2, 1.15)]
+        whole = integrate_gamma(field, path)
+        assert abs(integrate_gamma(field, path[::-1]) + whole) <= 1e-15
+        parts = sum(integrate_gamma(field, path[i:i + 2]) for i in range(3))
+        assert abs(parts - whole) <= 1e-15
+
+    @pytest.mark.parametrize("fid", [5, 6])
+    def test_closure_fields_integrate(self, fid):
+        """Catalog forms 5 and 6 lift one point at a time (a closure); the
+        batched rounds still integrate them, and their webs are flat."""
+        field = normal_form_field(fid).field
+        base, targ = (0.05, 0.8), (0.08, 0.6)
+        p1 = integrate_gamma(field, [base, targ])
+        p2 = integrate_gamma(field, [base, (0.08, 0.8), targ])
+        assert abs(p1) > 1e-3
+        assert abs(p1 - p2) < 1e-8
+
+    # solution A's discriminant meets x = 0.3 at y = 0.4235: gamma grows
+    # steeply near the end of this segment, which takes bisections
+    STEEP = [(0.3, 0.2), (0.3, 0.42)]
+
+    def test_interval_limit_raises_without_warning(self, monkeypatch):
+        field = solution_potential("A").characteristic_field()
+        D0, D1 = (discriminant_of_coeffs(*field.coeffs(*p)).real
+                  for p in self.STEEP)
+        assert abs(integrate_gamma(field, self.STEEP)
+                   + np.log(D1 / D0) / 6.0) <= 1e-10
+        monkeypatch.setattr(chern, "QUAD_MAX_INTERVALS", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularPointError, match="segment 0"):
+                integrate_gamma(field, self.STEEP)
+
+    @pytest.mark.parametrize("path, sizes", [
+        ([(0.0, 1.0), (0.2, 1.1), (0.1, 1.3), (-0.2, 1.15)], [63]),
+        (STEEP, [21, 42, 42, 42, 42, 42])])
+    def test_one_gamma_call_per_round(self, path, sizes, monkeypatch):
+        """Each round evaluates gamma once, at 21 nodes per open interval:
+        a smooth path takes one round; a bisected segment one per halving."""
+        field = solution_potential("A").characteristic_field()
+        calls = []
+
+        def counted(field, point, order=0):
+            calls.append(np.size(point[0]))
+            return gamma_cubic(field, point, order)
+
+        monkeypatch.setattr(chern, "gamma_cubic", counted)
+        integrate_gamma(field, path)
+        assert calls == sizes
 
 
 class TestTransport:

@@ -244,3 +244,17 @@ class TestDeterminism:
             b1 = (outs[0] / fname).read_bytes()
             b2 = (outs[1] / fname).read_bytes()
             assert b1 == b2
+
+    def test_byte_identical_discriminant(self, tmp_path):
+        # a window that the discriminant 32 y^3 = 27 x^2 crosses
+        cfg = write_config(tmp_path, SOLUTION_A, grid=16,
+                           window=[[-0.8, 0.8], [-0.1, 0.9]])
+        outs = [tmp_path / name for name in ("o1", "o2")]
+        for out in outs:
+            assert main(["discriminant", "--config", cfg, "--out", str(out),
+                         "--seed", "3"]) == 0
+        report = json.loads((outs[0] / "discriminant_report.json").read_text())
+        assert report["trace"]["points"] > 0
+        for fname in ("discriminant.csv", "discriminant.svg"):
+            assert (outs[0] / fname).read_bytes() == \
+                (outs[1] / fname).read_bytes()

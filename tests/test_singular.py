@@ -10,7 +10,8 @@ from hexweb.cubic import (PolyCoeffField, TranslatedField, discriminant,
                           discriminant_of_coeffs, discriminant_scale)
 from hexweb.frobenius import solution_potential
 from hexweb.jets import JetError, PolyExpr
-from hexweb.singular import (CLASSIFY_RESIDUAL_TOL, classify_singularity,
+from hexweb.singular import (CLASSIFY_RESIDUAL_TOL, _disc_and_grad,
+                             _grid_seeds, classify_singularity,
                              f_ode_residual, normal_form_field,
                              root_multiplicity, solve_F, symmetry_losing_web,
                              trace_discriminant)
@@ -56,6 +57,63 @@ class TestTraceDiscriminant:
             co = f.coeffs(x0, y0)
             assert abs(discriminant_of_coeffs(*co)) <= 1e-8 * \
                 discriminant_scale(co)
+
+
+def _scalar_grid_seeds(field, window, n):
+    """The sign grid and seeds as computed point by point with coeffs."""
+    (x0, x1), (y0, y1) = window
+    xs, ys = np.linspace(x0, x1, n), np.linspace(y0, y1, n)
+    Dg = np.array([[discriminant_of_coeffs(*field.coeffs(x, y)).real
+                    for y in ys] for x in xs])
+    raw = []
+    for i in range(n):
+        for j in range(n):
+            if i + 1 < n and Dg[i, j] * Dg[i + 1, j] <= 0:
+                raw.append((0.5 * (xs[i] + xs[i + 1]), ys[j]))
+            if j + 1 < n and Dg[i, j] * Dg[i, j + 1] <= 0:
+                raw.append((xs[i], 0.5 * (ys[j] + ys[j + 1])))
+    return xs, ys, Dg, raw
+
+
+def _jet_gradient(field, x, y):
+    D = discriminant_of_coeffs(*field.coeff_jets(x, y, 1))
+    return D.value, np.array([D.deriv(0).value, D.deriv(1).value])
+
+
+class TestTracingKernels:
+    """The tracer's array grid and closed-form gradient against the
+    point-by-point and jet-product evaluations they replace."""
+
+    def test_closed_form_gradient_random_fields(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            f = PolyCoeffField(*(random_poly(rng) for _ in range(4)))
+            x, y = rng.standard_normal(2)
+            D, g, _ = _disc_and_grad(f, x, y)
+            D_ref, g_ref = _jet_gradient(f, x, y)
+            assert abs(D - D_ref) <= 1e-13 * abs(D_ref)
+            assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+
+    @pytest.mark.parametrize("fid, points", [
+        (2, [(0.3, -0.7), (-0.5, 0.4), (0.9, 0.2)]),
+        (6, [(0.05, 0.8), (0.08, 0.6), (0.06, 1.0)])])
+    def test_closed_form_gradient_catalog(self, fid, points):
+        field = normal_form_field(fid).field
+        for x, y in points:
+            D, g, _ = _disc_and_grad(field, x, y)
+            D_ref, g_ref = _jet_gradient(field, x, y)
+            assert abs(D - D_ref) <= 1e-13 * abs(D_ref)
+            assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+
+    @pytest.mark.parametrize("field, window, n", [
+        (FIELD_A, ((-1.0, 1.0), (-0.2, 1.0)), 32),   # criterion 9
+        (FIELD_B, ((-1.0, 1.0), (-1.0, 1.0)), 32),
+        (FIELD_A, ((-0.8, 0.8), (-0.1, 0.9)), 16)])  # a CLI window
+    def test_array_grid_matches_scalar_grid(self, field, window, n):
+        xs, ys, Dg_ref, raw_ref = _scalar_grid_seeds(field, window, n)
+        Dg, raw = _grid_seeds(field, xs, ys)
+        assert np.array_equal(Dg, Dg_ref)
+        assert raw == raw_ref
 
 
 class TestRootMultiplicity:
