@@ -24,10 +24,13 @@ from .jets import Jet, any_set
 
 @dataclass
 class ConnectionValue:
-    """gamma = gx dx + gy dy at a point; components kept as jets."""
+    """gamma = gx dx + gy dy at a point; components kept as jets.  The
+    cubic route also keeps, in ``disc``, the value of the discriminant D it
+    divides by."""
 
     gx: Jet
     gy: Jet
+    disc: object = None
 
     def values(self):
         return (self.gx.value, self.gy.value)
@@ -98,7 +101,7 @@ def gamma_from_jets(coeff_jets, x, y):
             disc=D0)
     g1, g2, D = _gamma12_jets(*coeff_jets)
     invD = (3 * D).reciprocal()
-    return ConnectionValue(gx=g1 * invD, gy=g2 * invD)
+    return ConnectionValue(gx=g1 * invD, gy=g2 * invD, disc=D0)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +286,10 @@ def integrate_gamma(field, path):
     gamma_cubic once, on the 21 nodes of every open interval, and bisects
     the intervals whose Kronrod and Gauss sums K, G miss |K - G| <=
     max(QUAD_TOL, QUAD_TOL |K|) times their length.  Raises
-    SingularPointError where a node is on the discriminant, or a segment
-    needs over QUAD_MAX_INTERVALS intervals (gamma is analytic elsewhere).
+    SingularPointError where a node is on the discriminant, where D is real
+    at an interval's nodes and takes both signs (the segment crosses D = 0
+    between nodes), or where a segment needs over QUAD_MAX_INTERVALS
+    intervals (gamma is analytic elsewhere).
     """
     P = np.asarray(path, dtype=complex)
     dP = np.diff(P, axis=0)
@@ -295,6 +300,14 @@ def integrate_gamma(field, path):
         t = (lo[:, None] + width * _QK21_T)[..., None]
         x, y = np.moveaxis(P[seg, None] + t * dP[seg, None], -1, 0)
         g = gamma_cubic(field, (x, y))
+        D = g.disc
+        cross = ((D.imag == 0).all(axis=-1) & (D.real > 0).any(axis=-1)
+                 & (D.real < 0).any(axis=-1))
+        if cross.any():
+            s, a = seg[cross][0], lo[cross][0]
+            raise SingularPointError(
+                f"gamma on segment {s} ({path[s]} to {path[s + 1]}): D "
+                f"changes sign on [{a}, {a + width}]")
         f = g.gx.value * dP[seg, :1] + g.gy.value * dP[seg, 1:]
         K, G = (f @ _QK21_W).T * width
         ok = np.abs(K - G) <= QUAD_TOL * np.maximum(1.0, np.abs(K)) * width

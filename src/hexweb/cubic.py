@@ -44,6 +44,12 @@ class DirectionField:
     def coeffs(self, x, y):
         return coeff_values(self.coeff_jets(x, y, 0))
 
+    def first_order(self, x, y):
+        """[values, d/dx, d/dy] of (a, b, c, r) at a point, in Python
+        complex numbers: the entries of the order-1 jets."""
+        c = [j.c.tolist() for j in self.coeff_jets(x, y, 1)]
+        return [[g[i][j] for g in c] for i, j in ((0, 0), (1, 0), (0, 1))]
+
     def check_nondegenerate(self, x, y):
         return nonvanishing(self.coeffs(x, y), x, y)
 
@@ -92,6 +98,15 @@ class PolyCoeffField(DirectionField):
 
     def coeffs(self, x, y):
         return np.array([complex(p(x, y)) for p in self.abcr])
+
+    def first_order(self, x, y):
+        """The order-1 jets' entries, summed as PolyExpr.jet sums them."""
+        x0, y0 = complex(x), complex(y)
+        co = [[0j] * 4 for _ in range(3)]  # row j1 + 2 j2 for entry j1, j2
+        for i, p in enumerate(self.abcr):
+            for j1, j2, cc, k1, n1, k2, n2 in p._lift_terms(1):
+                co[j1 + 2 * j2][i] += cc * (k1 * x0 ** n1) * k2 * y0 ** n2
+        return co
 
 
 class CallableJetField(DirectionField):
@@ -342,9 +357,6 @@ class RootTriple:
 
     def values(self):
         return [(s[0].value, s[1].value) for s in self.sigma]
-
-    def leaf_vectors(self):
-        return [(q.value, -p.value) for p, q in self.sigma]
 
 
 def _product_coeffs(sigma):

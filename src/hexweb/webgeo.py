@@ -9,6 +9,8 @@ Thomsen closure figure and the abelian relation u1 + u2 + u3 = const.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,54 +104,57 @@ def _real_directions(co, point):
     return u[np.argsort(np.arctan2(u[:, 1], u[:, 0]) % np.pi, kind="stable")]
 
 
-def _leaf_rate(field, state):
-    jets = field.coeff_jets(state[0], state[1], 1)
-    return _turning_rate(np.array([j.c for j in jets]), state)
-
-
-def _turning_rate(jets, state):
-    """d/ds of the leaf state (x, y, ux, uy), and (a, b, c, r) at (x, y),
-    from the (4, 2, 2) order-1 coefficient jets there.
+def _turning_rate(field, state, first_order=None):
+    """d/ds of the leaf state (x, y, ux, uy), and (a, b, c, r) at (x, y), in
+    floats from field.first_order(x, y) (or the given first_order).
 
     The covector (p, q) = (-ny, nx) of n = u/|u| stays a root of C(x, y; p, q)
     while n turns at omega = (C_x nx + C_y ny) / (C_p nx + C_q ny), formed in
     complex arithmetic so that a nonvanishing factor on the field cancels.
     """
     x, y, ux, uy = state
-    (a, b, c, r), co_x, co_y = jets[:, 0, 0], jets[:, 1, 0], jets[:, 0, 1]
-    nx, ny = np.array([ux, uy]) / np.hypot(ux, uy)
+    (a, b, c, r), co_x, co_y = first_order or field.first_order(x, y)
+    norm = float(np.hypot(ux, uy))
+    nx, ny = ux / norm, uy / norm
     p, q = -ny, nx
-    mono = np.array([p ** 3, p * p * q, p * q * q, q ** 3])
+    m = (p ** 3, p * p * q, p * q * q, q ** 3)
+    C_x, C_y = [d[0] * m[0] + d[1] * m[1] + d[2] * m[2] + d[3] * m[3]
+                for d in (co_x, co_y)]
     C_p = 3 * a * p * p + 2 * b * p * q + c * q * q
     C_q = b * p * p + 2 * c * p * q + 3 * r * q * q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = ((co_x @ mono) * nx + (co_y @ mono) * ny) / (C_p * nx + C_q * ny)
-    if not (np.isfinite(w) and abs(w.imag) <= TRACK_IMAG_TOL * (1 + abs(w))):
+    den = C_p * nx + C_q * ny
+    # numpy's complex quotient rounds unlike Python's; leaves keep its floats
+    w = (complex(np.complex128(C_x * nx + C_y * ny) / den)
+         if den and cmath.isfinite(den) else complex(math.nan))
+    if not (cmath.isfinite(w)
+            and abs(w.imag) <= TRACK_IMAG_TOL * (1 + abs(w))):
         raise LeafIntegrationError(f"leaf direction not real at {(x, y)}")
-    return np.array([nx, ny, -w.real * ny, w.real * nx]), (a, b, c, r)
+    return (nx, ny, -w.real * ny, w.real * nx), (a, b, c, r)
 
 
 def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
     """Integrate one web leaf from a regular real point.
 
-    Embedded Runge-Kutta (Bogacki-Shampine 3(2)) on the state (x, y, u): the
-    direction u is carried and turned so that it stays a root of the cubic,
-    and only the start solves for roots; a step failing at a tiny size ends
-    the leaf.  Branches are numbered 1..3 by ascending angle at the start;
-    negative ``length`` integrates in the reverse orientation.
+    Embedded Runge-Kutta (Bogacki-Shampine 3(2)) on the state (x, y, u) in
+    Python floats: u is turned so that it stays a root of the cubic, each
+    stage makes one field.first_order call, only the start solves for roots,
+    and a step failing at a tiny size ends the leaf.  Branches 1..3 ascend
+    in angle at the start; negative ``length`` integrates in the reverse
+    orientation.  A bad branch, length or tol raises ValueError.
     """
-    pt = np.array([float(start[0]), float(start[1])])
-    jets0 = np.array([j.c for j in field.coeff_jets(pt[0], pt[1], 1)])
-    co = jets0[:, 0, 0]
+    if not (branch in (1, 2, 3) and math.isfinite(length)
+            and 0 < tol < math.inf):
+        raise ValueError(f"bad branch/length/tol {branch}, {length}, {tol}")
+    pt = (float(start[0]), float(start[1]))
+    first = field.first_order(*pt)
+    co = first[0]
     D0 = discriminant_of_coeffs(*co)
     if abs(D0) <= regular_cutoff(co):
         raise SingularPointError(f"start on the discriminant: |D|={abs(D0):.2e}")
     prox = LEAF_PROX_FACTOR * discriminant_scale(co)
-    dirs = _real_directions(co, (pt[0], pt[1]))
-    if branch not in (1, 2, 3):
-        raise ValueError("branch must be 1, 2 or 3")
+    dirs = _real_directions(co, pt)
     sign = 1.0 if length >= 0 else -1.0
-    state = np.concatenate([pt, sign * dirs[branch - 1]])
+    state = pt + tuple((sign * dirs[branch - 1]).tolist())
     total = abs(float(length))
 
     pts, tans, params = [pt], [state[2:]], [0.0]
@@ -160,19 +165,23 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
         h = min(h, total - s_done)
         try:
             if k1 is None:
-                k1, _ = _turning_rate(jets0, state)
-            k2, _ = _leaf_rate(field, state + 0.5 * h * k1)
-            k3, _ = _leaf_rate(field, state + 0.75 * h * k2)
-            y_new = state + h * (2 * k1 + 3 * k2 + 4 * k3) / 9.0
-            k4, co = _leaf_rate(field, y_new)
-            z_new = state + h * (7 * k1 / 24 + k2 / 4 + k3 / 3 + k4 / 8)
-        except LeafIntegrationError:
+                k1, _ = _turning_rate(field, state, first)
+            k2, _ = _turning_rate(field, [
+                s + (0.5 * h) * k for s, k in zip(state, k1)])
+            k3, _ = _turning_rate(field, [
+                s + (0.75 * h) * k for s, k in zip(state, k2)])
+            y_new = [s + h * (2 * d1 + 3 * d2 + 4 * d3) / 9.0
+                     for s, d1, d2, d3 in zip(state, k1, k2, k3)]
+            k4, co = _turning_rate(field, y_new)
+            z_new = [s + h * (7 * d1 / 24 + d2 / 4 + d3 / 3 + d4 / 8)
+                     for s, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)]
+        except (LeafIntegrationError, ZeroDivisionError):  # |u| = 0
             if h > LEAF_RETRY_STEP:
                 h *= 0.25
                 continue
             termination = "discriminant-proximity"
             break
-        err = float(np.max(np.abs(y_new - z_new)))
+        err = max(abs(u - v) for u, v in zip(y_new, z_new))
         if err > tol:
             if h > LEAF_MIN_STEP:
                 h *= max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0))

@@ -120,6 +120,16 @@ class TestPathIntegrals:
         with pytest.raises(SingularPointError):
             integrate_gamma(field, [(-0.2, 0.5), (0.2, -0.5)])
 
+    def test_rejects_a_crossing_between_nodes(self):
+        # y = 0.2 meets 32y^3 = 27x^2 at x = +-0.0974, between the first
+        # round's nodes; gamma is odd about the midpoint, so the sums
+        # would cancel to ~0 instead of diverging
+        field = solution_potential("A").characteristic_field()
+        with pytest.raises(SingularPointError, match="D changes sign"):
+            integrate_gamma(field, [(-0.5, 0.2), (0.5, 0.2)])
+        # the same line past the crossing integrates
+        assert np.isfinite(integrate_gamma(field, [(0.2, 0.2), (0.5, 0.2)]))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_log_discriminant_oracle(self, seed):
         """On a characteristic web gamma = -(1/6) d ln D, so the integral

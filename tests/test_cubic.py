@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
-                          PolyCoeffField, SingularPointError, continue_along,
+                          DirectionField, PolyCoeffField, SingularPointError,
+                          TranslatedField, continue_along,
                           depress, discriminant_of_coeffs,
                           factorization_residual, match_roots,
                           normalize_roots, proj_distance, regular_cutoff,
@@ -271,6 +272,47 @@ class TestCallableJetField:
                               lam_target=tr1.lam)
         for u, v in zip(tr1.values(), tr2.values()):
             assert abs(u[0] - v[0]) + abs(u[1] - v[1]) < 1e-10
+
+
+class TestFirstOrder:
+    """first_order returns exactly the entries of the order-1 jets."""
+
+    @staticmethod
+    def from_jets(field, x, y):
+        jets = field.coeff_jets(x, y, 1)
+        return [[j.c[0, 0] for j in jets], [j.c[1, 0] for j in jets],
+                [j.c[0, 1] for j in jets]]
+
+    def check(self, field, points):
+        for x, y in points:
+            got = field.first_order(x, y)
+            assert all(type(v) is complex for row in got for v in row)
+            want = self.from_jets(field, x, y)
+            assert np.array_equal(bits(got), bits(want))
+            assert np.array_equal(bits(got), bits(
+                DirectionField.first_order(field, x, y)))
+
+    def test_polynomial_fields(self):
+        rng = np.random.default_rng(8573)
+        points = [(0.1, 1.0), (-0.37, 0.2), (0.0, 0.0), (2, -3),
+                  *rng.uniform(-2.0, 2.0, (8, 2))]
+        fields = [solution_potential("A").characteristic_field(),  # Fraction
+                  CONTROL_GENERIC,
+                  PolyCoeffField(PolyExpr.from_dict({(1, 0): 2.5}),
+                                 PolyExpr.from_dict({(2, 1): -0.3,
+                                                     (0, 0): 1.1}),
+                                 PolyExpr.from_dict({(0, 3): 0.7}),
+                                 PolyExpr.from_dict({(3, 3): -1e-3}))]
+        fields += [PolyCoeffField(*(random_poly(rng, 3) for _ in range(4)))
+                   for _ in range(12)]                     # complex
+        for field in fields:
+            self.check(field, points)
+
+    def test_fields_through_the_base_class(self):
+        A = solution_potential("A").characteristic_field()
+        points = [(0.1, 1.0), (-0.25, 0.6)]
+        self.check(TranslatedField(A, 0.1, -0.2), points)
+        self.check(CallableJetField(A.coeff_jets), points)
 
 
 class TestContinueAlong:

@@ -1,11 +1,15 @@
 """Real web geometry: leaf integration, hexagon closure, first integrals,
 scaling symmetries."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hexweb.chern import curvature, gamma_cubic, integrate_gamma
-from hexweb.cubic import (DegenerateFieldError, PolyCoeffField,
+from hexweb.cubic import (CallableJetField, DegenerateFieldError,
+                          PolyCoeffField,
                           SingularPointError, normalize_roots, proj_distance,
                           roots_proj)
 from hexweb.frobenius import solution_potential
@@ -89,6 +93,24 @@ class TestLeafIntegration:
         leaf = integrate_leaf(FIELD_A, (0.0, 0.4), 2, -10.0)
         assert leaf.termination == "discriminant-proximity"
 
+    @pytest.mark.parametrize("length, tol", [
+        (np.nan, 1e-8), (np.inf, 1e-8), (0.03, np.nan), (0.03, -1.0),
+        (0.03, 0.0), (0.03, np.inf)])
+    def test_bad_length_or_tol_raises_before_any_work(self, length, tol):
+        calls = []
+        field = CallableJetField(
+            lambda x, y, order: calls.append(1) or FIELD_A.coeff_jets(
+                x, y, order))
+        with pytest.raises(ValueError, match="bad branch/length/tol"):
+            integrate_leaf(field, (0.05, 1.0), 1, length, tol=tol)
+        assert calls == []
+
+    @pytest.mark.parametrize("branch", [0, 4, "1"])
+    def test_bad_branch_raises_before_the_root_solve(self, branch):
+        # (0, 0) is on the discriminant: a start check would raise first
+        with pytest.raises(ValueError, match="bad branch"):
+            integrate_leaf(FIELD_A, (0.0, 0.0), branch, 0.03)
+
     def test_hermite_matches_nodes_and_point_at(self):
         leaf = leaf_through(FIELD_A, (0.1, 1.0), 1, 0.3, tol=1e-10)
         for i in (0, 5, len(leaf.params) // 2, len(leaf.params) - 1):
@@ -162,6 +184,34 @@ class TestCarriedDirection:
             assert len(calls) == 1
 
 
+def scaled_a(factor):
+    return PolyCoeffField(*(factor * f for f in FIELD_A.abcr))
+
+
+# leaves as float.hex, each with its field's name, start, branch, length
+# and tol, recorded when every RK stage lifted order-1 coefficient jets
+GOLDEN_LEAVES = Path(__file__).parent / "data" / "leaves_golden.json"
+GOLDEN_FIELDS = {"A": FIELD_A, "control": CONTROL,
+                 "A*(1+x^2+y^2)": scaled_a(PolyExpr.const(1, 2) + X * X
+                                           + Y * Y),
+                 "A*1j": scaled_a(PolyExpr.const(1j, 2))}
+
+
+def test_leaves_equal_their_recorded_floats():
+    """The leaf loop keeps its floats bit for bit: web A on all branches
+    both ways, the slope control, and web A times a nonvanishing factor."""
+    cases = json.loads(GOLDEN_LEAVES.read_text())
+    assert len(cases) == 11
+    for case in cases:
+        leaf = integrate_leaf(GOLDEN_FIELDS[case["field"]], case["start"],
+                              case["branch"], case["length"], tol=case["tol"])
+        assert leaf.termination == case["termination"], case["field"]
+        for name in ("points", "tangents", "params"):
+            got = [[v.hex() for v in row] if np.ndim(row) else row.hex()
+                   for row in getattr(leaf, name).tolist()]
+            assert got == case[name], (case["field"], case["start"], name)
+
+
 class TestThomsenClosure:
     def test_parallel_lines_close_exactly(self):
         rep = thomsen_closure(PARALLEL, (0.0, 0.0), 0.1)
@@ -224,8 +274,8 @@ class TestFirstIntegrals:
         # numbering: match the leaf tangent to the root triple's vectors
         triple = normalize_roots(FIELD_A, base)
         v0 = leaf.tangents[0]
-        i = int(np.argmin([proj_distance((v0[0], v0[1]), lv)
-                           for lv in triple.leaf_vectors()]))
+        i = int(np.argmin([proj_distance((v0[0], v0[1]), (q, -p))
+                           for p, q in triple.values()]))
         assert abs(st.u_end[i]) < 1e-7
         others = [abs(st.u_end[j]) for j in range(3) if j != i]
         assert min(others) > 1e-3
