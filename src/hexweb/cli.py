@@ -27,7 +27,7 @@ from .cubic import (PolyCoeffField, coeff_values, discriminant_of_coeffs,
 from .frobenius import Potential, theorem2_residual
 from .jets import PolyExpr
 from .singular import (classify_singularity, f_ode_residual,
-                       normal_form_field, solve_F, trace_discriminant)
+                       normal_form_field, trace_discriminant)
 from .webgeo import (LeafIntegrationError, integrate_leaf, symmetry_residual,
                      thomsen_closure)
 
@@ -286,20 +286,19 @@ def run_check(obj, cfg, rng, report):
                                     rng=int(rng.integers(1 << 31)))
                   for x, y in pts)
         inv["theorem2"] = (res, res <= tol["theorem2"])
+    xy = tuple(np.array(pts).T)
+    g = gamma_cubic(field, xy)
     agree = 0.0
-    curv = 0.0
     fact = 0.0
-    for p in pts:
-        g1 = np.array(gamma_cubic(field, p).values())
+    for p, g1 in zip(pts, np.stack([g.gx.value, g.gy.value], -1)):
         g2 = np.array(gamma_from_definition(field, p).values())
         scale = 1.0 + float(np.max(np.abs(g1)))
         agree = max(agree, float(np.max(np.abs(g1 - g2))) / scale)
-        if isinstance(obj, Potential):
-            curv = max(curv, abs(curvature(field, p, route="cubic").K))
         fact = max(fact, factorization_residual(
             field, normalize_roots(field, p)))
     inv["gamma_agreement"] = (agree, agree <= tol["gamma_agreement"])
     if isinstance(obj, Potential):
+        curv = float(np.max(np.abs(curvature(field, xy, route="cubic").K)))
         inv["curvature"] = (curv, curv <= tol["curvature"])
     inv["factorization"] = (fact, fact <= tol["factorization"])
     report["invariants"] = {
@@ -311,20 +310,19 @@ def run_gamma(obj, cfg, rng, report, outdir):
     field = _field_of(obj)
     (x0, x1), (y0, y1) = cfg["window"]
     n = int(cfg.get("grid", 12))
-    rows = []
-    for x in np.linspace(x0, x1, n):
-        for y in np.linspace(y0, y1, n):
-            co = field.coeffs(x, y)
-            D = discriminant_of_coeffs(*co)
-            if abs(D) <= regular_cutoff(co):
-                row = [x, y, D.real, D.imag] + [np.nan] * 6
-            else:
-                g = gamma_cubic(field, (x, y))
-                K = curvature(field, (x, y), route="cubic").K
-                gx, gy = g.values()
-                row = [x, y, D.real, D.imag, gx.real, gx.imag,
-                       gy.real, gy.imag, K.real, K.imag]
-            rows.append(row)
+    X, Y = (g.ravel() for g in np.meshgrid(
+        np.linspace(x0, x1, n), np.linspace(y0, y1, n), indexing="ij"))
+    co = coeff_values(field.coeff_jets(X, Y, 0))
+    cols = np.full((len(X), 4), complex(np.nan, np.nan))  # D, gx, gy, K
+    # D row by row: numpy's scalar complex products round as one point's
+    # call does, its array loops not always (complex coefficients)
+    cols[:, 0] = [discriminant_of_coeffs(*row) for row in co]
+    ok = abs(cols[:, 0]) > regular_cutoff(co)
+    if ok.any():
+        g = gamma_cubic(field, (X[ok], Y[ok]))
+        K = curvature(field, (X[ok], Y[ok]), route="cubic").K
+        cols[ok, 1:] = np.stack([g.gx.value, g.gy.value, K], -1)
+    rows = np.column_stack([X, Y, cols.view(float)])
     path = outdir / "gamma.csv"
     write_csv(path, ["x", "y", "re_D", "im_D", "re_gamma_dx", "im_gamma_dx",
                      "re_gamma_dy", "im_gamma_dy", "re_K", "im_K"], rows)
@@ -411,14 +409,16 @@ def run_discriminant(obj, cfg, rng, report, outdir):
 def run_normalforms(obj, cfg, rng, report, outdir):
     tol = cfg["tolerances"]
     entries = []
+    f_sols = {}  # m0 -> form 6's F solution, checked below
     ok_all = True
     for fid, m0 in ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0),
                     (6, 0), (6, 1), (6, 2)):
         nf = normal_form_field(fid, m0)
-        worst_k = 0.0
-        got = 0
+        if nf.fs is not None:
+            f_sols[m0] = nf.fs
+        pts = []
         tries = 0
-        while got < 20 and tries < 400:
+        while len(pts) < 20 and tries < 400:
             tries += 1
             if fid == 6:
                 fs_tmax = 0.4 / (m0 + 1)
@@ -432,14 +432,15 @@ def run_normalforms(obj, cfg, rng, report, outdir):
                 y = rng.uniform(0.2, 1.2)
             try:
                 co = nf.field.coeffs(x, y)
-                D = discriminant_of_coeffs(*co)
-                if abs(D) <= SAMPLE_DMIN_FACTOR * discriminant_scale(co):
-                    continue  # too close to the discriminant for a sharp test
-                worst_k = max(worst_k, abs(
-                    curvature(nf.field, (x, y), route="cubic").K))
             except (SingularPointError, ValueError):
                 continue
-            got += 1
+            D = discriminant_of_coeffs(*co)
+            if abs(D) > SAMPLE_DMIN_FACTOR * discriminant_scale(co):
+                pts.append((x, y))  # else too near D = 0 for a sharp test
+        worst_k = 0.0
+        if pts:  # regular well past the cutoff, so the batch cannot raise
+            K = curvature(nf.field, tuple(np.array(pts).T), route="cubic").K
+            worst_k = float(np.max(np.abs(K)))
         if fid == 6:
             samples = [(0.05, 0.8), (0.08, 0.6), (0.06, 1.0)]
         elif fid == 5:
@@ -459,8 +460,9 @@ def run_normalforms(obj, cfg, rng, report, outdir):
         entries.append(entry)
         ok_all = ok_all and entry["pass"]
     fres = {}
-    for m0 in (0, 1, 2):
-        fs = solve_F(m0, t_max=1.0)
+    # the bracket halts each solve before t = 0.5, so the field's solve on
+    # [0, 8] is the one a solve on [0, 1] would make
+    for m0, fs in f_sols.items():
         ts = np.linspace(0.01, 0.9 * fs.t_max, 20)
         fres[str(m0)] = {"residual": f_ode_residual(fs, ts),
                          "t_max": fs.t_max,

@@ -2,9 +2,13 @@
 determinism of emitted artifacts."""
 
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hexweb import cli, singular
 from hexweb.cli import SchemaError, load_spec, main
 from hexweb.cubic import PolyCoeffField
 from hexweb.frobenius import Potential
@@ -258,3 +262,99 @@ class TestDeterminism:
         for fname in ("discriminant.csv", "discriminant.svg"):
             assert (outs[0] / fname).read_bytes() == \
                 (outs[1] / fname).read_bytes()
+
+
+# gamma.csv on web A for a grid that holds the singular origin exactly (one
+# all-NaN row) and normalforms.json at one seed, recorded when both commands
+# evaluated their points one call at a time
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+NAN_ROW = "0.0,0.0,0.0,0.0,nan,nan,nan,nan,nan,nan"
+DEGENERATE_FIELD = {"kind": "field", "a": [{"exps": [0, 0], "coef": 1}],
+                    "b": [], "c": [], "r": []}  # dy^3 = 0: D = 0 everywhere
+
+
+def counting(module, name, calls, monkeypatch):
+    """Route module.name through a wrapper that logs each call's batch size."""
+    fn = getattr(module, name)
+
+    def counted(field, point, *args, **kwargs):
+        calls.append(np.size(point[0]))
+        return fn(field, point, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestPointSets:
+    @pytest.mark.parametrize("case", json.loads(CLI_GOLDEN.read_text()),
+                             ids=lambda c: c["command"])
+    def test_outputs_equal_their_recorded_bytes(self, tmp_path, case):
+        cfg = write_config(tmp_path, SOLUTION_A, **case["config"])
+        out = tmp_path / "out"
+        assert main([case["command"], "--config", cfg, "--out", str(out),
+                     "--seed", str(case["seed"])]) == 0
+        assert (out / case["file"]).read_text() == case["text"]
+        if case["command"] == "gamma":
+            assert case["text"].splitlines().count(NAN_ROW) == 1
+
+    def test_gamma_grid_is_one_batch(self, tmp_path, monkeypatch):
+        gammas, curvatures = [], []
+        counting(cli, "gamma_cubic", gammas, monkeypatch)
+        counting(cli, "curvature", curvatures, monkeypatch)
+        cfg = write_config(tmp_path, SOLUTION_A, grid=19,
+                           window=[[-1.0, 1.0], [-0.5, 1.3]])
+        assert main(["gamma", "--config", cfg, "--out", str(tmp_path)]) == 0
+        # every grid point but the singular origin, in one call each
+        assert gammas == [19 * 19 - 1] and curvatures == [19 * 19 - 1]
+
+    def test_all_singular_window_makes_no_batch_call(self, tmp_path,
+                                                     monkeypatch):
+        calls = []
+        counting(cli, "gamma_cubic", calls, monkeypatch)
+        counting(cli, "curvature", calls, monkeypatch)
+        cfg = write_config(tmp_path, DEGENERATE_FIELD, grid=5)
+        assert main(["gamma", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert calls == []
+        rows = (tmp_path / "gamma.csv").read_text().splitlines()[1:]
+        assert len(rows) == 25
+        assert all(r.endswith(",nan" * 6) for r in rows)
+
+    def test_check_evaluates_its_samples_in_one_call(self, tmp_path,
+                                                     monkeypatch):
+        gammas, curvatures = [], []
+        counting(cli, "gamma_cubic", gammas, monkeypatch)
+        counting(cli, "curvature", curvatures, monkeypatch)
+        cfg = write_config(tmp_path, SOLUTION_A, samples=6)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert gammas == [6] and curvatures == [6]
+
+    def test_normalforms_one_curvature_call_per_form(self, tmp_path,
+                                                     monkeypatch):
+        calls = []
+        counting(cli, "curvature", calls, monkeypatch)
+        cfg = write_config(tmp_path, SOLUTION_A)
+        assert main(["normalforms", "--config", cfg, "--out",
+                     str(tmp_path)]) == 0
+        assert calls == [20] * 8
+
+    def test_normalforms_solves_each_F_once(self, tmp_path, monkeypatch):
+        # the F-ODE check reuses the solves form 6's fields interpolate
+        spans = []
+        solve = singular.solve_ivp
+        monkeypatch.setattr(singular, "solve_ivp", lambda f, span, *a, **k: (
+            spans.append(span) or solve(f, span, *a, **k)))
+        cfg = write_config(tmp_path, SOLUTION_A)
+        assert main(["normalforms", "--config", cfg, "--out",
+                     str(tmp_path)]) == 0
+        assert spans == [(0.0, 8.0)] * 3  # m0 = 0, 1, 2
+
+    def test_form_without_accepted_sample_reports_zero(self, tmp_path,
+                                                       monkeypatch):
+        # no sample clears an infinite prefilter: no batch, max_curvature 0
+        calls = []
+        counting(cli, "curvature", calls, monkeypatch)
+        monkeypatch.setattr(cli, "SAMPLE_DMIN_FACTOR", math.inf)
+        cfg = write_config(tmp_path, SOLUTION_A)
+        main(["normalforms", "--config", cfg, "--out", str(tmp_path)])
+        rep = json.loads((tmp_path / "normalforms.json").read_text())
+        assert calls == []
+        assert [e["max_curvature"] for e in rep["catalog"]] == [0.0] * 8

@@ -1,6 +1,9 @@
 """Singular loci: discriminant tracing, multiplicity, the normal-form
 catalog, and weight classification."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
@@ -164,6 +167,45 @@ class TestFOde:
             ts = np.linspace(0.01, 0.9 * fs.t_max, 10)
             err = max(abs(fs(t) - float(ref(t))) for t in ts)
         assert err <= 1e-10
+
+    @pytest.mark.parametrize("m0", [0, 1, 2])
+    def test_residual_is_one_dense_output_call(self, m0):
+        """One evaluation of the dense output at all 5 x len(ts) stencil
+        nodes, with the floats of the point-by-point five-point formula."""
+        fs = solve_F(m0, t_max=1.0)
+        ts = np.linspace(0.01, 0.9 * fs.t_max, 20)
+        C = 2.0 * (m0 + 3) / (m0 + 1)
+        ref = 0.0
+        for t in ts:
+            d = 1e-4 * (1 + abs(t))
+            Fp = (fs(t - 2 * d) - 8 * fs(t - d) + 8 * fs(t + d)
+                  - fs(t + 2 * d)) / (12 * d)
+            lhs = (12 + 2 * t * t - 9 * t * fs(t)) * Fp
+            res = lhs - C * (4 + 27 * fs(t) * fs(t))
+            ref = max(ref, abs(res) / (1.0 + abs(lhs)))
+        sizes = []
+        dense = fs.sol.sol
+        counted = dataclasses.replace(fs, sol=SimpleNamespace(
+            sol=lambda t: sizes.append(np.size(t)) or dense(t)))
+        assert f_ode_residual(counted, ts) == ref
+        assert sizes == [5 * len(ts)]
+
+    @pytest.mark.parametrize("m0", [0, 1, 2])
+    def test_form6_solution_is_the_unit_interval_solve(self, m0):
+        """The bracket halts the solve on [0, 8] that form 6 keeps where it
+        halts one on [0, 1], after the same steps: `normalforms` checks the
+        field's own solution and reports the floats of a [0, 1] solve."""
+        fs = normal_form_field(6, m0).fs
+        ref = solve_F(m0, t_max=1.0)
+        assert (fs.t_max, fs.bracket_ok) == (ref.t_max, ref.bracket_ok)
+        assert np.array_equal(fs.sol.t, ref.sol.t)
+        assert np.array_equal(fs.sol.y, ref.sol.y)
+        ts = np.linspace(0.01, 0.9 * fs.t_max, 20)
+        assert f_ode_residual(fs, ts) == f_ode_residual(ref, ts)
+
+    def test_rejects_negative_m0(self):
+        with pytest.raises(ValueError, match="m0"):
+            solve_F(-1)
 
 
 class TestNormalForms:
