@@ -19,7 +19,7 @@ import numpy as np
 from .cubic import (SingularPointError, at_first, coeff_values,
                     continue_along, depress_jets, discriminant_of_coeffs,
                     normalize_roots, proj_distance, regular_cutoff)
-from .jets import Jet, any_set
+from .jets import Jet, any_set, replay
 
 
 @dataclass
@@ -50,15 +50,9 @@ class CurvatureValue:
 # Closed formula in (a, b, c, r)
 
 
-def _gamma12_jets(a, b, c, r):
-    """(gamma_1, gamma_2, D) jets from coefficient jets of order >= 1."""
-    ax, ay = a.deriv(0), a.deriv(1)
-    bx, by = b.deriv(0), b.deriv(1)
-    cx, cy = c.deriv(0), c.deriv(1)
-    rx, ry = r.deriv(0), r.deriv(1)
-    k = ax.order
-    a, b, c, r = (j.truncate(k) for j in (a, b, c, r))
-
+def _gamma_formula(a, b, c, r, ax, ay, bx, by, cx, cy, rx, ry):
+    """(gamma_1, gamma_2) / (3 D) from the coefficient jets and their first
+    partials, all of one order; a formula for ``replay``."""
     g1 = ((15 * b * c * r - 27 * a * r * r - 4 * c * c * c) * ax
           + 6 * r * (3 * b * r - c * c) * ay
           + 2 * b * (c * c - 3 * b * r) * bx
@@ -75,8 +69,8 @@ def _gamma12_jets(a, b, c, r):
           + 2 * c * (b * b - 3 * a * c) * cy
           + 6 * a * (3 * a * c - b * b) * rx
           + (15 * a * b * c - 27 * a * a * r - 4 * b * b * b) * ry)
-    D = discriminant_of_coeffs(a, b, c, r)
-    return g1, g2, D
+    invD = (3 * discriminant_of_coeffs(a, b, c, r)).reciprocal()
+    return g1 * invD, g2 * invD
 
 
 def gamma_cubic(field, point, order=0):
@@ -99,9 +93,10 @@ def gamma_from_jets(coeff_jets, x, y):
         raise SingularPointError(
             f"discriminant ~ 0 at ({x}, {y}): |D| = {abs(D0):.3e}",
             disc=D0)
-    g1, g2, D = _gamma12_jets(*coeff_jets)
-    invD = (3 * D).reciprocal()
-    return ConnectionValue(gx=g1 * invD, gy=g2 * invD, disc=D0)
+    k = coeff_jets[0].order - 1
+    gx, gy = replay(_gamma_formula, *(j.truncate(k) for j in coeff_jets),
+                    *(j.deriv(i) for j in coeff_jets for i in (0, 1)))
+    return ConnectionValue(gx=gx, gy=gy, disc=D0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +152,7 @@ def gamma_depressed(field, point, order=0):
             return ConnectionValue(gx=g.gy.swap_axes(), gy=g.gx.swap_axes())
         return gamma_depressed_from_AB(dep.A, dep.B)
     g = gamma_from_jets(jets, x, y)
-    D = discriminant_of_coeffs(*jets)
+    D = replay(discriminant_of_coeffs, *jets)
     invD = D.reciprocal() * (1.0 / 6.0)
     return ConnectionValue(gx=g.gx + D.deriv(0) * invD.truncate(order),
                            gy=g.gy + D.deriv(1) * invD.truncate(order))
@@ -165,6 +160,18 @@ def gamma_depressed(field, point, order=0):
 
 # ---------------------------------------------------------------------------
 # Definition via normalized roots
+
+
+def _expressions_formula(inv, p1, p2, p3, q1, q2, q3, py1, py2, py3, qx1,
+                         qx2, qx3):
+    """The three (gx, gy) from 1/omega, sigma and the partials d_y p_i,
+    d_x q_i, all of one order; a formula for ``replay``."""
+    h1, h2, h3 = ((qx - py) * inv
+                  for py, qx in ((py1, qx1), (py2, qx2), (py3, qx3)))
+    ps, qs = (p1, p2, p3), (q1, q2, q3)
+    return [(h2 * ps[0] - h1 * ps[1], h2 * qs[0] - h1 * qs[1]),
+            (h3 * ps[1] - h2 * ps[2], h3 * qs[1] - h2 * qs[2]),
+            (h1 * ps[2] - h3 * ps[0], h1 * qs[2] - h3 * qs[0])]
 
 
 def gamma_expressions_from_sigma(sigma):
@@ -175,21 +182,13 @@ def gamma_expressions_from_sigma(sigma):
     """
     (p1, q1), (p2, q2), (p3, q3) = sigma
     omega = p1 * q2 - p2 * q1
-    inv = omega.reciprocal()
-    hs = [(q.deriv(0) - p.deriv(1)) * inv.truncate(p.order - 1)
-          for p, q in sigma]
-    k = hs[0].order
-    ps = [p.truncate(k) for p, _ in sigma]
-    qs = [q.truncate(k) for _, q in sigma]
-    h1, h2, h3 = hs
-    return [
-        ConnectionValue(gx=h2 * ps[0] - h1 * ps[1],
-                        gy=h2 * qs[0] - h1 * qs[1]),
-        ConnectionValue(gx=h3 * ps[1] - h2 * ps[2],
-                        gy=h3 * qs[1] - h2 * qs[2]),
-        ConnectionValue(gx=h1 * ps[2] - h3 * ps[0],
-                        gy=h1 * qs[2] - h3 * qs[0]),
-    ]
+    k = p1.order - 1
+    exprs = replay(_expressions_formula, omega.reciprocal().truncate(k),
+                   *(p.truncate(k) for p, _ in sigma),
+                   *(q.truncate(k) for _, q in sigma),
+                   *(p.deriv(1) for p, _ in sigma),
+                   *(q.deriv(0) for _, q in sigma))
+    return [ConnectionValue(gx=gx, gy=gy) for gx, gy in exprs]
 
 
 AGREEMENT_TOL = 1e-9  # relative spread allowed among the three expressions
@@ -250,7 +249,7 @@ def corollary_residual(pot, point, assoc_tol=1e-8):
             "holds on solutions")
     jets = pot.characteristic_field().coeff_jets(x, y, 1)
     g = gamma_from_jets(jets, x, y)  # raises where D ~ 0
-    D = discriminant_of_coeffs(*jets)
+    D = replay(discriminant_of_coeffs, *jets)
     ref_x = -D.deriv(0).value / (6.0 * D.value)
     ref_y = -D.deriv(1).value / (6.0 * D.value)
     gx, gy = g.values()
@@ -324,17 +323,6 @@ def integrate_gamma(field, path):
                 f"[{a}, {a + 2 * width}] unresolved in {QUAD_MAX_INTERVALS} "
                 "intervals")
     return complex(sum(sums, 0j))
-
-
-def exactness_potential(field, base, target, path=None):
-    """Integral of gamma from base to target; path-independent iff flat."""
-    if path is None:
-        path = [base, target]
-    else:
-        path = list(path)
-        if not np.allclose(path[0], base) or not np.allclose(path[-1], target):
-            raise ValueError("path must run from base to target")
-    return integrate_gamma(field, path)
 
 
 FRAME_MAX_MOVE = 0.2  # summed projective move allowed between checkpoints

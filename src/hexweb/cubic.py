@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, any_set, base_point, jet_cbrt
+from .jets import Jet, any_set, base_point, jet_cbrt, replay
 
 COEF_VANISH_TOL = 1e-12
 
@@ -313,7 +313,7 @@ def _root_jets(coeff_jets, x, y, order, root_values):
     c = np.stack([jet.c for jet in coeff_jets])[:, None]
     base = coeff_jets[0].base
     s = _newton_root_jet([Jet._raw(base, order, ci)
-                          for ci in np.where(mask, c, c[::-1])], s0, order)
+                          for ci in np.where(mask, c, c[::-1])], s0)
     one = s._constant(1.0).c
     p, q = np.where(mask, s.c, one), np.where(mask, one, s.c)
     return [(Jet._raw(base, order, p[k]), Jet._raw(base, order, q[k]))
@@ -323,15 +323,20 @@ def _root_jets(coeff_jets, x, y, order, root_values):
 SIMPLE_ROOT_TOL = 1e-13  # relative |P'(s0)| below which a root is multiple
 
 
-def _newton_root_jet(coeff_jets, s0, order):
+def _newton_root_jet(coeff_jets, s0):
     """Jet of a simple root of c3 s^3 + c2 s^2 + c1 s + c0 (jets c_i)."""
     c3, c2, c1, c0 = coeff_jets
-    s = c3._constant(s0)
     dP0 = 3 * c3.value * s0**2 + 2 * c2.value * s0 + c1.value
     if any_set(np.abs(dP0) < SIMPLE_ROOT_TOL * (1 + np.max(
             np.abs([c.value for c in coeff_jets]), axis=0))):
         raise SingularPointError("root is not simple (P'(s0) ~ 0)")
-    for _ in range(max(1, order.bit_length()) + 2):
+    return replay(_newton_steps, *coeff_jets, c3._constant(s0))
+
+
+def _newton_steps(c3, c2, c1, c0, s):
+    """Newton steps from s, as many as the order needs; a formula for
+    ``replay``."""
+    for _ in range(max(1, s.order.bit_length()) + 2):
         P = ((c3 * s + c2) * s + c1) * s + c0
         dP = (3 * c3 * s + 2 * c2) * s + c1
         s = s - P * dP.reciprocal()
@@ -386,9 +391,15 @@ def normalize_roots(field, point, order=1, label_ref=None, lam_target=None):
         vals, _ = match_roots(label_ref, vals)
     sp, lam3 = normalization_core(jets, x, y, order, vals)
     lam = jet_cbrt(lam3, target=lam_target)
-    return RootTriple(point=tuple(base_point(x, y)),
-                      sigma=[(lam * P, lam * Q) for P, Q in sp],
+    sigma = replay(_scaled, lam, *(j for pair in sp for j in pair))
+    return RootTriple(point=tuple(base_point(x, y)), sigma=sigma,
                       lam=lam.value)
+
+
+def _scaled(lam, *pq):
+    """The pairs (lam P, lam Q) of (P, Q) = pq[0:2], pq[2:4], ...; a formula
+    for ``replay``."""
+    return [(lam * P, lam * Q) for P, Q in zip(pq[::2], pq[1::2])]
 
 
 def normalization_core(coeff_jets, x, y, order, root_values):
@@ -401,16 +412,21 @@ def normalization_core(coeff_jets, x, y, order, root_values):
     lam3 scales the product of the t_i sigma_i onto the field at the
     coefficient of largest size.
     """
-    (p1, q1), (p2, q2), (p3, q3) = _root_jets(coeff_jets, x, y, order,
-                                              root_values)
+    roots = _root_jets(coeff_jets, x, y, order, root_values)
+    sp, hats = replay(_normalization_formula,
+                      *(j for pair in roots for j in pair))
+    k = np.argmax(np.abs(coeff_values(hats)), axis=-1)
+    return sp, _pick(coeff_jets, k) * _pick(hats, k).reciprocal()
+
+
+def _normalization_formula(p1, q1, p2, q2, p3, q3):
+    """(sp, hats) from the root jets; a formula for ``replay``."""
     # kernel of the 2x3 matrix [sigma_1 sigma_2 sigma_3] via cross products
     t1 = p2 * q3 - p3 * q2
     t2 = p3 * q1 - p1 * q3
     t3 = p1 * q2 - p2 * q1
     sp = [(t1 * p1, t1 * q1), (t2 * p2, t2 * q2), (t3 * p3, t3 * q3)]
-    hats = _product_coeffs(sp)
-    k = np.argmax(np.abs(coeff_values(hats)), axis=-1)
-    return sp, _pick(coeff_jets, k) * _pick(hats, k).reciprocal()
+    return sp, _product_coeffs(sp)
 
 
 def _pick(jets, k):

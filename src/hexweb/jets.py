@@ -22,7 +22,8 @@ Products, derivatives and truncations return zeros above it and never read
 an operand's entries there.
 
 Products run on an index plan built once per order (``_product_plan``,
-offset per element for a batch by ``_batch_plan``).
+offset per element for a batch by ``_batch_plan``; ``_sum_products`` is
+the arithmetic).
 Each of the T = (K+1)(K+2)/2 outputs (m1, m2) of the triangle collects the
 terms a[j1, j2] * b[m1 - j1, m2 - j2], C(K+4, 4) terms in all.  The plan
 holds the flat gather indices of both factors, one column per output padded
@@ -30,9 +31,11 @@ to the largest term count L (L x T), and, per flat output position, the
 row of the running sum that ends its own terms.  A product is one
 gather-multiply, along the flattened last two axes, into rows 1..L below a
 row of zeros, one sequential ``np.add.accumulate`` down the term axis and
-one gather of the result: a fixed number of numpy calls and no Python loop,
-whatever the batch shape.  Order 0 is the elementwise product.  The indices
-do not depend on the coefficients, so batched operands use the same plan.
+one gather of the result: a fixed number of numpy calls, whatever the batch
+shape (long rows are summed row by row, the same sums in L calls, because
+the accumulation walks them column by column).  Order 0 is the elementwise
+product.  The indices do not depend on the coefficients, so batched
+operands use the same plan.
 
 Bit-identity contract: for finite coefficients, products, ``deriv`` and
 ``truncate`` return exactly the floats of the dense reference (for each
@@ -47,6 +50,21 @@ element alone.  ``tests/test_jets.py`` checks both against the reference
 loop and the single jets.  (With an inf or nan coefficient the reference
 skipped exact-zero terms of ``a`` that the plan multiplies, so 0 * inf may
 give nan there.)
+
+Programs: ``replay(fn, *jets)`` returns ``fn(*jets)`` for a straight-line
+formula of jets.  fn runs once per (fn, arity, order) on tracing nodes that
+record sums, differences, products, negations, number operands on either
+side and reciprocals (as ``Jet.reciprocal``'s own steps), and raise
+TypeError on anything that reads data (``bool``, comparisons, ``abs``,
+``.value``, ``.c``), so a formula that branches cannot be traced.  An
+operation repeated on the same operands is recorded once; the rest are
+grouped by dependency depth and kind, and each group is one numpy step on a
+register array (n_regs, (K+1)^2, B) holding each coefficient as a row over
+the B batch elements, its results written to the group's contiguous
+registers.  A step does the eager operation's elementwise arithmetic
+(products through ``_sum_products``), so every output equals the eager
+formula's, element by element: the ~130 jet operations of the closed-form
+connection run in 23 steps at order 0, whatever the batch shape.
 """
 
 from __future__ import annotations
@@ -76,8 +94,7 @@ _ZERO_1x1 = _frozen(np.zeros((1, 1), dtype=complex))
 
 @functools.cache
 def _product_plan(K):
-    """Gather indices (ia, ib), output map and running-sum shape of the
-    order-K product.
+    """Gather indices (ia, ib) and output map of the order-K product.
 
     Column t of ia, ib lists the terms of the t-th triangle output (m1, m2),
     the pairs (j1, j2) x (m1 - j1, m2 - j2) in row-major order of (j1, j2),
@@ -98,8 +115,7 @@ def _product_plan(K):
                  for j1 in range(m1 + 1) for j2 in range(m2 + 1)]
         ia[:len(pairs), t], ib[:len(pairs), t] = zip(*pairs)
         last[m1 * n + m2] = len(pairs) * len(outs) + t
-    return (_frozen(ia), _frozen(ib), _frozen(last.reshape(n, n)),
-            (L + 1, len(outs)))
+    return _frozen(ia), _frozen(ib), _frozen(last.reshape(n, n))
 
 
 @functools.lru_cache(maxsize=16)
@@ -109,14 +125,33 @@ def _batch_plan(shape):
     jets, so one gather over the raveled operands and one accumulation down
     axis 0 serve every element, and ``last`` has the operands' shape."""
     batch, n = shape[:-2], shape[-1]
-    ia, ib, last, (rows, T) = _product_plan(n - 1)
-    e = np.arange(math.prod(batch))
+    ia, ib, last = _product_plan(n - 1)
+    (L, T), e = ia.shape, np.arange(math.prod(batch))
     row, col = np.divmod(last, T)
     last = row * (e.size * T) + col + T * e[:, None, None]
-    terms = (rows - 1,) + batch + (T,)
+    terms = (L,) + batch + (T,)
     return (_frozen((ia[:, None] + n * n * e[:, None]).reshape(terms)),
             _frozen((ib[:, None] + n * n * e[:, None]).reshape(terms)),
-            _frozen(last.reshape(shape)), (rows,) + batch + (T,))
+            _frozen(last.reshape(shape)))
+
+
+# row length from which the running sums go row by row: np.add.accumulate
+# down axis 0 walks the columns one by one, some 30 times slower than a
+# row-wise add on rows of thousands
+ACCUMULATE_ROW_MAX = 256
+
+
+def _sum_products(ta, tb):
+    """The product kernel: running sums down axis 0 of the term products
+    ta * tb, below a row of +0.0 (row r holds the first r terms)."""
+    L = len(ta)
+    terms = np.zeros((L + 1,) + ta.shape[1:], dtype=complex)
+    np.multiply(ta, tb, terms[1:])
+    if ta.size < L * ACCUMULATE_ROW_MAX:
+        return np.add.accumulate(terms, 0)
+    for r in range(1, len(terms)):  # the same sums, row by row
+        np.add(terms[r - 1], terms[r], out=terms[r])
+    return terms
 
 
 @functools.cache
@@ -158,6 +193,12 @@ def _c00(c):
 def any_set(mask):
     """Whether any element of a boolean scalar or array is set."""
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _invertible(c0):
+    if any_set((c0 == 0) | ~np.isfinite(c0)):
+        raise JetError("reciprocal of jet with zero constant term (pole)")
+    return c0
 
 
 class Jet:
@@ -276,22 +317,17 @@ class Jet:
         if a.shape != b.shape:
             shape = np.broadcast_shapes(a.shape, b.shape)
             a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
-        ia, ib, last, rows = (_product_plan(K) if a.ndim == 2
-                              else _batch_plan(a.shape))
-        terms = np.zeros(rows, dtype=complex)
-        np.multiply(a.ravel()[ia], b.ravel()[ib], out=terms[1:])
-        acc = np.add.accumulate(terms, axis=0)
+        ia, ib, last = (_product_plan(K) if a.ndim == 2
+                        else _batch_plan(a.shape))
+        acc = _sum_products(a.ravel()[ia], b.ravel()[ib])
         return Jet._raw(self.base, K, acc.ravel()[last])
 
     __rmul__ = __mul__
 
     def reciprocal(self):
         """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.value
-        if any_set((c0 == 0) | ~np.isfinite(c0)):
-            raise JetError("reciprocal of jet with zero constant term (pole)")
         # Newton iteration r <- r(2 - u r), quadratic convergence in order.
-        r = self._constant(1.0 / c0)
+        r = self._inverse_constant()
         n = 1
         while n <= self.order:
             r = r * (2.0 - self * r)
@@ -341,6 +377,9 @@ class Jet:
         return Jet._raw((self.base[1], self.base[0]), self.order,
                         np.swapaxes(self.c, -1, -2).copy())
 
+    def _inverse_constant(self):
+        return self._constant(1.0 / _invertible(self.value))
+
     def _constant(self, value):
         """The constant jet ``value`` (a number, or an array over the batch
         axes) on this jet's base, order and batch shape."""
@@ -355,6 +394,182 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(base={self.base}, order={self.order}, value={self.value})"
+
+
+# -- programs: straight-line formulas, traced once, replayed stacked ------
+
+
+class _Node:
+    """A jet of an order-``order`` formula being traced: records the ring
+    operations applied to it and refuses anything that would read data."""
+
+    __slots__ = ("_rec", "_id", "order")
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods
+
+    def __init__(self, rec, i, order):
+        self._rec, self._id, self.order = rec, i, order
+
+    def _op(self, kind, other=None):
+        if isinstance(other, _Node):
+            return self._rec(kind, self._id, other._id)
+        if isinstance(other, np.ndarray) and other.ndim:
+            raise TypeError("a traced jet formula takes number constants only")
+        return self._rec(kind, self._id, None,
+                         None if other is None else complex(other))
+
+    def __add__(self, other):
+        return self._op("add", other)
+
+    def __sub__(self, other):  # x - k is x + (-k), as in Jet.__sub__
+        if isinstance(other, _Node):
+            return self._op("sub", other)
+        return self + -complex(other)
+
+    def __rsub__(self, other):  # k - x is (-x) + k, as in Jet.__rsub__
+        return -self + other
+
+    def __mul__(self, other):
+        return self._op("mul", other)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self._op("neg")
+
+    def _inverse_constant(self):
+        return self._op("inv")
+
+    reciprocal = Jet.reciprocal
+
+    def _refuse(self, *args):
+        raise TypeError("a traced jet formula may only add, subtract, "
+                        "multiply, negate and take reciprocals")
+
+    __bool__ = __abs__ = __float__ = __complex__ = __index__ = _refuse
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __getattr__ = _refuse  # .value, .c, ...
+    __hash__ = None
+
+
+def _map(tree, leaf):
+    """A formula's result (nested tuples and lists) with each leaf x
+    replaced by leaf(x)."""
+    if isinstance(tree, (tuple, list)):
+        return type(tree)(_map(t, leaf) for t in tree)
+    return leaf(tree)
+
+
+@functools.cache
+def _program(fn, arity, order):
+    """fn traced on arity nodes and scheduled: (result tree of output
+    positions, steps, register count, output registers).  An operation
+    repeated on the same operands and number is recorded once.  Each
+    operation sits one level above its deepest operand, and each (level,
+    kind) group is one step, whose m results take the next m registers."""
+    ops, seen = [], {}
+
+    def rec(kind, a, b=None, k=None):
+        kind += "" if k is None else " number"
+        key = (kind, a, b, repr(k))  # repr tells -0.0 from 0.0
+        if key not in seen:
+            seen[key] = arity + len(ops)
+            ops.append((kind, a, b, k))
+        return _Node(rec, seen[key], order)
+
+    def output(node):
+        if not isinstance(node, _Node):
+            raise TypeError("a traced jet formula must return jets")
+        outs.append(node._id)
+        return len(outs) - 1
+
+    outs, groups = [], {}
+    tree = _map(fn(*(_Node(rec, i, order) for i in range(arity))), output)
+    level = [0] * (arity + len(ops))
+    for i, (kind, a, b, _) in enumerate(ops):
+        level[arity + i] = 1 + max(level[a], level[a if b is None else b])
+        groups.setdefault((level[arity + i], kind), []).append(i)
+    reg, steps, n = list(range(arity)) + [None] * len(ops), [], arity
+    for (_, kind), members in sorted(groups.items()):
+        for j, i in enumerate(members):
+            reg[arity + i] = n + j
+        steps.append(_step(kind, n, *zip(*[
+            (reg[a], reg[a if b is None else b], k)
+            for _, a, b, k in (ops[i] for i in members)]), order))
+        n += len(members)
+    return tree, steps, n, np.array([reg[i] for i in outs])
+
+
+def _step(kind, s, ra, rb, ks, K):
+    """A step at order K: a function of the registers (n_regs, n2 B), their
+    coefficient rows (n_regs n2, B) and B that writes the m results to
+    registers s..s+m-1 by the elementwise arithmetic of the eager ops."""
+    n2, m = (K + 1) ** 2, len(ra)
+    out, rows_out = slice(s, s + m), slice(s * n2, (s + m) * n2)
+    if kind == "mul" and K:
+        # the product plan on coefficient rows: the (2, L, m, T) term rows
+        # of both factors, and per output row the running-sum row (of the
+        # (L+1, m, T)) that ends its terms
+        ia, ib, last = _product_plan(K)
+        T = ia.shape[1]
+        row, col = np.divmod(last.ravel(), T)
+        iab = np.stack([np.array(r)[:, None] * n2 + i[:, None]
+                        for r, i in ((ra, ia), (rb, ib))])
+        pick = ((row * m + np.arange(m)[:, None]) * T + col).ravel()
+
+        def product(regs, rows, B):
+            terms = rows.take(iab, 0)
+            _sum_products(terms[0], terms[1]).reshape(-1, B).take(
+                pick, 0, rows[rows_out], "clip")
+        return product
+    a, b, k = np.array(ra), np.array(rb), np.array(ks)[:, None]
+    ufunc = {"add": np.add, "sub": np.subtract, "mul": np.multiply}.get(kind)
+
+    def run(regs, rows, B):
+        o, x = regs[out], regs.take(a, 0)
+        if ufunc:
+            ufunc(x, regs.take(b, 0), out=o)
+            if kind == "mul":  # order 0, as Jet.__mul__: +0.0 + x y
+                o += 0j
+        elif kind == "neg":
+            np.negative(x, out=o)
+        elif kind == "mul number":  # k a column: numpy's vector-scalar loop,
+            np.multiply(x, k, out=o)  # as for Jet.c * k (the vector-vector
+            # loop rounds complex products differently)
+        elif kind == "add number":
+            o[...] = x
+            o[:, :B] += k
+        else:  # inv: the constant jets 1 / c0
+            o[...] = 0.0
+            o[:, :B] = 1.0 / _invertible(x[:, :B])
+    return run
+
+
+def replay(fn, *jets):
+    """``fn(*jets)`` for a straight-line formula fn of jets of one order and
+    batch shape, run as a program: the same jets, float for float."""
+    first = jets[0]
+    K, cs = first.order, [j.c for j in jets]
+    for j in jets[1:]:
+        if j.base is not first.base or j.order != K:
+            first._check(j)
+    shape, n2 = cs[0].shape, (K + 1) ** 2
+    batch, B = shape[:-2], math.prod(shape[:-2])
+    if not B:
+        return fn(*jets)
+    tree, steps, n_regs, outs = _program(fn, len(jets), K)
+    # the registers: a jet's n2 coefficients, each a row over the batch
+    R = np.empty((n_regs, n2, B), dtype=complex)
+    if batch:
+        R[:len(cs)] = np.stack(cs).reshape(len(cs), B, n2).transpose(0, 2, 1)
+    else:
+        np.concatenate(cs, out=R[:len(cs)].reshape(-1, K + 1))
+    regs, rows = R.reshape(n_regs, -1), R.reshape(-1, B)
+    for run in steps:
+        run(regs, rows, B)
+    out = R.take(outs, 0)
+    out = (out.transpose(0, 2, 1) if batch else out).reshape(
+        (len(outs),) + shape)
+    return _map(tree, lambda i: Jet._raw(first.base, K, out[i]))
 
 
 # -- series / elementary functions -------------------------------------

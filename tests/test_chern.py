@@ -8,7 +8,7 @@ import pytest
 
 from hexweb import chern
 from hexweb.chern import (blaschke_transport, corollary_residual, curvature,
-                          dual_frame, exactness_potential, frame_components,
+                          dual_frame, frame_components,
                           gamma_cubic, gamma_depressed,
                           gamma_expressions_from_sigma, gamma_from_definition,
                           integrate_gamma)
@@ -23,9 +23,9 @@ from webs import CONTROL_GENERIC as CONTROL, random_poly
 RNG = np.random.default_rng(431)
 
 
-def random_regular_point(field):
+def random_regular_point(field, rng=RNG):
     for _ in range(100):
-        x, y = RNG.standard_normal(2)
+        x, y = rng.standard_normal(2)
         co = field.coeffs(x, y)
         if abs(discriminant_of_coeffs(*co)) > 1e-3 * discriminant_scale(co):
             return x, y
@@ -98,19 +98,16 @@ class TestPathIntegrals:
     def test_flat_web_is_exact(self):
         field = solution_potential("A").characteristic_field()
         base, targ = (0.0, 1.0), (0.3, 1.2)
-        p1 = exactness_potential(field, base, targ)
-        p2 = exactness_potential(field, base, targ,
-                                 path=[base, (0.3, 1.0), targ])
-        p3 = exactness_potential(field, base, targ,
-                                 path=[base, (-0.1, 1.25), targ])
+        p1 = integrate_gamma(field, [base, targ])
+        p2 = integrate_gamma(field, [base, (0.3, 1.0), targ])
+        p3 = integrate_gamma(field, [base, (-0.1, 1.25), targ])
         assert abs(p1 - p2) < 1e-8
         assert abs(p1 - p3) < 1e-8
 
     def test_control_web_is_path_dependent(self):
         base, targ = (-2.5, 0.1), (-2.3, 0.2)
-        p1 = exactness_potential(CONTROL, base, targ)
-        p2 = exactness_potential(CONTROL, base, targ,
-                                 path=[base, (-2.5, 0.2), targ])
+        p1 = integrate_gamma(CONTROL, [base, targ])
+        p2 = integrate_gamma(CONTROL, [base, (-2.5, 0.2), targ])
         assert abs(p1 - p2) > 1e-4
         assert abs(p1 - p2) == pytest.approx(1.2807e-3, rel=1e-3)
 
@@ -323,3 +320,38 @@ class TestPointArrays:
         else:
             gamma_depressed(pot.characteristic_field(), (0.1, 1.0), order=1)
         assert len(lifts) == 1
+
+
+class TestCurvatureOracles:
+    def test_stokes_on_small_squares(self):
+        # the loop integral of gamma around a square of side h is the
+        # integral of K dx ^ dy over it: K h^2 + O(h^4) at the centre
+        K = curvature(CONTROL, (0.5, 0.5)).K
+        errors = []
+        for h in (0.04, 0.02, 0.01):
+            lo, hi = 0.5 - h / 2, 0.5 + h / 2
+            loop = [(lo, lo), (hi, lo), (hi, hi), (lo, hi), (lo, lo)]
+            errors.append(abs(integrate_gamma(CONTROL, loop) / h ** 2 - K)
+                          / abs(K))
+        assert errors[0] < 3e-4
+        assert errors[1] <= errors[0] / 3 and errors[2] <= errors[1] / 3
+
+    @pytest.mark.parametrize("name", ["control", "random"])
+    def test_curvature_ignores_a_common_factor(self, name):
+        # (a, b, c, r) and g (a, b, c, r) define the same web: gamma moves
+        # by an exact form and K stays
+        rng = np.random.default_rng(2024)
+        field = CONTROL if name == "control" else PolyCoeffField(
+            *(random_poly(rng) for _ in range(4)))
+        x, y = PolyExpr.var(0, 2), PolyExpr.var(1, 2)
+        g = PolyExpr.const(1, 2) + x * x + y * y
+        scaled = PolyCoeffField(*(p * g for p in field.abcr))
+        pts = np.array([random_regular_point(field, rng)
+                        for _ in range(8)]).T
+        want = curvature(field, tuple(pts)).K
+        assert np.all(np.abs(curvature(scaled, tuple(pts)).K - want)
+                      <= 1e-12 * (1 + np.abs(want)))
+        for p, k in zip(pts.T, want):
+            got = curvature(scaled, tuple(p)).K
+            assert abs(got - curvature(field, tuple(p)).K) <= 1e-12 * (
+                1 + abs(k))

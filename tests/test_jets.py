@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hexweb import chern, cubic, frobenius, jets
 from hexweb.jets import (DEFAULT_ORDER, Jet, JetError, PolyExpr, compose_series,
                          jet_cbrt, jet_pow, jet_tan,
-                         jet_to_polyexpr)
+                         jet_to_polyexpr, replay)
 
 RNG = np.random.default_rng(20260823)
 
@@ -460,3 +461,115 @@ class TestBatchAxis:
         for i in np.ndindex(pts.shape[1:]):
             want = p.jet((pts[0][i], pts[1][i]), order).c
             assert same_bits(got[i], want)
+
+
+# ---------------------------------------------------------------------------
+# Programs: traced formulas replayed on stacked registers equal the eager
+# formulas bit for bit
+
+
+def every_kind(a, b):
+    """Each traced operation, numbers on both sides (complex ones too),
+    signed-zero summands, repeated operations and a nested result."""
+    ab = a * b
+    c = ab + (2.5 - 1j) * a - b * 3 + 0.5
+    d = 1 - a * b - (a - 2) + (-b) * ab + (a * b) * (0.25 + 2j)
+    return [(c, d + 0.0, d + -0.0), -c, (c * d - d).reciprocal(), 7 - ab]
+
+
+FORMULAS = [(chern._gamma_formula, 12), (cubic.discriminant_of_coeffs, 4),
+            (cubic._normalization_formula, 6), (cubic._scaled, 7),
+            (chern._expressions_formula, 13), (cubic._newton_steps, 5),
+            (every_kind, 2)]
+
+
+def leaves(tree):
+    if isinstance(tree, (tuple, list)):
+        return [x for t in tree for x in leaves(t)]
+    return [tree]
+
+
+def outcome(fn, args):
+    """The coefficient arrays of fn(*args), or the JetError it raises."""
+    try:
+        return [j.c for j in leaves(fn(*args))]
+    except JetError as e:
+        return str(e)
+
+
+class TestPrograms:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), st.sampled_from(FORMULAS), BATCHES, st.integers(0, 2))
+    def test_program_equals_eager_formula(self, data, formula, shape, order):
+        fn, arity = formula
+        n = order + 1
+        args = []
+        for _ in range(arity):
+            jet, _ = batch_of(data, shape, order)
+            # exact zeros, signed zeros among them
+            for part, value in ((jet.c, 0.0), (jet.c.real, -0.0),
+                                (jet.c.imag, -0.0)):
+                part[data.draw(arrays(np.bool_, shape + (n, n)))] = value
+            args.append(jet)
+        with np.errstate(all="ignore"):  # tiny pivots may overflow: alike
+            want = outcome(fn, args)
+            got = outcome(lambda *a: replay(fn, *a), args)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert len(got) == len(want)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("fn", [
+        lambda a, b: a if a.value else b,
+        lambda a, b: a * b if a else b,
+        lambda a, b: a if a < b else b,
+        lambda a, b: a if a == b else b,
+        lambda a, b: a * abs(b),
+        lambda a, b: a * a.c[0, 0],
+        lambda a, b: a * float(b),
+        lambda a, b: a * np.array([1.0, 2.0]),
+        lambda a, b: (a, 1.0),
+    ])
+    def test_tracing_refuses_what_reads_data(self, fn):
+        a, b = random_jet(order=2), random_jet(order=2)
+        with pytest.raises(TypeError):
+            replay(fn, a, b)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_one_gamma_cubic_makes_few_products(self, order, monkeypatch):
+        # 132 eager Jet.__mul__ calls before programs; now a few stacked ones
+        field = frobenius.solution_potential("A").characteristic_field()
+        kernel, calls = jets._sum_products, {"kernel": 0, "jet": 0}
+
+        def counted(*args):
+            calls["kernel"] += 1
+            return kernel(*args)
+
+        def jet_mul(*args):
+            calls["jet"] += 1
+            return mul(*args)
+
+        mul = Jet.__mul__
+        monkeypatch.setattr(jets, "_sum_products", counted)
+        monkeypatch.setattr(Jet, "__mul__", jet_mul)
+        monkeypatch.setattr(Jet, "__rmul__", jet_mul)
+        chern.gamma_cubic(field, (0.1, 1.0), order=order)
+        assert calls["jet"] == 0
+        assert calls["kernel"] <= (8 if order == 0 else 9)
+
+    def test_no_plan_is_built_twice(self):
+        field = frobenius.solution_potential("A").characteristic_field()
+        xs = np.linspace(-0.5, 0.5, 64)
+
+        def run():
+            for pt in ((0.1, 1.0), (xs, 1.0 + 0.2 * xs)):
+                chern.gamma_cubic(field, pt)
+                chern.curvature(field, pt)
+                cubic.normalize_roots(field, pt)
+
+        caches = (jets._batch_plan, jets._product_plan, jets._program)
+        run()
+        misses = [c.cache_info().misses for c in caches]
+        run()
+        assert [c.cache_info().misses for c in caches] == misses
