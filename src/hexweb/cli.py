@@ -253,15 +253,21 @@ CLOSURE_LEAF_TOL = 1e-10  # leaf tolerance of the closure hexagon
 NF2_GAMMA_TOL = 1e-12  # |gamma| of normal form 2 that counts as zero
 
 
-def _random_regular_points(field, window, rng, count):
+def _random_regular_points(field, window, rng, count, tries):
+    """Up to count points, in at most tries uniform draws (x, then y) from
+    window, that the field evaluates and that lie well off D = 0 (scaled |D|
+    above SAMPLE_DMIN_FACTOR), for a sharp test."""
     (x0, x1), (y0, y1) = window
     pts = []
-    tries = 0
-    while len(pts) < count and tries < 100 * count:
-        tries += 1
+    for _ in range(tries):
+        if len(pts) >= count:
+            break
         x = rng.uniform(x0, x1)
         y = rng.uniform(y0, y1)
-        co = field.coeffs(x, y)
+        try:  # SingularPointError and JetError are ValueErrors
+            co = field.coeffs(x, y)
+        except ValueError:
+            continue
         D = discriminant_of_coeffs(*co)
         if abs(D) > SAMPLE_DMIN_FACTOR * discriminant_scale(co):
             pts.append((x, y))
@@ -271,8 +277,8 @@ def _random_regular_points(field, window, rng, count):
 def run_check(obj, cfg, rng, report):
     tol = cfg["tolerances"]
     field = _field_of(obj)
-    pts = _random_regular_points(field, cfg["window"], rng,
-                                 int(cfg.get("samples", 25)))
+    count = int(cfg.get("samples", 25))
+    pts = _random_regular_points(field, cfg["window"], rng, count, 100 * count)
     if not pts:
         raise ValueError("no regular sample point found in the window")
     inv = {}
@@ -416,27 +422,13 @@ def run_normalforms(obj, cfg, rng, report, outdir):
         nf = normal_form_field(fid, m0)
         if nf.fs is not None:
             f_sols[m0] = nf.fs
-        pts = []
-        tries = 0
-        while len(pts) < 20 and tries < 400:
-            tries += 1
-            if fid == 6:
-                fs_tmax = 0.4 / (m0 + 1)
-                x = rng.uniform(0.02, fs_tmax)
-                y = rng.uniform(0.5, 1.0)
-            elif fid == 5:
-                x = rng.uniform(-0.35, 0.35)
-                y = rng.uniform(0.3, 1.2)
-            else:
-                x = rng.uniform(-1.0, 1.0)
-                y = rng.uniform(0.2, 1.2)
-            try:
-                co = nf.field.coeffs(x, y)
-            except (SingularPointError, ValueError):
-                continue
-            D = discriminant_of_coeffs(*co)
-            if abs(D) > SAMPLE_DMIN_FACTOR * discriminant_scale(co):
-                pts.append((x, y))  # else too near D = 0 for a sharp test
+        if fid == 6:
+            window = ((0.02, 0.4 / (m0 + 1)), (0.5, 1.0))
+        elif fid == 5:
+            window = ((-0.35, 0.35), (0.3, 1.2))
+        else:
+            window = ((-1.0, 1.0), (0.2, 1.2))
+        pts = _random_regular_points(nf.field, window, rng, 20, 400)
         worst_k = 0.0
         if pts:  # regular well past the cutoff, so the batch cannot raise
             K = curvature(nf.field, tuple(np.array(pts).T), route="cubic").K

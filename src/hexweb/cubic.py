@@ -121,9 +121,9 @@ class CallableJetField(DirectionField):
             return self.fn(x, y, order)
         X, Y = base_point(x, y)
         each = [self.fn(a, b, order) for a, b in zip(X.flat, Y.flat)]
-        return tuple(Jet((X, Y), order, np.array(
-            [e[k].c for e in each], dtype=complex).reshape(
-                X.shape + (order + 1, order + 1))) for k in range(4))
+        return tuple(Jet((X, Y), order, np.stack(
+            [e[k].c for e in each], axis=-1, dtype=complex).reshape(
+                (order + 1, order + 1) + X.shape)) for k in range(4))
 
 
 class TranslatedField(DirectionField):
@@ -291,7 +291,7 @@ ROOT_SEP_TOL = 1e-8  # projective separation below which roots coincide
 def _root_jets(coeff_jets, x, y, order, root_values):
     """root_jets from the field's coefficient jets at (x, y).  For arrays of
     points the jets run over them; the root values are (..., 3, 2), or
-    three (p, q) pairs for one point.  The three roots ride a leading batch
+    three (p, q) pairs for one point.  The three roots ride a first batch
     axis (3, ...) through one Newton pass, each on its own chart."""
     if root_values is None:
         root_values = roots_proj(coeff_values(coeff_jets))
@@ -309,15 +309,15 @@ def _root_jets(coeff_jets, x, y, order, root_values):
     # the coefficients reversed
     chart = np.abs(q0) >= np.abs(p0)
     s0 = np.where(chart, p0, q0) / np.where(chart, q0, p0)
-    mask = chart[..., None, None]
-    c = np.stack([jet.c for jet in coeff_jets])[:, None]
+    # (4, K+1, K+1, 1, ...): the roots axis goes in front of the points'
+    c = np.stack([jet.c for jet in coeff_jets])[:, :, :, None]
     base = coeff_jets[0].base
     s = _newton_root_jet([Jet._raw(base, order, ci)
-                          for ci in np.where(mask, c, c[::-1])], s0)
+                          for ci in np.where(chart, c, c[::-1])], s0)
     one = s._constant(1.0).c
-    p, q = np.where(mask, s.c, one), np.where(mask, one, s.c)
-    return [(Jet._raw(base, order, p[k]), Jet._raw(base, order, q[k]))
-            for k in range(3)]
+    p, q = np.where(chart, s.c, one), np.where(chart, one, s.c)
+    return [(Jet._raw(base, order, p[:, :, k]),
+             Jet._raw(base, order, q[:, :, k])) for k in range(3)]
 
 
 SIMPLE_ROOT_TOL = 1e-13  # relative |P'(s0)| below which a root is multiple
@@ -433,8 +433,8 @@ def _pick(jets, k):
     """jets[k]; for a batch, k holds one index per element."""
     if np.ndim(k) == 0:
         return jets[k]
-    c = np.take_along_axis(np.stack([j.c for j in jets]),
-                           k[None, ..., None, None], axis=0)[0]
+    c = np.take_along_axis(np.stack([j.c for j in jets]), k[None, None, None],
+                           axis=0)[0]
     return Jet._raw(jets[0].base, jets[0].order, c)
 
 

@@ -5,37 +5,36 @@ a fixed total order K, i.e. ``coeffs[j1, j2] = d^(j1+j2) f / (j1! j2!)``.
 Everything downstream (connection forms, curvature, root jets) is built on
 top of this module, so operations are kept exact to the truncation order.
 
-Batch axis: the coefficient array has shape (..., K+1, K+1); the leading
-axes index independent jets (one per point of an array of base points), and
-a single jet is batch shape ().  Every operation acts on all of them with
-the same numpy calls, so a batch costs about as many calls as one jet.  The
-base is a pair of complex scalars, or of complex arrays broadcastable to the
-batch shape; operands of a binary operation share their base, and their
-batch shapes broadcast.  ``value`` is ``c[..., 0, 0]``, a numpy scalar for
-a single jet, so that scalar code keeps numpy's scalar arithmetic.  Scalar
-factors, summands and the constants of ``constant``, ``jet_pow`` and
-``jet_cbrt`` may be arrays over the batch axes; a check on a value (a zero
-constant term, say) fails when it fails for any element.
+Batch axes: the coefficient array has shape (K+1, K+1, ...): c[j1, j2] is
+one coefficient, a number for a single jet (batch shape ()) or an array over
+the trailing axes, which index independent jets (one per point of an array
+of base points).  Every operation acts on all of them with the same numpy
+calls, so a batch costs about as many calls as one jet.  The base is a pair
+of complex scalars, or of complex arrays broadcastable to the batch shape;
+operands of a binary operation share their base, and their batch shapes
+broadcast.  ``value`` is ``c[0, 0]``, a numpy scalar for a single jet, so
+that scalar code keeps numpy's scalar arithmetic.  Scalar factors, summands
+and the constants of ``constant``, ``jet_pow`` and ``jet_cbrt`` may be
+arrays over the batch axes; a check on a value (a zero constant term, say)
+fails when it fails for any element.
 
-Only the triangle j1 + j2 <= K of the last two axes is meaningful.
+Only the triangle j1 + j2 <= K of the first two axes is meaningful.
 Products, derivatives and truncations return zeros above it and never read
 an operand's entries there.
 
-Products run on an index plan built once per order (``_product_plan``,
-offset per element for a batch by ``_batch_plan``; ``_sum_products`` is
-the arithmetic).
+Products run on one index plan per order (``_product_plan``; none depends
+on a batch shape; ``_sum_products`` is the arithmetic).
 Each of the T = (K+1)(K+2)/2 outputs (m1, m2) of the triangle collects the
 terms a[j1, j2] * b[m1 - j1, m2 - j2], C(K+4, 4) terms in all.  The plan
-holds the flat gather indices of both factors, one column per output padded
-to the largest term count L (L x T), and, per flat output position, the
-row of the running sum that ends its own terms.  A product is one
-gather-multiply, along the flattened last two axes, into rows 1..L below a
-row of zeros, one sequential ``np.add.accumulate`` down the term axis and
-one gather of the result: a fixed number of numpy calls, whatever the batch
-shape (long rows are summed row by row, the same sums in L calls, because
-the accumulation walks them column by column).  Order 0 is the elementwise
-product.  The indices do not depend on the coefficients, so batched
-operands use the same plan.
+holds the gather indices of both factors into the flattened first two axes,
+one column per output padded to the largest term count L (L x T), and, per
+output, the row of the running sum that ends its own terms.  A product
+gathers coefficient rows (a number each for one jet, a row over the batch
+for many) into term rows 1..L below a row of zeros, multiplies them, runs
+one sequential ``np.add.accumulate`` down the term axis and gathers the
+result: a fixed number of numpy calls, whatever the batch shape (long rows
+are summed row by row, the same sums in L calls, because the accumulation
+walks them column by column).  Order 0 is the elementwise product.
 
 Bit-identity contract: for finite coefficients, products, ``deriv`` and
 ``truncate`` return exactly the floats of the dense reference (for each
@@ -59,12 +58,13 @@ TypeError on anything that reads data (``bool``, comparisons, ``abs``,
 ``.value``, ``.c``), so a formula that branches cannot be traced.  An
 operation repeated on the same operands is recorded once; the rest are
 grouped by dependency depth and kind, and each group is one numpy step on a
-register array (n_regs, (K+1)^2, B) holding each coefficient as a row over
-the B batch elements, its results written to the group's contiguous
-registers.  A step does the eager operation's elementwise arithmetic
-(products through ``_sum_products``), so every output equals the eager
-formula's, element by element: the ~130 jet operations of the closed-form
-connection run in 23 steps at order 0, whatever the batch shape.
+register array (n_regs, (K+1)^2, B), the jets' own layout with the batch
+flattened to B (inputs go in with one concatenation, outputs come out with
+one reshape), its results written to the group's contiguous registers.  A
+step does the eager operation's elementwise arithmetic (products through
+``_sum_products``), so every output equals the eager formula's, element by
+element: the ~130 jet operations of the closed-form connection run in 23
+steps at order 0, whatever the batch shape.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def _frozen(arr):
     return arr
 
 
-# +0.0 under an order-0 product, as under the terms of higher orders
+# +0.0 under an order-0 product, as under the terms of higher orders, and
+# above a truncation's triangle
 _ZERO_1x1 = _frozen(np.zeros((1, 1), dtype=complex))
 
 
@@ -98,11 +99,11 @@ def _product_plan(K):
 
     Column t of ia, ib lists the terms of the t-th triangle output (m1, m2),
     the pairs (j1, j2) x (m1 - j1, m2 - j2) in row-major order of (j1, j2),
-    padded at the end; the indices are flat positions in the raveled
-    operands.  The terms are accumulated below a row of zeros, so row r of
-    the running sum holds the first r terms; ``last[m1, m2]`` is the flat
-    position of the row that ends the output's own terms (row 0, +0.0,
-    above the triangle).
+    padded at the end; the indices are flat positions j1 (K+1) + j2 in the
+    flattened first two axes of the operands.  The terms are accumulated
+    below a row of zeros, so row r of the running sum holds the first r
+    terms; ``last[m1, m2]`` is the flat position of the row that ends the
+    output's own terms (row 0, +0.0, above the triangle).
     """
     n = K + 1
     outs = [(m1, m2) for m1 in range(n) for m2 in range(n - m1)]
@@ -116,23 +117,6 @@ def _product_plan(K):
         ia[:len(pairs), t], ib[:len(pairs), t] = zip(*pairs)
         last[m1 * n + m2] = len(pairs) * len(outs) + t
     return _frozen(ia), _frozen(ib), _frozen(last.reshape(n, n))
-
-
-@functools.lru_cache(maxsize=16)
-def _batch_plan(shape):
-    """``_product_plan`` for operands of shape (*batch, K+1, K+1).  The term
-    axis stays first, (L, *batch, T): element e's indices are offset by e
-    jets, so one gather over the raveled operands and one accumulation down
-    axis 0 serve every element, and ``last`` has the operands' shape."""
-    batch, n = shape[:-2], shape[-1]
-    ia, ib, last = _product_plan(n - 1)
-    (L, T), e = ia.shape, np.arange(math.prod(batch))
-    row, col = np.divmod(last, T)
-    last = row * (e.size * T) + col + T * e[:, None, None]
-    terms = (L,) + batch + (T,)
-    return (_frozen((ia[:, None] + n * n * e[:, None]).reshape(terms)),
-            _frozen((ib[:, None] + n * n * e[:, None]).reshape(terms)),
-            _frozen(last.reshape(shape)))
 
 
 # row length from which the running sums go row by row: np.add.accumulate
@@ -155,18 +139,22 @@ def _sum_products(ta, tb):
 
 
 @functools.cache
-def _triangle(K):
-    """Mask of the multi-indices j1 + j2 <= K of a (K+1) x (K+1) array."""
+def _triangle(K, ndim):
+    """Mask of the multi-indices j1 + j2 <= K of a (K+1) x (K+1) array,
+    with trailing unit axes up to ndim axes (for a batch's coefficients)."""
     j = np.arange(K + 1)
-    return _frozen(j[:, None] + j[None, :] <= K)
+    mask = j[:, None] + j[None, :] <= K
+    return _frozen(mask.reshape(mask.shape + (1,) * (ndim - 2)))
 
 
 @functools.cache
-def _deriv_factor(K):
-    """j1 + 1 on the (K+1) x (K+1) grid, as complex factors; its transpose
-    holds j2 + 1."""
+def _deriv_factor(K, axis, ndim):
+    """j_axis + 1 on the (K+1) x (K+1) grid, as complex factors, with
+    trailing unit axes up to ndim axes."""
     j = np.arange(1, K + 2, dtype=complex)
-    return _frozen(np.repeat(j[:, None], K + 1, axis=1))
+    fac = np.repeat(j[:, None], K + 1, axis=1)
+    fac = fac if axis == 0 else fac.T
+    return _frozen(fac.reshape(fac.shape + (1,) * (ndim - 2)))
 
 
 def base_point(x, y):
@@ -184,12 +172,6 @@ def _scalar(v):
     return v if isinstance(v, np.ndarray) and v.ndim else complex(v)
 
 
-def _c00(c):
-    """Index of the constant terms of a coefficient array; a single jet's
-    2-d index takes numpy's faster path."""
-    return (0, 0) if c.ndim == 2 else (Ellipsis, 0, 0)
-
-
 def any_set(mask):
     """Whether any element of a boolean scalar or array is set."""
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
@@ -204,7 +186,7 @@ def _invertible(c0):
 class Jet:
     """Truncated Taylor expansion at a base point, total order <= order.
 
-    ``c`` has shape (..., order+1, order+1); see the module docstring for
+    ``c`` has shape (order+1, order+1, ...); see the module docstring for
     the batch axes.  Immutable by convention: operations return new jets
     and never modify the coefficient array of an operand.
     """
@@ -218,9 +200,9 @@ class Jet:
         self.order = int(order)
         if coeffs is None:
             batch = getattr(self.base[0], "shape", ())
-            self.c = np.zeros(batch + (order + 1, order + 1), dtype=complex)
-        elif np.shape(coeffs)[-2:] != (order + 1, order + 1):
-            # products index the raveled (K+1) x (K+1) trailing axes
+            self.c = np.zeros((order + 1, order + 1) + batch, dtype=complex)
+        elif np.shape(coeffs)[:2] != (order + 1, order + 1):
+            # products index the flattened (K+1) x (K+1) leading axes
             raise JetError(f"order-{order} jet needs {order + 1}x{order + 1}"
                            f" coefficients, got shape {np.shape(coeffs)}")
         else:
@@ -241,30 +223,26 @@ class Jet:
     def constant(cls, value, base, order):
         j = cls(base, order)
         value = _scalar(value)
-        if isinstance(value, np.ndarray) and value.shape != j.c.shape[:-2]:
-            shape = np.broadcast_shapes(value.shape, j.c.shape[:-2])
-            j.c = np.zeros(shape + (order + 1, order + 1), dtype=complex)
-        j.c[_c00(j.c)] = value
+        if isinstance(value, np.ndarray) and value.shape != j.c.shape[2:]:
+            shape = np.broadcast_shapes(value.shape, j.c.shape[2:])
+            j.c = np.zeros((order + 1, order + 1) + shape, dtype=complex)
+        j.c[0, 0] = value
         return j
 
     @classmethod
     def variable(cls, axis, base, order):
         """The coordinate function x (axis=0) or y (axis=1) as a jet."""
         j = cls(base, order)
-        j.c[_c00(j.c)] = j.base[axis]
+        j.c[0, 0] = j.base[axis]
         if order >= 1:
-            if axis == 0:
-                j.c[..., 1, 0] = 1.0
-            else:
-                j.c[..., 0, 1] = 1.0
+            j.c[1 - axis, axis] = 1.0
         return j
 
     # -- basic queries -------------------------------------------------
 
     @property
     def value(self):
-        c = self.c
-        return c[0, 0] if c.ndim == 2 else c[..., 0, 0]
+        return self.c[0, 0]
 
     def _check(self, other):
         if self.base is not other.base:
@@ -282,10 +260,7 @@ class Jet:
     def __add__(self, other):
         if not isinstance(other, Jet):
             out = self.c.copy()
-            if out.ndim == 2:
-                out[0, 0] += complex(other)
-            else:
-                out[..., 0, 0] += _scalar(other)
+            out[0, 0] += _scalar(other)
             return Jet._raw(self.base, self.order, out)
         self._check(other)
         return Jet._raw(self.base, self.order, self.c + other.c)
@@ -300,15 +275,12 @@ class Jet:
 
     def __rsub__(self, other):
         out = -self.c
-        out[_c00(out)] += _scalar(other)
+        out[0, 0] += _scalar(other)
         return Jet._raw(self.base, self.order, out)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            if isinstance(other, np.ndarray) and other.ndim:
-                return Jet._raw(self.base, self.order,
-                                self.c * other[..., None, None])
-            return Jet._raw(self.base, self.order, self.c * complex(other))
+            return Jet._raw(self.base, self.order, self.c * _scalar(other))
         self._check(other)
         K = self.order
         a, b = self.c, other.c
@@ -317,10 +289,15 @@ class Jet:
         if a.shape != b.shape:
             shape = np.broadcast_shapes(a.shape, b.shape)
             a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
-        ia, ib, last = (_product_plan(K) if a.ndim == 2
-                        else _batch_plan(a.shape))
-        acc = _sum_products(a.ravel()[ia], b.ravel()[ib])
-        return Jet._raw(self.base, K, acc.ravel()[last])
+        ia, ib, last = _product_plan(K)
+        if a.ndim == 2:  # one jet: ravel is numpy's cheapest flattening
+            acc = _sum_products(a.ravel()[ia], b.ravel()[ib]).ravel()[last]
+        else:  # a batch: each coefficient a row over the batch axes
+            rows = (-1,) + a.shape[2:]
+            acc = _sum_products(a.reshape(rows).take(ia, 0),
+                                b.reshape(rows).take(ib, 0))
+            acc = acc.reshape(rows).take(last, 0)
+        return Jet._raw(self.base, K, acc)
 
     __rmul__ = __mul__
 
@@ -353,14 +330,11 @@ class Jet:
         """Partial derivative; result has order reduced by one."""
         if self.order == 0:
             raise JetError("cannot differentiate an order-0 jet")
-        K = self.order - 1
-        if axis == 0:
-            src, fac = self.c[..., 1:, :K + 1], _deriv_factor(K)
-        else:
-            src, fac = self.c[..., :K + 1, 1:], _deriv_factor(K).T
-        out = np.multiply(src, fac, where=_triangle(K),
-                          out=np.zeros(self.c.shape[:-2] + (K + 1, K + 1),
-                                       dtype=complex))
+        K, c = self.order - 1, self.c
+        src = c[1:, :K + 1] if axis == 0 else c[:K + 1, 1:]
+        out = np.multiply(src, _deriv_factor(K, axis, c.ndim),
+                          where=_triangle(K, c.ndim),
+                          out=np.zeros(src.shape, dtype=complex))
         return Jet._raw(self.base, K, out)
 
     def truncate(self, order):
@@ -368,14 +342,14 @@ class Jet:
             raise JetError("cannot raise jet order by truncation")
         if order < 0:
             raise JetError("jet order must be >= 0")
-        out = np.where(_triangle(order),
-                       self.c[..., : order + 1, : order + 1], 0)
+        out = np.where(_triangle(order, self.c.ndim),
+                       self.c[: order + 1, : order + 1], _ZERO_1x1)
         return Jet._raw(self.base, order, out)
 
     def swap_axes(self):
         """The same expansion with the two variables interchanged."""
         return Jet._raw((self.base[1], self.base[0]), self.order,
-                        np.swapaxes(self.c, -1, -2).copy())
+                        np.swapaxes(self.c, 0, 1).copy())
 
     def _inverse_constant(self):
         return self._constant(1.0 / _invertible(self.value))
@@ -384,12 +358,12 @@ class Jet:
         """The constant jet ``value`` (a number, or an array over the batch
         axes) on this jet's base, order and batch shape."""
         c = np.zeros(self.c.shape, dtype=complex)
-        c[_c00(c)] = value
+        c[0, 0] = value
         return Jet._raw(self.base, self.order, c)
 
     def nilpotent_part(self):
         out = self.c.copy()
-        out[_c00(out)] = 0.0
+        out[0, 0] = 0.0
         return Jet._raw(self.base, self.order, out)
 
     def __repr__(self):
@@ -552,23 +526,18 @@ def replay(fn, *jets):
     for j in jets[1:]:
         if j.base is not first.base or j.order != K:
             first._check(j)
-    shape, n2 = cs[0].shape, (K + 1) ** 2
-    batch, B = shape[:-2], math.prod(shape[:-2])
+    shape = cs[0].shape
+    B = math.prod(shape[2:])
     if not B:
         return fn(*jets)
     tree, steps, n_regs, outs = _program(fn, len(jets), K)
-    # the registers: a jet's n2 coefficients, each a row over the batch
-    R = np.empty((n_regs, n2, B), dtype=complex)
-    if batch:
-        R[:len(cs)] = np.stack(cs).reshape(len(cs), B, n2).transpose(0, 2, 1)
-    else:
-        np.concatenate(cs, out=R[:len(cs)].reshape(-1, K + 1))
+    # the registers: a jet's (K+1)^2 coefficients, each a row over the batch
+    R = np.empty((n_regs, (K + 1) ** 2, B), dtype=complex)
+    np.concatenate(cs, out=R[:len(cs)].reshape((-1,) + shape[1:]))
     regs, rows = R.reshape(n_regs, -1), R.reshape(-1, B)
     for run in steps:
         run(regs, rows, B)
-    out = R.take(outs, 0)
-    out = (out.transpose(0, 2, 1) if batch else out).reshape(
-        (len(outs),) + shape)
+    out = R.take(outs, 0).reshape((len(outs),) + shape)
     return _map(tree, lambda i: Jet._raw(first.base, K, out[i]))
 
 
@@ -596,15 +565,11 @@ def jet_pow(u, s):
     if any_set(c0 == 0):
         raise JetError("fractional power of jet with zero constant term")
     s = complex(s)
-    head = np.exp(s * np.log(c0))
-    w = u.nilpotent_part() * (1.0 / c0)
-    out = u._constant(0.0)
+    # u^s = (u / c0)^s c0^s, the first by its binomial series about 1
     coeffs = [1.0 + 0j]
     for m in range(1, u.order + 1):
-        coeffs.append(coeffs[-1] * (s - (m - 1)) / m)  # binomial series
-    for m in range(u.order, -1, -1):
-        out = out * w + coeffs[m]
-    return out * head
+        coeffs.append(coeffs[-1] * (s - (m - 1)) / m)
+    return compose_series(coeffs, u * (1.0 / c0)) * np.exp(s * np.log(c0))
 
 
 _OMEGA = np.exp(2j * np.pi / 3)
@@ -785,8 +750,7 @@ class PolyExpr:
             raise JetError("jet lifting is defined for 2-variable polynomials")
         out = Jet((point[0], point[1]), order)
         x0, y0 = out.base
-        # c[j1, j2] is the coefficient, or its array over the points
-        c = out.c if out.c.ndim == 2 else np.moveaxis(out.c, (-2, -1), (0, 1))
+        c = out.c  # c[j1, j2]: the coefficient, or its array over the points
         for j1, j2, cc, k1, n1, k2, n2 in self._lift_terms(order):
             c[j1, j2] += cc * (k1 * x0 ** n1) * k2 * y0 ** n2
         return out

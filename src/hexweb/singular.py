@@ -44,13 +44,13 @@ class DiscriminantTrace:
 
 def _disc_and_grad(field, x, y):
     """D, grad D (chain rule through a, b, c, r) and |D|'s scale at (x, y)."""
-    jets = np.array([j.c for j in field.coeff_jets(x, y, 1)])
-    a, b, c, r = co = jets[:, 0, 0]
+    co, dx, dy = np.array(field.first_order(x, y))
+    a, b, c, r = co
     dD = np.array([18 * b * c * r - 54 * a * r * r - 4 * c ** 3,
                    18 * a * c * r + 2 * b * c * c - 12 * b * b * r,
                    18 * a * b * r - 12 * a * c * c + 2 * b * b * c,
                    18 * a * b * c - 54 * a * a * r - 4 * b ** 3])
-    return (discriminant_of_coeffs(*co), dD @ jets[:, [1, 0], [0, 1]],
+    return (discriminant_of_coeffs(*co), dD @ np.stack([dx, dy], axis=1),
             discriminant_scale(co))
 
 
@@ -426,11 +426,11 @@ def classify_singularity(field, point=(0.0, 0.0), samples=None):
     n, i = len(samples), np.arange(4)
     rows = np.zeros((n, 4, 2 + n), dtype=complex)
     for k, (x, y) in enumerate(samples):
-        c = np.array([jet.c for jet in f.coeff_jets(x, y, 1)])
-        nonvanishing(c[:, 0, 0], x, y)
-        rows[k, :, 0] = x * c[:, 1, 0] + i * c[:, 0, 0]
-        rows[k, :, 1] = y * c[:, 0, 1] + (3 - i) * c[:, 0, 0]
-        rows[k, :, 2 + k] = -c[:, 0, 0]
+        co, dx, dy = np.array(f.first_order(x, y))
+        nonvanishing(co, x, y)
+        rows[k, :, 0] = x * dx + i * co
+        rows[k, :, 1] = y * dy + (3 - i) * co
+        rows[k, :, 2 + k] = -co
     v = np.linalg.svd(rows.reshape(4 * n, 2 + n))[2][-1, :2]
     small, large = (0, 1) if abs(v[0]) <= abs(v[1]) else (1, 0)
     q = Fraction(float((v[small] / v[large]).real))

@@ -405,7 +405,7 @@ def _continued_sigma(jets, x, y, vals):
     for i in range(1, len(r)):
         # as jet_cbrt rescales the principal root to the continued branch
         lam.append((r[i:i + 1] * cbrt_factor(r[i], lam[-1]))[0])
-    lam = Jet._raw(lam3.base, 0, np.array(lam)[:, None, None])
+    lam = Jet._raw(lam3.base, 0, np.array(lam)[None, None])
     return np.stack([np.stack([(lam * P).value, (lam * Q).value], axis=-1)
                      for P, Q in sp], axis=1)
 

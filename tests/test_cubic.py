@@ -410,8 +410,8 @@ class TestPointArrays:
                 want = normalize_roots(f, p, order=order, lam_target=t)
                 assert np.array_equal(bits(got.lam[i]), bits(want.lam))
                 for (P, Q), (Pw, Qw) in zip(got.sigma, want.sigma):
-                    assert np.array_equal(bits(P.c[i]), bits(Pw.c))
-                    assert np.array_equal(bits(Q.c[i]), bits(Qw.c))
+                    assert np.array_equal(bits(P.c[..., i]), bits(Pw.c))
+                    assert np.array_equal(bits(Q.c[..., i]), bits(Qw.c))
 
     def test_rows_in_both_charts_and_with_zero_end_coefficients(self):
         co = np.array([

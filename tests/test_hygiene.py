@@ -1,6 +1,7 @@
 """Import hygiene: every name a module imports is read somewhere in it,
-every name the benchmark reads from the package still exists, and no
-tolerance hides as a literal inside a function.
+every name the benchmark reads from the package still exists, no
+tolerance hides as a literal inside a function, and no module indexes jet
+coefficients as trailing axes.
 
 AST scans of the modules under src/ and tests/; package __init__.py files
 are exempt from the import scan because their imports are the package's
@@ -94,6 +95,44 @@ def test_scan_finds_small_literals_in_bodies():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_inline_tolerance(path):
     assert small_literals(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# One coefficient layout: a jet's coefficient array is (K+1, K+1, *batch),
+# so c[0, 0] is the constant term of one jet or of a batch.  Indexing that
+# reaches the coefficients past the batch axes belongs to the old layout.
+
+BATCH_FIRST = {"..., 0, 0", "..., None, None", "Ellipsis, 0, 0"}
+
+
+def batch_first_indexing(source):
+    """(line, subscript) of each [..., 0, 0], [..., None, None] and
+    shape[:-2] in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            index = ast.unparse(node.slice).strip("()")
+            if index in BATCH_FIRST or (
+                    index == ":-2" and "shape" in ast.unparse(node.value)):
+                found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_scan_finds_batch_first_indexing():
+    source = ("def f(c, k):\n    v = c[..., 0, 0] + c[0, 0] + c[..., 0]\n"
+              "    w = k[..., None, None] * c + k[..., None]\n"
+              "    return c.shape[:-2], np.shape(c)[:-2], c.shape[2:], v[:-2]\n"
+              "g = lambda c: c[(Ellipsis, 0, 0)]\n")
+    assert batch_first_indexing(source) == [
+        (2, "c[..., 0, 0]"), (3, "k[..., None, None]"),
+        (4, "c.shape[:-2]"), (4, "np.shape(c)[:-2]"),
+        (5, "c[Ellipsis, 0, 0]")]
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_batch_first_indexing(path):
+    assert batch_first_indexing(path.read_text()) == []
 
 
 # ---------------------------------------------------------------------------

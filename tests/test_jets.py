@@ -381,14 +381,14 @@ def batch_of(data, shape, order, const=None):
     """A jet over the batch shape (base points along it, random triangles;
     const sets the constant terms) and its elements as single jets."""
     n = order + 1
-    part = arrays(np.float64, shape + (n, n), elements=st.floats(-1.0, 1.0))
+    part = arrays(np.float64, (n, n) + shape, elements=st.floats(-1.0, 1.0))
     c = data.draw(part) + 1j * data.draw(part)
-    c[..., ~(np.arange(n)[:, None] + np.arange(n) <= order)] = 0.0
+    c[~(np.arange(n)[:, None] + np.arange(n) <= order)] = 0.0
     if const is not None:
-        c[..., 0, 0] = const
+        c[0, 0] = const
     x = np.linspace(-1.0, 1.0, max(1, int(np.prod(shape)))).reshape(shape)
     batch = Jet((x, x + 2.0), order, c)
-    return batch, {i: Jet((x[i], x[i] + 2.0), order, c[i].copy())
+    return batch, {i: Jet((x[i], x[i] + 2.0), order, c[(...,) + i].copy())
                    for i in np.ndindex(shape)}
 
 
@@ -424,10 +424,25 @@ class TestBatchAxis:
             ops += [(lambda u, v, f, t, k=k: u.deriv(k)) for k in (0, 1)]
         for op in ops:
             got = op(a, b, f, target).c
-            assert got.shape == shape + (got.shape[-1],) * 2
+            assert got.shape == (got.shape[0],) * 2 + shape
             for i in np.ndindex(shape):
                 want = op(ea[i], eb[i], f[i], target[i]).c
-                assert same_bits(got[i], want)
+                assert same_bits(got[(...,) + i], want)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_coefficients_first_batch_axes_last(self, shape):
+        # c[j1, j2] is one coefficient: a number, or an array over the batch
+        x = np.linspace(0.1, 0.9, int(np.prod(shape))).reshape(shape)
+        point = (x, 1.0 - x) if shape else (0.3, 0.7)
+        u, v = PolyExpr.var(0), PolyExpr.var(1)
+        a, b = ((u * v + 2).jet(point, 2), (u - v * 3 + 1).jet(point, 2))
+        got = [a, b, a * b, a * 2.0, a + 1.0, 1.0 - a, a.reciprocal(),
+               a.deriv(0), a.deriv(1), a.truncate(1), a.truncate(0),
+               replay(cubic.discriminant_of_coeffs, a, b, a * b, b),
+               *replay(every_kind, a, b)[0]]
+        for jet in got:
+            assert jet.c.shape == (jet.order + 1,) * 2 + shape
+        assert np.shape(a.value) == shape
 
     def test_single_jet_values_are_numpy_scalars(self):
         # scalar code keeps numpy's scalar arithmetic, which rounds complex
@@ -437,7 +452,7 @@ class TestBatchAxis:
         assert isinstance(a.reciprocal().value, np.complex128)
 
     def test_mismatched_batch_bases_raise(self):
-        c = np.ones((3, 2, 2), dtype=complex)
+        c = np.ones((2, 2, 3), dtype=complex)
         x = np.array([0.0, 0.1, 0.2])
         a = Jet((x, x), 1, c)
         assert np.array_equal((a * Jet((x.copy(), x), 1, c)).c, (a * a).c)
@@ -460,7 +475,7 @@ class TestBatchAxis:
         got = p.jet(pts, order).c
         for i in np.ndindex(pts.shape[1:]):
             want = p.jet((pts[0][i], pts[1][i]), order).c
-            assert same_bits(got[i], want)
+            assert same_bits(got[(...,) + i], want)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +524,7 @@ class TestPrograms:
             # exact zeros, signed zeros among them
             for part, value in ((jet.c, 0.0), (jet.c.real, -0.0),
                                 (jet.c.imag, -0.0)):
-                part[data.draw(arrays(np.bool_, shape + (n, n)))] = value
+                part[data.draw(arrays(np.bool_, (n, n) + shape))] = value
             args.append(jet)
         with np.errstate(all="ignore"):  # tiny pivots may overflow: alike
             want = outcome(fn, args)
@@ -568,7 +583,7 @@ class TestPrograms:
                 chern.curvature(field, pt)
                 cubic.normalize_roots(field, pt)
 
-        caches = (jets._batch_plan, jets._product_plan, jets._program)
+        caches = (jets._product_plan, jets._program)
         run()
         misses = [c.cache_info().misses for c in caches]
         run()
