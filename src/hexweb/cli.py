@@ -452,8 +452,7 @@ def run_normalforms(obj, cfg, rng, report, outdir):
         entries.append(entry)
         ok_all = ok_all and entry["pass"]
     fres = {}
-    # the bracket halts each solve before t = 0.5, so the field's solve on
-    # [0, 8] is the one a solve on [0, 1] would make
+    # the bracket halts the field's [0, 8] solves where [0, 1] solves halt
     for m0, fs in f_sols.items():
         ts = np.linspace(0.01, 0.9 * fs.t_max, 20)
         fres[str(m0)] = {"residual": f_ode_residual(fs, ts),

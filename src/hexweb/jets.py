@@ -168,8 +168,10 @@ def base_point(x, y):
 
 
 def _scalar(v):
-    """A summand or factor: a number, or an array over the batch axes."""
-    return v if isinstance(v, np.ndarray) and v.ndim else complex(v)
+    """A number (one-element arrays too), or an array over the batch axes."""
+    if isinstance(v, np.ndarray):
+        return v if v.size != 1 else complex(v.item())
+    return complex(v)
 
 
 def any_set(mask):

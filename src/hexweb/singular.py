@@ -1,24 +1,23 @@
 """Discriminant geometry and the catalog of singular normal forms.
 
-Covers tracing of the discriminant curve |D| = 0 in a real window,
-classification of root multiplicity at a point, the six-entry catalog of
-quasi-homogeneous normal forms (with the auxiliary F(t) ODE of the last
-entry), and the weights of a singular germ's infinitesimal symmetry, read
-off the null vector of the linear conditions L_X C = mu C and confirmed
-by the exact scaling flow.
+Covers tracing of the discriminant curve |D| = 0 in a real window, the
+six-entry catalog of quasi-homogeneous normal forms (with the auxiliary
+F(t) ODE of the last entry, solved by its own Taylor recursion), and the
+weights of a singular germ's infinitesimal symmetry, read off the null
+vector of the linear conditions L_X C = mu C and confirmed by the exact
+scaling flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .cubic import (CallableJetField, PolyCoeffField, TranslatedField,
-                    depress, discriminant_of_coeffs, discriminant_scale,
-                    nonvanishing)
+                    discriminant_of_coeffs, discriminant_scale, nonvanishing)
 from .jets import Jet, JetError, PolyExpr, compose_series, jet_pow, jet_tan
 from .webgeo import symmetry_residual
 
@@ -157,99 +156,116 @@ def trace_discriminant(field, window, n=32):
 
 
 # ---------------------------------------------------------------------------
-# Root multiplicity
-
-
-MULTIPLE_ROOT_TOL = 1e-8  # scaled |D| at which roots count as multiple
-TRIPLE_ROOT_TOL = 1e-6  # scaled |A|, |B| at which a multiple root is triple
-
-
-def root_multiplicity(field, point):
-    """Partition of the cubic's roots at a point: '1+1+1', '2+1' or '3'.
-
-    The simple/multiple split uses |D| against MULTIPLE_ROOT_TOL * scale
-    with the ratio rounded to a few significant digits, so that coefficient
-    perturbations far below the tolerance can never flip the answer; the
-    double/triple split uses the depressed invariants (triple root iff A
-    and B both vanish in a valid chart).
-    """
-    co = field.check_nondegenerate(point[0], point[1])
-    D = discriminant_of_coeffs(*co)
-    scale = discriminant_scale(co)
-    ratio = abs(D) / (MULTIPLE_ROOT_TOL * scale)
-    if float(f"{ratio:.6g}") > 1.0:
-        return "1+1+1"
-    dep = depress(field, point, order=0)
-    lead = 1.0 + float(np.max(np.abs(co)))
-    if (abs(dep.A.value) <= TRIPLE_ROOT_TOL * lead ** 2
-            and abs(dep.B.value) <= TRIPLE_ROOT_TOL * lead ** 3):
-        return "3"
-    return "2+1"
-
-
-# ---------------------------------------------------------------------------
 # The auxiliary F(t) ODE
 
 
 @dataclass
 class FSolution:
+    """F(t) as the piecewise polynomial of solve_F's Taylor steps: on
+    [knots[i], knots[i+1]], F = sum_k coeffs[k, i] u^k in the piece's own
+    variable u = (t - knots[i]) / (knots[i+1] - knots[i])."""
+
     m0: int
     t_max: float
-    sol: object            # scipy OdeSolution (dense output)
+    knots: np.ndarray      # (n + 1,) step ends, from 0 to t_max
+    coeffs: np.ndarray     # (F_TAYLOR_ORDER + 1, n), coefficients first
     bracket_ok: bool       # quasi-linear factor stayed away from zero
 
     def __call__(self, t):
-        return float(self.sol.sol(t)[0])
+        """F at a float (a float) or at an array of t (an array)."""
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0,
+                    self.coeffs.shape[1] - 1)
+        lo = self.knots[i]
+        out = _horner(self.coeffs[:, i], (t - lo) / (self.knots[i + 1] - lo))
+        return float(out) if out.ndim == 0 else out
 
 
 def _f_ode_constant(m0):
     return 2.0 * (m0 + 3) / (m0 + 1)
 
 
-F_ODE_TOL = 1e-12  # rtol and atol of the F(t) ODE solve
+F_TAYLOR_ORDER = 24  # order of each Taylor step of the F(t) ODE
+F_STEP_TOL = 1e-16  # first dropped term of a step, in units of F
 F_BRACKET_MARGIN = 1e-6  # quasi-linear factor at which the F solve halts
 F_DIFF_STEP = 1e-4  # relative step of the five-point difference of F
 
 
+def _f_series(C, t0, F0, order, scale=1.0):
+    """Taylor coefficients of s -> F(t0 + scale s) at 0, orders 0..order,
+    by the float recursion of den F' = num: with p_k, d_k, n_k those of dF/ds,
+    den = 12 + 2t^2 - 9tF and num = C(4 + 27F^2), p_k = (scale n_k -
+    sum_{j=1..k} d_j p_{k-j}) / d_0.  The scale keeps the coefficients of a
+    step near the bracket, a few float spacings long, in range."""
+    g, d, p = [float(F0)], [_f_factor(t0, F0)], []
+    for k in range(order):
+        n = 27.0 * sum(map(mul, g, reversed(g))) + (4.0 if k == 0 else 0.0)
+        p.append((scale * C * n - sum(map(mul, d[1:], reversed(p)))) / d[0])
+        g.append(p[-1] / (k + 1))
+        d.append(-9.0 * (t0 * g[-1] + scale * g[-2])
+                 + (4.0 * t0 * scale, 2.0 * scale * scale, 0.0)[min(k, 2)])
+    return g
+
+
+def _horner(coeffs, s):
+    out = 0.0
+    for c in reversed(coeffs):
+        out = out * s + c
+    return out
+
+
+def _f_factor(t, F):
+    return 12.0 + 2.0 * t * t - 9.0 * t * F
+
+
 def solve_F(m0, t_max=1.0):
-    """Solve [12 + 2t^2 - 9tF] F' = C (4 + 27 F^2), F(0) = 0, C as below.
+    """Solve [12 + 2t^2 - 9tF] F' = C (4 + 27 F^2), F(0) = 0, by Taylor steps.
 
-    C = 2(m0+3)/(m0+1); the solver halts with a flag when the bracketed
-    quasi-linear factor approaches zero.
+    C = 2(m0+3)/(m0+1).  Each step has order F_TAYLOR_ORDER, the units of
+    the one before, and the length the root test of its last two
+    coefficients allows at F_STEP_TOL (Jorba and Zou, Exp. Math. 14, 2005).
+    Halts with bracket_ok=False where the quasi-linear factor on a step's
+    polynomial reaches F_BRACKET_MARGIN (bisecting in the step's own
+    variable), or with bracket_ok=True at t_max; a step that falls to float
+    spacing first raises FloatingPointError.
     """
-    if m0 < 0:
-        raise ValueError("m0 must be >= 0")
-    C = _f_ode_constant(m0)
-
-    def rhs(t, F):
-        return C * (4.0 + 27.0 * F[0] ** 2) / (12.0 + 2 * t * t - 9 * t * F[0])
-
-    def bracket(t, F):
-        return 12.0 + 2 * t * t - 9 * t * F[0] - F_BRACKET_MARGIN
-
-    bracket.terminal = True
-    bracket.direction = -1
-    out = solve_ivp(rhs, (0.0, float(t_max)), [0.0], rtol=F_ODE_TOL,
-                    atol=F_ODE_TOL, method="DOP853", dense_output=True,
-                    events=bracket)
-    ok = out.status == 0
-    return FSolution(m0=int(m0), t_max=float(out.t[-1]), sol=out,
-                     bracket_ok=ok)
+    if m0 < 0 or not t_max > 0:
+        raise ValueError("m0 must be >= 0 and t_max > 0")
+    C, t_max, K = _f_ode_constant(m0), float(t_max), F_TAYLOR_ORDER
+    t, F, scale, knots, table, halt = 0.0, 0.0, 1.0, [0.0], [], False
+    while t < t_max and not halt:
+        g = _f_series(C, t, F, K, scale)
+        rho = min(abs(g[j]) ** (-1.0 / j) if g[j] else np.inf
+                  for j in (K - 1, K))
+        end = min(t + scale * rho * F_STEP_TOL ** (1.0 / K), t_max)
+        if end == t:
+            raise FloatingPointError(f"F(t) step at float spacing, t = {t!r}")
+        s, lo = (end - t) / scale, 0.0
+        halt = _f_factor(end, _horner(g, s)) <= F_BRACKET_MARGIN
+        while halt and lo < (mid := 0.5 * (lo + s)) < s:
+            if _f_factor(t + scale * mid, _horner(g, mid)) > F_BRACKET_MARGIN:
+                lo = mid
+            else:
+                s, end = mid, t + scale * mid
+        table.append([c * s ** k for k, c in enumerate(g)])
+        F, scale, t = _horner(table[-1], 1.0), end - t, end
+        knots.append(t)
+    return FSolution(m0=int(m0), t_max=t, knots=np.array(knots),
+                     coeffs=np.array(table).T, bracket_ok=not halt)
 
 
 def f_ode_residual(fs, ts):
     """Relative residual of the implicit ODE at sample points.
 
-    F' comes from a five-point difference of the dense output, evaluated
-    at all stencil nodes in one call; since F' blows up at the quasi-linear
-    degeneracy the residual is normalized by the magnitude of the terms it
-    balances.
+    F' comes from a five-point difference of fs, evaluated at all stencil
+    nodes in one call; since F' blows up at the quasi-linear degeneracy
+    the residual is normalized by the magnitude of the terms it balances.
     """
     C = _f_ode_constant(fs.m0)
     t = np.asarray(ts, dtype=float)
     d = F_DIFF_STEP * (1 + np.abs(t))
-    Fm2, Fm1, F, Fp1, Fp2 = fs.sol.sol(np.concatenate(
-        [t - 2 * d, t - d, t, t + d, t + 2 * d]))[0].reshape(5, -1)
+    Fm2, Fm1, F, Fp1, Fp2 = fs(np.concatenate(
+        [t - 2 * d, t - d, t, t + d, t + 2 * d])).reshape(5, -1)
     Fp = (Fm2 - 8 * Fm1 + 8 * Fp1 - Fp2) / (12 * d)
     lhs = (12 + 2 * t * t - 9 * t * F) * Fp
     res = lhs - C * (4 + 27 * F * F)
@@ -257,20 +273,8 @@ def f_ode_residual(fs, ts):
 
 
 def _univariate_F_jet(fs, t0, order):
-    """Taylor coefficients of F at t0 from the ODE recursion."""
-    C = _f_ode_constant(fs.m0)
-    base = (t0, 0.0)
-    coeffs = [complex(fs(t0))]
-    for k in range(order):
-        F = Jet(base, order, None)
-        for m, c in enumerate(coeffs):
-            F.c[m, 0] = c
-        t = Jet.variable(0, base, order)
-        num = C * (4.0 + 27.0 * F * F)
-        den = 12.0 + 2 * t * t - 9.0 * t * F
-        Fp = num * den.reciprocal()
-        coeffs.append(Fp.c[k, 0] / (k + 1))
-    return coeffs
+    """Taylor coefficients of F at t0, from the ODE recursion."""
+    return _f_series(_f_ode_constant(fs.m0), t0, fs(t0), order)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +296,7 @@ class NormalForm:
 def _field_from_AB(A, B):
     """Field of the slope cubic m^3 + A m + B with polynomial A, B."""
     # K-form (K3, K2, K1, K0) = (1, 0, A, B) -> (a, b, c, r) = (-1, 0, -A, B)
-    one = PolyExpr.const(1)
-    return PolyCoeffField(-1 * one, PolyExpr.zero(), -1 * A, B)
+    return PolyCoeffField(-1 * PolyExpr.const(1), PolyExpr.zero(), -1 * A, B)
 
 
 def normal_form_field(form_id, m0=0):
@@ -302,8 +305,7 @@ def normal_form_field(form_id, m0=0):
     Forms 1-4 are polynomial; form 5 uses tan jets; form 6 needs Re y > 0
     (principal fractional powers) and solves the F(t) ODE on [0, 8].
     """
-    x = PolyExpr.var(0)
-    y = PolyExpr.var(1)
+    x, y = PolyExpr.var(0), PolyExpr.var(1)
     if form_id in (1, 6) and (int(m0) != m0 or m0 < 0):
         raise ValueError("m0 must be a nonnegative integer")
     m0 = int(m0)
@@ -354,12 +356,10 @@ def normal_form_field(form_id, m0=0):
             jx = Jet.variable(0, base, order)
             jy = Jet.variable(1, base, order)
             A = jy ** (3 + m0)
-            half = Fraction(1 + m0, 2)
-            t_arg = (m0 + 1) * jx * jet_pow(jy, half)
+            t_arg = (m0 + 1) * jx * jet_pow(jy, Fraction(1 + m0, 2))
             t0 = t_arg.value.real
             if not 0 <= t0 <= fs.t_max:
-                raise JetError(
-                    f"F-interpolant sampled outside [0, {fs.t_max}]")
+                raise JetError(f"F sampled outside [0, {fs.t_max}]")
             Fj = compose_series(_univariate_F_jet(fs, t0, order), t_arg)
             B = -jet_pow(jy, Fraction(9 + 3 * m0, 2)) * Fj
             one = Jet.constant(1.0, base, order)
@@ -379,8 +379,7 @@ def symmetry_losing_web():
     Its connection is closed at regular points, yet no diagonal scaling
     flow preserves it at the origin.
     """
-    x = PolyExpr.var(0)
-    y = PolyExpr.var(1)
+    x, y = PolyExpr.var(0), PolyExpr.var(1)
     K3 = PolyExpr.const(1)
     K1 = -2 * x * x * y * (PolyExpr.const(1) + x * x)
     K0 = 8 * x * x * x * y * y

@@ -338,14 +338,14 @@ class TestPointSets:
 
     def test_normalforms_solves_each_F_once(self, tmp_path, monkeypatch):
         # the F-ODE check reuses the solves form 6's fields interpolate
-        spans = []
-        solve = singular.solve_ivp
-        monkeypatch.setattr(singular, "solve_ivp", lambda f, span, *a, **k: (
-            spans.append(span) or solve(f, span, *a, **k)))
+        solves = []
+        solve = singular.solve_F
+        monkeypatch.setattr(singular, "solve_F", lambda m0, t_max=1.0: (
+            solves.append((m0, t_max)) or solve(m0, t_max)))
         cfg = write_config(tmp_path, SOLUTION_A)
         assert main(["normalforms", "--config", cfg, "--out",
                      str(tmp_path)]) == 0
-        assert spans == [(0.0, 8.0)] * 3  # m0 = 0, 1, 2
+        assert solves == [(0, 8.0), (1, 8.0), (2, 8.0)]
 
     def test_form_without_accepted_sample_reports_zero(self, tmp_path,
                                                        monkeypatch):

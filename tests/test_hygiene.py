@@ -1,7 +1,7 @@
 """Import hygiene: every name a module imports is read somewhere in it,
 every name the benchmark reads from the package still exists, no
-tolerance hides as a literal inside a function, and no module indexes jet
-coefficients as trailing axes.
+tolerance hides as a literal inside a function, no module indexes jet
+coefficients as trailing axes, and a CLI run loads no scipy module.
 
 AST scans of the modules under src/ and tests/; package __init__.py files
 are exempt from the import scan because their imports are the package's
@@ -11,6 +11,10 @@ re-exports.
 import ast
 import dataclasses
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,3 +176,30 @@ def test_result_fields_the_tracer_hooks_read(cls, name):
 
     fields = dataclasses.fields(getattr(hexweb.webgeo, cls))
     assert name in {f.name for f in fields}
+
+
+# ---------------------------------------------------------------------------
+# Start-up: numpy is the one runtime dependency.  A `normalforms` run solves
+# the F(t) ODE of form 6, once the only use of scipy, in a fresh process.
+
+STARTUP_PROBE = """
+import json, sys
+import hexweb, hexweb.cli
+assert hexweb.cli.main(["normalforms", "--config", sys.argv[1],
+                        "--out", sys.argv[2]]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"input": {"kind": "potential", "case": "A"}}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "out" / "normalforms.json").is_file()

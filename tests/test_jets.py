@@ -429,6 +429,21 @@ class TestBatchAxis:
                 want = op(ea[i], eb[i], f[i], target[i]).c
                 assert same_bits(got[(...,) + i], want)
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_one_element_batch_times_numbers_equals_its_jet(self, order):
+        """numpy multiplies a one-element array broadcast against another
+        one-element array by a loop that can round the last bit apart from
+        the loop it uses for a number or a longer array (here the cube root
+        of exp(1j) turned by exp(2.094j)), so a one-element factor is taken
+        as a number."""
+        x = np.zeros(1)
+        c = np.zeros((order + 1, order + 1, 1), dtype=complex)
+        c[0, 0] = [0.9449569463147377 + 0.3271946967961522j]
+        f = np.array([-0.49999999999999967 + 0.8660254037844386j])
+        batch = Jet((x, x + 2.0), order, c) * f
+        one = Jet((0.0, 2.0), order, c[..., 0].copy()) * f[0]
+        assert same_bits(batch.c[..., 0], one.c)
+
     @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
     def test_coefficients_first_batch_axes_last(self, shape):
         # c[j1, j2] is one coefficient: a number, or an array over the batch

@@ -1,8 +1,7 @@
-"""Singular loci: discriminant tracing, multiplicity, the normal-form
-catalog, and weight classification."""
+"""Singular loci: discriminant tracing, the normal-form catalog with its
+F(t) ODE, and weight classification."""
 
 import dataclasses
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -13,11 +12,11 @@ from hexweb.cubic import (PolyCoeffField, TranslatedField, discriminant,
                           discriminant_of_coeffs, discriminant_scale)
 from hexweb.frobenius import solution_potential
 from hexweb.jets import JetError, PolyExpr
-from hexweb.singular import (CLASSIFY_RESIDUAL_TOL, _disc_and_grad,
-                             _grid_seeds, classify_singularity,
-                             f_ode_residual, normal_form_field,
-                             root_multiplicity, solve_F, symmetry_losing_web,
-                             trace_discriminant)
+from hexweb.singular import (CLASSIFY_RESIDUAL_TOL, F_BRACKET_MARGIN,
+                             FSolution, _disc_and_grad, _grid_seeds,
+                             _univariate_F_jet, classify_singularity,
+                             f_ode_residual, normal_form_field, solve_F,
+                             symmetry_losing_web, trace_discriminant)
 from hexweb.webgeo import symmetry_residual
 from webs import CONTROL_GENERIC, random_poly
 
@@ -119,26 +118,12 @@ class TestTracingKernels:
         assert raw == raw_ref
 
 
-class TestRootMultiplicity:
-    def test_regular_point(self):
-        assert root_multiplicity(FIELD_A, (0.1, 1.0)) == "1+1+1"
-
-    def test_double_root_on_discriminant(self):
-        # 32y^3 = 27x^2 away from the origin: one double root
-        x = 0.4
-        y = (27 * x * x / 32) ** (1 / 3)
-        assert root_multiplicity(FIELD_A, (x, y)) == "2+1"
-
-    def test_triple_root_at_cusp(self):
-        assert root_multiplicity(FIELD_A, (0.0, 0.0)) == "3"
-
-    def test_stable_under_tiny_perturbations(self):
-        # decisions at the tolerance boundary cannot flip at the 1e-14 level
-        x = 0.4
-        y = (27 * x * x / 32) ** (1 / 3)
-        ref = root_multiplicity(FIELD_A, (x, y))
-        for dx in (-1e-14, 1e-14):
-            assert root_multiplicity(FIELD_A, (x + dx, y)) == ref
+def reference_F(m0):
+    """F by mpmath's Taylor-series ODE solver at the working precision."""
+    C = mpmath.mpf(2 * (m0 + 3)) / (m0 + 1)
+    return mpmath.odefun(
+        lambda t, F: C * (4 + 27 * F ** 2) / (12 + 2 * t * t - 9 * t * F),
+        0, 0)
 
 
 class TestFOde:
@@ -155,23 +140,60 @@ class TestFOde:
         ts = np.linspace(0.01, 0.9 * fs.t_max, 25)
         assert f_ode_residual(fs, ts) < 1e-8
 
-    def test_true_error_against_30_digit_reference(self):
+    @pytest.mark.parametrize("m0", [0, 1, 2])
+    def test_true_error_against_30_digit_reference(self, m0):
         # the float solution against mpmath's Taylor-series ODE solver at
         # 30 digits: the true error, not a finite-difference residual
-        fs = solve_F(0, t_max=1.0)
-        C = 6  # 2 (m0 + 3) / (m0 + 1) at m0 = 0
+        fs = solve_F(m0, t_max=1.0)
         with mpmath.workdps(30):
-            ref = mpmath.odefun(
-                lambda t, F: C * (4 + 27 * F ** 2) / (12 + 2 * t * t
-                                                      - 9 * t * F), 0, 0)
+            ref = reference_F(m0)
             ts = np.linspace(0.01, 0.9 * fs.t_max, 10)
             err = max(abs(fs(t) - float(ref(t))) for t in ts)
-        assert err <= 1e-10
+        assert err <= 1e-13
+
+    @pytest.mark.parametrize("m0", [0, 1, 2])
+    def test_jet_coefficients_against_reference_derivatives(self, m0):
+        """The float Taylor coefficients of F at orders 0-3 against central
+        differences of an mpmath reference.  mpmath.taylor's own steps need
+        the function at four times the working precision and take the lower
+        orders one-sided, so each order is a central mpmath.diff at step
+        1e-8 on a 40-digit reference (truncation about 2e-13)."""
+        fs = solve_F(m0, t_max=1.0)
+        with mpmath.workdps(40):
+            ref = reference_F(m0)
+            for t0 in (0.25 * fs.t_max, 0.5 * fs.t_max, 0.75 * fs.t_max):
+                want = [mpmath.diff(ref, t0, k, h=mpmath.mpf("1e-8"))
+                        / mpmath.factorial(k) for k in range(4)]
+                got = _univariate_F_jet(fs, t0, 3)
+                assert len(got) == 4
+                for g, w in zip(got, want):
+                    assert abs(g / w - 1) <= 1e-12
+
+    @pytest.mark.parametrize("m0", [0, 1, 2])
+    def test_halts_with_the_factor_at_the_margin(self, m0):
+        fs = solve_F(m0, t_max=1.0)
+        t = fs.t_max
+        assert fs.knots[-1] == t and not fs.bracket_ok
+        factor = 12 + 2 * t * t - 9 * t * fs(t)
+        assert factor == pytest.approx(F_BRACKET_MARGIN, rel=1e-6)
+
+    def test_reaches_t_max_before_the_bracket(self):
+        fs = solve_F(0, t_max=0.1)
+        assert fs.t_max == 0.1 and fs.knots[-1] == 0.1 and fs.bracket_ok
+        assert fs.knots[0] == 0.0 and np.all(np.diff(fs.knots) > 0)
+
+    def test_evaluates_floats_and_arrays_alike(self):
+        fs = solve_F(1, t_max=1.0)
+        ts = np.array([[0.0, 0.1], [fs.knots[3], fs.t_max]])
+        got = fs(ts)
+        assert got.shape == ts.shape
+        for t, F in zip(ts.ravel(), got.ravel()):
+            assert type(fs(float(t))) is float and fs(float(t)) == F
 
     @pytest.mark.parametrize("m0", [0, 1, 2])
     def test_residual_is_one_dense_output_call(self, m0):
-        """One evaluation of the dense output at all 5 x len(ts) stencil
-        nodes, with the floats of the point-by-point five-point formula."""
+        """One evaluation of the piecewise polynomial at all 5 x len(ts)
+        stencil nodes, with the floats of the point-by-point formula."""
         fs = solve_F(m0, t_max=1.0)
         ts = np.linspace(0.01, 0.9 * fs.t_max, 20)
         C = 2.0 * (m0 + 3) / (m0 + 1)
@@ -184,9 +206,14 @@ class TestFOde:
             res = lhs - C * (4 + 27 * fs(t) * fs(t))
             ref = max(ref, abs(res) / (1.0 + abs(lhs)))
         sizes = []
-        dense = fs.sol.sol
-        counted = dataclasses.replace(fs, sol=SimpleNamespace(
-            sol=lambda t: sizes.append(np.size(t)) or dense(t)))
+
+        class Counted(FSolution):
+            def __call__(self, t):
+                sizes.append(np.size(t))
+                return super().__call__(t)
+
+        counted = Counted(**{f.name: getattr(fs, f.name)
+                             for f in dataclasses.fields(fs)})
         assert f_ode_residual(counted, ts) == ref
         assert sizes == [5 * len(ts)]
 
@@ -198,14 +225,16 @@ class TestFOde:
         fs = normal_form_field(6, m0).fs
         ref = solve_F(m0, t_max=1.0)
         assert (fs.t_max, fs.bracket_ok) == (ref.t_max, ref.bracket_ok)
-        assert np.array_equal(fs.sol.t, ref.sol.t)
-        assert np.array_equal(fs.sol.y, ref.sol.y)
+        assert np.array_equal(fs.knots, ref.knots)
+        assert np.array_equal(fs.coeffs, ref.coeffs)
         ts = np.linspace(0.01, 0.9 * fs.t_max, 20)
         assert f_ode_residual(fs, ts) == f_ode_residual(ref, ts)
 
     def test_rejects_negative_m0(self):
         with pytest.raises(ValueError, match="m0"):
             solve_F(-1)
+        with pytest.raises(ValueError, match="t_max"):
+            solve_F(0, t_max=0.0)
 
 
 class TestNormalForms:
