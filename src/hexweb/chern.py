@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import (SingularPointError, at_first, coeff_values,
-                    continue_along, depress_jets, discriminant_of_coeffs,
-                    normalize_roots, proj_distance, regular_cutoff)
+                    continue_along, continued_sigma, depress_jets,
+                    discriminant_of_coeffs, nonvanishing, normalize_roots,
+                    regular_cutoff, roots_proj)
 from .jets import Jet, any_set, replay
 
 
@@ -331,26 +332,25 @@ FRAME_MAX_MOVE = 0.2  # summed projective move allowed between checkpoints
 class PathFrame:
     """Continuation of the normalized root triple along a polyline.
 
-    Keeps root labels and the cube-root branch coherent; checkpoints are
-    refined until consecutive root matches move by <= FRAME_MAX_MOVE in the
-    projective metric.
+    The roots are walked by continue_along, which keeps their labels
+    coherent and refines the checkpoints until consecutive root matches
+    move by <= FRAME_MAX_MOVE in the projective metric; then one
+    continued_sigma call on all checkpoints normalizes them, continuing the
+    cube-root branch.  ``checkpoints`` is the list of (point, sigma values
+    (3, 2)).
     """
 
     def __init__(self, field, path):
-        def step(prev, pt):
-            ref = prev.values()
-            triple = normalize_roots(field, (pt[0], pt[1]), order=0,
-                                     label_ref=ref, lam_target=prev.lam)
-            return triple, sum(map(proj_distance, ref, triple.values()))
+        def at(pt):
+            x, y = pt
+            co = coeff_values(field.coeff_jets(x, y, 0))
+            return roots_proj(nonvanishing(co, x, y))
 
-        x0, y0 = np.asarray(path[0], dtype=complex)
-        start = normalize_roots(field, (x0, y0), order=0)
-        # (point, RootTriple)
-        self.checkpoints = continue_along(path, start, step, FRAME_MAX_MOVE)
-
-    @property
-    def start(self):
-        return self.checkpoints[0][1]
+        walk = continue_along(path, at, FRAME_MAX_MOVE)
+        x, y = np.array([pt for pt, _ in walk]).T
+        sigma, _ = continued_sigma(field.coeff_jets(x, y, 0), x, y,
+                                   np.array([vals for _, vals in walk]))
+        self.checkpoints = [(pt, s) for (pt, _), s in zip(walk, sigma)]
 
     @property
     def end(self):
@@ -364,13 +364,14 @@ class TransportResult:
     frame: object  # PathFrame used for the transport
 
 
-def dual_frame(triple):
-    """Tangent frame (e1, e2) dual to the covectors (sigma_1, sigma_2).
+def dual_frame(sigma):
+    """Tangent frame (e1, e2) dual to the covectors (sigma_1, sigma_2) of
+    the values sigma, three (p, q) pairs.
 
     With leaf vectors v_i and area coefficient Om0 = sigma_1 ^ sigma_2,
     the duality sigma_i(e_j) = delta_ij gives e1 = v2/Om0, e2 = -v1/Om0.
     """
-    (p1, q1), (p2, q2), _ = triple.values()
+    (p1, q1), (p2, q2), _ = sigma
     om0 = p1 * q2 - p2 * q1
     return (q2 / om0, -p2 / om0), (-q1 / om0, p1 / om0)
 

@@ -59,8 +59,12 @@ class SchemaError(ValueError):
 
 
 def _is_number(v):
-    """A finite JSON number (booleans excluded)."""
-    return type(v) in (int, float) and math.isfinite(v)
+    """A finite JSON number (booleans, and ints beyond float range,
+    excluded)."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_positive(v):
@@ -85,9 +89,12 @@ VALUE_KEYS = {
 def _parse_coef(raw):
     if isinstance(raw, str):
         try:
-            Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"bad coefficient {raw!r}: not a rational 'p/q'")
+            finite = math.isfinite(Fraction(raw))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            finite = False
+        if not finite:
+            raise SchemaError(f"bad coefficient {raw!r}: not a rational 'p/q' "
+                              "within float range")
         return raw  # exact rational "p/q"; PolyExpr coerces it
     if _is_number(raw):
         return raw
@@ -104,13 +111,12 @@ def _parse_monomials(items, nvars):
     for it in items:
         if not isinstance(it, dict) or "exps" not in it or "coef" not in it:
             raise SchemaError(f"monomial entry {it!r} needs 'exps' and 'coef'")
-        try:
-            exps = tuple(int(e) for e in it["exps"])
-        except (TypeError, ValueError):
-            raise SchemaError(f"exponents {it['exps']!r} must be integers")
-        if len(exps) != nvars or any(e < 0 for e in exps):
+        exps = it["exps"]
+        if not (isinstance(exps, list) and len(exps) == nvars
+                and all(type(e) is int and e >= 0 for e in exps)):
             raise SchemaError(
-                f"exponent tuple {exps} must be {nvars} nonnegative integers")
+                f"exponents {exps!r} must be {nvars} nonnegative integers")
+        exps = tuple(exps)
         if exps in d:
             raise SchemaError(f"duplicate exponent tuple {exps}")
         d[exps] = _parse_coef(it["coef"])
@@ -151,6 +157,9 @@ def load_config(path):
     given = cfg.get("tolerances", {})
     if not isinstance(given, dict):
         raise SchemaError("tolerances must be an object")
+    unknown = [k for k in given if k not in DEFAULT_TOLERANCES]
+    if unknown:
+        raise SchemaError(f"unknown tolerance {unknown[0]!r}")
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(given)
     if not all(map(_is_positive, tol.values())):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, any_set, base_point, jet_cbrt, replay
+from .jets import Jet, any_set, base_point, cbrt_factor, jet_cbrt, replay
 
 COEF_VANISH_TOL = 1e-12
 
@@ -153,11 +153,6 @@ def discriminant_of_coeffs(a, b, c, r):
             + b * b * c * c - 4 * b * b * b * r)
 
 
-def discriminant(field, point):
-    a, b, c, r = field.coeffs(point[0], point[1])
-    return discriminant_of_coeffs(a, b, c, r)
-
-
 def discriminant_scale(coeffs):
     """Scale-aware reference magnitude for |D| cutoffs (D is quartic); one
     per row of an array (..., 4)."""
@@ -243,30 +238,31 @@ def match_roots(ref, new, dist=proj_distance):
 MIN_PIECE = 1e-8  # parameter length at which continue_along stops halving
 
 
-def continue_along(path, first, step, max_move, pieces=None):
-    """States continued along a polyline by adaptive bisection.
+def continue_along(path, at, max_move, dist=proj_distance, pieces=None):
+    """Labelled values continued along a polyline by adaptive bisection.
 
-    ``first`` is the state at path[0]; ``step(prev, pt)`` returns the state
-    at pt continued from the state prev, and the cost of that move.  Each
-    segment (P0, P1) starts as ``pieces(P0, P1)`` equal parts (one when
-    ``pieces`` is None); a part whose move costs more than ``max_move`` is
-    halved until its parameter length is MIN_PIECE.  Returns the list of
-    (point, state), beginning with (path[0], first).
+    ``at(pt)`` gives the values at a point (root pairs, idempotents) in any
+    order; each move relabels them by match_roots against the last accepted
+    ones with ``dist``, and costs the summed distance.  Each segment
+    (P0, P1) starts as ``pieces(P0, P1)`` equal parts (one when ``pieces``
+    is None); a part whose move costs more than ``max_move`` is halved
+    until its parameter length is MIN_PIECE.  Returns the list of
+    (point, values), beginning with (path[0], at(path[0])).
     """
     pts = [np.asarray(p, dtype=complex) for p in path]
-    trail = [(pts[0], first)]
+    trail = [(pts[0], at(pts[0]))]
     for P0, P1 in zip(pts[:-1], pts[1:]):
         n = 1 if pieces is None else pieces(P0, P1)
         stack = [(i / n, (i + 1) / n) for i in range(n - 1, -1, -1)]
         while stack:
             t0, t1 = stack.pop()
             pt = P0 + t1 * (P1 - P0)
-            state, cost = step(trail[-1][1], pt)
+            vals, cost = match_roots(trail[-1][1], at(pt), dist)
             if cost > max_move and (t1 - t0) > MIN_PIECE:
                 mid = 0.5 * (t0 + t1)
                 stack += [(mid, t1), (t0, mid)]
             else:
-                trail.append((pt, state))
+                trail.append((pt, vals))
     return trail
 
 
@@ -275,24 +271,19 @@ def roots(field, point):
     return roots_proj(field.check_nondegenerate(point[0], point[1]))
 
 
-def root_jets(field, x, y, order, root_values=None):
-    """Jets of the three projective roots by implicit differentiation.
-
-    Each root is a pair of jets (p, q) with the chart component held at the
-    constant 1.  Requires three pairwise distinct roots.
-    """
-    return _root_jets(field.coeff_jets(x, y, order), x, y, order,
-                      root_values)
-
-
 ROOT_SEP_TOL = 1e-8  # projective separation below which roots coincide
 
 
 def _root_jets(coeff_jets, x, y, order, root_values):
-    """root_jets from the field's coefficient jets at (x, y).  For arrays of
+    """Jets of the three projective roots by implicit differentiation, from
+    the field's coefficient jets at (x, y).
+
+    Each root is a pair of jets (p, q) with the chart component held at the
+    constant 1.  Requires three pairwise distinct roots.  For arrays of
     points the jets run over them; the root values are (..., 3, 2), or
-    three (p, q) pairs for one point.  The three roots ride a first batch
-    axis (3, ...) through one Newton pass, each on its own chart."""
+    three (p, q) pairs for one point (None solves for them).  The three
+    roots ride a first batch axis (3, ...) through one Newton pass, each on
+    its own chart."""
     if root_values is None:
         root_values = roots_proj(coeff_values(coeff_jets))
     p0, q0 = np.moveaxis(np.asarray(root_values), (-1, -2), (0, 1))
@@ -351,9 +342,8 @@ def _newton_steps(c3, c2, c1, c0, s):
 class RootTriple:
     """Root covectors normalized so that sigma_1 + sigma_2 + sigma_3 = 0.
 
-    ``sigma`` holds three (p_jet, q_jet) pairs; the common cube-root scale
-    used to enforce exact factorization V1 V2 V3 = V is recorded in
-    ``lam`` so branches can be continued along paths.
+    ``sigma`` holds three (p_jet, q_jet) pairs; ``lam`` records the common
+    cube-root scale that enforces the exact factorization V1 V2 V3 = V.
     """
 
     point: tuple
@@ -373,24 +363,20 @@ def _product_coeffs(sigma):
             -(p1 * p2 * p3))
 
 
-def normalize_roots(field, point, order=1, label_ref=None, lam_target=None):
+def normalize_roots(field, point, order=1):
     """Normalized, exactly-factorizing root triple with jets.
 
     The point may be a pair of arrays: the triple's jets then run over
     those points and lam is an array.  The roots come from one roots_proj
-    call and keep its fixed labels, unless label_ref (a reference triple
-    of projective pairs, for a single point) relabels them by match_roots
-    for path continuation; the connection built from the triple does not
-    depend on the labels.  lam_target: preferred cube-root branch (per
-    point).
+    call and keep its fixed labels, and lam is the principal cube root; the
+    connection built from the triple depends on neither.  Triples continued
+    along a path come from continued_sigma.
     """
     x, y = point
     jets = field.coeff_jets(x, y, order)
     vals = roots_proj(nonvanishing(coeff_values(jets), x, y))
-    if label_ref is not None:
-        vals, _ = match_roots(label_ref, vals)
     sp, lam3 = normalization_core(jets, x, y, order, vals)
-    lam = jet_cbrt(lam3, target=lam_target)
+    lam = jet_cbrt(lam3)
     sigma = replay(_scaled, lam, *(j for pair in sp for j in pair))
     return RootTriple(point=tuple(base_point(x, y)), sigma=sigma,
                       lam=lam.value)
@@ -438,6 +424,28 @@ def _pick(jets, k):
     return Jet._raw(jets[0].base, jets[0].order, c)
 
 
+def continued_sigma(coeff_jets, x, y, vals):
+    """Normalized root covectors (n, 3, 2) and lam (n,) along a chain of
+    points, from the order-0 coefficient jets and the root values vals
+    (n, 3, 2) there, already labelled along the chain.
+
+    Point 0 takes the principal cube-root branch and each later point the
+    branch nearest the last one's lam; the branch chain is sequential and
+    reads cube roots computed for all points at once.
+    """
+    sp, lam3 = normalization_core(coeff_jets, x, y, 0, vals)
+    r = jet_cbrt(lam3).value
+    lam = [r[0]]
+    for i in range(1, len(r)):
+        # turned as an array, like one point's cube-root jet: numpy's
+        # scalar product rounds unlike its array loop
+        lam.append((r[i:i + 1] * cbrt_factor(r[i], lam[-1]))[0])
+    lam = Jet._raw(lam3.base, 0, np.array(lam)[None, None])
+    sigma = np.stack([np.stack([(lam * P).value, (lam * Q).value], axis=-1)
+                      for P, Q in sp], axis=1)
+    return sigma, lam.value
+
+
 def factorization_residual(field, triple):
     """Relative residual of the (p, q)-system: V1 V2 V3 must expand to V."""
     got = np.array(_product_coeffs(triple.values()))
@@ -461,18 +469,13 @@ class DepressedForm:
 CHART_TOL = 1e-9
 
 
-def depress(field, point, order=1):
-    """Depressed (A, B) jets of the monic slope cubic at a point.
+def depress_jets(coeff_jets, x, y):
+    """Depressed (A, B) jets of the monic slope cubic from the field's
+    coefficient jets at (x, y).
 
     Operates on the chart whose leading coefficient is larger; raises when
     both K3 and K0 are below tolerance (no valid affine chart).
     """
-    x, y = point
-    return depress_jets(field.coeff_jets(x, y, order), x, y)
-
-
-def depress_jets(coeff_jets, x, y):
-    """depress from the field's coefficient jets at (x, y)."""
     ja, jb, jc, jr = coeff_jets
     # K-form coefficients: K3 = -a, K2 = b, K1 = -c, K0 = r
     K3, K2, K1, K0 = -ja, jb, -jc, jr

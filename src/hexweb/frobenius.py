@@ -422,12 +422,8 @@ def continue_idempotents(pot, curve, t0=0.0, rng=None):
         return idempotents(multiplication_table(pot, (t0, pt[0], pt[1])),
                            rng=rng)
 
-    def step(prev, pt):
-        return match_roots(prev, at(pt), dist=_max_abs_distance)
-
-    first = at(np.asarray(curve[0], dtype=complex))
-    return continue_along(curve, first, step, IDEMPOTENT_MAX_MOVE,
-                          pieces=_idempotent_pieces)
+    return continue_along(curve, at, IDEMPOTENT_MAX_MOVE,
+                          dist=_max_abs_distance, pieces=_idempotent_pieces)
 
 
 def frobenius_transport(pot, curve, v, t0=0.0, rng=None):

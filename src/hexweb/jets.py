@@ -14,9 +14,10 @@ of complex scalars, or of complex arrays broadcastable to the batch shape;
 operands of a binary operation share their base, and their batch shapes
 broadcast.  ``value`` is ``c[0, 0]``, a numpy scalar for a single jet, so
 that scalar code keeps numpy's scalar arithmetic.  Scalar factors, summands
-and the constants of ``constant``, ``jet_pow`` and ``jet_cbrt`` may be
-arrays over the batch axes; a check on a value (a zero constant term, say)
-fails when it fails for any element.
+and the constants of ``constant`` may be arrays over the batch axes;
+``jet_pow`` and ``jet_cbrt`` take the principal branch of every element.  A
+check on a value (a zero constant term, say) fails when it fails for any
+element.
 
 Only the triangle j1 + j2 <= K of the first two axes is meaningful.
 Products, derivatives and truncations return zeros above it and never read
@@ -587,19 +588,12 @@ def cbrt_factor(root, target):
     return best / root
 
 
-def jet_cbrt(u, target=None):
-    """A cube root of u; the branch whose constant term is nearest target
-    (per element, for a batch and an array of targets)."""
+def jet_cbrt(u):
+    """The principal cube root of u (per element, for a batch); cbrt_factor
+    turns it to another branch."""
     if any_set(u.value == 0):
         raise JetError("cube root of jet with zero constant term")
-    r = jet_pow(u, Fraction(1, 3))
-    if target is None:
-        return r
-    roots = r.value
-    targets = np.broadcast_to(target, np.shape(roots))
-    factor = [cbrt_factor(z, t) for z, t in zip(np.ravel(roots),
-                                                np.ravel(targets))]
-    return r * np.reshape(factor, np.shape(roots))
+    return jet_pow(u, Fraction(1, 3))
 
 
 TAN_POLE_TOL = 1e-12  # |cos u0| below which tan(u) has a pole

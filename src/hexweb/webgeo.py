@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chern, cubic
-from .cubic import (SingularPointError, coeff_values, discriminant_of_coeffs,
-                    discriminant_scale, match_roots, nonvanishing,
-                    normalization_core, proj_distance, regular_cutoff, roots)
-from .jets import Jet, cbrt_factor, jet_cbrt
+from .cubic import (SingularPointError, coeff_values, continued_sigma,
+                    discriminant_of_coeffs, discriminant_scale, match_roots,
+                    nonvanishing, proj_distance, regular_cutoff, roots)
 
 
 class LeafIntegrationError(ValueError):
@@ -356,8 +355,8 @@ def first_integrals(field, base, path):
     jets = field.coeff_jets(x, y, 1)
     co = nonvanishing(coeff_values(jets), x, y)
     gam = np.stack(chern.gamma_from_jets(jets, x, y).values(), axis=-1)
-    sig = _continued_sigma([j.truncate(0) for j in jets], x, y,
-                           cubic.roots_proj(co))
+    sig, _ = continued_sigma([j.truncate(0) for j in jets], x, y,
+                             _chain_labels(cubic.roots_proj(co)))
 
     # composite Simpson on the pairs (2j, 2j + 1, 2j + 2) of equal steps dP
     pair = 2 * np.arange(len(nodes) // 2)[:, None] + np.arange(3)
@@ -382,32 +381,19 @@ def first_integrals(field, base, path):
                               abelian_residual=residual)
 
 
-def _continued_sigma(jets, x, y, vals):
-    """Normalized root covectors (n, 3, 2) at the nodes of a path from the
-    order-0 coefficient jets and the sorted root values there.
-
-    Node i's roots take the labels that move them least from node i - 1's
-    (match_roots on the distances between the two nodes' roots), and its
-    cube-root branch is the one nearest node i - 1's lam; node 0 keeps the
-    sorted order and the principal branch.  Both are sequential, and read
-    values computed for all nodes at once.
-    """
+def _chain_labels(vals):
+    """The sorted root values (n, 3, 2) at the nodes of a path, relabelled
+    along it: node i's roots take the labels that move them least from node
+    i - 1's (match_roots on the distances between the two nodes' roots), and
+    node 0 keeps the sorted order.  The chain is sequential and reads
+    distances computed for all nodes at once."""
     d = proj_distance((vals[:-1, :, None, 0], vals[:-1, :, None, 1]),
                       (vals[1:, None, :, 0], vals[1:, None, :, 1])).tolist()
     labels = [(0, 1, 2)]
     for di in d:
         labels.append(match_roots(labels[-1], (0, 1, 2),
                                   dist=lambda a, b: di[a][b])[0])
-    vals = np.take_along_axis(vals, np.array(labels)[:, :, None], axis=1)
-    sp, lam3 = normalization_core(jets, x, y, 0, vals)
-    r = jet_cbrt(lam3).value
-    lam = [r[0]]
-    for i in range(1, len(r)):
-        # as jet_cbrt rescales the principal root to the continued branch
-        lam.append((r[i:i + 1] * cbrt_factor(r[i], lam[-1]))[0])
-    lam = Jet._raw(lam3.base, 0, np.array(lam)[None, None])
-    return np.stack([np.stack([(lam * P).value, (lam * Q).value], axis=-1)
-                     for P, Q in sp], axis=1)
+    return np.take_along_axis(vals, np.array(labels)[:, :, None], axis=1)
 
 
 # ---------------------------------------------------------------------------

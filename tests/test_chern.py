@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from hexweb import chern
-from hexweb.chern import (blaschke_transport, corollary_residual, curvature,
-                          dual_frame, frame_components,
-                          gamma_cubic, gamma_depressed,
+from hexweb import cubic
+from hexweb.chern import (FRAME_MAX_MOVE, PathFrame, blaschke_transport,
+                          corollary_residual, curvature, dual_frame,
+                          frame_components, gamma_cubic, gamma_depressed,
                           gamma_expressions_from_sigma, gamma_from_definition,
                           integrate_gamma)
-from hexweb.cubic import (PolyCoeffField, SingularPointError,
-                          discriminant_of_coeffs, discriminant_scale,
-                          normalize_roots, roots)
+from hexweb.cubic import (MIN_PIECE, PolyCoeffField, SingularPointError,
+                          coeff_values, discriminant_of_coeffs,
+                          discriminant_scale, match_roots, normalization_core,
+                          normalize_roots, proj_distance, roots, roots_proj)
 from hexweb.frobenius import Potential, solution_potential
-from hexweb.jets import PolyExpr
+from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import normal_form_field, symmetry_losing_web
 from webs import CONTROL_GENERIC as CONTROL, random_poly
 
@@ -30,6 +32,10 @@ def random_regular_point(field, rng=RNG):
         if abs(discriminant_of_coeffs(*co)) > 1e-3 * discriminant_scale(co):
             return x, y
     raise AssertionError("no regular point found")
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=complex).view(np.uint64)
 
 
 class TestRouteAgreement:
@@ -203,7 +209,7 @@ class TestPathIntegrals:
 class TestTransport:
     def test_dual_frame_duality(self):
         tr = normalize_roots(CONTROL, (-2.2, 0.3))
-        e1, e2 = dual_frame(tr)
+        e1, e2 = dual_frame(tr.values())
         (p1, q1), (p2, q2), _ = tr.values()
         assert abs(p1 * e1[0] + q1 * e1[1] - 1) < 1e-12
         assert abs(p2 * e2[0] + q2 * e2[1] - 1) < 1e-12
@@ -218,7 +224,7 @@ class TestTransport:
         loop = [(0.0, 1.0), (0.2, 1.1), (0.1, 1.3), (-0.2, 1.1), (0.0, 1.0)]
         res = blaschke_transport(field, loop, (0.4, -0.9))
         start = normalize_roots(field, loop[0])
-        e1, e2 = dual_frame(start)
+        e1, e2 = dual_frame(start.values())
         want = (0.4 * e1[0] - 0.9 * e2[0], 0.4 * e1[1] - 0.9 * e2[1])
         got = res.vector
         assert abs(got[0] - want[0]) + abs(got[1] - want[1]) < 1e-7
@@ -231,6 +237,112 @@ class TestTransport:
         c = blaschke_transport(field, curve, (2.0, -3.0)).vector
         assert abs(c[0] - (2 * a[0] - 3 * b[0])) < 1e-9
         assert abs(c[1] - (2 * a[1] - 3 * b[1])) < 1e-9
+
+
+def reference_frame(field, path):
+    """PathFrame one checkpoint at a time: every trial point's triple is
+    normalized on its own, its roots labelled by match_roots against the
+    last checkpoint's sigma and its cube root branched nearest that
+    checkpoint's lam.  Returns the list of (point, sigma values)."""
+    def triple(pt, ref=None, lam=None):
+        x, y = pt
+        jets = field.coeff_jets(x, y, 0)
+        vals = roots_proj(coeff_values(jets))
+        if ref is not None:
+            vals, _ = match_roots(ref, vals)
+        sp, lam3 = normalization_core(jets, x, y, 0, vals)
+        r = jet_cbrt(lam3)
+        if lam is not None:
+            r = r * cbrt_factor(r.value, lam)
+        return [((r * P).value, (r * Q).value) for P, Q in sp], r.value
+
+    pts = [np.asarray(p, dtype=complex) for p in path]
+    trail = [(pts[0], *triple(pts[0]))]
+    for P0, P1 in zip(pts[:-1], pts[1:]):
+        stack = [(0.0, 1.0)]
+        while stack:
+            t0, t1 = stack.pop()
+            pt = P0 + t1 * (P1 - P0)
+            ref, lam = trail[-1][1:]
+            sigma, lam_pt = triple(pt, ref, lam)
+            if (sum(map(proj_distance, ref, sigma)) > FRAME_MAX_MOVE
+                    and t1 - t0 > MIN_PIECE):
+                mid = 0.5 * (t0 + t1)
+                stack += [(mid, t1), (t0, mid)]
+            else:
+                trail.append((pt, sigma, lam_pt))
+    return [(pt, sigma) for pt, sigma, _ in trail]
+
+
+# regular windows: web B's field is constant; D = -4 (x + y^2)^3 - 27 keeps
+# one sign on each of the control windows, so no path crosses D = 0
+FRAME_WINDOWS = {
+    "A": (solution_potential("A").characteristic_field(),
+          ((-0.45, 0.45), (0.7, 1.35))),
+    "B": (solution_potential("B").characteristic_field(),
+          ((-0.8, 0.8), (-0.8, 0.8))),
+    "control D > 0": (CONTROL, ((-3.0, -2.2), (-0.3, 0.3))),
+    "control D < 0": (CONTROL, ((-1.0, 1.0), (-0.5, 0.5))),
+    "complex": (PolyCoeffField(
+        PolyExpr.from_dict({(0, 0): 1.0, (1, 0): 0.5j}),
+        PolyExpr.from_dict({(0, 1): 0.3 - 0.2j}),
+        PolyExpr.from_dict({(0, 0): -1.0, (1, 1): 0.4j}),
+        PolyExpr.from_dict({(0, 0): 0.7 + 0.1j, (2, 0): 1.0})),
+        ((-0.6, 0.6), (-0.6, 0.6))),
+}
+
+
+class TestPathFrame:
+    @pytest.mark.parametrize("name", FRAME_WINDOWS)
+    def test_equals_the_per_checkpoint_chain(self, name):
+        """Walking on raw roots and normalizing all checkpoints at once
+        gives the checkpoints and sigma of normalizing at each, bit for
+        bit; some paths bisect."""
+        field, ((x0, x1), (y0, y1)) = FRAME_WINDOWS[name]
+        rng = np.random.default_rng(1103)
+        refined = 0
+        for _ in range(10):
+            path = [(rng.uniform(x0, x1), rng.uniform(y0, y1))
+                    for _ in range(4)]
+            got = PathFrame(field, path).checkpoints
+            want = reference_frame(field, path)
+            assert len(got) == len(want)
+            for (pt, sigma), (pt_w, sigma_w) in zip(got, want):
+                assert np.array_equal(bits(pt), bits(pt_w))
+                assert np.array_equal(bits(sigma), bits(sigma_w))
+            refined += len(got) > len(path)
+        # web B's field is constant: its roots never move
+        assert (refined > 0) == (name != "B")
+
+    def test_makes_no_normalize_roots_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return normalize_roots(*args, **kwargs)
+
+        for module in (cubic, chern):
+            monkeypatch.setattr(module, "normalize_roots", counted)
+        field = FRAME_WINDOWS["A"][0]
+        path = [(0.0, 1.0), (0.3, 1.1), (0.1, 1.3)]
+        frame = PathFrame(field, path)
+        blaschke_transport(field, path, (0.4, -0.9))
+        assert calls == [] and len(frame.checkpoints) >= len(path)
+
+    def test_transport_ignores_a_midpoint_vertex(self):
+        """Parallel transport depends on the curve, not on its vertices:
+        [P0, P1] and [P0, midpoint, P1] transport alike (the last segment
+        takes two checkpoints alone and three with its midpoint)."""
+        field = FRAME_WINDOWS["A"][0]
+        for P0, P1 in [((0.0, 1.0), (0.3, 1.25)), ((-0.3, 0.8), (0.35, 1.3)),
+                       ((0.1, 0.9), (-0.4, 1.3)), ((0.0, 1.0), (0.05, 1.02))]:
+            P0, P1 = np.array(P0), np.array(P1)
+            for xi in [(1.0, 0.0), (0.4, -0.9)]:
+                one = blaschke_transport(field, [P0, P1], xi).vector
+                two = blaschke_transport(field, [P0, 0.5 * (P0 + P1), P1],
+                                         xi).vector
+                assert max(abs(a - b) for a, b in zip(one, two)
+                           ) <= 1e-8 * max(map(abs, one))
 
 
 class TestDepressedChart:
@@ -256,13 +368,15 @@ class TestLabelInvariance:
         Web B's field is constant, so its gamma vanishes under every label;
         the others are checked where gamma does not."""
         f = LABEL_FIELDS[name]
-        for point in [(0.1, 1.0), (0.3, 0.7)]:
-            ref = roots(f, point)
+        for x, y in [(0.1, 1.0), (0.3, 0.7)]:
+            ref = roots(f, (x, y))
             got = []
             for perm in itertools.permutations(range(3)):
-                triple = normalize_roots(f, point, order=2,
-                                         label_ref=[ref[i] for i in perm])
-                g = gamma_expressions_from_sigma(triple.sigma)[0]
+                sp, lam3 = normalization_core(f.coeff_jets(x, y, 2), x, y, 2,
+                                              [ref[i] for i in perm])
+                lam = jet_cbrt(lam3)
+                g = gamma_expressions_from_sigma(
+                    [(lam * P, lam * Q) for P, Q in sp])[0]
                 got.append(np.stack([g.gx.c, g.gy.c]))
             scale = np.max(np.abs(got[0]))
             assert (scale == 0) == (name == "B")
@@ -272,10 +386,6 @@ class TestLabelInvariance:
 
 # ---------------------------------------------------------------------------
 # Arrays of points and single lifts
-
-def bits(arr):
-    return np.ascontiguousarray(arr, dtype=complex).view(np.uint64)
-
 
 class TestPointArrays:
     @pytest.mark.parametrize("name", ["A", "B", "symmetry-losing", "control"])

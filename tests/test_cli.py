@@ -1,12 +1,16 @@
 """Batch command-line front-end: schema validation, exit codes, reports,
 determinism of emitted artifacts."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexweb import cli, singular
 from hexweb.cli import SchemaError, load_spec, main
@@ -28,6 +32,42 @@ FORM3_FIELD = {
     "b": [],
     "c": [{"exps": [2, 0], "coef": "2/3"}, {"exps": [0, 1], "coef": -1}],
     "r": [{"exps": [3, 0], "coef": "4/27"}, {"exps": [1, 1], "coef": "-2/3"}],
+}
+
+
+# values that are no finite number, alone or nested: a config that holds one
+# where it needs a number (or a list of numbers) is broken there
+NOT_A_NUMBER = st.recursive(
+    st.one_of(st.none(), st.booleans(),
+              st.integers(2 ** 1024, 10 ** 400),     # beyond float range
+              st.integers(-10 ** 400, -2 ** 1024),
+              st.sampled_from([math.nan, math.inf, -math.inf, "", "x",
+                               "1e999", "-2e400", "1/0", "nan", "1/3/4"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=2)),
+    max_leaves=5)
+NOT_POSITIVE = st.one_of(NOT_A_NUMBER, st.integers(max_value=0),
+                         st.floats(max_value=0.0))
+NOT_A_COUNT = st.one_of(NOT_POSITIVE, st.floats(1.0, 1e6))
+HOSTILE_SITES = {
+    "input": NOT_A_NUMBER,
+    "tolerance": NOT_POSITIVE,
+    "tolerance name": st.text(min_size=1, max_size=12).filter(
+        lambda k: k not in cli.DEFAULT_TOLERANCES),
+    "coef": NOT_A_NUMBER,
+    "exps": NOT_A_NUMBER,
+    "exponent": st.one_of(NOT_A_NUMBER, st.integers(max_value=-1),
+                          st.floats()),
+    "window": NOT_A_NUMBER,
+    "window bound": NOT_A_NUMBER,
+    "samples": NOT_A_COUNT,
+    "grid": NOT_A_COUNT,
+    "eps": NOT_POSITIVE,
+    "leaf_length": NOT_POSITIVE,
+    "t0": NOT_A_NUMBER,
+    "base": NOT_A_NUMBER,
+    "point": NOT_A_NUMBER,
 }
 
 
@@ -136,12 +176,27 @@ class TestExitCodes:
         ("classify", SOLUTION_A, {"point": "ab"}),
         ("leaves", SOLUTION_A, {"leaf_length": [1]}),
         ("check", SOLUTION_A, {"t0": [1]}),
+        ("check", SOLUTION_A, {"tolerances": {"corollary": 10**400}}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": [2, 2],
+                                              "coef": 10**400}]), {}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": [2, 2],
+                                              "coef": "1e999"}]), {}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": [1.7, 0],
+                                              "coef": 1}]), {}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": "10",
+                                              "coef": 1}]), {}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": [True, 0],
+                                              "coef": 1}]), {}),
+        ("check", SOLUTION_A, {"tolerances": {"curvture": 1e-30}}),
     ], ids=["window-string", "window-one-row", "window-string-bound",
             "tolerance-string", "tolerances-list", "coef-nan",
             "coef-string-imag", "exponent-string", "monomials-number",
             "samples-zero", "grid-negative", "grid-float", "eps-nan",
             "eps-string", "eps-zero", "base-one-number", "base-string",
-            "point-number", "point-string", "leaf-length-list", "t0-list"])
+            "point-number", "point-string", "leaf-length-list", "t0-list",
+            "tolerance-huge-int", "coef-huge-int", "coef-huge-rational",
+            "exponent-float", "exponents-string", "exponent-bool",
+            "tolerance-unknown-name"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, inp,
                                     extra):
         cfg = write_config(tmp_path, inp, **extra)
@@ -149,6 +204,47 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_unknown_tolerance_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SOLUTION_A,
+                           tolerances={"curvature": 1e-7, "curvture": 1e-30})
+        assert main(["check", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "'curvture'" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(HOSTILE_SITES)).flatmap(
+        lambda site: st.tuples(st.just(site), HOSTILE_SITES[site])))
+    def test_hostile_configs_exit_2_for_every_command(self, hostile):
+        """A config broken in one place exits 2 with a message, for every
+        command, and writes nothing."""
+        site, bad = hostile
+        cfg = {"input": json.loads(json.dumps(SOLUTION_A))}
+        monomial = cfg["input"]["monomials"][0]
+        if site == "tolerance":
+            cfg["tolerances"] = {"corollary": bad}
+        elif site == "tolerance name":
+            cfg["tolerances"] = {bad: 1e-8}
+        elif site in ("coef", "exps"):
+            monomial[site] = bad
+        elif site == "exponent":
+            monomial["exps"][1] = bad
+        elif site == "window bound":
+            cfg["window"] = [[-1.0, 1.0], [0.5, bad]]
+        else:
+            cfg[site] = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            out = Path(tmp) / "out"
+            for command in cli.COMMANDS:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(path),
+                                 "--out", str(out)])
+                assert code == 2
+                assert err.getvalue().startswith("error: ")
+            assert not out.exists()
 
     def test_check_without_regular_samples_fails(self, tmp_path):
         zero = {"kind": "field", "a": [], "b": [], "c": [], "r": []}

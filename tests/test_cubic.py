@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
                           DirectionField, PolyCoeffField, SingularPointError,
-                          TranslatedField, continue_along,
-                          depress, discriminant_of_coeffs,
+                          TranslatedField, _root_jets, continue_along,
+                          depress_jets, discriminant_of_coeffs,
                           factorization_residual, match_roots,
                           normalize_roots, proj_distance, regular_cutoff,
-                          root_jets, roots, roots_proj)
+                          roots, roots_proj)
 from hexweb.frobenius import (idempotents, multiplication_table,
                               solution_potential)
 from hexweb.jets import PolyExpr
@@ -100,10 +100,10 @@ class TestRoots:
             PolyExpr.const(1, 2),
         )
         x, y = 0.2, 0.9
-        rj = root_jets(f, x, y, 1)
+        rj = _root_jets(f.coeff_jets(x, y, 1), x, y, 1, None)
         h = 1e-6
         ref = [(p.value, q.value) for p, q in rj]
-        rp = root_jets(f, x + h, y, 1, root_values=None)
+        rp = _root_jets(f.coeff_jets(x + h, y, 1), x + h, y, 1, None)
         newvals, _ = match_roots(ref, [(p.value, q.value) for p, q in rp])
         for (pj, qj), (pn, qn), (p0, q0) in zip(rj, newvals, ref):
             # compare in the slope chart s = p/q (projective scale drops out)
@@ -202,20 +202,6 @@ class TestNormalizeRoots:
             assert abs(sq) < 1e-9 * (1 + norm)
             assert factorization_residual(f, tr) < 1e-9
 
-    def test_label_ref_keeps_ordering(self):
-        f = random_field()
-        x, y = 0.4, 0.1
-        co = f.coeffs(x, y)
-        if abs(discriminant_of_coeffs(*co)) <= 1e-8:
-            pytest.skip("random field singular at probe point")
-        tr = normalize_roots(f, (x, y))
-        ref = tr.values()
-        tr2 = normalize_roots(f, (x + 1e-3, y), label_ref=ref,
-                              lam_target=tr.lam)
-        for u, v in zip(ref, tr2.values()):
-            assert proj_distance(u, v) < 1e-2
-        assert abs(tr2.lam - tr.lam) < 1e-2 * (1 + abs(tr.lam))
-
     def test_singular_point_raises(self):
         # a p^3: triple root everywhere
         zero = PolyExpr.zero()
@@ -233,7 +219,7 @@ class TestDepress:
             PolyExpr.const(1, 2),
         )
         x, y = 0.5, 0.2
-        dep = depress(f, (x, y))
+        dep = depress_jets(f.coeff_jets(x, y, 1), x, y)
         assert dep.chart in ("xy", "yx")
         A, B = dep.A.value, dep.B.value
         # the depressed cubic's roots are slopes shifted by k2/3
@@ -268,8 +254,7 @@ class TestCallableJetField:
         x, y = -0.8, 0.6
         assert np.allclose(cj.coeffs(x, y), poly.coeffs(x, y))
         tr1 = normalize_roots(poly, (x, y))
-        tr2 = normalize_roots(cj, (x, y), label_ref=tr1.values(),
-                              lam_target=tr1.lam)
+        tr2 = normalize_roots(cj, (x, y))
         for u, v in zip(tr1.values(), tr2.values()):
             assert abs(u[0] - v[0]) + abs(u[1] - v[1]) < 1e-10
 
@@ -316,7 +301,7 @@ class TestFirstOrder:
 
 
 class TestContinueAlong:
-    """The shared subdivision walker on a toy state: the x coordinate."""
+    """The shared subdivision walker on a toy value: the x coordinate."""
 
     PATH = [(0.0, 0.0), (1.0, 0.0)]
 
@@ -325,35 +310,36 @@ class TestContinueAlong:
         return [float(pt[0].real) for pt, _ in trail]
 
     @staticmethod
-    def slide(prev, pt):
-        x = float(pt[0].real)
-        return x, abs(x - prev)
+    def at_x(pt):
+        return [float(pt[0].real)]
+
+    @staticmethod
+    def gap(u, v):
+        return abs(u - v)
 
     def test_pieces_set_the_initial_steps(self):
-        trail = continue_along(self.PATH, 0.0, self.slide, 1.0,
+        trail = continue_along(self.PATH, self.at_x, 1.0, dist=self.gap,
                                pieces=lambda P0, P1: 4)
         assert self.xs(trail) == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert [s for _, s in trail] == self.xs(trail)
-        assert trail[0][1] == 0.0
+        assert [v for _, (v,) in trail] == self.xs(trail)
+        assert trail[0][1] == [0.0]
 
     def test_one_piece_per_segment_by_default(self):
         path = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
-        trail = continue_along(path, 0, lambda prev, pt: (prev + 1, 0.0),
-                               0.5)
-        assert [s for _, s in trail] == [0, 1, 2]
+        trail = continue_along(path, self.at_x, 0.5,
+                               dist=lambda u, v: 0.0)
+        assert [v for _, (v,) in trail] == [0.0, 1.0, 1.0]
         assert [tuple(pt) for pt, _ in trail] == path
 
     def test_costly_move_halves_the_step(self):
-        trail = continue_along(self.PATH, 0.0, self.slide, 0.3)
+        trail = continue_along(self.PATH, self.at_x, 0.3, dist=self.gap)
         assert self.xs(trail) == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_halving_stops_at_the_floor(self):
-        # the state jumps at x = 1/2: no piece across it is cheap enough
-        def step(prev, pt):
-            state = float(pt[0].real >= 0.5)
-            return state, abs(state - prev)
-
-        trail = continue_along(self.PATH, 0.0, step, 0.5)
+        # the value jumps at x = 1/2: no piece across it is cheap enough
+        trail = continue_along(self.PATH,
+                               lambda pt: [float(pt[0].real >= 0.5)], 0.5,
+                               dist=self.gap)
         xs = self.xs(trail)
         jumps = [i for i in range(1, len(trail))
                  if trail[i][1] != trail[i - 1][1]]
@@ -361,6 +347,23 @@ class TestContinueAlong:
         gap = xs[jumps[0]] - xs[jumps[0] - 1]
         assert MIN_PIECE / 2 < gap <= MIN_PIECE
         assert xs[jumps[0]] == 0.5 and xs[-1] == 1.0
+
+    def test_labels_follow_the_values_past_a_sort_swap(self):
+        # two antipodal points turn by 3 pi / 4: at lists them sorted, and
+        # the turn swaps their sorted order; continued, each keeps its label
+        def at(pt):
+            t = np.pi * float(pt[0].real)
+            return sorted([(np.cos(t), np.sin(t)), (-np.cos(t), -np.sin(t))])
+
+        trail = continue_along([(0.0, 0.0), (0.75, 0.0)], at, 0.5,
+                               dist=lambda u, v: np.hypot(u[0] - v[0],
+                                                          u[1] - v[1]))
+        assert len(trail) == 17  # a move of pi / 16 per point costs 0.39
+        for pt, (u, v) in trail:
+            t = np.pi * float(pt[0].real)
+            assert u == pytest.approx((-np.cos(t), -np.sin(t)), abs=1e-15)
+            assert v == pytest.approx((np.cos(t), np.sin(t)), abs=1e-15)
+        assert trail[-1][1] != at(trail[-1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +404,10 @@ class TestPointArrays:
         co = np.array([f.coeffs(*p) for p in zip(x, y)])
         assert np.array_equal(bits(roots_proj(co)),
                               bits([roots_proj(c) for c in co]))
-        targets = np.exp(0.3j * np.arange(len(x))) * 2.0
-        for order, lam_target in [(0, None), (1, None), (1, targets)]:
-            got = normalize_roots(f, (x, y), order=order,
-                                  lam_target=lam_target)
+        for order in (0, 1):
+            got = normalize_roots(f, (x, y), order=order)
             for i, p in enumerate(zip(x, y)):
-                t = None if lam_target is None else lam_target[i]
-                want = normalize_roots(f, p, order=order, lam_target=t)
+                want = normalize_roots(f, p, order=order)
                 assert np.array_equal(bits(got.lam[i]), bits(want.lam))
                 for (P, Q), (Pw, Qw) in zip(got.sigma, want.sigma):
                     assert np.array_equal(bits(P.c[..., i]), bits(Pw.c))

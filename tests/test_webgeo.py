@@ -9,11 +9,11 @@ import pytest
 
 from hexweb.chern import curvature, gamma_cubic, integrate_gamma
 from hexweb.cubic import (CallableJetField, DegenerateFieldError,
-                          PolyCoeffField,
-                          SingularPointError, normalize_roots, proj_distance,
-                          roots_proj)
+                          PolyCoeffField, SingularPointError, coeff_values,
+                          match_roots, normalization_core, normalize_roots,
+                          proj_distance, roots_proj)
 from hexweb.frobenius import solution_potential
-from hexweb.jets import PolyExpr
+from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import symmetry_losing_web
 from hexweb.webgeo import (FI_STEP, FirstIntegralState, LeafIntegrationError,
                            _first_crossing, first_integrals, integrate_leaf,
@@ -308,8 +308,9 @@ class TestFirstIntegrals:
 
 def first_integrals_per_node(field, base, path):
     """Reference: first_integrals with gamma and the normalized triple
-    evaluated one node at a time, each triple labelled and branched from
-    the last."""
+    evaluated one node at a time: each node's roots are labelled by
+    match_roots against the last node's, and its cube root is branched by
+    cbrt_factor nearest the last node's lam."""
     pts = np.asarray(path, dtype=float)
     if np.linalg.norm(pts[0] - np.asarray(base, dtype=float)) > 1e-12:
         raise ValueError("path must start at the base point")
@@ -319,13 +320,18 @@ def first_integrals_per_node(field, base, path):
         n += n % 2
         nodes.append(P0 + (np.arange(1, n + 1) / n)[:, None] * (P1 - P0))
     nodes = np.concatenate(nodes)
-    gam, sig, lam = [], [], None
+    gam, sig, vals, lam = [], [], None, None
     for x, y in nodes:
         gam.append(gamma_cubic(field, (x, y), order=0).values())
-        triple = normalize_roots(field, (x, y), order=0, lam_target=lam,
-                                 label_ref=sig[-1] if sig else None)
-        sig.append(triple.values())
-        lam = triple.lam
+        jets = field.coeff_jets(x, y, 0)
+        new = roots_proj(coeff_values(jets))
+        vals = new if vals is None else match_roots(vals, new)[0]
+        sp, lam3 = normalization_core(jets, x, y, 0, vals)
+        r = jet_cbrt(lam3)
+        if lam is not None:
+            r = r * cbrt_factor(r.value, lam)
+        sig.append([((r * P).value, (r * Q).value) for P, Q in sp])
+        lam = r.value
     pair = 2 * np.arange(len(nodes) // 2)[:, None] + np.arange(3)
     dP = nodes[pair[:, 1]] - nodes[pair[:, 0]]
 
