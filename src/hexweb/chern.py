@@ -20,7 +20,7 @@ from .cubic import (SingularPointError, at_first, coeff_values,
                     continue_along, continued_sigma, depress_jets,
                     discriminant_of_coeffs, nonvanishing, normalize_roots,
                     regular_cutoff, roots_proj)
-from .jets import Jet, any_set, replay
+from .jets import Jet, any_set, modulus, replay
 
 
 @dataclass
@@ -37,7 +37,7 @@ class ConnectionValue:
         return (self.gx.value, self.gy.value)
 
     def norm(self):
-        return max(abs(self.gx.value), abs(self.gy.value))
+        return np.maximum(modulus(self.gx.value), modulus(self.gy.value))
 
 
 @dataclass
@@ -136,9 +136,13 @@ def gamma_depressed(field, point, order=0):
     that formula is reproduced exactly by gamma_cubic + (1/6) d(ln D) (the
     two differ by an exact form that cancels in the curvature), which stays
     holomorphic on characteristic webs; the quadratic root shift alone is
-    not a web equivalence and is not used here.
+    not a web equivalence and is not used here.  Takes one point, not
+    arrays: the branch is chosen per point.
     """
     x, y = point
+    if np.ndim(x) or np.ndim(y):
+        raise ValueError("gamma_depressed takes one point, not arrays of "
+                         "points: its quadratic-term branch is per point")
     jets = field.coeff_jets(x, y, order + 1)
     co = coeff_values(jets)
     k3, k2, k0, k1 = -co[0], co[1], co[3], -co[2]
@@ -196,21 +200,20 @@ AGREEMENT_TOL = 1e-9  # relative spread allowed among the three expressions
 
 
 def gamma_from_definition(field, point, order=0):
-    """Chern connection straight from the definition.
+    """Chern connection straight from the definition, per point.
 
-    The three defining expressions must agree pairwise; their first one is
-    returned (they are equal up to the stated tolerance).
+    The three defining expressions must agree pairwise (else it raises,
+    for the first such point); their first one is returned.
     """
     triple = normalize_roots(field, point, order=order + 1)
     exprs = gamma_expressions_from_sigma(triple.sigma)
-    scale = 1.0 + max(e.norm() for e in exprs)
-    for i in range(3):
-        j = (i + 1) % 3
-        diff = max(abs(exprs[i].gx.value - exprs[j].gx.value),
-                   abs(exprs[i].gy.value - exprs[j].gy.value))
-        if diff / scale > AGREEMENT_TOL:
-            raise SingularPointError(
-                f"defining expressions for gamma disagree by {diff:.2e}")
+    g = np.array([e.values() for e in exprs])  # (3, 2, ...)
+    diff = np.abs(g - g[[1, 2, 0]]).max(axis=(0, 1))
+    bad = diff / (1.0 + np.abs(g).max(axis=(0, 1))) > AGREEMENT_TOL
+    if any_set(bad):
+        x, y, diff = at_first(bad, *point, diff)
+        raise SingularPointError(f"defining expressions for gamma disagree "
+                                 f"by {diff:.2e} at ({x}, {y})")
     return exprs[0]
 
 
@@ -237,24 +240,25 @@ def curvature(field, point, route="cubic"):
 
 
 def corollary_residual(pot, point, assoc_tol=1e-8):
-    """Deviation of gamma from -(1/6) d(ln D) for a WDVV potential.
+    """Deviation of gamma from -(1/6) d(ln D) for a WDVV potential, per
+    point of a point or of arrays of points.
 
     Only claimed (and only computed) for solutions of the associativity
-    equation; refuses otherwise.
+    equation; refuses otherwise, naming the first point off them.
     """
     x, y = point
-    res = abs(pot.associativity_residual(x, y))
-    if res > assoc_tol:
-        raise ValueError(
-            f"associativity residual {res:.3e} too large; identity only "
-            "holds on solutions")
+    res = modulus(pot.associativity_residual(x, y))
+    bad = res > assoc_tol
+    if any_set(bad):
+        x, y, res = at_first(bad, x, y, res)
+        raise ValueError(f"associativity residual {res:.3e} too large at "
+                         f"({x}, {y}); identity only holds on solutions")
     jets = pot.characteristic_field().coeff_jets(x, y, 1)
     g = gamma_from_jets(jets, x, y)  # raises where D ~ 0
     D = replay(discriminant_of_coeffs, *jets)
-    ref_x = -D.deriv(0).value / (6.0 * D.value)
-    ref_y = -D.deriv(1).value / (6.0 * D.value)
-    gx, gy = g.values()
-    return max(abs(gx - ref_x), abs(gy - ref_y)) / (1.0 + g.norm())
+    ref = -np.array([D.deriv(0).value, D.deriv(1).value]) / (6.0 * D.value)
+    dev = modulus(np.array(g.values()) - ref).max(axis=0)
+    return dev / (1.0 + g.norm())
 
 
 QUAD_TOL = 1e-10  # absolute and relative tolerance of the quadrature
@@ -337,7 +341,9 @@ class PathFrame:
     move by <= FRAME_MAX_MOVE in the projective metric; then one
     continued_sigma call on all checkpoints normalizes them, continuing the
     cube-root branch.  ``checkpoints`` is the list of (point, sigma values
-    (3, 2)).
+    (3, 2)).  Raises SingularPointError where D is real at two consecutive
+    checkpoints and changes sign between them (the path crosses D = 0,
+    where the labels cannot be continued), as integrate_gamma does.
     """
 
     def __init__(self, field, path):
@@ -348,7 +354,17 @@ class PathFrame:
 
         walk = continue_along(path, at, FRAME_MAX_MOVE)
         x, y = np.array([pt for pt, _ in walk]).T
-        sigma, _ = continued_sigma(field.coeff_jets(x, y, 0), x, y,
+        jets = field.coeff_jets(x, y, 0)
+        D = discriminant_of_coeffs(*(j.value for j in jets))
+        sign = np.where(D.imag == 0, np.sign(D.real), 0)
+        cross = sign[:-1] * sign[1:] < 0
+        if cross.any():
+            i = np.argmax(cross)
+            raise SingularPointError(
+                f"path crosses D = 0 between checkpoints {walk[i][0]} and "
+                f"{walk[i + 1][0]}: D goes from {D[i].real:.3e} to "
+                f"{D[i + 1].real:.3e}", disc=D[i + 1])
+        sigma, _ = continued_sigma(jets, x, y,
                                    np.array([vals for _, vals in walk]))
         self.checkpoints = [(pt, s) for (pt, _), s in zip(walk, sigma)]
 

@@ -25,7 +25,7 @@ from .cubic import (PolyCoeffField, coeff_values, discriminant_of_coeffs,
                     discriminant_scale, factorization_residual,
                     normalize_roots, regular_cutoff)
 from .frobenius import Potential, theorem2_residual
-from .jets import PolyExpr
+from .jets import PolyExpr, modulus
 from .singular import (classify_singularity, f_ode_residual,
                        normal_form_field, trace_discriminant)
 from .webgeo import (LeafIntegrationError, integrate_leaf, symmetry_residual,
@@ -104,6 +104,16 @@ def _parse_coef(raw):
                       "[re, im] or 'p/q'")
 
 
+# largest exponent: up to it, powers of a complex coordinate are repeated
+# products and the lifts' binomial factors are floats; beyond it Python's
+# complex power raises OverflowError where the value leaves float range
+MAX_EXPONENT = 100
+# the most samples (check) and grid points per side (gamma, leaves,
+# discriminant) a run may ask for: gamma on a 100 x 100 grid holds about
+# 160 MB of jets
+COUNT_LIMITS = {"samples": 1000, "grid": 100}
+
+
 def _parse_monomials(items, nvars):
     if not isinstance(items, list):
         raise SchemaError(f"monomials {items!r} must be a list")
@@ -113,9 +123,10 @@ def _parse_monomials(items, nvars):
             raise SchemaError(f"monomial entry {it!r} needs 'exps' and 'coef'")
         exps = it["exps"]
         if not (isinstance(exps, list) and len(exps) == nvars
-                and all(type(e) is int and e >= 0 for e in exps)):
-            raise SchemaError(
-                f"exponents {exps!r} must be {nvars} nonnegative integers")
+                and all(type(e) is int and 0 <= e <= MAX_EXPONENT
+                        for e in exps)):
+            raise SchemaError(f"exponents {exps!r} must be {nvars} integers "
+                              f"from 0 to {MAX_EXPONENT}")
         exps = tuple(exps)
         if exps in d:
             raise SchemaError(f"duplicate exponent tuple {exps}")
@@ -132,8 +143,16 @@ def load_spec(spec):
         case = spec.get("case")
         if case not in ("A", "B"):
             raise SchemaError("potential spec needs 'case': 'A' or 'B'")
-        f = _parse_monomials(spec.get("monomials", []), 2)
-        return Potential(case=case, f=f)
+        pot = Potential(case=case, f=_parse_monomials(
+            spec.get("monomials", []), 2))
+        try:  # one evaluation converts the coefficients to floats
+            for p in (*pot.f3.values(), *pot.characteristic_field().abcr,
+                      pot.residual_poly):
+                p(0, 0)
+        except OverflowError:
+            raise SchemaError("a third derivative or the associativity "
+                              "residual has a coefficient beyond float range")
+        return pot
     if kind == "field":
         coeffs = []
         for name in ("a", "b", "c", "r"):
@@ -171,10 +190,10 @@ def load_config(path):
         raise SchemaError("window must be [[xmin, xmax], [ymin, ymax]] "
                           "with xmin < xmax and ymin < ymax")
     cfg["window"] = win
-    for key in ("samples", "grid"):
+    for key, most in COUNT_LIMITS.items():
         v = cfg.get(key, 1)
-        if type(v) is not int or v < 1:
-            raise SchemaError(f"{key} must be a positive integer")
+        if type(v) is not int or not 1 <= v <= most:
+            raise SchemaError(f"{key} must be an integer from 1 to {most}")
     for key, (valid, what) in VALUE_KEYS.items():
         if key in cfg and not valid(cfg[key]):
             raise SchemaError(f"{key} must be {what}")
@@ -290,27 +309,24 @@ def run_check(obj, cfg, rng, report):
     pts = _random_regular_points(field, cfg["window"], rng, count, 100 * count)
     if not pts:
         raise ValueError("no regular sample point found in the window")
+    xy = tuple(np.array(pts).T)
     inv = {}
     if isinstance(obj, Potential):
-        res = max(abs(obj.associativity_residual(x, y)) for x, y in pts)
+        res = float(np.max(modulus(obj.associativity_residual(*xy))))
         inv["associativity"] = (res, res <= tol["associativity"])
-        res = max(corollary_residual(obj, p) for p in pts)
+        res = float(np.max(corollary_residual(obj, xy)))
         inv["corollary"] = (res, res <= tol["corollary"])
         t0 = float(cfg.get("t0", 0.0))
         res = max(theorem2_residual(obj, (t0, x, y),
                                     rng=int(rng.integers(1 << 31)))
                   for x, y in pts)
         inv["theorem2"] = (res, res <= tol["theorem2"])
-    xy = tuple(np.array(pts).T)
-    g = gamma_cubic(field, xy)
-    agree = 0.0
-    fact = 0.0
-    for p, g1 in zip(pts, np.stack([g.gx.value, g.gy.value], -1)):
-        g2 = np.array(gamma_from_definition(field, p).values())
-        scale = 1.0 + float(np.max(np.abs(g1)))
-        agree = max(agree, float(np.max(np.abs(g1 - g2))) / scale)
-        fact = max(fact, factorization_residual(
-            field, normalize_roots(field, p)))
+    g1 = np.array(gamma_cubic(field, xy).values())
+    g2 = np.array(gamma_from_definition(field, xy).values())
+    agree = float(np.max(np.max(np.abs(g1 - g2), axis=0)
+                         / (1.0 + np.max(np.abs(g1), axis=0))))
+    fact = float(np.max(factorization_residual(
+        field, normalize_roots(field, xy))))
     inv["gamma_agreement"] = (agree, agree <= tol["gamma_agreement"])
     if isinstance(obj, Potential):
         curv = float(np.max(np.abs(curvature(field, xy, route="cubic").K)))

@@ -70,12 +70,9 @@ def nonvanishing(co, x, y):
 
 def at_first(bad, *values):
     """Each value (a number, or an array broadcastable to the mask bad) at
-    the first set element of bad, in row-major order; a single point's
-    values as given."""
-    if np.ndim(bad) == 0:
-        return values
+    the first set element of bad, in row-major order."""
     i = np.argmax(bad)
-    return tuple(np.broadcast_to(v, bad.shape).flat[i] for v in values)
+    return tuple(np.broadcast_to(v, np.shape(bad)).flat[i] for v in values)
 
 
 def coeff_values(jets):
@@ -110,20 +107,14 @@ class PolyCoeffField(DirectionField):
 
 
 class CallableJetField(DirectionField):
-    """Field whose coefficient jets come from an arbitrary closure; arrays
-    of points go through it one point at a time, stacked into batch jets."""
+    """Field whose coefficient jets come from a closure fn(x, y, order),
+    which takes a point or arrays of points as coeff_jets does."""
 
     def __init__(self, fn):
         self.fn = fn
 
     def coeff_jets(self, x, y, order):
-        if np.ndim(x) == 0 and np.ndim(y) == 0:
-            return self.fn(x, y, order)
-        X, Y = base_point(x, y)
-        each = [self.fn(a, b, order) for a, b in zip(X.flat, Y.flat)]
-        return tuple(Jet((X, Y), order, np.stack(
-            [e[k].c for e in each], axis=-1, dtype=complex).reshape(
-                (order + 1, order + 1) + X.shape)) for k in range(4))
+        return self.fn(x, y, order)
 
 
 class TranslatedField(DirectionField):
@@ -447,10 +438,14 @@ def continued_sigma(coeff_jets, x, y, vals):
 
 
 def factorization_residual(field, triple):
-    """Relative residual of the (p, q)-system: V1 V2 V3 must expand to V."""
-    got = np.array(_product_coeffs(triple.values()))
-    want = field.coeffs(*triple.point)
-    return float(np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want))))
+    """Relative residual of the (p, q)-system, V1 V2 V3 against V, per
+    point; one point's products run on arrays too, since numpy rounds
+    complex products of scalars unlike its array loops."""
+    sigma = np.array(triple.values())[:, :, None]  # (3, 2, 1, ...)
+    got = np.concatenate(_product_coeffs(sigma))
+    want = np.array([j.value for j in field.coeff_jets(*triple.point, 0)])
+    return np.max(np.abs(got - want), axis=0) / (
+        1.0 + np.max(np.abs(want), axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,8 @@ class Potential:
         return d["xxx"] * d["yyy"] - d["xxy"] * d["xyy"] - 1
 
     def associativity_residual(self, x, y):
-        return self.residual_poly(x, y)
+        """The equation's left-hand side, per point (an order-0 lift)."""
+        return self.residual_poly.jet((x, y), 0).value
 
     def characteristic_field(self):
         """Cubic direction field of the characteristic curves of f."""
@@ -342,9 +343,13 @@ def theorem2_residual(pot, point, rng=None, table=None):
 
     Returns the max projective distance between the idempotent slice
     directions and the leaf directions of the characteristic cubic at the
-    same (x, y), paired by match_roots.
+    same (x, y), paired by match_roots.  Takes one point, not arrays: its
+    idempotent draws follow the caller's rng point by point.
     """
     t0, x, y = point
+    if np.ndim(t0) or np.ndim(x) or np.ndim(y):
+        raise ValueError("theorem2_residual takes one point (t, x, y), not "
+                         "arrays of points")
     dirs = booklet_directions(pot, (x, y), t0=t0, rng=rng, table=table)
     field = pot.characteristic_field()
     leaf = [(q, -p) for p, q in roots(field, (x, y))]

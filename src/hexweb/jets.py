@@ -180,6 +180,11 @@ def any_set(mask):
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
+def modulus(z):
+    """|z| per element, rounded as abs() rounds one number, unlike np.abs."""
+    return np.hypot(z.real, z.imag)
+
+
 def _invertible(c0):
     if any_set((c0 == 0) | ~np.isfinite(c0)):
         raise JetError("reciprocal of jet with zero constant term (pole)")
@@ -550,15 +555,15 @@ def replay(fn, *jets):
 def compose_series(coeffs, u):
     """Sum_m coeffs[m] * (u - u0)^m where u0 is u's constant term.
 
-    ``coeffs`` are Taylor coefficients of some univariate g at u0, so the
-    result is the jet of g(u).
+    ``coeffs`` are Taylor coefficients of some univariate g at u0 (numbers,
+    or arrays over the batch axes), so the result is the jet of g(u).
     """
     w = u.nilpotent_part()
     out = u._constant(0.0)
     # Horner from the top; w is nilpotent so terms beyond the order vanish.
     top = min(len(coeffs) - 1, u.order)
     for m in range(top, -1, -1):
-        out = out * w + complex(coeffs[m])
+        out = out * w + coeffs[m]
     return out
 
 
@@ -600,16 +605,14 @@ TAN_POLE_TOL = 1e-12  # |cos u0| below which tan(u) has a pole
 
 
 def jet_tan(u):
-    """tan(u) via the Taylor recursion w' = 1 + w^2 at u's constant term."""
+    """tan(u), per element, by the recursion w' = 1 + w^2 at u's value."""
     t0 = u.value
-    K = u.order
-    c = np.zeros(K + 1, dtype=complex)
-    c[0] = np.tan(t0)
-    if abs(np.cos(t0)) < TAN_POLE_TOL:
+    if any_set(np.abs(np.cos(t0)) < TAN_POLE_TOL):
         raise JetError("tan evaluated at a pole")
-    for m in range(K):
+    c = [np.tan(t0)]
+    for m in range(u.order):
         sq = sum(c[i] * c[m - i] for i in range(m + 1))
-        c[m + 1] = ((1.0 if m == 0 else 0.0) + sq) / (m + 1)
+        c.append(((1.0 if m == 0 else 0.0) + sq) / (m + 1))
     return compose_series(c, u)
 
 

@@ -17,8 +17,10 @@ from operator import mul
 import numpy as np
 
 from .cubic import (CallableJetField, PolyCoeffField, TranslatedField,
-                    discriminant_of_coeffs, discriminant_scale, nonvanishing)
-from .jets import Jet, JetError, PolyExpr, compose_series, jet_pow, jet_tan
+                    at_first, discriminant_of_coeffs, discriminant_scale,
+                    nonvanishing)
+from .jets import (Jet, JetError, PolyExpr, any_set, base_point,
+                   compose_series, jet_pow, jet_tan)
 from .webgeo import symmetry_residual
 
 
@@ -197,7 +199,7 @@ def _f_series(C, t0, F0, order, scale=1.0):
     den = 12 + 2t^2 - 9tF and num = C(4 + 27F^2), p_k = (scale n_k -
     sum_{j=1..k} d_j p_{k-j}) / d_0.  The scale keeps the coefficients of a
     step near the bracket, a few float spacings long, in range."""
-    g, d, p = [float(F0)], [_f_factor(t0, F0)], []
+    g, d, p = [F0], [_f_factor(t0, F0)], []
     for k in range(order):
         n = 27.0 * sum(map(mul, g, reversed(g))) + (4.0 if k == 0 else 0.0)
         p.append((scale * C * n - sum(map(mul, d[1:], reversed(p)))) / d[0])
@@ -273,7 +275,7 @@ def f_ode_residual(fs, ts):
 
 
 def _univariate_F_jet(fs, t0, order):
-    """Taylor coefficients of F at t0, from the ODE recursion."""
+    """Taylor coefficients of F at each t0, by the ODE recursion."""
     return _f_series(_f_ode_constant(fs.m0), t0, fs(t0), order)
 
 
@@ -335,7 +337,7 @@ def normal_form_field(form_id, m0=0):
         w_arg = 2.0 * np.sqrt(3.0)
 
         def kfun(px, py, order):
-            base = (px, py)
+            base = base_point(px, py)
             jx = Jet.variable(0, base, order)
             jy = Jet.variable(1, base, order)
             A = jy * jy
@@ -350,16 +352,17 @@ def normal_form_field(form_id, m0=0):
         fs = solve_F(m0, t_max=8.0)
 
         def kfun(px, py, order):
-            if complex(py).real <= 0:
-                raise JetError("form 6 requires Re y > 0 (fractional powers)")
-            base = (px, py)
+            base = base_point(px, py)
             jx = Jet.variable(0, base, order)
             jy = Jet.variable(1, base, order)
             A = jy ** (3 + m0)
             t_arg = (m0 + 1) * jx * jet_pow(jy, Fraction(1 + m0, 2))
             t0 = t_arg.value.real
-            if not 0 <= t0 <= fs.t_max:
-                raise JetError(f"F sampled outside [0, {fs.t_max}]")
+            bad = (base[1].real <= 0) | ~((0 <= t0) & (t0 <= fs.t_max))
+            if any_set(bad):  # fractional powers need Re y > 0
+                x, y = at_first(bad, px, py)
+                raise JetError(f"form 6 needs Re y > 0 and F sampled in [0, "
+                               f"{fs.t_max}]: not at ({x}, {y})")
             Fj = compose_series(_univariate_F_jet(fs, t0, order), t_arg)
             B = -jet_pow(jy, Fraction(9 + 3 * m0, 2)) * Fj
             one = Jet.constant(1.0, base, order)

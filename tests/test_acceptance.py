@@ -71,8 +71,9 @@ def test_criterion_01_gamma_is_log_derivative_of_discriminant():
         # base point, so those are probed within a small disk around it
         window = (((-1, 1), (0.3, 1.3)) if k < 2
                   else ((-0.012, 0.012), (-0.012, 0.012)))
-        for pt in regular_points(field, rng, 100, window=window):
-            worst = max(worst, corollary_residual(pot, pt, assoc_tol=1e-8))
+        pts = regular_points(field, rng, 100, window=window)
+        worst = max(worst, float(np.max(corollary_residual(
+            pot, tuple(np.array(pts).T), assoc_tol=1e-8))))
     verdict(1, "connection equals -(1/6) dln(discriminant) on solutions",
             worst <= 1e-8, f"max relative residual {worst:.2e}")
 
@@ -89,18 +90,20 @@ def test_criterion_02_triple_oracle_gamma_agreement():
                  for _ in range(int(rng.integers(1, 4)))}
             polys.append(PolyExpr.from_dict(d))
         field = PolyCoeffField(*polys)
-        for pt in regular_points(field, rng, 100, window=((-1, 1), (-1, 1))):
-            g1 = np.array(gamma_cubic(field, pt).values())
-            g2 = np.array(gamma_from_definition(field, pt).values())
-            scale = 1.0 + float(np.max(np.abs(g1)))
-            worst_route = max(worst_route,
-                              float(np.max(np.abs(g1 - g2))) / scale)
-            exprs = gamma_expressions_from_sigma(
-                normalize_roots(field, pt, order=1).sigma)
-            vals = np.array([e.values() for e in exprs])
-            escale = 1.0 + float(np.max(np.abs(vals)))
-            worst_expr = max(worst_expr, float(
-                np.max(np.abs(vals - vals[0]))) / escale)
+        pts = tuple(np.array(regular_points(field, rng, 100,
+                                            window=((-1, 1), (-1, 1)))).T)
+        # (2, n) components, one column per point
+        g1 = np.array(gamma_cubic(field, pts).values())
+        g2 = np.array(gamma_from_definition(field, pts).values())
+        worst_route = max(worst_route, float(np.max(
+            np.max(np.abs(g1 - g2), axis=0)
+            / (1.0 + np.max(np.abs(g1), axis=0)))))
+        exprs = gamma_expressions_from_sigma(
+            normalize_roots(field, pts, order=1).sigma)
+        vals = np.array([e.values() for e in exprs])  # (3, 2, n)
+        worst_expr = max(worst_expr, float(np.max(
+            np.max(np.abs(vals - vals[0]), axis=(0, 1))
+            / (1.0 + np.max(np.abs(vals), axis=(0, 1))))))
     ok = worst_route <= 1e-7 and worst_expr <= 1e-9
     verdict(2, "closed formula matches the definition of the connection",
             ok, f"routes {worst_route:.2e}, expressions {worst_expr:.2e}")
@@ -112,8 +115,9 @@ def test_criterion_03_flatness_and_control():
     for field, window in ((FIELD_A, ((-1, 1), (0.3, 1.3))),
                           (FIELD_B, ((-1, 1), (-1, 1))),
                           (symmetry_losing_web(), ((0.2, 0.8), (0.4, 1.1)))):
-        for pt in regular_points(field, rng, 40, window=window):
-            worst = max(worst, abs(curvature(field, pt, route="cubic").K))
+        pts = tuple(np.array(regular_points(field, rng, 40, window=window)).T)
+        worst = max(worst, float(np.max(np.abs(
+            curvature(field, pts, route="cubic").K))))
     control_ok = all(
         abs(curvature(CONTROL_GENERIC, pt, route="cubic").K) >= 1e-2
         for pt in [(-2.2, 0.3), (0.5, 0.5), (1.0, -0.3)])

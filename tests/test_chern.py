@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexweb import chern
 from hexweb import cubic
@@ -15,9 +16,11 @@ from hexweb.chern import (FRAME_MAX_MOVE, PathFrame, blaschke_transport,
                           integrate_gamma)
 from hexweb.cubic import (MIN_PIECE, PolyCoeffField, SingularPointError,
                           coeff_values, discriminant_of_coeffs,
-                          discriminant_scale, match_roots, normalization_core,
-                          normalize_roots, proj_distance, roots, roots_proj)
-from hexweb.frobenius import Potential, solution_potential
+                          discriminant_scale, factorization_residual,
+                          match_roots, normalization_core, normalize_roots,
+                          proj_distance, roots, roots_proj)
+from hexweb.frobenius import (Potential, solution_potential, taylor_solve,
+                              theorem2_residual)
 from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import normal_form_field, symmetry_losing_web
 from webs import CONTROL_GENERIC as CONTROL, random_poly
@@ -25,9 +28,14 @@ from webs import CONTROL_GENERIC as CONTROL, random_poly
 RNG = np.random.default_rng(431)
 
 
-def random_regular_point(field, rng=RNG):
+def random_regular_point(field, rng=RNG, window=None):
+    """A point well off D = 0: standard normal, or uniform in window."""
     for _ in range(100):
-        x, y = rng.standard_normal(2)
+        if window is None:
+            x, y = rng.standard_normal(2)
+        else:
+            (x0, x1), (y0, y1) = window
+            x, y = rng.uniform(x0, x1), rng.uniform(y0, y1)
         co = field.coeffs(x, y)
         if abs(discriminant_of_coeffs(*co)) > 1e-3 * discriminant_scale(co):
             return x, y
@@ -42,12 +50,12 @@ class TestRouteAgreement:
     def test_cubic_equals_definition_random_fields(self):
         for _ in range(20):
             field = PolyCoeffField(*(random_poly(RNG) for _ in range(4)))
-            for _ in range(5):
-                pt = random_regular_point(field)
-                g1 = np.array(gamma_cubic(field, pt).values())
-                g2 = np.array(gamma_from_definition(field, pt).values())
-                scale = 1.0 + np.max(np.abs(g1))
-                assert np.max(np.abs(g1 - g2)) < 1e-7 * scale
+            pts = tuple(np.array([random_regular_point(field)
+                                  for _ in range(5)]).T)
+            g1 = np.array(gamma_cubic(field, pts).values())
+            g2 = np.array(gamma_from_definition(field, pts).values())
+            scale = 1.0 + np.max(np.abs(g1), axis=0)
+            assert np.all(np.max(np.abs(g1 - g2), axis=0) < 1e-7 * scale)
 
     def test_depressed_route_differs_by_exact_form(self):
         # gauge difference: gamma_depressed - gamma_cubic = (1/6) d ln D
@@ -98,6 +106,21 @@ class TestCorollary:
         bad = Potential(case="A", f=PolyExpr.from_dict({(3, 1): 1.0}))
         with pytest.raises(ValueError):
             corollary_residual(bad, (0.5, 0.5))
+
+    def test_refuses_the_first_point_off_the_solutions(self):
+        # case B with f = x^3/6 + y^3/6 + x^4/10: the residual is 12 x / 5,
+        # so the identity is claimed on x = 0 only
+        pot = Potential(case="B", f=PolyExpr.from_dict(
+            {(3, 0): "1/6", (0, 3): "1/6", (4, 0): "1/10"}))
+        xs, ys = np.array([0.0, 0.0, 0.3, 0.0, 0.5]), np.full(5, 0.8)
+        assert corollary_residual(pot, (xs[:2], ys[:2])).shape == (2,)
+        with pytest.raises(ValueError) as single:
+            corollary_residual(pot, (xs[2], ys[2]))
+        with pytest.raises(ValueError) as batch:
+            corollary_residual(pot, (xs, ys))
+        assert type(batch.value) is type(single.value) is ValueError
+        assert str(batch.value) == str(single.value)
+        assert "at (0.3, 0.8)" in str(batch.value)
 
 
 class TestPathIntegrals:
@@ -329,6 +352,20 @@ class TestPathFrame:
         blaschke_transport(field, path, (0.4, -0.9))
         assert calls == [] and len(frame.checkpoints) >= len(path)
 
+    def test_raises_where_the_path_crosses_the_discriminant(self):
+        """D of the real control web changes sign along this path (4.39,
+        -0.82, -0.046, 24.2 at its vertices): the labels of the pair that
+        turns complex cannot be continued, so the frame refuses, as
+        integrate_gamma does."""
+        path = [(-2.1632, 0.4195), (-2.0225, 0.3899), (-2.1082, 0.4684),
+                (-2.3691, 0.1716)]
+        D = [discriminant_of_coeffs(*CONTROL.coeffs(*p)).real for p in path]
+        assert D[0] > 0 > D[1] and D[2] < 0 < D[3]
+        with pytest.raises(SingularPointError, match="crosses D = 0"):
+            PathFrame(CONTROL, path)
+        with pytest.raises(SingularPointError):
+            integrate_gamma(CONTROL, path)
+
     def test_transport_ignores_a_midpoint_vertex(self):
         """Parallel transport depends on the curve, not on its vertices:
         [P0, P1] and [P0, midpoint, P1] transport alike (the last segment
@@ -387,6 +424,26 @@ class TestLabelInvariance:
 # ---------------------------------------------------------------------------
 # Arrays of points and single lifts
 
+
+def gamma_coeffs(g):
+    return np.stack([g.gx.c, g.gy.c])
+
+
+# a potential, or a field, and the window its points come from: the series
+# solution solves its equation only near its base point
+ROW_CASES = {
+    "web A": (solution_potential("A"), ((-1.0, 1.0), (0.3, 1.3))),
+    "web B": (solution_potential("B"), ((-1.0, 1.0), (-1.0, 1.0))),
+    "series A": (taylor_solve("A", [PolyExpr.from_dict(d) for d in (
+        {(0, 0): 0.1, (2, 0): 0.3, (3, 0): -0.2}, {(1, 0): 0.4, (0, 0): 1.0},
+        {(0, 0): 0.5, (1, 0): -0.3})], order=8),
+        ((-0.012, 0.012), (-0.012, 0.012))),
+    "control": (CONTROL, ((-1.0, 1.0), (-0.5, 0.5))),
+    "symmetry-losing": (symmetry_losing_web(), ((0.2, 0.8), (0.4, 1.1))),
+    "form 5": (normal_form_field(5).field, ((-0.35, 0.35), (0.3, 1.2))),
+    "form 6": (normal_form_field(6, 1).field, ((0.02, 0.1), (0.5, 1.0))),
+}
+
 class TestPointArrays:
     @pytest.mark.parametrize("name", ["A", "B", "symmetry-losing", "control"])
     def test_gamma_cubic_equals_stacked_single_points(self, name):
@@ -432,6 +489,61 @@ class TestPointArrays:
         else:
             gamma_depressed(pot.characteristic_field(), (0.1, 1.0), order=1)
         assert len(lifts) == 1
+
+
+    @pytest.mark.parametrize("route", ["depressed", "theorem2"])
+    def test_single_point_routes_refuse_arrays(self, route):
+        pot = solution_potential("A")
+        xs, ys = np.array([0.1, 0.3, -0.2]), np.array([1.0, 0.9, 1.1])
+        with pytest.raises(ValueError, match="takes one point") as err:
+            if route == "depressed":
+                gamma_depressed(pot.characteristic_field(), (xs, ys))
+            else:
+                theorem2_residual(pot, (0.0, xs, ys), rng=0)
+        assert type(err.value) is ValueError
+
+    def test_definition_raises_as_its_single_call(self):
+        field = solution_potential("A").characteristic_field()
+        xs = np.array([0.1, 0.2, 0.0, 0.3, 0.0])
+        ys = np.array([1.0, 0.9, 0.0, 1.1, 0.0])  # D = 0 at the origin
+        for route in (gamma_from_definition,
+                      lambda f, p: curvature(f, p, route="definition")):
+            with pytest.raises(SingularPointError) as single:
+                route(field, (xs[2], ys[2]))
+            with pytest.raises(SingularPointError) as batch:
+                route(field, (xs, ys))
+            assert str(batch.value) == str(single.value)
+            assert "(0.0, 0.0)" in str(batch.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(ROW_CASES)), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_batched_routes_equal_their_single_calls(self, name, n, seed):
+        """gamma_from_definition, curvature by the definition,
+        factorization_residual, corollary_residual and the associativity
+        residual give each point of an array its own call's floats."""
+        obj, window = ROW_CASES[name]
+        pot = obj if isinstance(obj, Potential) else None
+        field = obj.characteristic_field() if pot else obj
+        rng = np.random.default_rng(seed)
+        pts = np.array([random_regular_point(field, rng, window)
+                        for _ in range(n)]).T
+        routes = {
+            "definition": lambda p: gamma_coeffs(
+                gamma_from_definition(field, p, order=1)),
+            "curvature": lambda p: curvature(field, p, "definition").K,
+            "factorization": lambda p: factorization_residual(
+                field, normalize_roots(field, p)),
+        }
+        if pot is not None:
+            routes["corollary"] = lambda p: corollary_residual(pot, p)
+            routes["associativity"] = lambda p: pot.associativity_residual(
+                *p)
+        for route in routes.values():
+            got = route(tuple(pts))
+            for i, p in enumerate(pts.T):
+                assert np.array_equal(bits(got[..., i]),
+                                      bits(route(tuple(p))))
 
 
 class TestCurvatureOracles:

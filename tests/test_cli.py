@@ -49,7 +49,9 @@ NOT_A_NUMBER = st.recursive(
     max_leaves=5)
 NOT_POSITIVE = st.one_of(NOT_A_NUMBER, st.integers(max_value=0),
                          st.floats(max_value=0.0))
-NOT_A_COUNT = st.one_of(NOT_POSITIVE, st.floats(1.0, 1e6))
+NOT_A_COUNT = st.one_of(NOT_POSITIVE, st.floats(1.0, 1e6),
+                        st.integers(max(cli.COUNT_LIMITS.values()) + 1,
+                                    10 ** 12))
 HOSTILE_SITES = {
     "input": NOT_A_NUMBER,
     "tolerance": NOT_POSITIVE,
@@ -58,6 +60,7 @@ HOSTILE_SITES = {
     "coef": NOT_A_NUMBER,
     "exps": NOT_A_NUMBER,
     "exponent": st.one_of(NOT_A_NUMBER, st.integers(max_value=-1),
+                          st.integers(cli.MAX_EXPONENT + 1, 10 ** 400),
                           st.floats()),
     "window": NOT_A_NUMBER,
     "window bound": NOT_A_NUMBER,
@@ -188,6 +191,17 @@ class TestExitCodes:
         ("check", dict(SOLUTION_A, monomials=[{"exps": [True, 0],
                                               "coef": 1}]), {}),
         ("check", SOLUTION_A, {"tolerances": {"curvture": 1e-30}}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": [10 ** 400, 0],
+                                              "coef": 1}]), {}),
+        ("gamma", dict(FORM3_FIELD, b=[{"exps": [10 ** 400, 0],
+                                        "coef": 1}]), {}),
+        ("gamma", dict(FORM3_FIELD, b=[{"exps": [cli.MAX_EXPONENT + 1, 0],
+                                        "coef": 1}]), {}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": [3, 0],
+                                              "coef": 10 ** 308}]), {}),
+        ("check", SOLUTION_A, {"samples": 10 ** 12}),
+        ("gamma", SOLUTION_A, {"grid": cli.COUNT_LIMITS["grid"] + 1}),
+        ("leaves", SOLUTION_A, {"grid": 10 ** 12}),
     ], ids=["window-string", "window-one-row", "window-string-bound",
             "tolerance-string", "tolerances-list", "coef-nan",
             "coef-string-imag", "exponent-string", "monomials-number",
@@ -196,7 +210,10 @@ class TestExitCodes:
             "point-number", "point-string", "leaf-length-list", "t0-list",
             "tolerance-huge-int", "coef-huge-int", "coef-huge-rational",
             "exponent-float", "exponents-string", "exponent-bool",
-            "tolerance-unknown-name"])
+            "tolerance-unknown-name", "exponent-huge-potential",
+            "exponent-huge-field", "exponent-over-limit",
+            "derived-coef-overflow", "samples-over-limit",
+            "grid-over-limit", "grid-huge"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, inp,
                                     extra):
         cfg = write_config(tmp_path, inp, **extra)
@@ -416,12 +433,14 @@ class TestPointSets:
 
     def test_check_evaluates_its_samples_in_one_call(self, tmp_path,
                                                      monkeypatch):
-        gammas, curvatures = [], []
-        counting(cli, "gamma_cubic", gammas, monkeypatch)
-        counting(cli, "curvature", curvatures, monkeypatch)
+        names = ("gamma_cubic", "curvature", "gamma_from_definition",
+                 "normalize_roots", "corollary_residual")
+        calls = {name: [] for name in names}
+        for name in names:
+            counting(cli, name, calls[name], monkeypatch)
         cfg = write_config(tmp_path, SOLUTION_A, samples=6)
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert gammas == [6] and curvatures == [6]
+        assert calls == {name: [6] for name in names}
 
     def test_normalforms_one_curvature_call_per_form(self, tmp_path,
                                                      monkeypatch):

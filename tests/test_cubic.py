@@ -14,8 +14,8 @@ from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
                           roots, roots_proj)
 from hexweb.frobenius import (idempotents, multiplication_table,
                               solution_potential)
-from hexweb.jets import PolyExpr
-from hexweb.singular import symmetry_losing_web
+from hexweb.jets import JetError, PolyExpr, base_point
+from hexweb.singular import normal_form_field, symmetry_losing_web
 from webs import CONTROL_GENERIC, random_poly
 
 RNG = np.random.default_rng(8571)
@@ -257,6 +257,42 @@ class TestCallableJetField:
         tr2 = normalize_roots(cj, (x, y))
         for u, v in zip(tr1.values(), tr2.values()):
             assert abs(u[0] - v[0]) + abs(u[1] - v[1]) < 1e-10
+
+    @pytest.mark.parametrize("fid, m0", [(5, 0), (6, 0), (6, 1), (6, 2)])
+    def test_catalog_lifts_equal_stacked_single_points(self, fid, m0):
+        """Forms 5 and 6 lift arrays of real points in one closure call,
+        each point's coefficients the floats of its own lift."""
+        field = normal_form_field(fid, m0).field
+        rng = np.random.default_rng(2417 + 10 * fid + m0)
+        if fid == 5:
+            x, y = rng.uniform(-0.35, 0.35, 24), rng.uniform(0.3, 1.2, 24)
+        else:
+            x = rng.uniform(0.02, 0.2 / (m0 + 1), 24)
+            y = rng.uniform(0.5, 1.0, 24)
+        x, y = x.reshape(4, 6), y.reshape(4, 6)
+        for order in (0, 1, 2):
+            got = field.coeff_jets(x, y, order)
+            # the reference: one closure call per point, stacked
+            X, Y = base_point(x, y)
+            each = [field.coeff_jets(a, b, order)
+                    for a, b in zip(X.flat, Y.flat)]
+            for k, jet in enumerate(got):
+                want = np.stack([e[k].c for e in each], axis=-1,
+                                dtype=complex).reshape(jet.c.shape)
+                assert np.array_equal(bits(jet.c), bits(want))
+
+    def test_form6_checks_its_domain_on_every_point(self):
+        # Re y <= 0 at point 2; then t = x sqrt(y) beyond t_max at point 3
+        field = normal_form_field(6, 0).field
+        x = np.array([0.05, 0.06, 0.1, 0.9])
+        for y, i in ((np.array([0.8, 0.7, -0.5, 0.6]), 2),
+                     (np.array([0.8, 0.7, 0.9, 0.6]), 3)):
+            with pytest.raises(JetError) as batch:
+                field.coeff_jets(x, y, 1)
+            with pytest.raises(JetError) as single:
+                field.coeff_jets(x[i], y[i], 1)
+            assert str(batch.value) == str(single.value)
+            assert f"({x[i]}, {y[i]})" in str(batch.value)
 
 
 class TestFirstOrder:
