@@ -273,8 +273,9 @@ def _root_jets(coeff_jets, x, y, order, root_values):
     constant 1.  Requires three pairwise distinct roots.  For arrays of
     points the jets run over them; the root values are (..., 3, 2), or
     three (p, q) pairs for one point (None solves for them).  The three
-    roots ride a first batch axis (3, ...) through one Newton pass, each on
-    its own chart."""
+    roots ride a first batch axis (3, ...), each on its own chart: Newton
+    steps polish their values, then one chord step per order, with the
+    derivative frozen at the polished value, gives their jets."""
     if root_values is None:
         root_values = roots_proj(coeff_values(coeff_jets))
     p0, q0 = np.moveaxis(np.asarray(root_values), (-1, -2), (0, 1))
@@ -294,7 +295,7 @@ def _root_jets(coeff_jets, x, y, order, root_values):
     # (4, K+1, K+1, 1, ...): the roots axis goes in front of the points'
     c = np.stack([jet.c for jet in coeff_jets])[:, :, :, None]
     base = coeff_jets[0].base
-    s = _newton_root_jet([Jet._raw(base, order, ci)
+    s = _simple_root_jet([Jet._raw(base, order, ci)
                           for ci in np.where(chart, c, c[::-1])], s0)
     one = s._constant(1.0).c
     p, q = np.where(chart, s.c, one), np.where(chart, one, s.c)
@@ -305,23 +306,31 @@ def _root_jets(coeff_jets, x, y, order, root_values):
 SIMPLE_ROOT_TOL = 1e-13  # relative |P'(s0)| below which a root is multiple
 
 
-def _newton_root_jet(coeff_jets, s0):
-    """Jet of a simple root of c3 s^3 + c2 s^2 + c1 s + c0 (jets c_i)."""
-    c3, c2, c1, c0 = coeff_jets
-    dP0 = 3 * c3.value * s0**2 + 2 * c2.value * s0 + c1.value
-    if any_set(np.abs(dP0) < SIMPLE_ROOT_TOL * (1 + np.max(
-            np.abs([c.value for c in coeff_jets]), axis=0))):
+def _simple_root_jet(coeff_jets, s0):
+    """Jet of a simple root of c3 s^3 + c2 s^2 + c1 s + c0 (jets c_i) near
+    s0: three Newton steps on the values, then _chord_steps."""
+    v3, v2, v1, v0 = (c.value for c in coeff_jets)
+
+    def dP(s):
+        return (3 * v3 * s + 2 * v2) * s + v1
+
+    if any_set(np.abs(dP(s0)) < SIMPLE_ROOT_TOL * (
+            1 + np.max(np.abs([v3, v2, v1, v0]), axis=0))):
         raise SingularPointError("root is not simple (P'(s0) ~ 0)")
-    return replay(_newton_steps, *coeff_jets, c3._constant(s0))
+    s = s0
+    for _ in range(3):
+        s = s - (((v3 * s + v2) * s + v1) * s + v0) * (1 / dP(s))
+    constant = coeff_jets[0]._constant
+    if not coeff_jets[0].order:
+        return constant(s)
+    return replay(_chord_steps, *coeff_jets, constant(-1 / dP(s)), constant(s))
 
 
-def _newton_steps(c3, c2, c1, c0, s):
-    """Newton steps from s, as many as the order needs; a formula for
-    ``replay``."""
-    for _ in range(max(1, s.order.bit_length()) + 2):
-        P = ((c3 * s + c2) * s + c1) * s + c0
-        dP = (3 * c3 * s + 2 * c2) * s + c1
-        s = s - P * dP.reciprocal()
+def _chord_steps(c3, c2, c1, c0, m, s):
+    """s + m P(s) once per order, m = -1/P'(s) a constant: the root jet from
+    its value, one more order each step; a formula for ``replay``."""
+    for _ in range(s.order):
+        s = s + m * (((c3 * s + c2) * s + c1) * s + c0)
     return s
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -579,3 +580,92 @@ class TestCurvatureOracles:
             got = curvature(scaled, tuple(p)).K
             assert abs(got - curvature(field, tuple(p)).K) <= 1e-12 * (
                 1 + abs(k))
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle: the formula functions on exact values at rational points
+
+
+class Exact:
+    """A rational value with its two first partials; enough of a jet for
+    the formulas' +, -, * and .reciprocal()."""
+
+    def __init__(self, v, dx=0, dy=0):
+        self.v, self.dx, self.dy = Fraction(v), Fraction(dx), Fraction(dy)
+
+    def __add__(self, o):
+        o = o if isinstance(o, Exact) else Exact(o)
+        return Exact(self.v + o.v, self.dx + o.dx, self.dy + o.dy)
+
+    def __mul__(self, o):
+        o = o if isinstance(o, Exact) else Exact(o)
+        return Exact(self.v * o.v, self.dx * o.v + self.v * o.dx,
+                     self.dy * o.v + self.v * o.dy)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def reciprocal(self):
+        r = 1 / self.v
+        return Exact(r, -self.dx * r * r, -self.dy * r * r)
+
+
+def exact_gamma(field, x, y):
+    """(gamma_x, gamma_y) of a field with rational coefficients at the
+    rational point (x, y), each an Exact: _gamma_formula on exact values of
+    (a, b, c, r) and their first partials, with partials of their own."""
+    def at(p):
+        return sum(Fraction(c) * x ** i * y ** j for (i, j), c in p.terms)
+
+    vals, parts = [], []
+    for p in field.abcr:
+        px, py = p.diff(0), p.diff(1)
+        vals.append(Exact(at(p), at(px), at(py)))
+        parts += [Exact(at(px), at(px.diff(0)), at(px.diff(1))),
+                  Exact(at(py), at(py.diff(0)), at(py.diff(1)))]
+    return chern._gamma_formula(*vals, *parts)
+
+
+def true_error(z, exact):
+    """|z - exact| / (1 + |exact|) for a float z and a rational exact."""
+    return float(np.hypot(float(Fraction(z.real) - exact), z.imag)) / (
+        1 + abs(float(exact)))
+
+
+RATIONAL_POINTS = [(0.1, 1.0), (-0.3, 0.8), (0.4, 1.2)]
+
+
+class TestExactOracle:
+    def test_gamma_routes_against_exact_gamma_on_web_a(self):
+        # exact at the float point the routes see, so x = 0.1 is its double
+        f = solution_potential("A").characteristic_field()
+        for x, y in RATIONAL_POINTS:
+            want = exact_gamma(f, Fraction(x), Fraction(y))
+            for route in (gamma_cubic, gamma_from_definition):
+                g = route(f, (x, y))
+                for got, w in zip(g.values(), want):
+                    assert true_error(got, w.v) < 1e-15
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_exact_curvature_vanishes_on_the_solutions(self, case):
+        f = solution_potential(case).characteristic_field()
+        for x, y in RATIONAL_POINTS:
+            gx, gy = exact_gamma(f, Fraction(x), Fraction(y))
+            assert gy.dx - gx.dy == 0
+
+    def test_curvature_against_exact_curvature_on_the_control(self):
+        for x, y in RATIONAL_POINTS:
+            gx, gy = exact_gamma(CONTROL, Fraction(x), Fraction(y))
+            K = gy.dx - gx.dy
+            assert K != 0
+            for route in ("cubic", "definition"):
+                assert true_error(curvature(CONTROL, (x, y), route).K,
+                                  K) < 1e-14

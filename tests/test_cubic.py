@@ -1,6 +1,9 @@
 """Cubic binary fields: roots, discriminant, normalized factorization,
 depressed form."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,9 +12,9 @@ from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
                           DirectionField, PolyCoeffField, SingularPointError,
                           TranslatedField, _root_jets, continue_along,
                           depress_jets, discriminant_of_coeffs,
-                          factorization_residual, match_roots,
-                          normalize_roots, proj_distance, regular_cutoff,
-                          roots, roots_proj)
+                          discriminant_scale, factorization_residual,
+                          match_roots, normalize_roots, proj_distance,
+                          regular_cutoff, roots, roots_proj)
 from hexweb.frobenius import (idempotents, multiplication_table,
                               solution_potential)
 from hexweb.jets import JetError, PolyExpr, base_point
@@ -496,3 +499,85 @@ class TestPointArrays:
         cube = PolyCoeffField(PolyExpr.const(1, 2), zero, zero, zero)
         with pytest.raises(SingularPointError, match="repeated root"):
             normalize_roots(cube, (np.zeros(3), np.ones(3)))
+
+
+# ---------------------------------------------------------------------------
+# True error of the root jets against a 40-digit reference
+
+def mp_taylor(poly, x, y, order=2):
+    """{(j1, j2): d^(j1+j2) poly / (j1! j2!)} at (x, y) in mpmath numbers."""
+    c = {}
+    for (i, j), coef in poly.terms:
+        for j1 in range(min(i, order) + 1):
+            for j2 in range(min(j, order - j1) + 1):
+                c[j1, j2] = c.get((j1, j2), 0) + (
+                    mpmath.mpmathify(coef) * math.comb(i, j1)
+                    * math.comb(j, j2) * mpmath.mpf(x) ** (i - j1)
+                    * mpmath.mpf(y) ** (j - j2))
+    return c
+
+
+def mp_root_jet(cs, s_near):
+    """The order-2 jet {(j1, j2): coefficient} of the root near s_near of
+    sum_i cs[i] s^(3 - i) (cs[i] Taylor dicts), by implicit
+    differentiation of F(s, x, y) = 0 at the root from mpmath.polyroots."""
+    s = min(mpmath.polyroots([c.get((0, 0), 0) for c in cs], extraprec=80),
+            key=lambda r: abs(r - s_near))
+
+    def F(k, j):  # d^k/ds^k of F, its Taylor coefficient j in (x, y)
+        return sum(c.get(j, 0) * math.perm(3 - i, k) * s ** (3 - i - k)
+                   for i, c in enumerate(cs) if 3 - i >= k)
+
+    Fs, Fss = F(1, (0, 0)), F(2, (0, 0))
+    sx, sy = -F(0, (1, 0)) / Fs, -F(0, (0, 1)) / Fs
+    sxx = -(2 * F(0, (2, 0)) + 2 * F(1, (1, 0)) * sx + Fss * sx * sx) / Fs
+    sxy = -(F(0, (1, 1)) + F(1, (1, 0)) * sy + F(1, (0, 1)) * sx
+            + Fss * sx * sy) / Fs
+    syy = -(2 * F(0, (0, 2)) + 2 * F(1, (0, 1)) * sy + Fss * sy * sy) / Fs
+    return {(0, 0): s, (1, 0): sx, (0, 1): sy, (2, 0): sxx / 2, (1, 1): sxy,
+            (0, 2): syy / 2}
+
+
+COMPLEX_RNG = np.random.default_rng(8573)
+TRUE_ERROR_FIELDS = {
+    "web A": solution_potential("A").characteristic_field(),
+    "web B": solution_potential("B").characteristic_field(),
+    "complex": PolyCoeffField(*(random_poly(COMPLEX_RNG) for _ in range(4))),
+}
+
+
+class TestRootJetTrueError:
+    @pytest.mark.parametrize("name", TRUE_ERROR_FIELDS)
+    def test_order_1_and_2_coefficients_match_40_digits(self, name):
+        f = TRUE_ERROR_FIELDS[name]
+        rng = np.random.default_rng(8574)
+        xs, ys = rng.uniform(-0.5, 0.5, 24), rng.uniform(0.5, 1.5, 24)
+        co = np.array([f.coeffs(*p) for p in zip(xs, ys)])
+        keep = (np.abs(discriminant_of_coeffs(*co.T))
+                > 1e-3 * discriminant_scale(co))
+        xs, ys = xs[keep][:8], ys[keep][:8]
+        assert len(xs) == 8
+        charts, worst = set(), 0.0
+        with mpmath.workdps(40):
+            for order in (1, 2):
+                got = _root_jets(f.coeff_jets(xs, ys, order), xs, ys, order,
+                                 None)
+                unit = np.zeros((order + 1, order + 1))
+                unit[0, 0] = 1.0  # the chart component: the constant jet 1
+                for n, (x, y) in enumerate(zip(xs, ys)):
+                    abcr = [mp_taylor(p, x, y) for p in f.abcr]
+                    for P, Q in got:
+                        p, q = P.c[..., n], Q.c[..., n]
+                        chart = np.array_equal(q, unit)  # q = 1, slope p
+                        s, one = (p, q) if chart else (q, p)
+                        assert np.array_equal(one, unit)
+                        charts.add(chart)
+                        ref = mp_root_jet(abcr if chart else abcr[::-1],
+                                          s[0, 0])
+                        for j, want in ref.items():
+                            if sum(j) <= order:
+                                worst = max(worst, float(
+                                    abs(s[j] - want) / (1 + abs(want))))
+        assert worst < 1e-14
+        if name == "web A":
+            assert charts == {True, False}

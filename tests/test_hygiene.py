@@ -1,7 +1,8 @@
 """Import hygiene: every name a module imports is read somewhere in it,
 every name the benchmark reads from the package still exists, no
 tolerance hides as a literal inside a function, no module indexes jet
-coefficients as trailing axes, and a CLI run loads no scipy module.
+coefficients as trailing axes, every formula replayed as a jet program is
+checked against its eager run, and a CLI run loads no scipy module.
 
 AST scans of the modules under src/ and tests/; package __init__.py files
 are exempt from the import scan because their imports are the package's
@@ -10,6 +11,7 @@ re-exports.
 
 import ast
 import dataclasses
+import importlib
 import importlib.util
 import json
 import os
@@ -137,6 +139,38 @@ def test_scan_finds_batch_first_indexing():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_batch_first_indexing(path):
     assert batch_first_indexing(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# Jet programs: every formula a module passes to replay is one of the
+# formulas test_jets.FORMULAS replays against their eager run, bit for bit.
+
+
+def replayed_names(source):
+    """Names passed as the formula (first argument) of replay calls."""
+    return sorted({node.args[0].id for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call) and node.args
+                   and ast.unparse(node.func).split(".")[-1] == "replay"
+                   and isinstance(node.args[0], ast.Name)})
+
+
+def test_scan_finds_replayed_formulas():
+    source = ("def f(a, b):\n    x = replay(_g, a, b) + other(_h, a)\n"
+              "    return replay(fmt, *a), jets.replay(_k, b)\n")
+    assert replayed_names(source) == ["_g", "_k", "fmt"]
+
+
+def test_every_replayed_formula_is_checked_against_its_eager_run():
+    import test_jets
+
+    checked = {fn for fn, _ in test_jets.FORMULAS}
+    replayed = {getattr(importlib.import_module(f"hexweb.{path.stem}"), name)
+                for path in SOURCES for name in replayed_names(
+                    path.read_text())}
+    assert len(replayed) >= 6
+    assert all(callable(fn) and fn.__qualname__ == fn.__name__
+               for fn in replayed)  # module-level functions
+    assert replayed <= checked, sorted(f.__name__ for f in replayed - checked)
 
 
 # ---------------------------------------------------------------------------

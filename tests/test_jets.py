@@ -508,7 +508,7 @@ def every_kind(a, b):
 
 FORMULAS = [(chern._gamma_formula, 12), (cubic.discriminant_of_coeffs, 4),
             (cubic._normalization_formula, 6), (cubic._scaled, 7),
-            (chern._expressions_formula, 13), (cubic._newton_steps, 5),
+            (chern._expressions_formula, 13), (cubic._chord_steps, 6),
             (every_kind, 2)]
 
 
