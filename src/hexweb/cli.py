@@ -302,7 +302,7 @@ def _random_regular_points(field, window, rng, count, tries):
     return pts
 
 
-def run_check(obj, cfg, rng, report):
+def run_check(obj, cfg, rng, report, outdir):
     tol = cfg["tolerances"]
     field = _field_of(obj)
     count = int(cfg.get("samples", 25))
@@ -508,7 +508,7 @@ def run_classify(obj, cfg, rng, report, outdir):
 
 
 RUNNERS = {
-    "check": lambda o, c, r, rep, out: run_check(o, c, r, rep),
+    "check": run_check,
     "gamma": run_gamma,
     "leaves": run_leaves,
     "closure": run_closure,
@@ -544,11 +544,8 @@ def main(argv=None):
         return 2
 
     if args.strict and isinstance(obj, Potential):
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(20):
-            x, y = rng.uniform(-1, 1, 2)
-            worst = max(worst, abs(obj.associativity_residual(x, y)))
+        x, y = np.random.default_rng(args.seed).uniform(-1, 1, (20, 2)).T
+        worst = float(np.max(modulus(obj.associativity_residual(x, y))))
         if worst > cfg["tolerances"]["associativity"]:
             print(f"strict validation failed: associativity residual "
                   f"{worst:.3e}", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Discriminant geometry and the catalog of singular normal forms.
 
-Covers tracing of the discriminant curve |D| = 0 in a real window, the
-six-entry catalog of quasi-homogeneous normal forms (with the auxiliary
-F(t) ODE of the last entry, solved by its own Taylor recursion), and the
-weights of a singular germ's infinitesimal symmetry, read off the null
-vector of the linear conditions L_X C = mu C and confirmed by the exact
-scaling flow.
+Covers tracing of the discriminant curve D = 0 in a real window (marching
+squares on one batched bisection of the grid edges), the six-entry catalog
+of quasi-homogeneous normal forms (with the auxiliary F(t) ODE of the last
+entry, solved by its own Taylor recursion), and the weights of a singular
+germ's infinitesimal symmetry, read off the null vector of the linear
+conditions L_X C = mu C and confirmed by the exact scaling flow.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from operator import mul
 import numpy as np
 
 from .cubic import (CallableJetField, PolyCoeffField, TranslatedField,
-                    at_first, discriminant_of_coeffs, discriminant_scale,
-                    nonvanishing)
+                    at_first, coeff_values, discriminant_of_coeffs,
+                    discriminant_scale, nonvanishing)
 from .jets import (Jet, JetError, PolyExpr, any_set, base_point,
                    compose_series, jet_pow, jet_tan)
 from .webgeo import symmetry_residual
@@ -38,122 +38,89 @@ class DiscriminantTrace:
         return not self.curves
 
     def all_points(self):
-        if self.empty:
-            return np.zeros((0, 2))
-        return np.vstack(self.curves)
-
-
-def _disc_and_grad(field, x, y):
-    """D, grad D (chain rule through a, b, c, r) and |D|'s scale at (x, y)."""
-    co, dx, dy = np.array(field.first_order(x, y))
-    a, b, c, r = co
-    dD = np.array([18 * b * c * r - 54 * a * r * r - 4 * c ** 3,
-                   18 * a * c * r + 2 * b * c * c - 12 * b * b * r,
-                   18 * a * b * r - 12 * a * c * c + 2 * b * b * c,
-                   18 * a * b * c - 54 * a * a * r - 4 * b ** 3])
-    return (discriminant_of_coeffs(*co), dD @ np.stack([dx, dy], axis=1),
-            discriminant_scale(co))
+        return np.vstack(self.curves) if self.curves else np.zeros((0, 2))
 
 
 def _grid_seeds(field, xs, ys):
-    """Re D on the grid xs x ys (one array lift), and the midpoints of the
-    grid edges where it changes sign or vanishes (row-major, x edge first)."""
+    """Re D on the grid xs x ys (one array lift), and the mask (n, n, 2) of
+    the grid edges whose ends have Re D < 0 at one and Re D >= 0 at the
+    other: the edge from (i, j) to (i + 1, j) at k = 0, to (i, j + 1) at
+    k = 1.  A node on D = 0 thus has a side, and each cell 0, 2 or 4 edges."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     Dg = discriminant_of_coeffs(
         *(j.value for j in field.coeff_jets(X, Y, 0))).real
-    change = np.zeros(Dg.shape + (2,), dtype=bool)
-    change[:-1, :, 0] = Dg[:-1] * Dg[1:] <= 0
-    change[:, :-1, 1] = Dg[:, :-1] * Dg[:, 1:] <= 0
-    return Dg, [(0.5 * (xs[i] + xs[i + 1]), ys[j]) if k == 0 else
-                (xs[i], 0.5 * (ys[j] + ys[j + 1]))
-                for i, j, k in zip(*np.nonzero(change))]
+    pos, change = Dg >= 0, np.zeros(Dg.shape + (2,), dtype=bool)
+    change[:-1, :, 0] = pos[:-1] != pos[1:]
+    change[:, :-1, 1] = pos[:, :-1] != pos[:, 1:]
+    return Dg, change
 
 
-TRACE_TOL = 1e-10  # scaled |D| at which a polished point is on the curve
-TRACE_SLACK = 0.02  # margin around the window, as a share of its sides
-POLISH_GRAD_FLOOR = 1e-28  # |grad D|^2 at which Newton polishing gives up
-TRACE_GRAD_FLOOR = 1e-12  # |grad D| at which tracing stops (a cusp, say)
+TRACE_TOL = 1e-10  # scaled |D| at which an edge point is on the curve
+EDGE_BISECTIONS = 60  # halvings of a grid edge before its point is dropped
 
 
-def _newton_polish(field, pt, iters=60):
-    z = np.array(pt, dtype=float)
-    for _ in range(iters):
-        D, g, scale = _disc_and_grad(field, z[0], z[1])
-        if abs(D) <= TRACE_TOL * scale:
-            return z, True
-        g = g.real
-        gg = float(g @ g)
-        if gg < POLISH_GRAD_FLOOR:
-            return z, False
-        step = -D.real / gg * g
-        if np.linalg.norm(step) > 1.0:
-            step = step / np.linalg.norm(step)
-        z = z + step
-    D, _, scale = _disc_and_grad(field, z[0], z[1])
-    return z, abs(D) <= TRACE_TOL * scale
+def _bisect_edges(field, xs, ys, Dg, i, j, k):
+    """A point on D = 0 on each edge (i, j, k): all edges are halved at once
+    on the side of Re D (one array lift per halving) until every midpoint
+    has scaled |D| <= TRACE_TOL, or EDGE_BISECTIONS times; NaN at the
+    midpoints that are then still above it."""
+    lo, hi = np.stack([xs[i], ys[j]]), np.stack([xs[i + 1 - k], ys[j + k]])
+    pos_lo = Dg[i, j] >= 0
+    for _ in range(EDGE_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        co = coeff_values(field.coeff_jets(mid[0], mid[1], 0))
+        D = discriminant_of_coeffs(*np.moveaxis(co, -1, 0))
+        on = np.abs(D) <= TRACE_TOL * discriminant_scale(co)
+        if on.all():
+            break
+        up = (D.real >= 0) == pos_lo
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return np.where(on, mid, np.nan).T
 
 
 def trace_discriminant(field, window, n=32):
     """Trace the zero set of the discriminant inside a window.
 
-    Sign changes of D on an n x n grid (one array lift) seed a Newton
-    polish on D and its closed-form gradient; each polished seed is
-    continued in both directions along the tangent (perpendicular to grad
-    D) with a predictor-corrector loop of at most 20 n steps.  An empty
-    trace is a valid result.
+    Marching squares (Lorensen and Cline, SIGGRAPH 1987) on an n x n grid:
+    each grid edge where Re D changes side of 0 is bisected to a point on
+    D = 0, each cell joins the points on its sides, and the joins are
+    walked into curves (free ends first, then closed loops), each point
+    once.  An empty trace is a valid result.
     """
     (x0, x1), (y0, y1) = window
     if n < 8:
         raise ValueError("grid size n must be >= 8")
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    _, raw = _grid_seeds(field, xs, ys)
-    h = max(x1 - x0, y1 - y0) / (2.0 * n)
-    curves = []
-
-    def near_existing(pt):
-        for c in curves:
-            d = c - pt
-            if np.min(np.einsum("ij,ij->i", d, d)) < (2 * h) ** 2:
-                return True
-        return False
-
-    def in_window(pt):
-        sx = TRACE_SLACK * (x1 - x0)
-        sy = TRACE_SLACK * (y1 - y0)
-        return (x0 - sx <= pt[0] <= x1 + sx) and (y0 - sy <= pt[1] <= y1 + sy)
-
-    for seed in raw:
-        z, ok = _newton_polish(field, seed)
-        if not ok or not in_window(z) or near_existing(z):
-            continue
-        halves = []
-        for direction in (1.0, -1.0):
-            pts = [z.copy()]
-            prev_t = None
-            for _ in range(20 * n):
-                cur = pts[-1]
-                _, g, _ = _disc_and_grad(field, cur[0], cur[1])
-                g = g.real
-                ng = np.linalg.norm(g)
-                if ng < TRACE_GRAD_FLOOR:
-                    break  # singular point of the curve (e.g. a cusp)
-                t = np.array([-g[1], g[0]]) / ng
-                if prev_t is None:
-                    t = direction * t
-                elif np.dot(t, prev_t) < 0:
-                    t = -t
-                cand, ok = _newton_polish(field, cur + h * t, iters=20)
-                if not ok or not in_window(cand):
-                    break
-                if np.linalg.norm(cand - cur) < 0.01 * h:
-                    break
-                pts.append(cand)
-                prev_t = t
-                if len(pts) > 5 and np.linalg.norm(cand - z) < 0.5 * h:
-                    break  # closed loop
-            halves.append(pts)
-        curves.append(np.array(halves[1][::-1] + halves[0][1:]))
+    xs, ys = np.linspace(x0, x1, n), np.linspace(y0, y1, n)
+    Dg, change = _grid_seeds(field, xs, ys)
+    pts = _bisect_edges(field, xs, ys, Dg, *np.nonzero(change))
+    ok = ~np.isnan(pts[:, 0])
+    ids, pts = np.full(change.shape, -1), pts[ok]
+    ids[change] = np.where(ok, np.cumsum(ok) - 1, -1)
+    # a cell's sides counterclockwise from the bottom; a saddle joins sides
+    # 0, 1 and 2, 3 (cutting off corners (i + 1, j) and (i, j + 1)) where
+    # its corner (i, j) is on the side of its mean, else sides 3, 0 and 1, 2
+    sides = np.stack([ids[:-1, :-1, 0], ids[1:, :-1, 1], ids[:-1, 1:, 0],
+                      ids[:-1, :-1, 1]], axis=-1).reshape(-1, 4)
+    count = np.sum(sides >= 0, axis=1)
+    mean = 0.25 * (Dg[:-1, :-1] + Dg[1:, :-1] + Dg[:-1, 1:] + Dg[1:, 1:])
+    keep = ((Dg[:-1, :-1] >= 0) == (mean >= 0)).reshape(-1, 1)[count == 4]
+    saddle = sides[count == 4]
+    joins = np.concatenate([
+        np.sort(sides[count == 2], axis=1)[:, 2:],
+        np.where(keep, saddle, np.roll(saddle, 1, axis=1)).reshape(-1, 2)])
+    nbr = [[] for _ in pts]
+    for a, b in joins.tolist():
+        nbr[a].append(b)
+        nbr[b].append(a)
+    seen, curves = set(), []
+    for p in sorted(range(len(pts)), key=lambda p: len(nbr[p]) > 1):
+        path = []
+        while p not in seen:
+            seen.add(p)
+            path.append(p)
+            p = next((q for q in nbr[p] if q not in seen), p)
+        if path:
+            curves.append(pts[path])
     return DiscriminantTrace(curves=curves, window=window)
 
 
@@ -425,14 +392,14 @@ def classify_singularity(field, point=(0.0, 0.0), samples=None):
     f = field if (x0 == 0 and y0 == 0) else TranslatedField(field, x0, y0)
     if samples is None:
         samples = [(0.31, 0.22), (-0.24, 0.18), (0.12, -0.27), (0.27, 0.33)]
-    n, i = len(samples), np.arange(4)
+    x, y = np.array(samples, dtype=float).T
+    n, i, k = len(x), np.arange(4), np.arange(len(x))
+    c = np.stack([j.c for j in f.coeff_jets(x, y, 1)], axis=-1)  # 2, 2, n, 4
+    co = nonvanishing(c[0, 0], x, y)
     rows = np.zeros((n, 4, 2 + n), dtype=complex)
-    for k, (x, y) in enumerate(samples):
-        co, dx, dy = np.array(f.first_order(x, y))
-        nonvanishing(co, x, y)
-        rows[k, :, 0] = x * dx + i * co
-        rows[k, :, 1] = y * dy + (3 - i) * co
-        rows[k, :, 2 + k] = -co
+    rows[:, :, 0] = x[:, None] * c[1, 0] + i * co
+    rows[:, :, 1] = y[:, None] * c[0, 1] + (3 - i) * co
+    rows[k, :, 2 + k] = -co
     v = np.linalg.svd(rows.reshape(4 * n, 2 + n))[2][-1, :2]
     small, large = (0, 1) if abs(v[0]) <= abs(v[1]) else (1, 0)
     q = Fraction(float((v[small] / v[large]).real))

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from hexweb.chern import curvature, gamma_depressed
-from hexweb.cubic import (PolyCoeffField, TranslatedField,
+from hexweb.cubic import (PolyCoeffField, TranslatedField, coeff_values,
                           discriminant_of_coeffs, discriminant_scale)
 from hexweb.frobenius import solution_potential
 from hexweb.jets import JetError, PolyExpr
-from hexweb.singular import (CLASSIFY_RESIDUAL_TOL, F_BRACKET_MARGIN,
-                             FSolution, _disc_and_grad, _grid_seeds,
-                             _univariate_F_jet, classify_singularity,
-                             f_ode_residual, normal_form_field, solve_F,
-                             symmetry_losing_web, trace_discriminant)
+from hexweb.singular import (CLASSIFY_RESIDUAL_TOL, EDGE_BISECTIONS,
+                             F_BRACKET_MARGIN, TRACE_TOL, FSolution,
+                             _bisect_edges, _grid_seeds, _univariate_F_jet,
+                             classify_singularity, f_ode_residual,
+                             normal_form_field, solve_F, symmetry_losing_web,
+                             trace_discriminant)
 from hexweb.webgeo import symmetry_residual
 from webs import CONTROL_GENERIC, random_poly
 
@@ -43,12 +44,7 @@ class TestTraceDiscriminant:
         assert trace.empty
 
     def test_circle_discriminant(self):
-        # slope cubic m^3 + A m with A = x^2 + y^2 - 1/4: D = -4A^3 changes
-        # sign exactly on the circle of radius 1/2
-        x, y = PolyExpr.var(0, 2), PolyExpr.var(1, 2)
-        A = x * x + y * y + PolyExpr.const(-0.25, 2)
-        f = PolyCoeffField(PolyExpr.const(-1, 2), PolyExpr.zero(),
-                           PolyExpr.zero() - A, PolyExpr.zero())
+        f = _circle_field()
         trace = trace_discriminant(f, ((-1.0, 1.0), (-1.0, 1.0)))
         pts = trace.all_points()
         assert len(pts) > 30
@@ -62,60 +58,132 @@ class TestTraceDiscriminant:
 
 
 def _scalar_grid_seeds(field, window, n):
-    """The sign grid and seeds as computed point by point with coeffs."""
+    """The grid of Re D and the edges (i, j, k) whose ends lie on opposite
+    sides of 0 (Re D < 0 and Re D >= 0), computed point by point with
+    coeffs, in row-major order with the x edge (k = 0) first."""
     (x0, x1), (y0, y1) = window
     xs, ys = np.linspace(x0, x1, n), np.linspace(y0, y1, n)
     Dg = np.array([[discriminant_of_coeffs(*field.coeffs(x, y)).real
                     for y in ys] for x in xs])
-    raw = []
+    edges = []
     for i in range(n):
         for j in range(n):
-            if i + 1 < n and Dg[i, j] * Dg[i + 1, j] <= 0:
-                raw.append((0.5 * (xs[i] + xs[i + 1]), ys[j]))
-            if j + 1 < n and Dg[i, j] * Dg[i, j + 1] <= 0:
-                raw.append((xs[i], 0.5 * (ys[j] + ys[j + 1])))
-    return xs, ys, Dg, raw
+            if i + 1 < n and (Dg[i, j] >= 0) != (Dg[i + 1, j] >= 0):
+                edges.append((i, j, 0))
+            if j + 1 < n and (Dg[i, j] >= 0) != (Dg[i, j + 1] >= 0):
+                edges.append((i, j, 1))
+    return xs, ys, Dg, edges
 
 
-def _jet_gradient(field, x, y):
-    D = discriminant_of_coeffs(*field.coeff_jets(x, y, 1))
-    return D.value, np.array([D.deriv(0).value, D.deriv(1).value])
+X2, Y2 = PolyExpr.var(0, 2), PolyExpr.var(1, 2)
+
+
+def _slope_field(A, B):
+    """The slope cubic m^3 + A m + B, whose D is -4A^3 - 27B^2."""
+    return PolyCoeffField(PolyExpr.const(-1, 2), PolyExpr.zero(),
+                          PolyExpr.zero() - A, B)
+
+
+def _circle_field():
+    # B = 0 and A = x^2 + y^2 - 1/4: D = -4A^3 changes sign exactly on the
+    # circle of radius 1/2
+    return _slope_field(X2 * X2 + Y2 * Y2 + PolyExpr.const(-0.25, 2),
+                        PolyExpr.zero())
+
+
+def _real_random_field(seed):
+    rng = np.random.default_rng(seed)
+    return PolyCoeffField(*(PolyExpr.from_dict(
+        {(i, j): float(rng.standard_normal()) for i in range(3)
+         for j in range(3)}) for _ in range(4)))
+
+
+def _scaled_D(field, pts):
+    co = coeff_values(field.coeff_jets(pts[:, 0], pts[:, 1], 0))
+    return np.abs(discriminant_of_coeffs(*co.T)) / discriminant_scale(co)
 
 
 class TestTracingKernels:
-    """The tracer's array grid and closed-form gradient against the
-    point-by-point and jet-product evaluations they replace."""
-
-    def test_closed_form_gradient_random_fields(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(50):
-            f = PolyCoeffField(*(random_poly(rng) for _ in range(4)))
-            x, y = rng.standard_normal(2)
-            D, g, _ = _disc_and_grad(f, x, y)
-            D_ref, g_ref = _jet_gradient(f, x, y)
-            assert abs(D - D_ref) <= 1e-13 * abs(D_ref)
-            assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
-
-    @pytest.mark.parametrize("fid, points", [
-        (2, [(0.3, -0.7), (-0.5, 0.4), (0.9, 0.2)]),
-        (6, [(0.05, 0.8), (0.08, 0.6), (0.06, 1.0)])])
-    def test_closed_form_gradient_catalog(self, fid, points):
-        field = normal_form_field(fid).field
-        for x, y in points:
-            D, g, _ = _disc_and_grad(field, x, y)
-            D_ref, g_ref = _jet_gradient(field, x, y)
-            assert abs(D - D_ref) <= 1e-13 * abs(D_ref)
-            assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+    """The tracer's array grid against the point-by-point evaluation it
+    replaces, and its walk of the bisected edge points into curves."""
 
     @pytest.mark.parametrize("field, window, n", [
         (FIELD_A, ((-1.0, 1.0), (-0.2, 1.0)), 32),   # criterion 9
         (FIELD_B, ((-1.0, 1.0), (-1.0, 1.0)), 32),
         (FIELD_A, ((-0.8, 0.8), (-0.1, 0.9)), 16)])  # a CLI window
     def test_array_grid_matches_scalar_grid(self, field, window, n):
-        xs, ys, Dg_ref, raw_ref = _scalar_grid_seeds(field, window, n)
-        Dg, raw = _grid_seeds(field, xs, ys)
+        xs, ys, Dg_ref, edges_ref = _scalar_grid_seeds(field, window, n)
+        Dg, change = _grid_seeds(field, xs, ys)
         assert np.array_equal(Dg, Dg_ref)
-        assert raw == raw_ref
+        assert [tuple(map(int, e)) for e in zip(*np.nonzero(change))] \
+            == edges_ref
+
+    @pytest.mark.parametrize("field, window, n", [
+        (FIELD_A, ((-1.0, 1.0), (-0.2, 1.0)), 32),   # criterion 9
+        (_circle_field(), ((-1.0, 1.0), (-1.0, 1.0)), 32),
+        (_real_random_field(17), ((-1.0, 1.0), (-1.0, 1.0)), 24)],
+        ids=["A", "circle", "random"])
+    def test_walk_takes_every_edge_point_once(self, field, window, n):
+        (x0, x1), (y0, y1) = window
+        xs, ys = np.linspace(x0, x1, n), np.linspace(y0, y1, n)
+        Dg, change = _grid_seeds(field, xs, ys)
+        edge_pts = _bisect_edges(field, xs, ys, Dg, *np.nonzero(change))
+        edge_pts = edge_pts[~np.isnan(edge_pts[:, 0])]
+        trace = trace_discriminant(field, window, n)
+        pts = trace.all_points()
+        assert len(edge_pts) > 0
+        assert len(np.unique(pts, axis=0)) == len(pts) == len(edge_pts)
+        assert np.array_equal(np.unique(pts, axis=0),
+                              np.unique(edge_pts, axis=0))
+        diagonal = np.hypot(xs[1] - xs[0], ys[1] - ys[0])
+        for curve in trace.curves:
+            steps = np.hypot(*np.diff(curve, axis=0).T)
+            assert np.all(steps <= diagonal * (1 + 1e-12))
+        assert np.max(_scaled_D(field, pts)) <= TRACE_TOL
+
+    def test_saddle_cell_keeps_the_branches_apart(self):
+        # A = -3 and B = 2 + s, s = xy + h^2/16: D = -27 s (4 + s) has a
+        # simple zero on the hyperbola s = 0.  On the 32-grid of [-1, 1]^2
+        # the middle cell has side h and centre 0; its corners alternate in
+        # sign, and its mean has the sign of the corners with s > 0, which
+        # the hyperbola's branches (x < 0 < y and y < 0 < x) keep connected
+        h = 2.0 / 31
+        f = _slope_field(PolyExpr.const(-3, 2), X2 * Y2
+                         + PolyExpr.const(2 + h * h / 16, 2))
+        trace = trace_discriminant(f, ((-1.0, 1.0), (-1.0, 1.0)))
+        assert len(trace.curves) == 2
+        for curve in trace.curves:
+            assert np.all(curve[:, 0] * curve[:, 1] < 0)
+            assert len(np.unique(np.sign(curve[:, 0]))) == 1
+
+    def test_grid_nodes_on_the_curve_keep_it_whole(self):
+        # n = 33 puts the cusp (0, 0) and (+-1/4, 3/8) of 32 y^3 = 27 x^2 on
+        # grid nodes, where D = 0 exactly; such a node counts as D >= 0
+        trace = trace_discriminant(FIELD_A, ((-1.0, 1.0), (-1.0, 1.0)), 33)
+        pts = trace.all_points()
+        assert len(trace.curves) == 1
+        assert len(np.unique(pts, axis=0)) == len(pts) > 50
+        assert np.max(np.abs(32 * pts[:, 1] ** 3 - 27 * pts[:, 0] ** 2)) \
+            < 1e-6
+
+    def test_vanishing_discriminant_gives_an_empty_trace(self):
+        # C = dy^3: a triple root everywhere, D == 0 on the whole window,
+        # so no grid edge has its ends on opposite sides of 0
+        zero = PolyExpr.zero()
+        f = PolyCoeffField(PolyExpr.const(1, 2), zero, zero, zero)
+        trace = trace_discriminant(f, ((-1.0, 1.0), (-1.0, 1.0)), 8)
+        assert trace.empty
+        assert trace.all_points().shape == (0, 2)
+
+    def test_lifts_arrays_only(self, monkeypatch):
+        calls = []
+        for name in ("coeffs", "first_order", "coeff_jets"):
+            method = getattr(PolyCoeffField, name)
+            monkeypatch.setattr(PolyCoeffField, name, lambda *a, _m=method,
+                                _n=name: calls.append(_n) or _m(*a))
+        trace_discriminant(FIELD_A, ((-1.0, 1.0), (-0.2, 1.0)))
+        assert calls.count("coeff_jets") == len(calls)
+        assert 1 < len(calls) <= 1 + EDGE_BISECTIONS
 
 
 def reference_F(m0):
