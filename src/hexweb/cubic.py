@@ -9,6 +9,7 @@ hence leaf slope dy/dx = -p_i/q_i.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,11 +171,13 @@ def roots_proj(coeffs):
     row is solved on the affine chart of its larger end coefficient, as the
     eigenvalues of its companion matrix (all rows in one eigvals call).  The
     roots are labelled in a fixed order: finite slopes w = p/q first (else
-    w = q/p), then by Re w and Im w rounded to 12 decimals.  A row is a
-    batch of one, so a row in a batch gives exactly the floats it gives
-    alone.
+    w = q/p), then by Re w and Im w rounded to 12 decimals.  A row in a
+    batch gives exactly the floats it gives alone; a single row (4,) takes
+    _roots_row, which gives the floats of the batch of one.
     """
     co = np.asarray(coeffs, dtype=complex)
+    if co.ndim == 1:
+        return _roots_row(co)
     mag = np.abs(co)
     scale = np.maximum.reduce(mag, axis=-1)
     chart = mag[..., 0] >= mag[..., 3]  # slope chart q = 1: a s^3 + .. + r
@@ -199,6 +202,35 @@ def roots_proj(coeffs):
     pq[..., 0] = np.where(chart, s, 1.0)
     pq[..., 1] = np.where(chart, 1.0, s)
     return pq / np.maximum(np.abs(s), 1.0)[..., None]
+
+
+def _roots_row(co):
+    """roots_proj of one row (4,): the bookkeeping in Python scalars, and
+    numpy on the arrays wherever it rounds unlike Python (the quotients,
+    the moduli, the sort value and the final scaling)."""
+    mag = np.abs(co).tolist()
+    scale = math.nan if math.isnan(sum(mag)) else max(mag)  # as numpy's max
+    chart = mag[0] >= mag[3]
+    if chart and mag[0] <= CHART_DEGENERATE_TOL * scale:
+        raise DegenerateFieldError("all cubic coefficients are zero"
+                                   if not scale else
+                                   "cubic degenerate in both charts")
+    poly = co if chart else co[::-1]
+    companion = np.zeros((3, 3), dtype=complex)
+    np.divide(poly[1:], -poly[:1], out=companion[0])
+    companion[1, 0] = companion[2, 1] = 1.0
+    s = np.linalg.eigvals(companion)
+    size = np.abs(s).tolist()
+    finite = [(v <= 1 / ROOT_SLOPE_TOL) if chart else (v >= ROOT_SLOPE_TOL)
+              for v in size]
+    as_is = [chart == f for f in finite]
+    key = np.rint(np.where(as_is, s, 1.0) / np.where(as_is, 1.0, s)
+                  * SORT_SCALE).tolist()
+    order = sorted(range(3), key=lambda i: (not finite[i], key[i].real,
+                                            key[i].imag))
+    pq = np.ones((3, 2), dtype=complex)
+    pq[:, 1 - chart] = s[order]
+    return pq / np.array([[max(size[i], 1.0)] for i in order])
 
 
 def proj_distance(u, v):

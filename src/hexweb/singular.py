@@ -85,7 +85,8 @@ def trace_discriminant(field, window, n=32):
     each grid edge where Re D changes side of 0 is bisected to a point on
     D = 0, each cell joins the points on its sides, and the joins are
     walked into curves (free ends first, then closed loops), each point
-    once.  An empty trace is a valid result.
+    once, except that a closed loop repeats its first point at its end.
+    An empty trace is a valid result.
     """
     (x0, x1), (y0, y1) = window
     if n < 8:
@@ -119,6 +120,8 @@ def trace_discriminant(field, window, n=32):
             seen.add(p)
             path.append(p)
             p = next((q for q in nbr[p] if q not in seen), p)
+        if len(path) > 2 and path[0] in nbr[path[-1]]:
+            path.append(path[0])  # a closed loop ends where it began
         if path:
             curves.append(pts[path])
     return DiscriminantTrace(curves=curves, window=window)

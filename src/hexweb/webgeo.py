@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chern, cubic
-from .cubic import (SingularPointError, coeff_values, continued_sigma,
-                    discriminant_of_coeffs, discriminant_scale, match_roots,
-                    nonvanishing, proj_distance, regular_cutoff, roots)
+from .cubic import (REGULAR_DISC_TOL, SingularPointError, coeff_values,
+                    continued_sigma, discriminant_of_coeffs,
+                    discriminant_scale, match_roots, nonvanishing,
+                    proj_distance)
 
 
 class LeafIntegrationError(ValueError):
@@ -91,16 +92,21 @@ def real_directions(field, point):
 
 
 def _real_directions(co, point):
-    """real_directions from the field's coefficients co at the point."""
-    p, q = cubic.roots_proj(nonvanishing(co, point[0], point[1])).T
-    v = np.stack([q, -p], axis=-1)
-    if (np.max(np.abs(v.imag), axis=1)
-            > START_IMAG_TOL * np.max(np.abs(v), axis=1)).any():
-        raise LeafIntegrationError(
-            f"complex leaf direction at {point} (D <= 0 region)")
-    u = v.real / np.linalg.norm(v.real, axis=1, keepdims=True)
-    u[(u[:, 1] < 0) | ((u[:, 1] == 0) & (u[:, 0] < 0))] *= -1
-    return u[np.argsort(np.arctan2(u[:, 1], u[:, 0]) % np.pi, kind="stable")]
+    """real_directions from the field's coefficients co at the point, in
+    Python floats (math.sqrt(x*x + y*y) is numpy's norm of a pair)."""
+    dirs = []
+    pq = cubic.roots_proj(nonvanishing(co, point[0], point[1]))
+    for p, q in pq.tolist():
+        imag = max(abs(p.imag), abs(q.imag))
+        if imag > START_IMAG_TOL * max(abs(p), abs(q)):
+            raise LeafIntegrationError(
+                f"complex leaf direction at {point} (D <= 0 region)")
+        x, y = q.real, -p.real
+        norm = math.sqrt(x * x + y * y)
+        x, y = x / norm, y / norm
+        dirs.append((-x, -y) if y < 0 or (y == 0 and x < 0) else (x, y))
+    dirs.sort(key=lambda u: math.atan2(u[1], u[0]) % math.pi)
+    return np.array(dirs)
 
 
 def _turning_rate(field, state, first_order=None):
@@ -148,9 +154,10 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
     first = field.first_order(*pt)
     co = first[0]
     D0 = discriminant_of_coeffs(*co)
-    if abs(D0) <= regular_cutoff(co):
+    scale = discriminant_scale(co)
+    if abs(D0) <= REGULAR_DISC_TOL * scale:
         raise SingularPointError(f"start on the discriminant: |D|={abs(D0):.2e}")
-    prox = LEAF_PROX_FACTOR * discriminant_scale(co)
+    prox = LEAF_PROX_FACTOR * scale
     dirs = _real_directions(co, pt)
     sign = 1.0 if length >= 0 else -1.0
     state = pt + tuple((sign * dirs[branch - 1]).tolist())
@@ -406,15 +413,22 @@ def symmetry_residual(field, weights, samples, a=0.1):
     The candidate symmetry is X = w1 x dx + w2 y dy with exact flow
     (x, y) -> (exp(w1 a) x, exp(w2 a) y); web directions at each sample are
     pushed forward and compared (optimal matching, projective metric) with
-    the directions at the image point.
+    the directions at the image point.  The samples and their images are
+    solved in one lift and one roots_proj call; DegenerateFieldError names
+    the first of them, each sample before its image, where the field
+    vanishes.
     """
     w1, w2 = weights
     s1, s2 = np.exp(w1 * a), np.exp(w2 * a)
+    x, y = np.array(samples, dtype=float).T
+    # each sample followed by its image under the flow
+    x = np.stack([x, s1 * x], axis=-1).ravel()
+    y = np.stack([y, s2 * y], axis=-1).ravel()
+    co = nonvanishing(coeff_values(field.coeff_jets(x, y, 0)), x, y)
     worst = 0.0
-    for x, y in samples:
-        dirs = [(q, -p) for p, q in roots(field, (x, y))]
-        pushed = [(s1 * vx, s2 * vy) for vx, vy in dirs]
-        image_dirs = [(q, -p) for p, q in roots(field, (s1 * x, s2 * y))]
+    for here, there in cubic.roots_proj(co).reshape(-1, 2, 3, 2):
+        pushed = [(s1 * q, s2 * -p) for p, q in here]
+        image_dirs = [(q, -p) for p, q in there]
         matched, _ = match_roots(pushed, image_dirs)
         worst = max(worst, max(proj_distance(pushed[i], matched[i])
                                for i in range(3)))

@@ -379,7 +379,10 @@ class TestDeterminism:
 
 # gamma.csv on web A for a grid that holds the singular origin exactly (one
 # all-NaN row) and normalforms.json at one seed, recorded when both commands
-# evaluated their points one call at a time
+# evaluated their points one call at a time; web A's closure.json and
+# leaves_report.json, recorded before single rows left the batched root
+# kernel; web A's discriminant.csv (an open cusp), recorded before closed
+# loops repeated their first point
 CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 NAN_ROW = "0.0,0.0,0.0,0.0,nan,nan,nan,nan,nan,nan"
 DEGENERATE_FIELD = {"kind": "field", "a": [{"exps": [0, 0], "coef": 1}],

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
                           DirectionField, PolyCoeffField, SingularPointError,
@@ -137,8 +137,58 @@ SCALES = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
                             allow_nan=False, allow_infinity=False)
 
 
+# coefficients for single rows: zeros (vertical roots, a zero end in one or
+# both charts), tiny ends near the chart tolerance, NaN (which numpy's max
+# passes on and Python's max may skip), and general values
+ROW_COEFS = st.one_of(
+    st.just(0j), st.sampled_from([1e-13, -1e-15j, 1e-300, 5e-324, math.nan]),
+    st.floats(-4, 4).map(complex),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                       allow_infinity=False))
+RANDOM_ROWS = st.lists(ROW_COEFS, min_size=4, max_size=4)
+# two slopes whose real parts lie within or across a rounding step of the
+# sort's 12 decimals, the third anywhere; optionally a vertical root
+TIED_ROWS = st.builds(
+    lambda re, gap, im, c, vertical, g: g * cubic_from_roots(
+        [complex(re, im[0]), complex(re + gap, im[1]), c], vertical),
+    st.sampled_from([0.25, 0.3333333333335, -0.7, 1.5, 12.0]),
+    st.sampled_from([0.0, 1e-16, 1e-13, 4.9e-13, 5e-13, 1e-12, 3e-12]),
+    st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+    st.complex_numbers(max_magnitude=8, allow_nan=False,
+                       allow_infinity=False),
+    st.booleans(), SCALES)
+
+
+def outcome(fn):
+    """The bits fn() returns, or the type and message of what it raises."""
+    try:
+        with np.errstate(all="ignore"):  # subnormal ends, NaN, zero leads
+            return bits(fn()).tolist()
+    except Exception as e:  # the single row must raise as the batch does
+        return type(e), str(e)
+
+
 class TestRootKernel:
-    """roots_proj: one code path for a row and for arrays of rows."""
+    """roots_proj: one batched code path for arrays of rows, and a scalar
+    path for a single row that gives the batch of one's floats."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(RANDOM_ROWS, TIED_ROWS))
+    @example([0, math.nan, 1, 0])  # no chart by Python's max, NaN by numpy's
+    def test_single_row_equals_its_batch_of_one(self, row):
+        co = np.array(row, dtype=complex)
+        assert outcome(lambda: roots_proj(co)) \
+            == outcome(lambda: roots_proj(co[None])[0])
+
+    @pytest.mark.parametrize("row, message", [
+        ([0, 0, 0, 0], "all cubic coefficients are zero"),
+        ([0, 1, -1, 0], "cubic degenerate in both charts"),
+        ([1e-16, 1j, 2, 1e-17], "cubic degenerate in both charts")])
+    def test_degenerate_row_raises_as_its_batch(self, row, message):
+        co = np.array(row, dtype=complex)
+        for rows in (co, co[None]):
+            with pytest.raises(DegenerateFieldError, match=message):
+                roots_proj(rows)
 
     def test_one_eigvals_call_for_a_batch(self, monkeypatch):
         calls = {"eigvals": 0, "roots": 0}

@@ -130,7 +130,9 @@ class TestTracingKernels:
         edge_pts = _bisect_edges(field, xs, ys, Dg, *np.nonzero(change))
         edge_pts = edge_pts[~np.isnan(edge_pts[:, 0])]
         trace = trace_discriminant(field, window, n)
-        pts = trace.all_points()
+        # a closed loop repeats its first point at its end, and only there
+        pts = np.vstack([c[:-1] if np.array_equal(c[0], c[-1]) else c
+                         for c in trace.curves])
         assert len(edge_pts) > 0
         assert len(np.unique(pts, axis=0)) == len(pts) == len(edge_pts)
         assert np.array_equal(np.unique(pts, axis=0),
@@ -140,6 +142,16 @@ class TestTracingKernels:
             steps = np.hypot(*np.diff(curve, axis=0).T)
             assert np.all(steps <= diagonal * (1 + 1e-12))
         assert np.max(_scaled_D(field, pts)) <= TRACE_TOL
+
+    def test_closed_loop_ends_at_its_first_point(self):
+        # the circle of radius 1/2 is one loop; web A's cusp is open
+        trace = trace_discriminant(_circle_field(), ((-1.0, 1.0), (-1.0, 1.0)))
+        (loop,) = trace.curves
+        assert np.array_equal(loop[0], loop[-1])
+        assert len(np.unique(loop, axis=0)) == len(loop) - 1 > 30
+        (cusp,) = trace_discriminant(FIELD_A,
+                                     ((-1.0, 1.0), (-0.2, 1.0))).curves
+        assert np.hypot(*(cusp[0] - cusp[-1])) > 1.0
 
     def test_saddle_cell_keeps_the_branches_apart(self):
         # A = -3 and B = 2 + s, s = xy + h^2/16: D = -27 s (4 + s) has a

@@ -2,22 +2,25 @@
 scaling symmetries."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hexweb import cubic
 from hexweb.chern import curvature, gamma_cubic, integrate_gamma
 from hexweb.cubic import (CallableJetField, DegenerateFieldError,
                           PolyCoeffField, SingularPointError, coeff_values,
                           match_roots, normalization_core, normalize_roots,
-                          proj_distance, roots_proj)
+                          proj_distance, roots, roots_proj)
 from hexweb.frobenius import solution_potential
 from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import symmetry_losing_web
-from hexweb.webgeo import (FI_STEP, FirstIntegralState, LeafIntegrationError,
-                           _first_crossing, first_integrals, integrate_leaf,
-                           leaf_through, real_directions, symmetry_residual,
+from hexweb.webgeo import (FI_STEP, START_IMAG_TOL, FirstIntegralState,
+                           LeafIntegrationError, _first_crossing,
+                           first_integrals, integrate_leaf, leaf_through,
+                           real_directions, symmetry_residual,
                            thomsen_closure)
 from webs import X, Y, CONTROL_GENERIC, CONTROL_SLOPES as CONTROL, slope_web
 
@@ -33,7 +36,44 @@ def cubic_residual(field, point, direction):
     return abs(val) / (1 + np.max(np.abs(co)))
 
 
+def numpy_real_directions(field, point):
+    """real_directions in the numpy formulation it replaced, on the batched
+    root kernel: the reference for its floats."""
+    p, q = roots_proj(field.coeffs(*point)[None])[0].T
+    v = np.stack([q, -p], axis=-1)
+    if (np.max(np.abs(v.imag), axis=1)
+            > START_IMAG_TOL * np.max(np.abs(v), axis=1)).any():
+        raise LeafIntegrationError(f"complex leaf direction at {point}")
+    u = v.real / np.linalg.norm(v.real, axis=1, keepdims=True)
+    u[(u[:, 1] < 0) | ((u[:, 1] == 0) & (u[:, 0] < 0))] *= -1
+    return u[np.argsort(np.arctan2(u[:, 1], u[:, 0]) % np.pi, kind="stable")]
+
+
 class TestRealDirections:
+    @pytest.mark.parametrize("name", ["A", "control", "A*1j"])
+    def test_equals_the_numpy_formulation_bit_for_bit(self, name):
+        field, complex_at = GOLDEN_FIELDS[name], 0
+        for x in np.linspace(-0.9, 0.9, 13):
+            for y in np.linspace(0.05, 1.45, 11):
+                try:
+                    want = numpy_real_directions(field, (x, y))
+                except LeafIntegrationError:
+                    complex_at += 1
+                    with pytest.raises(LeafIntegrationError,
+                                       match=r"complex leaf direction at "
+                                       r"\(.*\) \(D <= 0 region\)"):
+                        real_directions(field, (x, y))
+                    continue
+                got = real_directions(field, (x, y))
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), (x, y)
+        # the grid meets web A's D < 0 region, below its cusp 32 y^3 = 27 x^2;
+        # the control's slopes are real everywhere
+        if name == "control":
+            assert complex_at == 0
+        else:
+            assert 0 < complex_at < 13 * 11 / 2
+
     def test_directions_solve_the_cubic(self):
         for pt in [(0.2, 0.9), (-0.4, 1.1), (0.2, 0.5)]:
             for vx, vy in real_directions(FIELD_A, pt):
@@ -429,6 +469,46 @@ class TestSymmetry:
         samples = [(0.1, 1.0), (0.3, 0.9), (-0.2, 1.1), (0.05, 1.3)]
         assert symmetry_residual(FIELD_A, (3, 2), samples) < 1e-8
         assert symmetry_residual(FIELD_A, (1, 1), samples) > 1e-2
+
+    def test_one_root_solve_gives_the_per_point_floats(self, monkeypatch):
+        def per_point(field, weights, samples, a):
+            # the formulation it replaced: two single-point solves a sample
+            s1, s2 = np.exp(weights[0] * a), np.exp(weights[1] * a)
+            worst = 0.0
+            for x, y in samples:
+                pushed = [(s1 * q, s2 * -p) for p, q in roots(field, (x, y))]
+                image = [(q, -p) for p, q in roots(field, (s1 * x, s2 * y))]
+                matched, _ = match_roots(pushed, image)
+                worst = max(worst, max(proj_distance(u, v)
+                                       for u, v in zip(pushed, matched)))
+            return float(worst)
+
+        samples = [(0.1, 1.0), (0.3, 0.9), (-0.2, 1.1), (0.05, 1.3)]
+        cases = [(FIELD_A, w, samples, 0.1) for w in [(3, 2), (1, 1)]]
+        cases.append((symmetry_losing_web(), (1, 2), samples[:3], 0.08))
+        for field, w, pts, a in cases:
+            want = per_point(field, w, pts, a)
+            calls = []
+            monkeypatch.setattr(cubic, "roots_proj", lambda co, _f=roots_proj:
+                                calls.append(np.shape(co)) or _f(co))
+            got = symmetry_residual(field, w, pts, a=a)
+            monkeypatch.undo()
+            assert got.hex() == want.hex()
+            assert calls == [(2 * len(pts), 4)]
+
+    def test_error_names_the_first_vanishing_point(self):
+        # the field vanishes on y = 1; the first sample's image lies there
+        # before the second sample does
+        y1 = PolyExpr.var(1, 2) - PolyExpr.const(1, 2)
+        f = PolyCoeffField(y1, PolyExpr.zero(), y1, PolyExpr.zero())
+        s1, s2 = np.exp(0.1), np.exp(0.2)
+        assert s2 * (1.0 / s2) == 1.0
+        with pytest.raises(DegenerateFieldError,
+                           match=re.escape(f"vanish at ({0.3 * s1}, 1.0)")):
+            symmetry_residual(f, (1, 2), [(0.3, 1.0 / s2), (0.5, 1.0)])
+        with pytest.raises(DegenerateFieldError,
+                           match=re.escape("vanish at (0.5, 1.0)")):
+            symmetry_residual(f, (1, 2), [(0.3, 0.5), (0.5, 1.0)])
 
     def test_fixture_is_flat_but_has_no_scaling_symmetry(self):
         fix = symmetry_losing_web()
