@@ -8,6 +8,7 @@ hence leaf slope dy/dx = -p_i/q_i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,15 +96,26 @@ class PolyCoeffField(DirectionField):
         return tuple(p.jet(point, order) for p in self.abcr)
 
     def coeffs(self, x, y):
-        return np.array([complex(p(x, y)) for p in self.abcr])
+        try:
+            return np.array([complex(p(x, y)) for p in self.abcr])
+        except TypeError:
+            if np.ndim(x) or np.ndim(y):
+                raise ValueError("PolyCoeffField.coeffs takes one point; "
+                                 "coeff_jets takes arrays") from None
+            raise
+
+    @functools.cached_property
+    def _first_order_terms(self):  # (row j1 + 2 j2, coefficient i, ...)
+        return tuple((j1 + 2 * j2, i, *t) for i, p in enumerate(self.abcr)
+                     for j1, j2, *t in p._lift_terms(1))
 
     def first_order(self, x, y):
-        """The order-1 jets' entries, summed as PolyExpr.jet sums them."""
+        """The order-1 jets' entries, summed as PolyExpr.jet sums them, in
+        one pass over the four coefficients' lift terms."""
         x0, y0 = complex(x), complex(y)
-        co = [[0j] * 4 for _ in range(3)]  # row j1 + 2 j2 for entry j1, j2
-        for i, p in enumerate(self.abcr):
-            for j1, j2, cc, k1, n1, k2, n2 in p._lift_terms(1):
-                co[j1 + 2 * j2][i] += cc * (k1 * x0 ** n1) * k2 * y0 ** n2
+        co = [[0j] * 4 for _ in range(3)]
+        for row, i, cc, k1, n1, k2, n2 in self._first_order_terms:
+            co[row][i] += cc * (k1 * x0 ** n1) * k2 * y0 ** n2
         return co
 
 
@@ -246,18 +258,21 @@ def match_roots(ref, new, dist=proj_distance):
 
     Returns the reordered `new` and its cost.  This is the one labelling
     rule for root triples, leaf directions and idempotent frames; `dist`
-    defaults to the projective distance.
+    defaults to the projective distance and is called once per pair.  The
+    first permutation (in itertools order) of least cost wins ties.
     """
+    table = [[dist(u, v) for v in new] for u in ref]
     best = None
     best_cost = np.inf
     for perm in itertools.permutations(range(len(new))):
-        cost = sum(dist(ref[i], new[perm[i]]) for i in range(len(ref)))
+        cost = sum(table[i][perm[i]] for i in range(len(ref)))
         if cost < best_cost:
             best_cost = cost
             best = perm
     return [new[i] for i in best], best_cost
 
 
+PERMS = np.array(list(itertools.permutations(range(3))))  # match_roots' order
 MIN_PIECE = 1e-8  # parameter length at which continue_along stops halving
 
 

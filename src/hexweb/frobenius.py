@@ -95,7 +95,12 @@ class Potential:
         return self.residual_poly.jet((x, y), 0).value
 
     def characteristic_field(self):
-        """Cubic direction field of the characteristic curves of f."""
+        """Cubic direction field of the characteristic curves of f (built
+        once, as f3 is)."""
+        return self._characteristic_field
+
+    @cached_property
+    def _characteristic_field(self):
         d = self.f3
         one = PolyExpr.const(1)
         a, b, c, r = characteristic_coeffs_from_f3(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chern, cubic
-from .cubic import (REGULAR_DISC_TOL, SingularPointError, coeff_values,
-                    continued_sigma, discriminant_of_coeffs,
+from .cubic import (PERMS, REGULAR_DISC_TOL, SingularPointError,
+                    coeff_values, continued_sigma, discriminant_of_coeffs,
                     discriminant_scale, match_roots, nonvanishing,
                     proj_distance)
 
@@ -391,16 +391,20 @@ def first_integrals(field, base, path):
 def _chain_labels(vals):
     """The sorted root values (n, 3, 2) at the nodes of a path, relabelled
     along it: node i's roots take the labels that move them least from node
-    i - 1's (match_roots on the distances between the two nodes' roots), and
-    node 0 keeps the sorted order.  The chain is sequential and reads
-    distances computed for all nodes at once."""
+    i - 1's, as match_roots picks them, and node 0 keeps the sorted order.
+    One array pass sums the distances of every (last labels, permutation)
+    pair at every node; only the walk is sequential.  roots_proj's roots are
+    finite with a unit component, so no distance is NaN (where argmin and
+    match_roots' strict < would part)."""
     d = proj_distance((vals[:-1, :, None, 0], vals[:-1, :, None, 1]),
-                      (vals[1:, None, :, 0], vals[1:, None, :, 1])).tolist()
-    labels = [(0, 1, 2)]
-    for di in d:
-        labels.append(match_roots(labels[-1], (0, 1, 2),
-                                  dist=lambda a, b: di[a][b])[0])
-    return np.take_along_axis(vals, np.array(labels)[:, :, None], axis=1)
+                      (vals[1:, None, :, 0], vals[1:, None, :, 1]))
+    t = d[:, PERMS[:, None], PERMS[None, :]]  # node i's PERMS[k] to i + 1's p
+    choice = np.argmin(t[..., 0] + t[..., 1] + t[..., 2],  # sum()'s order
+                       axis=-1).tolist()
+    k = [0]
+    for c in choice:
+        k.append(c[k[-1]])
+    return np.take_along_axis(vals, PERMS[k][:, :, None], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cubic binary fields: roots, discriminant, normalized factorization,
 depressed form."""
 
+import itertools
 import math
 
 import mpmath
@@ -19,7 +20,8 @@ from hexweb.frobenius import (idempotents, multiplication_table,
                               solution_potential)
 from hexweb.jets import JetError, PolyExpr, base_point
 from hexweb.singular import normal_form_field, symmetry_losing_web
-from webs import CONTROL_GENERIC, random_poly
+from webs import (CONTROL_GENERIC, CONTROL_SLOPES, moved_triples,
+                  random_poly, root_triples)
 
 RNG = np.random.default_rng(8571)
 
@@ -51,6 +53,17 @@ class TestDiscriminant:
             want = ((s[0] - s[1]) * (s[0] - s[2]) * (s[1] - s[2])) ** 2
             got = discriminant_of_coeffs(1.0, b, c, r)
             assert abs(got - want) < 1e-10 * (1 + abs(want))
+
+
+def search_per_permutation(ref, new, dist=proj_distance):
+    """Reference for match_roots: each permutation sums its own dist calls,
+    and the first of least cost wins."""
+    best, best_cost = None, np.inf
+    for perm in itertools.permutations(range(len(new))):
+        cost = sum(dist(ref[i], new[perm[i]]) for i in range(len(ref)))
+        if cost < best_cost:
+            best, best_cost = perm, cost
+    return [new[i] for i in best], best_cost
 
 
 class TestRoots:
@@ -90,9 +103,23 @@ class TestRoots:
         matched, cost = match_roots(ref, [ref[i] for i in perm],
                                     dist=max_abs)
         assert cost == 0.0
-        assert len(calls) == 6 * 3
+        assert len(calls) == 3 * 3  # one distance a pair
         for u, v in zip(ref, matched):
             assert u is v
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_match_roots_equals_the_search_per_permutation(self, data):
+        # exact ties (coinciding roots), near ties and random triples: the
+        # same permutation wins with the same cost float as when every
+        # permutation called dist on its own pairs
+        ref = data.draw(root_triples())
+        new = data.draw(moved_triples(ref))
+        got, cost = match_roots(ref, new)
+        want, want_cost = search_per_permutation(ref, new)
+        assert all(u is v for u, v in zip(got, want))
+        assert (type(cost), float(cost).hex()) \
+            == (type(want_cost), float(want_cost).hex())
 
     def test_root_jets_follow_the_root(self):
         # d/dx of the tracked slope matches a finite difference
@@ -371,7 +398,8 @@ class TestFirstOrder:
         points = [(0.1, 1.0), (-0.37, 0.2), (0.0, 0.0), (2, -3),
                   *rng.uniform(-2.0, 2.0, (8, 2))]
         fields = [solution_potential("A").characteristic_field(),  # Fraction
-                  CONTROL_GENERIC,
+                  solution_potential("B").characteristic_field(),
+                  CONTROL_GENERIC, CONTROL_SLOPES,               # complex
                   PolyCoeffField(PolyExpr.from_dict({(1, 0): 2.5}),
                                  PolyExpr.from_dict({(2, 1): -0.3,
                                                      (0, 0): 1.1}),
@@ -387,6 +415,17 @@ class TestFirstOrder:
         points = [(0.1, 1.0), (-0.25, 0.6)]
         self.check(TranslatedField(A, 0.1, -0.2), points)
         self.check(CallableJetField(A.coeff_jets), points)
+
+    def test_coeffs_takes_one_point(self):
+        A = solution_potential("A").characteristic_field()
+        xs, ys = np.array([0.1, -0.25]), np.array([1.0, 0.6])
+        for x, y in ((xs, ys), (xs, 0.6), (0.1, ys[:1])):
+            with pytest.raises(ValueError, match="takes one point"):
+                A.coeffs(x, y)
+        with pytest.raises(TypeError):
+            A.coeffs(None, 1.0)
+        assert np.array_equal(A.coeffs(np.float64(0.1), np.array(1.0)),
+                              A.coeffs(0.1, 1.0))
 
 
 class TestContinueAlong:

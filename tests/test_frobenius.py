@@ -37,6 +37,11 @@ class TestPotentials:
         assert abs(bad.associativity_residual(0.5, 0.7)) > 1e-2
 
     @pytest.mark.parametrize("case", ["A", "B"])
+    def test_characteristic_field_is_built_once(self, case):
+        pot = solution_potential(case)
+        assert pot.characteristic_field() is pot.characteristic_field()
+
+    @pytest.mark.parametrize("case", ["A", "B"])
     def test_characteristic_field_coeffs(self, case):
         pot = solution_potential(case)
         field = pot.characteristic_field()

@@ -2,7 +2,8 @@
 every name the benchmark reads from the package still exists, no
 tolerance hides as a literal inside a function, no module indexes jet
 coefficients as trailing axes, every formula replayed as a jet program is
-checked against its eager run, and a CLI run loads no scipy module.
+checked against its eager run, only cubic's matcher enumerates
+permutations, and a CLI run loads no scipy module.
 
 AST scans of the modules under src/ and tests/; package __init__.py files
 are exempt from the import scan because their imports are the package's
@@ -171,6 +172,48 @@ def test_every_replayed_formula_is_checked_against_its_eager_run():
     assert all(callable(fn) and fn.__qualname__ == fn.__name__
                for fn in replayed)  # module-level functions
     assert replayed <= checked, sorted(f.__name__ for f in replayed - checked)
+
+
+# ---------------------------------------------------------------------------
+# One permutation matcher: cubic.match_roots tries the permutations, and
+# cubic.PERMS is the table of them (in match_roots' order) that the path
+# labelling shares; no other module-level statement of src/ enumerates them.
+
+MATCHER = {("cubic.py", "match_roots"), ("cubic.py", "PERMS")}
+
+
+def permutation_sites(source):
+    """(top-level name, line) of each use or import of
+    itertools.permutations in source; the name is a function's or class's,
+    or the targets of an assignment."""
+    found = []
+    for stmt in ast.parse(source).body:
+        name = getattr(stmt, "name", None) or ", ".join(
+            ast.unparse(t) for t in getattr(stmt, "targets", []))
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                    or isinstance(node, ast.Name)
+                    and node.id == "permutations"
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module == "itertools"
+                    and any(a.name == "permutations" for a in node.names)):
+                found.append((name, node.lineno))
+    return found
+
+
+def test_scan_finds_permutations():
+    source = ("import itertools as it\nfrom itertools import permutations\n"
+              "P = list(it.permutations(range(3)))\n"
+              "def f(x):\n    return [p for p in permutations(x)]\n"
+              "class C:\n    def m(self):\n"
+              "        return it.combinations(range(3), 2)\n")
+    assert permutation_sites(source) == [("", 2), ("P", 3), ("f", 5)]
+
+
+def test_one_permutation_matcher():
+    sites = {(path.name, name) for path in SOURCES
+             for name, _ in permutation_sites(path.read_text())}
+    assert sites == MATCHER
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hexweb import cubic
 from hexweb.chern import curvature, gamma_cubic, integrate_gamma
@@ -18,11 +19,13 @@ from hexweb.frobenius import solution_potential
 from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import symmetry_losing_web
 from hexweb.webgeo import (FI_STEP, START_IMAG_TOL, FirstIntegralState,
-                           LeafIntegrationError, _first_crossing,
+                           LeafIntegrationError, _chain_labels,
+                           _first_crossing,
                            first_integrals, integrate_leaf, leaf_through,
                            real_directions, symmetry_residual,
                            thomsen_closure)
-from webs import X, Y, CONTROL_GENERIC, CONTROL_SLOPES as CONTROL, slope_web
+from webs import (X, Y, CONTROL_GENERIC, CONTROL_SLOPES as CONTROL,
+                  root_chains, slope_web)
 
 PARALLEL = slope_web(0.0, 1.0, -2.0)        # three families of parallel lines
 FIELD_A = solution_potential("A").characteristic_field()
@@ -391,6 +394,27 @@ def first_integrals_per_node(field, base, path):
     return FirstIntegralState(nodes=nodes, k=k, u=u,
                               abelian_residual=float(np.max(np.abs(
                                   u.sum(axis=1)))))
+
+
+def chain_labels_per_node(vals):
+    """Reference for _chain_labels: one match_roots call a node, on the
+    distances between the two nodes' roots."""
+    d = proj_distance((vals[:-1, :, None, 0], vals[:-1, :, None, 1]),
+                      (vals[1:, None, :, 0], vals[1:, None, :, 1])).tolist()
+    labels = [(0, 1, 2)]
+    for di in d:
+        labels.append(match_roots(labels[-1], (0, 1, 2),
+                                  dist=lambda a, b: di[a][b])[0])
+    return np.take_along_axis(vals, np.array(labels)[:, :, None], axis=1)
+
+
+class TestChainLabels:
+    @settings(max_examples=200, deadline=None)
+    @given(root_chains())
+    def test_equal_to_one_match_a_node(self, vals):
+        # random moves, exact ties (coinciding roots) and near ties
+        assert (_chain_labels(vals).tobytes()
+                == chain_labels_per_node(vals).tobytes())
 
 
 def criterion_6_paths():

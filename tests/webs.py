@@ -1,5 +1,9 @@
 """Fields shared by the test modules: slope webs, random polynomials and
-the two non-flat control webs used as negative witnesses."""
+the two non-flat control webs used as negative witnesses; and triples of
+projective roots for the labelling tests."""
+
+import numpy as np
+from hypothesis import strategies as st
 
 from hexweb.cubic import PolyCoeffField
 from hexweb.jets import PolyExpr
@@ -38,3 +42,53 @@ CONTROL_GENERIC = PolyCoeffField(PolyExpr.const(1, 2), PolyExpr.zero(),
                                  X + Y * Y, PolyExpr.const(1, 2))
 # non-flat slope web: two parallel families and slopes 8x + 2.5
 CONTROL_SLOPES = slope_web(0.0, 1.0, X * 8 + 2.5)
+
+
+# ---------------------------------------------------------------------------
+# Root triples for match_roots and the path labelling
+
+
+def unit_root(s, chart):
+    """The projective root [s : 1] (chart) or [1 : s], scaled to unit max
+    component as roots_proj scales its roots."""
+    return np.array([s, 1] if chart else [1, s], dtype=complex) / max(
+        abs(s), 1.0)
+
+
+SLOPES = st.complex_numbers(max_magnitude=4, allow_nan=False,
+                            allow_infinity=False)
+UNIT_ROOTS = st.builds(unit_root, SLOPES, st.booleans())
+# how far a root moves: 0 makes exact ties, the tiny ones near ties
+NUDGES = st.sampled_from([0.0, 1e-17, 1e-15, 1e-13, 1e-9, 1e-3])
+
+
+@st.composite
+def root_triples(draw):
+    """Three unit-scaled roots, two of them equal or a nudge apart when
+    drawn so (each root a new array)."""
+    triple = draw(st.lists(UNIT_ROOTS, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        i, j, _ = draw(st.permutations(range(3)))
+        triple[j] = triple[i] + draw(NUDGES)
+    return triple
+
+
+@st.composite
+def moved_triples(draw, triple):
+    """A new triple: drawn afresh, or the given one shuffled and its roots
+    nudged by different amounts."""
+    if draw(st.booleans()):
+        return draw(root_triples())
+    nudge = draw(NUDGES) * draw(SLOPES)
+    return [triple[i] + (m + 1) * nudge
+            for m, i in enumerate(draw(st.permutations(range(3))))]
+
+
+@st.composite
+def root_chains(draw, max_nodes=10):
+    """Root triples (n, 3, 2) at the nodes of a path, each node's triple
+    moved from the last one's."""
+    chain = [draw(root_triples())]
+    for _ in range(draw(st.integers(1, max_nodes - 1))):
+        chain.append(draw(moved_triples(chain[-1])))
+    return np.array(chain)
