@@ -273,6 +273,16 @@ def match_roots(ref, new, dist=proj_distance):
 
 
 PERMS = np.array(list(itertools.permutations(range(3))))  # match_roots' order
+
+
+def least_cost_perm(dist):
+    """match_roots' choice, as an index into PERMS, for each distance table
+    dist[..., i, j] = dist(ref[i], new[j]): summed in its order, the first
+    minimum winning (so equal to it on tables without NaN)."""
+    t = dist[..., np.arange(3), PERMS]  # t[..., k, i] = dist[i, PERMS[k, i]]
+    return np.argmin(t[..., 0] + t[..., 1] + t[..., 2], axis=-1)
+
+
 MIN_PIECE = 1e-8  # parameter length at which continue_along stops halving
 
 
@@ -302,11 +312,6 @@ def continue_along(path, at, max_move, dist=proj_distance, pieces=None):
             else:
                 trail.append((pt, vals))
     return trail
-
-
-def roots(field, point):
-    """Projective roots of the field's cubic at a point."""
-    return roots_proj(field.check_nondegenerate(point[0], point[1]))
 
 
 ROOT_SEP_TOL = 1e-8  # projective separation below which roots coincide

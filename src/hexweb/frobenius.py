@@ -9,7 +9,8 @@ full potential F(t, x, y):
 Each case carries its own associativity equation, multiplication table,
 and flat metric.  This module computes multiplication tables, idempotents,
 Euler weights, canonical eigenvalues, booklet web directions on t-slices,
-and Taylor-series solutions of the associativity equations.
+and Taylor-series solutions of the associativity equations; the algebra
+routes take a point or arrays of points, with fixed-element idempotents.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .cubic import (PolyCoeffField, characteristic_coeffs_from_f3,
-                    continue_along, match_roots, proj_distance, roots)
-from .jets import Jet, PolyExpr, jet_to_polyexpr
+from .cubic import (PERMS, PolyCoeffField, at_first,
+                    characteristic_coeffs_from_f3, continue_along,
+                    least_cost_perm, nonvanishing, proj_distance, roots_proj)
+from .jets import Jet, PolyExpr, any_set, jet_to_polyexpr
 
 
 class NonSemisimpleError(ValueError):
@@ -72,15 +74,9 @@ class Potential:
     def f3(self):
         """Dict of the four third partials fxxx, fxxy, fxyy, fyyy."""
         fx = self.f.diff(0)
-        fxx = fx.diff(0)
-        fxy = fx.diff(1)
-        fyy = self.f.diff(1).diff(1)
-        return {
-            "xxx": fxx.diff(0),
-            "xxy": fxx.diff(1),
-            "xyy": fxy.diff(1),
-            "yyy": fyy.diff(1),
-        }
+        fxx, fxy, fyy = fx.diff(0), fx.diff(1), self.f.diff(1).diff(1)
+        return {"xxx": fxx.diff(0), "xxy": fxx.diff(1), "xyy": fxy.diff(1),
+                "yyy": fyy.diff(1)}
 
     @cached_property
     def residual_poly(self):
@@ -101,11 +97,8 @@ class Potential:
 
     @cached_property
     def _characteristic_field(self):
-        d = self.f3
-        one = PolyExpr.const(1)
-        a, b, c, r = characteristic_coeffs_from_f3(
-            self.case, d["xxx"], d["xxy"], d["xyy"], d["yyy"], one)
-        return PolyCoeffField(a, b, c, r)
+        return PolyCoeffField(*characteristic_coeffs_from_f3(
+            self.case, *self.f3.values(), PolyExpr.const(1)))
 
     def full_potential(self):
         """F(t, x, y) as a 3-variable polynomial (t = axis 0)."""
@@ -149,10 +142,10 @@ def solution_potential(case):
 
 @dataclass
 class FrobeniusPoint:
-    """Structure constants of the tangent algebra at one point.
+    """Structure constants of the tangent algebra at a point or points.
 
-    ``c[al, be]`` is the product vector of basis vectors al and be in the
-    (dt, dx, dy) basis; unity is e = dt.
+    ``c[..., al, be]`` is the product vector of basis vectors al and be in
+    the (dt, dx, dy) basis, the points' shape in front; unity is e = dt.
     """
 
     point: tuple
@@ -163,93 +156,95 @@ class FrobeniusPoint:
     e = (1.0, 0.0, 0.0)
 
 
+# c[al, be, ga] of each case, as an index into (fxxx, fxxy, fxyy, fyyy, 0, 1)
+TABLE_INDEX = {
+    "A": np.array([[[5, 4, 4], [4, 5, 4], [4, 4, 5]],
+                   [[4, 5, 4], [1, 0, 5], [2, 1, 4]],
+                   [[4, 4, 5], [2, 1, 4], [3, 2, 4]]]),
+    "B": np.array([[[5, 4, 4], [4, 5, 4], [4, 4, 5]],
+                   [[4, 5, 4], [4, 1, 0], [5, 2, 1]],
+                   [[4, 4, 5], [5, 2, 1], [4, 3, 2]]]),
+}
+# the flat positions (of 27) in a table that hold fxxx, fxxy, fxyy, fyyy
+F3_AT = {case: [index.ravel().tolist().index(k) for k in range(4)]
+         for case, index in TABLE_INDEX.items()}
+
+
 def multiplication_table(pot, point):
-    """Structure constants at a point (t, x, y) from the case's table."""
-    t, x, y = (complex(v) for v in point)
-    d = {k: complex(p(x, y)) for k, p in pot.f3.items()}
-    c = np.zeros((3, 3, 3), dtype=complex)
-    # unity row/column
-    for i in range(3):
-        c[0, i, i] = 1.0
-        c[i, 0, i] = 1.0
-    if pot.case == "A":
-        c[1, 1] = (d["xxy"], d["xxx"], 1.0)
-        c[1, 2] = c[2, 1] = (d["xyy"], d["xxy"], 0.0)
-        c[2, 2] = (d["yyy"], d["xyy"], 0.0)
-    else:
-        c[1, 1] = (0.0, d["xxy"], d["xxx"])
-        c[1, 2] = c[2, 1] = (1.0, d["xyy"], d["xxy"])
-        c[2, 2] = (0.0, d["yyy"], d["xyy"])
-    return FrobeniusPoint(point=(t, x, y), case=pot.case, c=c, eta=pot.eta())
-
-
-def multiply(u, v, fp):
-    """Bilinear product of tangent vectors in the (dt, dx, dy) basis."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    return np.einsum("a,b,abg->g", u, v, fp.c)
+    """Structure constants at a point (t, x, y), or at arrays of points,
+    from one order-0 lift of each third partial (c does not depend on t)."""
+    t, x, y = np.broadcast_arrays(*point)
+    xy = (x.ravel(), y.ravel())  # a point lifts as in any batch
+    lifts = [pot.f3[k].jet(xy, 0).value for k in ("xxx", "xxy", "xyy", "yyy")]
+    values = np.stack(lifts + [np.zeros(t.size), np.ones(t.size)], axis=-1)
+    c = values[:, TABLE_INDEX[pot.case]].reshape(t.shape + (3, 3, 3))
+    return FrobeniusPoint(point=tuple(point), case=pot.case, c=c,
+                          eta=pot.eta())
 
 
 def mult_operator(w, fp):
-    """Matrix of v -> w . v in the (dt, dx, dy) basis."""
-    return np.einsum("a,abg->gb", np.asarray(w, dtype=complex), fp.c)
+    """Matrix of v -> w . v in the (dt, dx, dy) basis, w (..., 3) and the
+    table broadcast; elementwise, so a point rounds as in any batch."""
+    w, c = np.asarray(w, dtype=complex), fp.c
+    w = w.reshape(w.shape + (1, 1))
+    M = (w[..., 0, :, :] * c[..., 0, :, :] + w[..., 1, :, :] * c[..., 1, :, :]
+         + w[..., 2, :, :] * c[..., 2, :, :])
+    return np.swapaxes(M, -1, -2)
 
 
-def _canonical_sort(vectors):
-    def key(v):
-        return tuple((round(z.real, 9), round(z.imag, 9)) for z in v)
-    return sorted(vectors, key=key)
+def multiply(u, v, fp):
+    """Bilinear product of tangent vectors (..., 3), as mult_operator."""
+    M = mult_operator(u, fp)
+    v = np.asarray(v, dtype=complex)[..., None]
+    return (M[..., 0] * v[..., 0, :] + M[..., 1] * v[..., 1, :]
+            + M[..., 2] * v[..., 2, :])
 
 
-SPLIT_TOL = 1e-8  # relative eigenvalue gap (and |kappa|) forcing a redraw
-SPLIT_TRIES = 8  # draws of the randomized multiplication operator
+SPLIT_TOL = 1e-8  # relative eigenvalue gap (and |kappa|) at which w fails
+SPLIT_C1 = 0.5 + 0.3j  # w = (0, 1, SPLIT_C1) splits the algebra at a point
+SPLIT_C2 = -0.3 + 0.8j  # w = (0, 1, SPLIT_C2) for the points where it fails
 IDEMPOTENT_TOL = 1e-7  # relative residual of e * e = e
 PARTITION_TOL = 1e-6  # relative residual of e1 + e2 + e3 = 1
 
 
-def idempotents(fp, rng=None):
-    """The three idempotents e_i (e_i . e_j = delta_ij e_i, sum = e).
+def idempotents(fp):
+    """The idempotents e_i (e_i . e_j = delta_ij e_i, sum = e), in eig's
+    order: (3, 3) at a point, e_i = [i], or (..., 3, 3) at arrays of points.
 
-    Diagonalizes the multiplication operator of a randomized vector and
-    rescales each eigenvector u (with u.u = kappa u) by 1/kappa; retries
-    with a fresh vector on eigenvalue collision.
+    Multiplication by a generic element w of a semisimple algebra has
+    simple spectrum; its eigenvectors u are the e_i up to scale, u . u =
+    kappa u.  One stacked eig takes w = (0, 1, SPLIT_C1); points where the
+    gap, kappa, e . e = e or sum = e check fails are redone with (0, 1,
+    SPLIT_C2), and NonSemisimpleError names the first that fails both.
     """
-    rng = np.random.default_rng(rng)
-    last_gap = None
-    for _ in range(SPLIT_TRIES):
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        M = mult_operator(w, fp)
-        vals, vecs = np.linalg.eig(M)
-        gap = min(abs(vals[i] - vals[j])
-                  for i, j in itertools.combinations(range(3), 2))
-        last_gap = gap
-        if gap <= SPLIT_TOL * (1.0 + np.max(np.abs(vals))):
-            continue
-        out = []
-        ok = True
-        for k in range(3):
-            u = vecs[:, k]
-            uu = multiply(u, u, fp)
-            m = int(np.argmax(np.abs(u)))
-            kappa = uu[m] / u[m]
-            if abs(kappa) <= SPLIT_TOL:
-                ok = False
-                break
-            e = u / kappa
-            if np.max(np.abs(multiply(e, e, fp) - e)) > IDEMPOTENT_TOL * (
-                    1.0 + np.max(np.abs(e)) ** 2):
-                ok = False
-                break
-            out.append(e)
-        if not ok:
-            continue
-        total = out[0] + out[1] + out[2]
-        if np.max(np.abs(total - np.array([1.0, 0, 0]))) > PARTITION_TOL * (
-                1.0 + np.max(np.abs(out))):
-            continue
-        return _canonical_sort(out)
-    raise NonSemisimpleError(
-        f"algebra not semisimple at {fp.point}: eigenvalue gap {last_gap:.2e}")
+    shape = fp.c.shape[:-3]
+    c = fp.c.reshape(-1, 1, 3, 3, 3)  # a table per eigenvector
+    e, gap = np.empty((len(c), 3, 3), dtype=complex), np.empty(len(c))
+    todo = np.ones(len(c), dtype=bool)
+    for z in (SPLIT_C1, SPLIT_C2):  # w = (0, 1, z)
+        rows = FrobeniusPoint(fp.point, fp.case, c[todo], fp.eta)
+        vals, vecs = np.linalg.eig(mult_operator((0.0, 1.0, z), rows)[:, 0])
+        g = (np.abs(vals[:, [0, 0, 1]] - vals[:, [1, 2, 2]]).min(axis=-1)
+             / (1.0 + np.abs(vals).max(axis=-1)))
+        u = np.swapaxes(vecs, -1, -2)  # u[:, k]: the k-th eigenvector
+        uu = multiply(u, u, rows)
+        at = (np.arange(len(u))[:, None], range(3), np.abs(u).argmax(axis=-1))
+        kappa = (uu[at] / u[at])[..., None]  # at each u's largest component
+        ok = (g > SPLIT_TOL) & (abs(kappa) > SPLIT_TOL).all(axis=(-1, -2))
+        kappa[~ok] = 1.0
+        ei = u / kappa
+        size = np.abs(ei).max(axis=-1)
+        ok &= (np.abs(uu / kappa ** 2 - ei).max(axis=-1)  # e . e - e
+               <= IDEMPOTENT_TOL * (1.0 + size ** 2)).all(axis=-1)
+        ok &= (np.abs(ei.sum(axis=1) - fp.e).max(axis=-1)
+               <= PARTITION_TOL * (1.0 + size.max(axis=-1)))
+        e[todo], gap[todo] = ei, g
+        todo[todo] = ~ok
+        if not todo.any():
+            return e.reshape(shape + (3, 3))
+    t, x, y, gap = at_first(todo.reshape(shape), *fp.point, gap.reshape(shape))
+    raise NonSemisimpleError(f"algebra not semisimple at ({t}, {x}, {y}): "
+                             f"relative eigenvalue gap {gap:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +304,7 @@ def mu_E(pot, point, euler=None):
     """Eigenvalues of v -> E . v, sorted lexicographically in (Re, Im)."""
     ed = euler if euler is not None else euler_data(pot)
     fp = multiplication_table(pot, point)
-    E = ed.euler_vector(fp.point)
-    vals = np.linalg.eigvals(mult_operator(E, fp))
+    vals = np.linalg.eigvals(mult_operator(ed.euler_vector(point), fp))
     vals = sorted(vals, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
     gap = min(abs(vals[i] - vals[j])
               for i, j in itertools.combinations(range(3), 2))
@@ -323,24 +317,24 @@ def mu_E(pot, point, euler=None):
 
 
 def booklet_directions(pot, slice_point, t0=0.0, rng=None, table=None):
-    """Projective directions [X : Y] of the idempotents on a t-slice.
+    """Projective directions [X : Y] of the idempotents on a t-slice: three
+    (X, Y) pairs (3, 2) at a point, (..., 3, 2) at arrays of points.
 
     Each idempotent N = T dt + X dx + Y dy is projected along e = dt to
     the slice tangent plane; the web leaf through the point runs in the
-    direction (X, Y).
+    direction (X, Y), scaled to unit max component.  ``rng`` is accepted
+    and ignored; it is kept only for callers outside src/.
     """
     x, y = slice_point
-    fp = table if table is not None else multiplication_table(
-        pot, (t0, x, y))
-    out = []
-    for e in idempotents(fp, rng=rng):
-        X, Y = e[1], e[2]
-        m = max(abs(X), abs(Y))
-        if m == 0:
-            raise NonSemisimpleError(
-                f"idempotent parallel to unity at {(t0, x, y)}")
-        out.append((X / m, Y / m))
-    return out
+    fp = table if table is not None else multiplication_table(pot, (t0, x, y))
+    XY = idempotents(fp)[..., 1:]
+    m = np.abs(XY).max(axis=-1, keepdims=True)
+    bad = (m == 0).any(axis=(-1, -2))
+    if any_set(bad):
+        t0, x, y = at_first(bad, t0, x, y)
+        raise NonSemisimpleError(
+            f"idempotent parallel to unity at ({t0}, {x}, {y})")
+    return XY / m
 
 
 def theorem2_residual(pot, point, rng=None, table=None):
@@ -348,18 +342,24 @@ def theorem2_residual(pot, point, rng=None, table=None):
 
     Returns the max projective distance between the idempotent slice
     directions and the leaf directions of the characteristic cubic at the
-    same (x, y), paired by match_roots.  Takes one point, not arrays: its
-    idempotent draws follow the caller's rng point by point.
+    same (x, y), paired by least_cost_perm: a float at a point (t, x, y),
+    an array at arrays of points.  ``rng`` is accepted and ignored; it is
+    kept only for callers outside src/.
     """
-    t0, x, y = point
-    if np.ndim(t0) or np.ndim(x) or np.ndim(y):
-        raise ValueError("theorem2_residual takes one point (t, x, y), not "
-                         "arrays of points")
-    dirs = booklet_directions(pot, (x, y), t0=t0, rng=rng, table=table)
-    field = pot.characteristic_field()
-    leaf = [(q, -p) for p, q in roots(field, (x, y))]
-    matched, _ = match_roots(dirs, leaf)
-    return float(max(proj_distance(d, m) for d, m in zip(dirs, matched)))
+    t0, x, y = (v.ravel() for v in np.broadcast_arrays(*point))
+    own = multiplication_table(pot, (t0, x, y))
+    dirs = booklet_directions(pot, (x, y), t0=t0, table=own if table is None
+                              else table).reshape(-1, 3, 1, 2)
+    # the characteristic field's coefficients, from the table's f3 values
+    f3 = own.c.reshape(-1, 27)[:, F3_AT[pot.case]].T
+    co = np.stack(characteristic_coeffs_from_f3(
+        pot.case, *f3, np.ones_like(f3[0])), axis=-1)
+    pq = roots_proj(nonvanishing(co, x, y))[:, None]
+    d = proj_distance((dirs[..., 0], dirs[..., 1]),
+                      (pq[..., 1], -pq[..., 0]))  # leaf direction (q, -p)
+    res = d[np.arange(len(d))[:, None], range(3), PERMS[least_cost_perm(d)]]
+    res = res.max(axis=-1).reshape(np.broadcast(*point).shape)
+    return float(res) if res.ndim == 0 else res
 
 
 # ---------------------------------------------------------------------------
@@ -413,27 +413,23 @@ IDEMPOTENT_STEP = 0.05  # longest first step (L1 length) along a curve
 IDEMPOTENT_MAX_MOVE = 0.5  # summed max-abs move allowed between points
 
 
-def _max_abs_distance(u, v):
-    return float(np.max(np.abs(u - v)))
-
-
 def _idempotent_pieces(P0, P1):
     seg_len = abs(P1[0] - P0[0]) + abs(P1[1] - P0[1])
     return max(1, int(np.ceil(seg_len / IDEMPOTENT_STEP)))
 
 
-def continue_idempotents(pot, curve, t0=0.0, rng=None):
+def continue_idempotents(pot, curve, t0=0.0):
     """Idempotent bases continued along a slice polyline.
 
     Returns the list of (point, [e1, e2, e3]) with a coherent labeling;
     subdivides steps whenever the idempotents move too much at once.
     """
     def at(pt):
-        return idempotents(multiplication_table(pot, (t0, pt[0], pt[1])),
-                           rng=rng)
+        return idempotents(multiplication_table(pot, (t0, pt[0], pt[1])))
 
     return continue_along(curve, at, IDEMPOTENT_MAX_MOVE,
-                          dist=_max_abs_distance, pieces=_idempotent_pieces)
+                          dist=lambda u, v: float(np.max(np.abs(u - v))),
+                          pieces=_idempotent_pieces)
 
 
 def frobenius_transport(pot, curve, v, t0=0.0, rng=None):
@@ -443,10 +439,11 @@ def frobenius_transport(pot, curve, v, t0=0.0, rng=None):
     tangent space as (0, vx, vy), expanded in the idempotent basis there;
     the coordinates are held constant along the curve, and the resulting
     vector at the end point is projected back to the slice along e = dt.
+    ``rng`` is accepted and ignored; it is kept only for callers outside
+    src/.
     """
-    trail = continue_idempotents(pot, curve, t0=t0, rng=rng)
-    start = np.column_stack(trail[0][1])
+    trail = continue_idempotents(pot, curve, t0=t0)
+    start, end = (np.column_stack(trail[k][1]) for k in (0, -1))
     eta = np.linalg.solve(start, np.array([0.0, v[0], v[1]], dtype=complex))
-    end = np.column_stack(trail[-1][1])
     w = end @ eta
     return (w[1], w[2])

@@ -18,8 +18,8 @@ import numpy as np
 from . import chern, cubic
 from .cubic import (PERMS, REGULAR_DISC_TOL, SingularPointError,
                     coeff_values, continued_sigma, discriminant_of_coeffs,
-                    discriminant_scale, match_roots, nonvanishing,
-                    proj_distance)
+                    discriminant_scale, least_cost_perm, match_roots,
+                    nonvanishing, proj_distance)
 
 
 class LeafIntegrationError(ValueError):
@@ -392,15 +392,13 @@ def _chain_labels(vals):
     """The sorted root values (n, 3, 2) at the nodes of a path, relabelled
     along it: node i's roots take the labels that move them least from node
     i - 1's, as match_roots picks them, and node 0 keeps the sorted order.
-    One array pass sums the distances of every (last labels, permutation)
-    pair at every node; only the walk is sequential.  roots_proj's roots are
-    finite with a unit component, so no distance is NaN (where argmin and
-    match_roots' strict < would part)."""
+    One least_cost_perm pass matches every node's roots under each of the
+    labellings the last node may have; only the walk is sequential.
+    roots_proj's roots are finite with a unit component, so no distance is
+    NaN."""
     d = proj_distance((vals[:-1, :, None, 0], vals[:-1, :, None, 1]),
                       (vals[1:, None, :, 0], vals[1:, None, :, 1]))
-    t = d[:, PERMS[:, None], PERMS[None, :]]  # node i's PERMS[k] to i + 1's p
-    choice = np.argmin(t[..., 0] + t[..., 1] + t[..., 2],  # sum()'s order
-                       axis=-1).tolist()
+    choice = least_cost_perm(d[:, PERMS]).tolist()
     k = [0]
     for c in choice:
         k.append(c[k[-1]])

@@ -19,9 +19,8 @@ from hexweb.cubic import (MIN_PIECE, PolyCoeffField, SingularPointError,
                           coeff_values, discriminant_of_coeffs,
                           discriminant_scale, factorization_residual,
                           match_roots, normalization_core, normalize_roots,
-                          proj_distance, roots, roots_proj)
-from hexweb.frobenius import (Potential, solution_potential, taylor_solve,
-                              theorem2_residual)
+                          proj_distance, roots_proj)
+from hexweb.frobenius import Potential, solution_potential, taylor_solve
 from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import normal_form_field, symmetry_losing_web
 from webs import CONTROL_GENERIC as CONTROL, random_poly
@@ -407,7 +406,7 @@ class TestLabelInvariance:
         the others are checked where gamma does not."""
         f = LABEL_FIELDS[name]
         for x, y in [(0.1, 1.0), (0.3, 0.7)]:
-            ref = roots(f, (x, y))
+            ref = roots_proj(f.check_nondegenerate(x, y))
             got = []
             for perm in itertools.permutations(range(3)):
                 sp, lam3 = normalization_core(f.coeff_jets(x, y, 2), x, y, 2,
@@ -492,15 +491,12 @@ class TestPointArrays:
         assert len(lifts) == 1
 
 
-    @pytest.mark.parametrize("route", ["depressed", "theorem2"])
+    @pytest.mark.parametrize("route", ["depressed"])
     def test_single_point_routes_refuse_arrays(self, route):
         pot = solution_potential("A")
         xs, ys = np.array([0.1, 0.3, -0.2]), np.array([1.0, 0.9, 1.1])
         with pytest.raises(ValueError, match="takes one point") as err:
-            if route == "depressed":
-                gamma_depressed(pot.characteristic_field(), (xs, ys))
-            else:
-                theorem2_residual(pot, (0.0, xs, ys), rng=0)
+            gamma_depressed(pot.characteristic_field(), (xs, ys))
         assert type(err.value) is ValueError
 
     def test_definition_raises_as_its_single_call(self):

@@ -394,7 +394,7 @@ def counting(module, name, calls, monkeypatch):
     fn = getattr(module, name)
 
     def counted(field, point, *args, **kwargs):
-        calls.append(np.size(point[0]))
+        calls.append(np.broadcast(*point).size)
         return fn(field, point, *args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -437,7 +437,7 @@ class TestPointSets:
     def test_check_evaluates_its_samples_in_one_call(self, tmp_path,
                                                      monkeypatch):
         names = ("gamma_cubic", "curvature", "gamma_from_definition",
-                 "normalize_roots", "corollary_residual")
+                 "normalize_roots", "corollary_residual", "theorem2_residual")
         calls = {name: [] for name in names}
         for name in names:
             counting(cli, name, calls[name], monkeypatch)

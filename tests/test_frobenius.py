@@ -3,25 +3,20 @@ idempotents, Euler weights, booklet directions, series solver."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hexweb.frobenius import (NonSemisimpleError, NotQuasiHomogeneousError,
+from hexweb.frobenius import (SPLIT_C1, SPLIT_TOL, FrobeniusPoint,
+                              NonSemisimpleError, NotQuasiHomogeneousError,
                               Potential, euler_data, frobenius_transport,
-                              idempotents, mu_E, multiplication_table,
-                              multiply, solution_potential, taylor_solve,
+                              idempotents, mu_E, mult_operator,
+                              multiplication_table, multiply,
+                              solution_potential, taylor_solve,
                               theorem2_residual)
 from hexweb.jets import PolyExpr
+from webs import RECORDED_DRAWS
 
 RNG = np.random.default_rng(77123)
-
-
-def random_semisimple_point(pot, rng, t_range=0.4):
-    for _ in range(100):
-        t = rng.uniform(-t_range, t_range)
-        x = rng.uniform(-1.0, 1.0)
-        y = rng.uniform(0.3, 1.3)
-        if mu_E(pot, (t, x, y)).semisimple:
-            return (t, x, y)
-    raise AssertionError("no semisimple point found")
 
 
 class TestPotentials:
@@ -94,12 +89,11 @@ class TestAlgebra:
 class TestIdempotents:
     @pytest.mark.parametrize("case", ["A", "B"])
     def test_partition_of_unity(self, case):
+        # 10 semisimple points of [-0.4, 0.4] x [-1, 1] x [0.3, 1.3]
         pot = solution_potential(case)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            pt = random_semisimple_point(pot, rng)
+        for pt in RECORDED_DRAWS["partition_of_unity"][case]:
             fp = multiplication_table(pot, pt)
-            ids = idempotents(fp, rng=rng)
+            ids = idempotents(fp)
             assert len(ids) == 3
             assert np.allclose(np.sum(ids, axis=0), fp.e, atol=1e-8)
             for i, ei in enumerate(ids):
@@ -110,7 +104,42 @@ class TestIdempotents:
     def test_nilpotent_point_rejected(self):
         pot = solution_potential("A")
         with pytest.raises(NonSemisimpleError):
-            idempotents(multiplication_table(pot, (0.0, 0.0, 0.0)), rng=1)
+            idempotents(multiplication_table(pot, (0.0, 0.0, 0.0)))
+
+    def test_error_names_the_first_nilpotent_point(self):
+        # the algebra of web A is nilpotent where x = y = 0, for every t
+        t = np.array([0.0, 0.1, 0.2, 0.3])
+        x = np.array([0.3, 0.0, 0.2, 0.0])
+        y = np.array([0.9, 0.0, 1.0, 0.0])
+        fp = multiplication_table(solution_potential("A"), (t, x, y))
+        with pytest.raises(NonSemisimpleError,
+                           match=r"at \(0\.1, 0\.0, 0\.0\)"):
+            idempotents(fp)
+
+    def test_second_element_splits_where_the_first_does_not(self):
+        # an algebra built on a chosen idempotent basis, in which w = (0, 1,
+        # SPLIT_C1) has coordinates (SPLIT_C1, SPLIT_C1, 2 SPLIT_C1 - 1):
+        # basis vector a is the sum over i of P[i, a] e_i
+        P = np.array([[1, SPLIT_C1, 0], [1, 0, 1], [1, -1, 2]])
+        E = np.linalg.inv(P.T)  # rows: the idempotents
+        c = np.einsum("ia,ib,ig->abg", P, P, E)
+        synthetic = FrobeniusPoint((0.0, 0.0, 0.0), "A", c, np.eye(3))
+        vals = np.linalg.eigvals(mult_operator((0.0, 1.0, SPLIT_C1),
+                                               synthetic))
+        gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(3)
+        assert gaps.min() <= SPLIT_TOL  # the first element fails here
+        ids = idempotents(synthetic)
+        assert np.allclose(np.sum(ids, axis=0), synthetic.e, atol=1e-12)
+        for e in ids:
+            assert np.allclose(multiply(e, e, synthetic), e, atol=1e-12)
+        assert all(np.abs(ids - e).max(axis=-1).min() < 1e-12 for e in E)
+        # in a batch beside a point the first element splits, the same bits
+        good = multiplication_table(solution_potential("A"), (0.0, 0.3, 0.9))
+        both = FrobeniusPoint((0.0, 0.0, 0.0), "A",
+                              np.stack([good.c, c]), np.eye(3))
+        batch = idempotents(both)
+        assert batch[0].tobytes() == idempotents(good).tobytes()
+        assert batch[1].tobytes() == ids.tobytes()
 
 
 class TestEuler:
@@ -132,7 +161,7 @@ class TestEuler:
         fp = multiplication_table(pot, pt)
         E = ed.euler_vector(fp.point)
         lams = []
-        for e in idempotents(fp, rng=2):
+        for e in idempotents(fp):
             w = multiply(E, e, fp)
             i = int(np.argmax(np.abs(e)))
             lam = w[i] / e[i]
@@ -148,20 +177,70 @@ class TestEuler:
 class TestBooklet:
     @pytest.mark.parametrize("case", ["A", "B"])
     def test_booklet_matches_characteristic_directions(self, case):
+        # 10 semisimple points of [-0.4, 0.4] x [-1, 1] x [0.3, 1.3]
         pot = solution_potential(case)
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            t, x, y = random_semisimple_point(pot, rng)
-            assert theorem2_residual(pot, (t, x, y), rng=rng) < 1e-8
+        for t, x, y in RECORDED_DRAWS["booklet"][case]:
+            assert theorem2_residual(pot, (t, x, y)) < 1e-8
 
     def test_foreign_table_is_detected(self):
         # booklet directions taken from the wrong point disagree with the
         # characteristic web by a visible margin
         pot = solution_potential("A")
         wrong = multiplication_table(pot, (0.0, 0.55, 0.9))
-        res = theorem2_residual(pot, (0.0, 0.3, 1.1), rng=5, table=wrong)
+        res = theorem2_residual(pot, (0.0, 0.3, 1.1), table=wrong)
         assert res > 1e-4
         assert res == pytest.approx(0.17621, rel=1e-3)
+
+
+# points (t, x, y) of the criterion-4 window
+POINTS = st.tuples(st.floats(-0.4, 0.4), st.floats(-1.0, 1.0),
+                   st.floats(0.3, 1.3))
+
+
+def raised(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (NonSemisimpleError, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestPointArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from("AB"),
+           pts=st.lists(POINTS, min_size=1, max_size=10),
+           one_t=st.booleans(), column=st.booleans())
+    def test_arrays_equal_each_point_alone(self, case, pts, one_t, column):
+        # a point's idempotents and Theorem 2 residual, computed among
+        # others (t may be one number for all), are its floats alone
+        pot = solution_potential(case)
+        t, x, y = np.array(pts).T
+        if one_t:
+            t = float(t[0])
+            pts = [(t, px, py) for _, px, py in pts]
+        if column:  # points (n, 1)
+            t, x, y = (np.reshape(v, (-1, 1)) if np.ndim(v) else v
+                       for v in (t, x, y))
+
+        def ids(point):
+            return idempotents(multiplication_table(pot, point))
+
+        alone = [(raised(ids, p), raised(theorem2_residual, pot, p))
+                 for p in pts]
+        together = (raised(ids, (t, x, y)),
+                    raised(theorem2_residual, pot, (t, x, y)))
+        for k in range(2):
+            fails = [a[k] for a in alone if isinstance(a[k], tuple)]
+            if fails:  # the error of the first failing point
+                assert together[k] == fails[0]
+            else:
+                got = together[k].reshape(len(pts), *np.shape(alone[0][k]))
+                for row, (a, b) in zip(got, alone):
+                    want = (a, b)[k]
+                    assert np.asarray(row).tobytes() == np.asarray(
+                        want).tobytes()
+                    if k:
+                        assert type(want) is float
 
 
 class TestTaylorSolve:
@@ -210,11 +289,11 @@ class TestTransport:
     def test_transport_is_linear_and_invertible(self):
         pot = solution_potential("A")
         curve = [(0.0, 1.0), (0.2, 1.1), (0.35, 1.25)]
-        a = np.array(frobenius_transport(pot, curve, (1.0, 0.0), rng=4))
-        b = np.array(frobenius_transport(pot, curve, (0.0, 1.0), rng=4))
-        c = np.array(frobenius_transport(pot, curve, (2.0, -1.5), rng=4))
+        a = np.array(frobenius_transport(pot, curve, (1.0, 0.0)))
+        b = np.array(frobenius_transport(pot, curve, (0.0, 1.0)))
+        c = np.array(frobenius_transport(pot, curve, (2.0, -1.5)))
         assert np.allclose(c, 2 * a - 1.5 * b, atol=1e-9)
         # round trip
         back = frobenius_transport(pot, curve[::-1],
-                                   (complex(c[0]), complex(c[1])), rng=4)
+                                   (complex(c[0]), complex(c[1])))
         assert abs(back[0] - 2.0) + abs(back[1] + 1.5) < 1e-7

@@ -3,7 +3,8 @@ every name the benchmark reads from the package still exists, no
 tolerance hides as a literal inside a function, no module indexes jet
 coefficients as trailing axes, every formula replayed as a jet program is
 checked against its eager run, only cubic's matcher enumerates
-permutations, and a CLI run loads no scipy module.
+permutations, no numeric routine takes a random generator, and a CLI run
+loads no scipy module.
 
 AST scans of the modules under src/ and tests/; package __init__.py files
 are exempt from the import scan because their imports are the package's
@@ -214,6 +215,47 @@ def test_one_permutation_matcher():
     sites = {(path.name, name) for path in SOURCES
              for name, _ in permutation_sites(path.read_text())}
     assert sites == MATCHER
+
+
+# ---------------------------------------------------------------------------
+# No random knob: the idempotents come from fixed algebra elements, so no
+# function of src/ takes an rng, except three frobenius routes that keep the
+# keyword (accepted and ignored) for callers outside src/.  cli.py is
+# exempt: its command runners get the --seed generator that draws their
+# sample points.
+
+RNG_KEPT = {("frobenius.py", "theorem2_residual"),
+            ("frobenius.py", "booklet_directions"),
+            ("frobenius.py", "frobenius_transport")}
+
+
+def rng_parameters(source):
+    """Names of the functions (and lambdas) in source with a parameter
+    named rng."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                v for v in (a.vararg, a.kwarg) if v]
+            if any(p.arg == "rng" for p in params):
+                found.append(getattr(node, "name", "<lambda>"))
+    return sorted(found)
+
+
+def test_scan_finds_rng_parameters():
+    source = ("def f(x, rng=None):\n    pass\n"
+              "def g(x, *, rng):\n    return lambda rng: rng\n"
+              "def h(x, seed, *rngs, **kw):\n    return rng(x)\n"
+              "class C:\n    def m(self, rng, /):\n        pass\n")
+    assert rng_parameters(source) == ["<lambda>", "f", "g", "m"]
+
+
+def test_no_rng_parameter():
+    found = {(path.name, name) for path in SOURCES if path.name != "cli.py"
+             for name in rng_parameters(path.read_text())}
+    assert found == RNG_KEPT
 
 
 # ---------------------------------------------------------------------------

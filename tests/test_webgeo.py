@@ -14,7 +14,7 @@ from hexweb.chern import curvature, gamma_cubic, integrate_gamma
 from hexweb.cubic import (CallableJetField, DegenerateFieldError,
                           PolyCoeffField, SingularPointError, coeff_values,
                           match_roots, normalization_core, normalize_roots,
-                          proj_distance, roots, roots_proj)
+                          proj_distance, roots_proj)
 from hexweb.frobenius import solution_potential
 from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import symmetry_losing_web
@@ -500,8 +500,10 @@ class TestSymmetry:
             s1, s2 = np.exp(weights[0] * a), np.exp(weights[1] * a)
             worst = 0.0
             for x, y in samples:
-                pushed = [(s1 * q, s2 * -p) for p, q in roots(field, (x, y))]
-                image = [(q, -p) for p, q in roots(field, (s1 * x, s2 * y))]
+                pushed = [(s1 * q, s2 * -p) for p, q in roots_proj(
+                    field.check_nondegenerate(x, y))]
+                image = [(q, -p) for p, q in roots_proj(
+                    field.check_nondegenerate(s1 * x, s2 * y))]
                 matched, _ = match_roots(pushed, image)
                 worst = max(worst, max(proj_distance(u, v)
                                        for u, v in zip(pushed, matched)))
