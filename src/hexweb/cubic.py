@@ -56,13 +56,15 @@ class DirectionField:
         return nonvanishing(self.coeffs(x, y), x, y)
 
 
-def nonvanishing(co, x, y):
+def nonvanishing(co, x, y, mag=None):
     """The coefficients co of a field at (x, y), unless all of them vanish.
 
     co may be an array (..., 4) over arrays of points; the error names the
-    first point (row-major) where all four vanish.
+    first point (row-major) where all four vanish.  mag is np.abs(co) when
+    the caller has it.
     """
-    bad = np.max(np.abs(co), axis=-1) <= COEF_VANISH_TOL
+    bad = np.max(np.abs(co) if mag is None else mag,
+                 axis=-1) <= COEF_VANISH_TOL
     if any_set(bad):
         x, y = at_first(bad, x, y)
         raise DegenerateFieldError(
@@ -157,10 +159,12 @@ def discriminant_of_coeffs(a, b, c, r):
             + b * b * c * c - 4 * b * b * b * r)
 
 
-def discriminant_scale(coeffs):
+def discriminant_scale(coeffs, mag=None):
     """Scale-aware reference magnitude for |D| cutoffs (D is quartic); one
-    per row of an array (..., 4)."""
-    return (1.0 + np.max(np.abs(coeffs), axis=-1)) ** 4
+    per row of an array (..., 4).  mag is np.abs(coeffs) when the caller
+    has it."""
+    return (1.0 + np.max(np.abs(coeffs) if mag is None else mag,
+                         axis=-1)) ** 4
 
 
 REGULAR_DISC_TOL = 1e-12  # scaled |D| at or below which a point is singular
@@ -175,7 +179,7 @@ ROOT_SLOPE_TOL = 1e-12  # |q| / |p| below which a root counts as vertical
 SORT_SCALE = 1e12  # the roots sort by Re, Im of their slope rounded to 1/this
 
 
-def roots_proj(coeffs):
+def roots_proj(coeffs, mag=None):
     """Three projective roots [p_i : q_i] of C(p, q) = 0 per coefficient row.
 
     coeffs is a row (4,) or an array of rows (..., 4); the roots come back
@@ -185,12 +189,13 @@ def roots_proj(coeffs):
     roots are labelled in a fixed order: finite slopes w = p/q first (else
     w = q/p), then by Re w and Im w rounded to 12 decimals.  A row in a
     batch gives exactly the floats it gives alone; a single row (4,) takes
-    _roots_row, which gives the floats of the batch of one.
+    _roots_row, which gives the floats of the batch of one.  mag is
+    np.abs(coeffs) when the caller has it.
     """
     co = np.asarray(coeffs, dtype=complex)
+    mag = np.abs(co) if mag is None else mag
     if co.ndim == 1:
-        return _roots_row(co)
-    mag = np.abs(co)
+        return _roots_row(co, mag)
     scale = np.maximum.reduce(mag, axis=-1)
     chart = mag[..., 0] >= mag[..., 3]  # slope chart q = 1: a s^3 + .. + r
     if (chart & (mag[..., 0] <= CHART_DEGENERATE_TOL * scale)).any():
@@ -216,11 +221,11 @@ def roots_proj(coeffs):
     return pq / np.maximum(np.abs(s), 1.0)[..., None]
 
 
-def _roots_row(co):
-    """roots_proj of one row (4,): the bookkeeping in Python scalars, and
-    numpy on the arrays wherever it rounds unlike Python (the quotients,
-    the moduli, the sort value and the final scaling)."""
-    mag = np.abs(co).tolist()
+def _roots_row(co, mag):
+    """roots_proj of one row (4,), given its moduli mag: the bookkeeping in
+    Python scalars, and numpy on the arrays wherever it rounds unlike Python
+    (the quotients, the moduli, the sort value and the final scaling)."""
+    mag = mag.tolist()
     scale = math.nan if math.isnan(sum(mag)) else max(mag)  # as numpy's max
     chart = mag[0] >= mag[3]
     if chart and mag[0] <= CHART_DEGENERATE_TOL * scale:

@@ -90,6 +90,11 @@ class Potential:
         """The equation's left-hand side, per point (an order-0 lift)."""
         return self.residual_poly.jet((x, y), 0).value
 
+    @cached_property
+    def euler(self):
+        """euler_data of the potential, solved once."""
+        return euler_data(self)
+
     def characteristic_field(self):
         """Cubic direction field of the characteristic curves of f (built
         once, as f3 is)."""
@@ -301,8 +306,9 @@ SEMISIMPLE_GAP_TOL = 1e-8  # least relative eigenvalue gap of v -> E . v
 
 
 def mu_E(pot, point, euler=None):
-    """Eigenvalues of v -> E . v, sorted lexicographically in (Re, Im)."""
-    ed = euler if euler is not None else euler_data(pot)
+    """Eigenvalues of v -> E . v, sorted lexicographically in (Re, Im);
+    the Euler data is pot.euler unless given."""
+    ed = euler if euler is not None else pot.euler
     fp = multiplication_table(pot, point)
     vals = np.linalg.eigvals(mult_operator(ed.euler_vector(point), fp))
     vals = sorted(vals, key=lambda z: (round(z.real, 10), round(z.imag, 10)))

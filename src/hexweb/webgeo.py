@@ -9,7 +9,9 @@ Thomsen closure figure and the abelian relation u1 + u2 + u3 = const.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,11 +93,12 @@ def real_directions(field, point):
     return _real_directions(field.coeffs(point[0], point[1]), point)
 
 
-def _real_directions(co, point):
-    """real_directions from the field's coefficients co at the point, in
-    Python floats (math.sqrt(x*x + y*y) is numpy's norm of a pair)."""
+def _real_directions(co, point, mag=None):
+    """real_directions from the field's coefficients co at the point (and
+    their moduli mag, if known), in Python floats (math.sqrt(x*x + y*y) is
+    numpy's norm of a pair)."""
     dirs = []
-    pq = cubic.roots_proj(nonvanishing(co, point[0], point[1]))
+    pq = cubic.roots_proj(nonvanishing(co, point[0], point[1], mag), mag)
     for p, q in pq.tolist():
         imag = max(abs(p.imag), abs(q.imag))
         if imag > START_IMAG_TOL * max(abs(p), abs(q)):
@@ -109,6 +112,20 @@ def _real_directions(co, point):
     return np.array(dirs)
 
 
+def _quotient(n, d):
+    """n / d for complex n and nonzero d, in Python floats, rounded as
+    numpy's complex128 division rounds (Smith's method); Python's own
+    complex division rounds otherwise."""
+    (ar, ai), (br, bi) = (n.real, n.imag), (d.real, d.imag)
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
 def _turning_rate(field, state, first_order=None):
     """d/ds of the leaf state (x, y, ux, uy), and (a, b, c, r) at (x, y), in
     floats from field.first_order(x, y) (or the given first_order).
@@ -116,20 +133,21 @@ def _turning_rate(field, state, first_order=None):
     The covector (p, q) = (-ny, nx) of n = u/|u| stays a root of C(x, y; p, q)
     while n turns at omega = (C_x nx + C_y ny) / (C_p nx + C_q ny), formed in
     complex arithmetic so that a nonvanishing factor on the field cancels.
+    |u| is abs(complex(ux, uy)), libm's hypot as in np.hypot.
     """
     x, y, ux, uy = state
     (a, b, c, r), co_x, co_y = first_order or field.first_order(x, y)
-    norm = float(np.hypot(ux, uy))
+    norm = abs(complex(ux, uy))
     nx, ny = ux / norm, uy / norm
     p, q = -ny, nx
-    m = (p ** 3, p * p * q, p * q * q, q ** 3)
-    C_x, C_y = [d[0] * m[0] + d[1] * m[1] + d[2] * m[2] + d[3] * m[3]
-                for d in (co_x, co_y)]
+    m0, m1, m2, m3 = p ** 3, p * p * q, p * q * q, q ** 3
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = co_x, co_y
+    C_x = x0 * m0 + x1 * m1 + x2 * m2 + x3 * m3
+    C_y = y0 * m0 + y1 * m1 + y2 * m2 + y3 * m3
     C_p = 3 * a * p * p + 2 * b * p * q + c * q * q
     C_q = b * p * p + 2 * c * p * q + 3 * r * q * q
     den = C_p * nx + C_q * ny
-    # numpy's complex quotient rounds unlike Python's; leaves keep its floats
-    w = (complex(np.complex128(C_x * nx + C_y * ny) / den)
+    w = (_quotient(C_x * nx + C_y * ny, den)
          if den and cmath.isfinite(den) else complex(math.nan))
     if not (cmath.isfinite(w)
             and abs(w.imag) <= TRACK_IMAG_TOL * (1 + abs(w))):
@@ -137,57 +155,91 @@ def _turning_rate(field, state, first_order=None):
     return (nx, ny, -w.real * ny, w.real * nx), (a, b, c, r)
 
 
-def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
-    """Integrate one web leaf from a regular real point.
+@dataclass(eq=False)
+class _Half:
+    """A leaf in one orientation while it is integrated: the accepted
+    points, unit tangents and arclengths so far, and why it ended ("" while
+    it runs)."""
+
+    points: list
+    tangents: list
+    params: list
+    termination: str = ""
+
+
+def _leaf_steps(field, start, branch, sign, tol, h, total, land=None,
+                domain=None):
+    """The leaf loop, one accepted step at a time.
 
     Embedded Runge-Kutta (Bogacki-Shampine 3(2)) on the state (x, y, u) in
-    Python floats: u is turned so that it stays a root of the cubic, each
-    stage makes one field.first_order call, only the start solves for roots,
-    and a step failing at a tiny size ends the leaf.  Branches 1..3 ascend
-    in angle at the start; negative ``length`` integrates in the reverse
-    orientation.  A bad branch, length or tol raises ValueError.
+    Python floats, from the start in orientation sign with first step h: u
+    is turned so that it stays a root of the cubic, each stage makes one
+    field.first_order call, only the start solves for roots, and a step
+    failing at a tiny size ends the leaf.
+
+    A generator: it yields the leaf's _Half once the start is checked and
+    again after each accepted step, which it has appended; when the leaf
+    ends (at arclength total, which may be inf, at the domain's edge or
+    near D = 0) it sets the termination and returns.  One step lands
+    exactly on the arclength land (default total), as the last step of a
+    leaf integrated to land does, so up to land the leaf has that leaf's
+    floats.
     """
-    if not (branch in (1, 2, 3) and math.isfinite(length)
-            and 0 < tol < math.inf):
-        raise ValueError(f"bad branch/length/tol {branch}, {length}, {tol}")
     pt = (float(start[0]), float(start[1]))
     first = field.first_order(*pt)
     co = first[0]
+    row = np.array(co)
+    mag = np.abs(row)  # the one modulus pass of the start
     D0 = discriminant_of_coeffs(*co)
-    scale = discriminant_scale(co)
+    scale = discriminant_scale(row, mag)
     if abs(D0) <= REGULAR_DISC_TOL * scale:
         raise SingularPointError(f"start on the discriminant: |D|={abs(D0):.2e}")
     prox = LEAF_PROX_FACTOR * scale
-    dirs = _real_directions(co, pt)
-    sign = 1.0 if length >= 0 else -1.0
+    dirs = _real_directions(row, pt, mag)
     state = pt + tuple((sign * dirs[branch - 1]).tolist())
-    total = abs(float(length))
+    half = _Half([pt], [state[2:]], [0.0])
+    pts, tans, params = half.points, half.tangents, half.params
+    yield half
 
-    pts, tans, params = [pt], [state[2:]], [0.0]
+    land = total if land is None else land
     termination, s_done = "length", 0.0
-    h = min(LEAF_MAX_STEP, total / 4 if total > 0 else LEAF_MAX_STEP)
     k1 = None
     while s_done < total - LEAF_LENGTH_SLACK:
-        h = min(h, total - s_done)
+        h = min(h, (land if s_done < land - LEAF_LENGTH_SLACK else total)
+                - s_done)
         try:
             if k1 is None:
                 k1, _ = _turning_rate(field, state, first)
-            k2, _ = _turning_rate(field, [
-                s + (0.5 * h) * k for s, k in zip(state, k1)])
-            k3, _ = _turning_rate(field, [
-                s + (0.75 * h) * k for s, k in zip(state, k2)])
-            y_new = [s + h * (2 * d1 + 3 * d2 + 4 * d3) / 9.0
-                     for s, d1, d2, d3 in zip(state, k1, k2, k3)]
+            # the four components written out: a comprehension over them
+            # costs more than the arithmetic
+            x, y, ux, uy = state
+            a1, b1, c1, d1 = k1
+            g = 0.5 * h
+            k2, _ = _turning_rate(field, (x + g * a1, y + g * b1,
+                                          ux + g * c1, uy + g * d1))
+            a2, b2, c2, d2 = k2
+            g = 0.75 * h
+            k3, _ = _turning_rate(field, (x + g * a2, y + g * b2,
+                                          ux + g * c2, uy + g * d2))
+            a3, b3, c3, d3 = k3
+            y_new = (x + h * (2 * a1 + 3 * a2 + 4 * a3) / 9.0,
+                     y + h * (2 * b1 + 3 * b2 + 4 * b3) / 9.0,
+                     ux + h * (2 * c1 + 3 * c2 + 4 * c3) / 9.0,
+                     uy + h * (2 * d1 + 3 * d2 + 4 * d3) / 9.0)
             k4, co = _turning_rate(field, y_new)
-            z_new = [s + h * (7 * d1 / 24 + d2 / 4 + d3 / 3 + d4 / 8)
-                     for s, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)]
+            a4, b4, c4, d4 = k4
+            z_new = (x + h * (7 * a1 / 24 + a2 / 4 + a3 / 3 + a4 / 8),
+                     y + h * (7 * b1 / 24 + b2 / 4 + b3 / 3 + b4 / 8),
+                     ux + h * (7 * c1 / 24 + c2 / 4 + c3 / 3 + c4 / 8),
+                     uy + h * (7 * d1 / 24 + d2 / 4 + d3 / 3 + d4 / 8))
         except (LeafIntegrationError, ZeroDivisionError):  # |u| = 0
             if h > LEAF_RETRY_STEP:
                 h *= 0.25
                 continue
             termination = "discriminant-proximity"
             break
-        err = max(abs(u - v) for u, v in zip(y_new, z_new))
+        err = max(abs(y_new[0] - z_new[0]), abs(y_new[1] - z_new[1]),
+                  abs(y_new[2] - z_new[2]), abs(y_new[3] - z_new[3]))
         if err > tol:
             if h > LEAF_MIN_STEP:
                 h *= max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0))
@@ -200,6 +252,7 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
         pts.append(state[:2])
         tans.append(k4[:2])
         params.append(s_done)
+        yield half
         if abs(discriminant_of_coeffs(*co)) <= prox:
             termination = "discriminant-proximity"
             break
@@ -210,22 +263,52 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
                 break
         grow = min(4.0, 0.9 * (tol / err) ** (1.0 / 3.0)) if err > 0 else 2.0
         h = min(h * grow, LEAF_MAX_STEP)
-    return Leaf(branch=branch, points=np.array(pts), tangents=np.array(tans),
-                params=np.array(params), termination=termination)
+    half.termination = termination
+
+
+def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
+    """Integrate one web leaf from a regular real point.
+
+    Runs the leaf loop _leaf_steps (embedded Runge-Kutta on Python floats)
+    to arclength |length|, from a first step of min(LEAF_MAX_STEP,
+    |length| / 4).  Branches 1..3 ascend in angle at the start; negative
+    ``length`` integrates in the reverse orientation.  A bad branch, length
+    or tol raises ValueError.
+    """
+    if not (branch in (1, 2, 3) and math.isfinite(length)
+            and 0 < tol < math.inf):
+        raise ValueError(f"bad branch/length/tol {branch}, {length}, {tol}")
+    total = abs(float(length))
+    h = min(LEAF_MAX_STEP, total / 4 if total > 0 else LEAF_MAX_STEP)
+    for half in _leaf_steps(field, start, branch, 1.0 if length >= 0 else -1.0,
+                            tol, h, total, domain=domain):
+        pass
+    return Leaf(branch=branch, points=np.array(half.points),
+                tangents=np.array(half.tangents),
+                params=np.array(half.params), termination=half.termination)
+
+
+def _stitched(branch, fwd, bwd):
+    """One leaf with arclength parameter from -bwd's to fwd's reach, from
+    its two halves (Leaf or _Half) out of the same start.  The reverse half
+    travels against the curve parameter: its tangents flip and its
+    arclengths are negated."""
+    bp = np.asarray(bwd.params)[::-1]
+    return Leaf(branch=branch,
+                points=np.vstack([np.asarray(bwd.points)[::-1],
+                                  np.asarray(fwd.points)[1:]]),
+                tangents=np.vstack([-np.asarray(bwd.tangents)[::-1],
+                                    np.asarray(fwd.tangents)[1:]]),
+                params=np.concatenate([-bp, np.asarray(fwd.params)[1:]]),
+                termination=fwd.termination or "length")
 
 
 def leaf_through(field, point, branch, half_length, tol=1e-8):
-    """Leaf through a point, integrated in both orientations and merged
-    into a single curve with arclength parameter in [-L, +L]."""
-    fwd = integrate_leaf(field, point, branch, half_length, tol=tol)
-    bwd = integrate_leaf(field, point, branch, -half_length, tol=tol)
-    # the reverse half travels against the curve parameter: flip its
-    # tangents and negate its arclengths when stitching
-    pts = np.vstack([bwd.points[::-1], fwd.points[1:]])
-    tans = np.vstack([-bwd.tangents[::-1], fwd.tangents[1:]])
-    params = np.concatenate([-bwd.params[::-1], fwd.params[1:]])
-    return Leaf(branch=branch, points=pts, tangents=tans, params=params,
-                termination=fwd.termination)
+    """Leaf through a point: integrate_leaf in both orientations to
+    |half_length|, merged into a single curve with arclength parameter in
+    [-L, +L] and the forward half's termination."""
+    return _stitched(branch, *(integrate_leaf(field, point, branch, L, tol=tol)
+                               for L in (half_length, -half_length)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +330,20 @@ CROSSING_ITERS = 8  # a seed not converged after this many steps is dropped
 
 def _crossing_step(m, t, f):
     """(ds, dr) with m ds - t dr = -f; broadcasts over leading axes."""
-    (mx, my), (tx, ty), (fx, fy) = (np.moveaxis(v, -1, 0) for v in (m, t, f))
+    (mx, my), (tx, ty), (fx, fy) = ((v[..., 0], v[..., 1]) for v in (m, t, f))
     det = mx * ty - my * tx
     return (tx * fy - ty * fx) / det, (mx * fy - my * fx) / det
+
+
+def _segments_meet(P0, P1, Q0, Q1):
+    """Whether the segment P0 P1 meets the segment Q0 Q1: _first_crossing's
+    seed test on one pair of chords, in Python floats."""
+    mx, my = P1[0] - P0[0], P1[1] - P0[1]
+    tx, ty = Q1[0] - Q0[0], Q1[1] - Q0[1]
+    fx, fy = P0[0] - Q0[0], P0[1] - Q0[1]
+    det = mx * ty - my * tx
+    return bool(det) and (0 <= (tx * fy - ty * fx) / det <= 1
+                          and 0 <= (mx * fy - my * fx) / det <= 1)
 
 
 def _first_crossing(moving, target):
@@ -278,7 +372,7 @@ def _first_crossing(moving, target):
                default=None)
 
 
-CLOSURE_REACH = 6.0  # half-length of the hexagon's leaves, in units of eps
+CLOSURE_REACH = 6.0  # leaf step scale and cap of the hexagon, in units of eps
 
 
 def thomsen_closure(field, base, eps, tol=1e-10):
@@ -288,23 +382,112 @@ def thomsen_closure(field, base, eps, tol=1e-10):
     of the foliations 2, 1, 3, 2, 1, 3 are followed in turn, each until it
     meets the base leaf of foliation 3, 2, 1, 3, 2, 1 respectively; for a
     hexagonal web the sixth vertex returns to the first.
+
+    Every leaf runs integrate_leaf's loop (_leaf_steps) in both
+    orientations, one accepted step at a time, with the steps of a leaf
+    integrated to CLOSURE_REACH * eps, and stops at its crossing (event
+    location).  A moving leaf steps whichever half is shorter and tests
+    each new chord against the target's polyline; the target's halves grow
+    only until the chord meets them or they reach farther from base than
+    the chord.  Once a chord crosses, ending at arclength s*, the other
+    half goes on to s*, the two halves and the target take one full step
+    past the crossing, and _first_crossing's Newton solves on the stitched
+    leaves.  No half goes past the cap CLOSURE_REACH * eps / sin(theta_min),
+    theta_min the smallest angle between the three leaf directions at base.
+    A moving leaf that finds no crossing raises LeafIntegrationError, which
+    names the discriminant when a half of it or of its target ended at
+    D = 0.  A bad eps or tol raises ValueError.
     """
+    if not (0 < eps < math.inf and 0 < tol < math.inf):
+        raise ValueError(f"bad eps/tol {eps}, {tol}")
     base = (float(base[0]), float(base[1]))
-    L = CLOSURE_REACH * eps
-    C = {j: leaf_through(field, base, j, L, tol=tol) for j in (1, 2, 3)}
-    X = np.asarray(C[1].point_at(eps), dtype=float)
-    first = X.copy()
-    vertices = [X.copy()]
-    plan = [(2, 3), (1, 2), (3, 1), (2, 3), (1, 2), (3, 1)]
-    for foliation, target in plan:
-        moving = leaf_through(field, (X[0], X[1]), foliation, L, tol=tol)
-        s = _first_crossing(moving, C[target])
+    reach = CLOSURE_REACH * eps
+
+    steps = {}  # each growing half's _leaf_steps generator
+
+    def leaf(point, branch):
+        """The two growing halves of the leaf through point."""
+        halves = []
+        for sign in (1.0, -1.0):
+            gen = _leaf_steps(field, point, branch, sign, tol,
+                              min(LEAF_MAX_STEP, reach / 4), math.inf, reach)
+            halves.append(next(gen))
+            steps[halves[-1]] = gen
+        return halves
+
+    C = {j: leaf(base, j) for j in (1, 2, 3)}
+    dirs = [C[j][0].tangents[0] for j in (1, 2, 3)]
+    cap = reach / min(abs(u[0] * v[1] - u[1] * v[0])
+                      for u, v in itertools.combinations(dirs, 2))
+
+    def grow(half):
+        """One more accepted step, unless the half ended or reached cap."""
+        return (not half.termination and half.params[-1] < cap
+                and next(steps[half], None) is not None)
+
+    def past(half, s):
+        """Grow a half until a full step lies past arclength s."""
+        while (len(half.params) < 2 or half.params[-2] < s) and grow(half):
+            pass
+
+    def meets(chord, target):
+        """Whether a moving leaf's chord meets the base leaf target.  Each
+        half of the target is scanned from the arclength that the chord's
+        nearest point needs (a point at arclength r lies within r of base)
+        and grows until the chord meets it, then one full step past the
+        hit, or until it reaches farther from base than the chord."""
+        P0, P1 = chord
+        d0, d1 = math.dist(P0, base), math.dist(P1, base)
+        near, far = min(d0, d1) - math.dist(P0, P1) / 2, max(d0, d1)
+        for half in C[target]:
+            Q = half.points
+            j = max(bisect.bisect_left(half.params, near) - 1, 0)
+            while (math.dist(Q[j], base) <= far
+                   and (j + 1 < len(Q) or grow(half))):
+                if _segments_meet(P0, P1, Q[j], Q[j + 1]):
+                    past(half, half.params[j + 1])
+                    return True
+                j += 1
+        return False
+
+    def vertex(point, foliation, target):
+        """Where the leaf of foliation through point meets C[target]."""
+        halves = leaf(point, foliation)
+        live, crossed = list(halves), math.inf
+        while live:
+            half = min(live, key=lambda h: h.params[-1])
+            if half.params[-1] >= crossed or not grow(half):
+                live.remove(half)
+            elif meets(half.points[-2:], target):
+                crossed = min(crossed, half.params[-1])
+        s = None
+        if crossed < math.inf:
+            for half in halves:
+                past(half, crossed)
+            moving = _stitched(foliation, *halves)
+            s = _first_crossing(moving, _stitched(target, *C[target]))
         if s is None:
+            for ended, name, other in (
+                    (halves, f"hexagon leaf {foliation}",
+                     f"the target leaf {target}"),
+                    (C[target], f"target leaf {target}",
+                     f"hexagon leaf {foliation}")):
+                if any(h.termination == "discriminant-proximity"
+                       for h in ended):
+                    raise LeafIntegrationError(
+                        f"{name} reached the discriminant (D = 0) before "
+                        f"meeting {other}")
             raise LeafIntegrationError(
                 f"hexagon construction lost the target leaf {target}")
-        X = np.asarray(moving.point_at(s), dtype=float)
-        vertices.append(X.copy())
-    gap = float(np.linalg.norm(vertices[-1] - first))
+        return np.asarray(moving.point_at(s), dtype=float)
+
+    past(C[1][0], eps)
+    X = np.asarray(_stitched(1, *C[1]).point_at(eps), dtype=float)
+    vertices = [X]
+    plan = [(2, 3), (1, 2), (3, 1), (2, 3), (1, 2), (3, 1)]
+    for foliation, target in plan:
+        vertices.append(vertex(vertices[-1], foliation, target))
+    gap = float(np.linalg.norm(vertices[-1] - X))
     return HexagonReport(base=base, eps=float(eps), vertices=vertices,
                          gap=gap)
 

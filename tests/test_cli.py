@@ -298,6 +298,22 @@ class TestExitCodes:
         assert rep["pass"] is False
         assert rep["closure"]["gap"] > 1e-6
 
+    def test_closure_names_the_discriminant(self, tmp_path, capsys):
+        # H3 (flat, case A) at (0.2, 0.8): at eps 0.01 the second moving
+        # leaf runs into D = 0 before it meets its target
+        h3 = {"kind": "potential", "case": "A",
+              "monomials": [{"exps": [3, 2], "coef": "1/6"},
+                            {"exps": [2, 5], "coef": "1/20"},
+                            {"exps": [0, 11], "coef": "1/3960"}]}
+        cfg = write_config(tmp_path, h3, base=[0.2, 0.8], eps=0.01)
+        out = tmp_path / "out"
+        assert main(["closure", "--config", cfg, "--out", str(out)]) == 1
+        rep = json.loads((out / "closure_report.json").read_text())
+        assert rep["pass"] is False
+        assert rep["error"] == ("hexagon leaf 2 reached the discriminant "
+                                "(D = 0) before meeting the target leaf 3")
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestReports:
     def test_report_metadata(self, tmp_path):

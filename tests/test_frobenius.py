@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexweb import frobenius
 from hexweb.frobenius import (SPLIT_C1, SPLIT_TOL, FrobeniusPoint,
                               NonSemisimpleError, NotQuasiHomogeneousError,
                               Potential, euler_data, frobenius_transport,
@@ -172,6 +173,22 @@ class TestEuler:
         assert cv.semisimple
         assert np.allclose(lams, cv.lambdas, atol=1e-10)
         assert cv.lambdas[0] == pytest.approx(-0.5535308618, abs=1e-9)
+
+    def test_mu_e_solves_the_euler_system_once_per_potential(self,
+                                                             monkeypatch):
+        solves = []
+
+        def counted(pot):
+            solves.append(pot)
+            return euler_data(pot)
+
+        monkeypatch.setattr(frobenius, "euler_data", counted)
+        for case in ("A", "B"):
+            pot = solution_potential(case)
+            ed = euler_data(pot)
+            for pt in [(0.2, 0.4, 1.2), (-0.1, 0.3, 0.9), (0.0, 0.1, 0.5)]:
+                assert mu_E(pot, pt) == mu_E(pot, pt, euler=ed)
+            assert solves.count(pot) == 1
 
 
 class TestBooklet:

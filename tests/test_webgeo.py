@@ -3,24 +3,26 @@ scaling symmetries."""
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hexweb import cubic
+from hexweb import cubic, webgeo
 from hexweb.chern import curvature, gamma_cubic, integrate_gamma
 from hexweb.cubic import (CallableJetField, DegenerateFieldError,
                           PolyCoeffField, SingularPointError, coeff_values,
                           match_roots, normalization_core, normalize_roots,
                           proj_distance, roots_proj)
-from hexweb.frobenius import solution_potential
+from hexweb.frobenius import Potential, solution_potential
 from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import symmetry_losing_web
 from hexweb.webgeo import (FI_STEP, START_IMAG_TOL, FirstIntegralState,
                            LeafIntegrationError, _chain_labels,
-                           _first_crossing,
+                           _first_crossing, _quotient,
                            first_integrals, integrate_leaf, leaf_through,
                            real_directions, symmetry_residual,
                            thomsen_closure)
@@ -213,9 +215,9 @@ class TestCarriedDirection:
     def test_one_root_solve_per_leaf(self, monkeypatch):
         calls = []
 
-        def counted(co):
+        def counted(co, *mag):
             calls.append(co)
-            return roots_proj(co)
+            return roots_proj(co, *mag)
 
         monkeypatch.setattr("hexweb.cubic.roots_proj", counted)
         for start, branch, length in [((0.0, 1.0), 1, 0.6),
@@ -255,7 +257,115 @@ def test_leaves_equal_their_recorded_floats():
             assert got == case[name], (case["field"], case["start"], name)
 
 
+def bits(*values):
+    """The IEEE bits of floats and of complex numbers' parts."""
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+# floats of either sign from 1e-300 to 1e300 in magnitude, log-uniform,
+# and signed zeros
+SCALARS = st.one_of(
+    st.builds(lambda m, e, sign: sign * m * 10.0 ** e,
+              st.floats(1.0, 10.0), st.integers(-300, 299),
+              st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def divisors(draw):
+    """Nonzero complex divisors, a third of them with |Re| = |Im|."""
+    re, im = draw(SCALARS), draw(SCALARS)
+    if draw(st.integers(0, 2)) == 0:
+        im = draw(st.sampled_from([1.0, -1.0])) * re
+    if re == im == 0:
+        re = draw(st.sampled_from([1.0, -1.0]))
+    return complex(re, im)
+
+
+class TestScalarStages:
+    """The leaf stages' Python scalars round as the numpy calls they
+    replace: the turning rate's quotient and the norm of u."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(SCALARS, SCALARS, divisors())
+    def test_quotient_equals_numpy_bit_for_bit(self, nr, ni, d):
+        n = complex(nr, ni)
+        with np.errstate(all="ignore"):
+            want = complex(np.complex128(n) / d)
+        assert bits(_quotient(n, d)) == bits(want), (n, d)
+
+    def test_quotient_ties_and_signed_zeros(self):
+        for n in [1 + 2j, complex(-0.0, 3.0), complex(0.0, -0.0),
+                  1e300 - 1e-300j]:
+            for d in [1 + 1j, -1 + 1j, complex(2.0, -2.0), complex(-0.0, 1.0),
+                      complex(1.0, -0.0), complex(-3.0, -0.0),
+                      complex(1e-300, 1e-300), complex(1e300, -1e300)]:
+                with np.errstate(all="ignore"):
+                    want = complex(np.complex128(n) / d)
+                assert bits(_quotient(n, d)) == bits(want), (n, d)
+
+    @settings(max_examples=400, deadline=None)
+    @given(SCALARS, SCALARS)
+    def test_complex_abs_is_numpy_hypot(self, a, b):
+        assert bits(abs(complex(a, b))) == bits(float(np.hypot(a, b)))
+
+
+# Thomsen hexagons as float.hex, recorded when every hexagon leaf was
+# integrated to +-CLOSURE_REACH * eps: the ladder of the slope control at
+# (0, 0) and web A at (0, 1), each with its field's name, base and eps
+GOLDEN_HEXAGONS = Path(__file__).parent / "data" / "hexagons_golden.json"
+# accepted leaf steps of web A's hexagon at (0, 1), eps 0.05, in that version
+FULL_REACH_STEPS = 2710
+# H3, flat, with f = x^3 y^2 / 6 + x^2 y^5 / 20 + y^11 / 3960 in case A; at
+# (0.2, 0.8) its leaves of foliations 2 and 3 meet at 6.8 degrees, so the
+# first moving leaf meets its target about 8.4 eps out
+H3 = Potential("A", PolyExpr.from_dict({
+    (3, 2): Fraction(1, 6), (2, 5): Fraction(1, 20),
+    (0, 11): Fraction(1, 3960)}))
+H3_BASE = (0.2, 0.8)
+
+
 class TestThomsenClosure:
+    def test_hexagons_equal_their_recorded_floats(self):
+        cases = json.loads(GOLDEN_HEXAGONS.read_text())
+        fields = {"control": CONTROL, "A": FIELD_A}
+        assert len(cases) == 4
+        for case in cases:
+            rep = thomsen_closure(fields[case["field"]], case["base"],
+                                  case["eps"], tol=1e-10)
+            assert [[v.hex() for v in X] for X in np.array(
+                rep.vertices).tolist()] == case["vertices"], case["eps"]
+            assert rep.gap.hex() == case["gap"]
+
+    def test_leaves_stop_at_their_crossing(self, monkeypatch):
+        steps = []
+
+        def counted(*args, **kwargs):
+            steps.append(-1)  # the first yield is the start
+            for half in leaf_steps(*args, **kwargs):
+                steps[-1] += 1
+                yield half
+
+        leaf_steps = webgeo._leaf_steps
+        monkeypatch.setattr(webgeo, "_leaf_steps", counted)
+        rep = thomsen_closure(FIELD_A, (0.0, 1.0), 0.05, tol=1e-10)
+        assert rep.gap < 1e-10
+        assert len(steps) == 18  # three base leaves and six moving ones
+        assert sum(steps) <= 0.6 * FULL_REACH_STEPS
+
+    def test_h3_closes_beyond_the_old_reach(self):
+        assert abs(H3.associativity_residual(*H3_BASE)) < 1e-15
+        for eps in (0.005, 0.002):
+            rep = thomsen_closure(H3.characteristic_field(), H3_BASE, eps,
+                                  tol=1e-10)
+            assert rep.gap <= 1e-10, eps
+
+    def test_h3_names_the_discriminant(self):
+        with pytest.raises(LeafIntegrationError,
+                           match=r"hexagon leaf 2 reached the discriminant"):
+            thomsen_closure(H3.characteristic_field(), H3_BASE, 0.01,
+                            tol=1e-10)
+
     def test_parallel_lines_close_exactly(self):
         rep = thomsen_closure(PARALLEL, (0.0, 0.0), 0.1)
         assert rep.gap < 1e-15
