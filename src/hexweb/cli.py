@@ -28,8 +28,8 @@ from .frobenius import Potential, theorem2_residual
 from .jets import PolyExpr, modulus
 from .singular import (classify_singularity, f_ode_residual,
                        normal_form_field, trace_discriminant)
-from .webgeo import (LeafIntegrationError, integrate_leaf, symmetry_residual,
-                     thomsen_closure)
+from .webgeo import (LeafIntegrationError, _stitched, integrate_leaf,
+                     symmetry_residual, thomsen_closure)
 
 COMMANDS = ("check", "gamma", "leaves", "closure", "discriminant",
             "normalforms", "classify")
@@ -372,15 +372,13 @@ def run_leaves(obj, cfg, rng, report, outdir):
         for y in np.linspace(y0, y1, n + 2)[1:-1]:
             for branch in (1, 2, 3):
                 try:
-                    fwd = integrate_leaf(field, (x, y), branch, length,
-                                         domain=window)
-                    bwd = integrate_leaf(field, (x, y), branch, -length,
-                                         domain=window)
+                    leaf = _stitched(branch, *(
+                        integrate_leaf(field, (x, y), branch, L, domain=window)
+                        for L in (length, -length)))
                 except (LeafIntegrationError, SingularPointError,
                         ValueError):
                     continue
-                pts = np.vstack([bwd.points[::-1], fwd.points[1:]])
-                layers.append((pts, BRANCH_COLORS[branch], 1.5))
+                layers.append((leaf.points, BRANCH_COLORS[branch], 1.5))
                 count += 1
     trace = trace_discriminant(field, window, n=max(16, 4 * n))
     for curve in trace.curves:

@@ -8,14 +8,14 @@ hence leaf slope dy/dx = -p_i/q_i.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, any_set, base_point, cbrt_factor, jet_cbrt, replay
+from .jets import (Jet, any_set, base_point, cbrt_factor, jet_cbrt, lift,
+                   lift_jets, replay)
 
 COEF_VANISH_TOL = 1e-12
 
@@ -90,35 +90,22 @@ class PolyCoeffField(DirectionField):
 
     def __init__(self, a, b, c, r):
         self.abcr = (a, b, c, r)
+        self._lift_tables = {}
 
     def coeff_jets(self, x, y, order):
-        """Coefficient jets at a point, or at arrays of points (real points
-        lift bit for bit as each point alone does; see PolyExpr.jet)."""
-        point = base_point(x, y)
-        return tuple(p.jet(point, order) for p in self.abcr)
+        """Coefficient jets at a point, or at arrays of points (jets.lift)."""
+        return tuple(lift_jets(self.abcr, base_point(x, y), order,
+                               self._lift_tables))
 
     def coeffs(self, x, y):
-        try:
-            return np.array([complex(p(x, y)) for p in self.abcr])
-        except TypeError:
-            if np.ndim(x) or np.ndim(y):
-                raise ValueError("PolyCoeffField.coeffs takes one point; "
-                                 "coeff_jets takes arrays") from None
-            raise
-
-    @functools.cached_property
-    def _first_order_terms(self):  # (row j1 + 2 j2, coefficient i, ...)
-        return tuple((j1 + 2 * j2, i, *t) for i, p in enumerate(self.abcr)
-                     for j1, j2, *t in p._lift_terms(1))
+        """(a, b, c, r): (4,) at a point, (..., 4) over arrays of points."""
+        co = lift(self.abcr, base_point(x, y), 0, self._lift_tables)
+        return np.array(co) if type(co) is list else np.moveaxis(co, 0, -1)
 
     def first_order(self, x, y):
-        """The order-1 jets' entries, summed as PolyExpr.jet sums them, in
-        one pass over the four coefficients' lift terms."""
-        x0, y0 = complex(x), complex(y)
-        co = [[0j] * 4 for _ in range(3)]
-        for row, i, cc, k1, n1, k2, n2 in self._first_order_terms:
-            co[row][i] += cc * (k1 * x0 ** n1) * k2 * y0 ** n2
-        return co
+        """The order-1 jets' entries, as Python complex numbers at a point."""
+        c = lift(self.abcr, (complex(x), complex(y)), 1, self._lift_tables)
+        return [c[0::4], c[2::4], c[1::4]]  # c: a, a_y, a_x, 0, b, ...
 
 
 class CallableJetField(DirectionField):

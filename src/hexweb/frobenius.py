@@ -25,7 +25,8 @@ import numpy as np
 from .cubic import (PERMS, PolyCoeffField, at_first,
                     characteristic_coeffs_from_f3, continue_along,
                     least_cost_perm, nonvanishing, proj_distance, roots_proj)
-from .jets import Jet, PolyExpr, any_set, jet_to_polyexpr
+from .jets import (Jet, PolyExpr, any_set, base_point, jet_to_polyexpr,
+                   lift)
 
 
 class NonSemisimpleError(ValueError):
@@ -42,9 +43,7 @@ class NotQuasiHomogeneousError(ValueError):
 
 def _as_two_var(p):
     """Coerce a PolyExpr in x alone into the (x, y) arity."""
-    if not p.terms:
-        return p
-    if p.nvars == 2:
+    if not p.terms or p.nvars == 2:
         return p
     if p.nvars == 1:
         return PolyExpr(tuple(((e[0], 0), c) for e, c in p.terms))
@@ -67,6 +66,7 @@ class Potential:
         if self.case not in ("A", "B"):
             raise ValueError(f"unknown case {self.case!r}")
         self.f = _as_two_var(self.f)
+        self._f3_lift_tables = {}  # of the group f3.values(), for jets.lift
 
     # -- third derivatives of f, cached as polynomials -------------------
 
@@ -87,8 +87,8 @@ class Potential:
         return d["xxx"] * d["yyy"] - d["xxy"] * d["xyy"] - 1
 
     def associativity_residual(self, x, y):
-        """The equation's left-hand side, per point (an order-0 lift)."""
-        return self.residual_poly.jet((x, y), 0).value
+        """The equation's left-hand side, at a point or per point."""
+        return self.residual_poly(x, y)
 
     @cached_property
     def euler(self):
@@ -177,14 +177,14 @@ F3_AT = {case: [index.ravel().tolist().index(k) for k in range(4)]
 
 def multiplication_table(pot, point):
     """Structure constants at a point (t, x, y), or at arrays of points,
-    from one order-0 lift of each third partial (c does not depend on t)."""
-    t, x, y = np.broadcast_arrays(*point)
-    xy = (x.ravel(), y.ravel())  # a point lifts as in any batch
-    lifts = [pot.f3[k].jet(xy, 0).value for k in ("xxx", "xxy", "xyy", "yyy")]
-    values = np.stack(lifts + [np.zeros(t.size), np.ones(t.size)], axis=-1)
-    c = values[:, TABLE_INDEX[pot.case]].reshape(t.shape + (3, 3, 3))
-    return FrobeniusPoint(point=tuple(point), case=pot.case, c=c,
-                          eta=pot.eta())
+    from one order-0 lift of the third partials (c does not depend on t)."""
+    f3 = lift(tuple(pot.f3.values()), base_point(point[1], point[2]), 0,
+              pot._f3_lift_tables)
+    values = np.zeros(np.broadcast(*point).shape + (6,), dtype=complex)
+    values[..., :4] = np.moveaxis(f3, 0, -1)  # fxxx, fxxy, fxyy, fyyy, 0, 1
+    values[..., 5] = 1.0
+    return FrobeniusPoint(point=tuple(point), case=pot.case,
+                          c=values[..., TABLE_INDEX[pot.case]], eta=pot.eta())
 
 
 def mult_operator(w, fp):

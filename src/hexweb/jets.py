@@ -620,9 +620,7 @@ def jet_tan(u):
 
 
 def _coerce_coef(coef):
-    if isinstance(coef, str):
-        return Fraction(coef)
-    if isinstance(coef, (Fraction, int)):
+    if isinstance(coef, (str, Fraction, int)):
         return Fraction(coef)
     return complex(coef)
 
@@ -632,8 +630,9 @@ class PolyExpr:
     """Sparse polynomial with exact rational or complex coefficients.
 
     ``terms`` maps exponent tuples to coefficients; zero coefficients are
-    dropped on construction.  Arity is free (2 for plane fields, 3 for full
-    potentials) but jet lifting is defined for two variables only.
+    dropped on construction.  Arity is free for the algebra (3 for full
+    potentials), but evaluation and jet lifting (lift) are defined for two
+    variables only.
     """
 
     terms: tuple
@@ -719,68 +718,80 @@ class PolyExpr:
             d[tuple(e)] = d.get(tuple(e), 0) + coef * n
         return PolyExpr(tuple(sorted(d.items())))
 
-    @functools.cached_property
-    def _complex_terms(self):
-        """``terms`` with each coefficient converted to complex once."""
-        return tuple((e, complex(c)) for e, c in self.terms)
-
-    def __call__(self, *point):
-        total = 0j
-        for exps, term in self._complex_terms:
-            for e, p in zip(exps, point):
-                term *= complex(p) ** e
-            total += term
-        return total
+    def __call__(self, x, y):
+        """The value at a point (a Python complex), or at arrays of points."""
+        return lift((self,), base_point(x, y), 0, self._lift_tables)[0]
 
     def jet(self, point, order):
         """Jet lift at a point, or at arrays of points (a batch of jets);
-        exact for polynomials (they are entire).
-
-        Each coefficient adds its terms in the same order either way.  At
-        real points every product has a real factor, where numpy's
-        vectorised complex multiply rounds as Python's does, and numpy's
-        integer powers of real values differ from Python's at most in the
-        sign of a zero imaginary part, which adding onto +0.0 drops: an
-        array of real points lifts bit for bit as each point alone does.
-        """
-        if order < 0:
-            raise JetError("jet order must be >= 0")
-        if self.terms and self.nvars != 2:
-            raise JetError("jet lifting is defined for 2-variable polynomials")
-        out = Jet((point[0], point[1]), order)
-        x0, y0 = out.base
-        c = out.c  # c[j1, j2]: the coefficient, or its array over the points
-        for j1, j2, cc, k1, n1, k2, n2 in self._lift_terms(order):
-            c[j1, j2] += cc * (k1 * x0 ** n1) * k2 * y0 ** n2
-        return out
+        exact for polynomials (they are entire); see lift."""
+        return lift_jets((self,), base_point(point[0], point[1]), order,
+                         self._lift_tables)[0]
 
     @functools.cached_property
-    def _lift_plans(self):
+    def _lift_tables(self):
         return {}
 
-    def _lift_terms(self, order):
-        """The terms of the order-``order`` lift in accumulation order: the
-        coefficient, cc * (C(e1, j1) x0^(e1-j1)) * C(e2, j2) y0^(e2-j2), of
-        each term (e1, e2) adds onto c[j1, j2], as (j1, j2, cc, C(e1, j1),
-        e1 - j1, C(e2, j2), e2 - j2)."""
-        plans = self._lift_plans
-        if order not in plans:
-            plans[order] = [
-                (j1, j2, cc, math.comb(e1, j1), e1 - j1, math.comb(e2, j2),
-                 e2 - j2)
-                for (e1, e2), cc in self._complex_terms
-                for j1 in range(min(e1, order) + 1)
-                for j2 in range(min(e2, order - j1) + 1)]
-        return plans[order]
+
+def _term_table(polys, K):
+    """(size, powers, terms) of the order-K lift of polys: term (slot, cc,
+    C(e1, j1), u, C(e2, j2), v) of cc x^e1 y^e2 in polys[p] adds onto slot p
+    (K+1)^2 + j1 (K+1) + j2; powers[u], powers[v] = (0, e1-j1), (1, e2-j2)."""
+    if K < 0:
+        raise JetError("jet order must be >= 0")
+    n, terms = K + 1, []
+    for p, poly in enumerate(polys):
+        if poly.terms and poly.nvars != 2:
+            raise JetError("jet lifting is defined for 2-variable polynomials")
+        terms += [(p * n * n + j1 * n + j2, complex(cc), math.comb(e1, j1),
+                   (0, e1 - j1), math.comb(e2, j2), (1, e2 - j2))
+                  for (e1, e2), cc in poly.terms
+                  for j1 in range(min(e1, K) + 1)
+                  for j2 in range(min(e2, K - j1) + 1)]
+    powers = sorted({t[3] for t in terms} | {t[5] for t in terms})
+    return len(polys) * n * n, powers, tuple(
+        (slot, cc, k1, powers.index(u), k2, powers.index(v))
+        for slot, cc, k1, u, k2, v in terms)
+
+
+def lift(polys, base, order, tables):
+    """The order-K Taylor coefficients of the 2-variable polynomials polys
+    at base (base_point's), c[j1, j2] of polys[p] at p (K+1)^2 + j1 (K+1) +
+    j2: Python complex numbers at a point, an array (len(polys) (K+1)^2,
+    ...) at arrays of points.  tables: the group owner's _term_table cache.
+
+    Each power x0^n, y0^n is taken once, and each coefficient adds its
+    terms cc * (C(e1, j1) x0^(e1-j1)) * C(e2, j2) * y0^(e2-j2) onto +0.0 in
+    its polynomial's order.  At real points every product has a real
+    factor, where numpy's vectorised complex multiply rounds as Python's
+    does, and numpy's integer powers of real values differ from Python's at
+    most in the sign of a zero imaginary part, which adding onto +0.0
+    drops: an array of real points lifts as each point alone does.
+    """
+    try:
+        size, powers, terms = tables[order]
+    except KeyError:
+        size, powers, terms = tables[order] = _term_table(polys, order)
+    pw = [base[axis] ** n for axis, n in powers]
+    out = ([0j] * size if type(base[0]) is complex
+           else np.zeros((size,) + base[0].shape, dtype=complex))
+    for slot, cc, k1, u, k2, v in terms:
+        out[slot] += cc * (k1 * pw[u]) * k2 * pw[v]
+    return out
+
+
+def lift_jets(polys, base, order, tables):
+    """lift's coefficients as one jet of each polynomial, on base."""
+    c = np.asarray(lift(polys, base, order, tables), dtype=complex)
+    return [Jet._raw(base, order, ci) for ci in c.reshape(
+        (len(polys), order + 1, order + 1) + np.shape(base[0]))]
 
 
 def jet_to_polyexpr(jet):
     """Expand a jet into an absolute-coordinate polynomial (Taylor shift)."""
     x0, y0 = jet.base
-    x = PolyExpr.var(0)
-    y = PolyExpr.var(1)
-    dx = x - PolyExpr.const(x0)
-    dy = y - PolyExpr.const(y0)
+    dx = PolyExpr.var(0) - x0
+    dy = PolyExpr.var(1) - y0
     out = PolyExpr.zero()
     dx_pows = [PolyExpr.const(1)]
     dy_pows = [PolyExpr.const(1)]

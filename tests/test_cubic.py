@@ -416,12 +416,16 @@ class TestFirstOrder:
         self.check(TranslatedField(A, 0.1, -0.2), points)
         self.check(CallableJetField(A.coeff_jets), points)
 
-    def test_coeffs_takes_one_point(self):
+    def test_coeffs_on_arrays_equal_each_point(self):
+        # (..., 4) over arrays of points, each row the floats of its point
         A = solution_potential("A").characteristic_field()
-        xs, ys = np.array([0.1, -0.25]), np.array([1.0, 0.6])
-        for x, y in ((xs, ys), (xs, 0.6), (0.1, ys[:1])):
-            with pytest.raises(ValueError, match="takes one point"):
-                A.coeffs(x, y)
+        xs, ys = np.array([0.1, -0.25, -0.0]), np.array([1.0, 0.6, -2.0])
+        for x, y in ((xs, ys), (xs, 0.6), (0.1, ys[:1]), (xs[:, None], ys)):
+            got = A.coeffs(x, y)
+            x, y = np.broadcast_arrays(x, y)
+            assert got.shape == x.shape + (4,)
+            for i in np.ndindex(x.shape):
+                assert np.array_equal(bits(got[i]), bits(A.coeffs(x[i], y[i])))
         with pytest.raises(TypeError):
             A.coeffs(None, 1.0)
         assert np.array_equal(A.coeffs(np.float64(0.1), np.array(1.0)),

@@ -3,8 +3,8 @@ every name the benchmark reads from the package still exists, no
 tolerance hides as a literal inside a function, no module indexes jet
 coefficients as trailing axes, every formula replayed as a jet program is
 checked against its eager run, only cubic's matcher enumerates
-permutations, no numeric routine takes a random generator, and a CLI run
-loads no scipy module.
+permutations, only jets.lift sums a polynomial's lift terms, no numeric
+routine takes a random generator, and a CLI run loads no scipy module.
 
 AST scans of the modules under src/ and tests/; package __init__.py files
 are exempt from the import scan because their imports are the package's
@@ -215,6 +215,79 @@ def test_one_permutation_matcher():
     sites = {(path.name, name) for path in SOURCES
              for name, _ in permutation_sites(path.read_text())}
     assert sites == MATCHER
+
+
+# ---------------------------------------------------------------------------
+# One lift loop: jets.lift is the one loop that sums a polynomial's lift
+# terms.  jets._term_table builds the term tables (it alone takes a lift
+# term's binomials), lift alone calls it and reads a table, and an owner of a
+# group of polynomials only makes its dict of tables and hands it to lift.
+
+LIFT_LOOP = {("jets.py", "_term_table"), ("jets.py", "lift")}
+
+
+def term_table_sites(source):
+    """(function, line) of each read of a lift term table in source: a use of
+    _term_table or of comb, a read of a *lift_tables dict other than as an
+    argument of a lift or lift_jets call, or an augmented assignment that
+    takes a power with a variable exponent (terms summed by hand).  The
+    function is the innermost enclosing def ("" at module level)."""
+    tree, found, passed = ast.parse(source), [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(
+                ".")[-1] in ("lift", "lift_jets"):
+            passed.update(id(a) for a in node.args + [
+                k.value for k in node.keywords])
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if (isinstance(getattr(node, "ctx", None), ast.Load)
+                and (name in ("_term_table", "comb")
+                     or str(name).endswith("lift_tables")
+                     and id(node) not in passed)):
+            found.append((where, node.lineno))
+        if isinstance(node, ast.AugAssign) and any(
+                isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                and not isinstance(n.right, (ast.Constant, ast.BinOp))
+                for n in ast.walk(node.value)):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_scan_finds_term_table_reads():
+    source = ("import math\nfrom math import comb\n"
+              "def lift(polys, base, order, tables):\n"
+              "    return _term_table(polys, order)\n"
+              "class F:\n    def __init__(self):\n"
+              "        self._lift_tables = {}\n"
+              "    def coeffs(self, x, y):\n"
+              "        return lift(self.p, (x, y), 0, self._lift_tables)\n"
+              "    def first_order(self, x, y):\n"
+              "        return [t for t in self._lift_tables[1]]\n"
+              "def f(pot, e, j):\n"
+              "    k = math.comb(e, j) + comb(e, j)\n"
+              "    return lift_jets(P, b, 0, tables=pot._f3_lift_tables), k\n"
+              "g = lambda p: p._lift_tables\n"
+              "def h(x, y, terms, tol, err):\n"
+              "    t = 0j\n    for e1, e2, cc in terms:\n"
+              "        t += cc * x ** e1 * y ** 2\n"
+              "    t *= (tol / err) ** (1.0 / 3.0)\n"
+              "    return t\n")
+    assert term_table_sites(source) == [("lift", 4), ("first_order", 11),
+                                        ("f", 13), ("f", 13), ("", 15),
+                                        ("h", 19)]
+
+
+def test_one_lift_loop():
+    sites = {(path.name, name) for path in SOURCES
+             for name, _ in term_table_sites(path.read_text())}
+    assert sites == LIFT_LOOP
 
 
 # ---------------------------------------------------------------------------

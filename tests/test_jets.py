@@ -1,6 +1,8 @@
 """Truncated two-variable Taylor arithmetic against finite differences and
 closed-form series."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -602,3 +604,73 @@ class TestPrograms:
         misses = [c.cache_info().misses for c in caches]
         run()
         assert [c.cache_info().misses for c in caches] == misses
+
+
+# ---------------------------------------------------------------------------
+# The lift: every entry point that evaluates a polynomial against the dense
+# loop it replaced, bit for bit
+
+
+def reference_lift(p, x0, y0, order):
+    """The dense loop: each c[j1, j2] adds its terms onto +0.0 in the order
+    of p's terms, at a base (x0, y0) as base_point gives it."""
+    c = np.zeros((order + 1, order + 1) + np.shape(x0), dtype=complex)
+    for (e1, e2), cc in p.terms:
+        for j1 in range(min(e1, order) + 1):
+            for j2 in range(min(e2, order - j1) + 1):
+                k1, n1 = math.comb(e1, j1), e1 - j1
+                k2, n2 = math.comb(e2, j2), e2 - j2
+                c[j1, j2] += complex(cc) * (k1 * x0 ** n1) * k2 * y0 ** n2
+    return c
+
+
+COEFS = st.one_of(
+    st.fractions(-50, 50, max_denominator=60),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                       allow_infinity=False))
+POLYS = st.lists(
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), COEFS,
+                    max_size=6).map(PolyExpr.from_dict),
+    min_size=4, max_size=4)
+REALS = st.floats(-3.0, 3.0)
+COMPLEXES = st.complex_numbers(max_magnitude=3.0)
+NUMBER_POINTS = st.one_of(st.tuples(REALS, REALS),
+                          st.tuples(COMPLEXES, COMPLEXES))
+ARRAY_POINTS = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=REALS),
+    st.one_of(REALS, arrays(np.float64, (2, n), elements=REALS))))
+
+
+class TestLift:
+    """PolyExpr.__call__ and .jet, and PolyCoeffField.coeffs, .first_order
+    and .coeff_jets, all run jets.lift; each equals the dense loop."""
+
+    @staticmethod
+    def check(polys, point, order):
+        field = cubic.PolyCoeffField(*polys)
+        x0, y0 = jets.base_point(*point)
+        want = [reference_lift(p, x0, y0, order) for p in polys]
+        for p, w in zip(polys, want):
+            assert same_bits(p.jet(point, order).c, w)
+            assert same_bits(np.asarray(p(*point), dtype=complex), w[0, 0])
+        for jet, w in zip(field.coeff_jets(*point, order), want):
+            assert same_bits(jet.c, w)
+        values = np.moveaxis(np.array([w[0, 0] for w in want]), 0, -1)
+        assert same_bits(field.coeffs(*point), values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(POLYS, NUMBER_POINTS, st.integers(0, 3))
+    def test_numbers_equal_the_dense_loop(self, polys, point, order):
+        self.check(polys, point, order)
+        field = cubic.PolyCoeffField(*polys)
+        got = field.first_order(*point)
+        assert all(type(v) is complex for row in got for v in row)
+        want = [reference_lift(p, *jets.base_point(*point), 1) for p in polys]
+        assert same_bits(np.array(got), np.array(
+            [[w[i, j] for w in want] for i, j in ((0, 0), (1, 0), (0, 1))]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(POLYS, ARRAY_POINTS, st.integers(0, 3))
+    def test_arrays_of_real_points_equal_the_dense_loop(self, polys, point,
+                                                        order):
+        self.check(polys, point, order)
