@@ -347,13 +347,11 @@ class PathFrame:
     """
 
     def __init__(self, field, path):
-        def at(pt):
-            x, y = pt
-            co = coeff_values(field.coeff_jets(x, y, 0))
-            return roots_proj(nonvanishing(co, x, y))
+        def at(x, y):
+            return roots_proj(nonvanishing(field.coeffs(x, y), x, y))
 
-        walk = continue_along(path, at, FRAME_MAX_MOVE)
-        x, y = np.array([pt for pt, _ in walk]).T
+        pts, vals = continue_along(path, at, FRAME_MAX_MOVE)
+        x, y = pts.T
         jets = field.coeff_jets(x, y, 0)
         D = discriminant_of_coeffs(*(j.value for j in jets))
         sign = np.where(D.imag == 0, np.sign(D.real), 0)
@@ -361,12 +359,11 @@ class PathFrame:
         if cross.any():
             i = np.argmax(cross)
             raise SingularPointError(
-                f"path crosses D = 0 between checkpoints {walk[i][0]} and "
-                f"{walk[i + 1][0]}: D goes from {D[i].real:.3e} to "
+                f"path crosses D = 0 between checkpoints {pts[i]} and "
+                f"{pts[i + 1]}: D goes from {D[i].real:.3e} to "
                 f"{D[i + 1].real:.3e}", disc=D[i + 1])
-        sigma, _ = continued_sigma(jets, x, y,
-                                   np.array([vals for _, vals in walk]))
-        self.checkpoints = [(pt, s) for (pt, _), s in zip(walk, sigma)]
+        sigma, _ = continued_sigma(jets, x, y, vals)
+        self.checkpoints = list(zip(pts, sigma))
 
     @property
     def end(self):

@@ -245,65 +245,92 @@ def proj_distance(u, v):
     return abs(cross) / (nu * nv)
 
 
-def match_roots(ref, new, dist=proj_distance):
-    """Permutation of `new` minimizing the summed distance to `ref`.
-
-    Returns the reordered `new` and its cost.  This is the one labelling
-    rule for root triples, leaf directions and idempotent frames; `dist`
-    defaults to the projective distance and is called once per pair.  The
-    first permutation (in itertools order) of least cost wins ties.
-    """
-    table = [[dist(u, v) for v in new] for u in ref]
-    best = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(len(new))):
-        cost = sum(table[i][perm[i]] for i in range(len(ref)))
-        if cost < best_cost:
-            best_cost = cost
-            best = perm
-    return [new[i] for i in best], best_cost
+def root_distance(u, v):
+    """proj_distance between the projective points in rows (..., 2)."""
+    return proj_distance((u[..., 0], u[..., 1]), (v[..., 0], v[..., 1]))
 
 
-PERMS = np.array(list(itertools.permutations(range(3))))  # match_roots' order
+PERMS = np.array(list(itertools.permutations(range(3))))  # labellings
 
 
 def least_cost_perm(dist):
-    """match_roots' choice, as an index into PERMS, for each distance table
-    dist[..., i, j] = dist(ref[i], new[j]): summed in its order, the first
-    minimum winning (so equal to it on tables without NaN)."""
+    """The labelling of least summed distance, as an index into PERMS, for
+    each distance table dist[..., i, j] = dist(ref[i], new[j]): summed in
+    ref's order, the first minimum in PERMS' order winning ties."""
     t = dist[..., np.arange(3), PERMS]  # t[..., k, i] = dist[i, PERMS[k, i]]
     return np.argmin(t[..., 0] + t[..., 1] + t[..., 2], axis=-1)
+
+
+def match_roots(ref, new, dist=root_distance):
+    """The values new (..., 3, k) relabelled to move least from ref, and
+    their summed distance to ref per row of three.
+
+    dist takes arrays of rows (..., k) and is called once, on the nine
+    pairs of every row; least_cost_perm picks each row's labelling.
+    """
+    new = np.asarray(new)
+    d = dist(np.asarray(ref)[..., :, None, :], new[..., None, :, :])
+    perm = PERMS[least_cost_perm(d)]
+    t = np.take_along_axis(d, perm[..., None], axis=-1)[..., 0]
+    return (np.take_along_axis(new, perm[..., None], axis=-2),
+            t[..., 0] + t[..., 1] + t[..., 2])
+
+
+def chain_labels(vals, dist=root_distance):
+    """The values (n, 3, k) at the points of a chain, relabelled along it:
+    point i's values take the labels that move them least from point
+    i - 1's, as match_roots picks them, and point 0 keeps its order.  One
+    least_cost_perm pass matches every point's values under each of the
+    labellings the last point may have; only the walk is sequential."""
+    d = dist(vals[:-1, :, None], vals[1:, None])
+    k = [0]
+    for c in least_cost_perm(d[:, PERMS]).tolist():
+        k.append(c[k[-1]])
+    return np.take_along_axis(vals, PERMS[k][:, :, None], axis=1)
 
 
 MIN_PIECE = 1e-8  # parameter length at which continue_along stops halving
 
 
-def continue_along(path, at, max_move, dist=proj_distance, pieces=None):
+def continue_along(path, at, max_move, dist=root_distance, pieces=None):
     """Labelled values continued along a polyline by adaptive bisection.
 
-    ``at(pt)`` gives the values at a point (root pairs, idempotents) in any
-    order; each move relabels them by match_roots against the last accepted
-    ones with ``dist``, and costs the summed distance.  Each segment
-    (P0, P1) starts as ``pieces(P0, P1)`` equal parts (one when ``pieces``
-    is None); a part whose move costs more than ``max_move`` is halved
-    until its parameter length is MIN_PIECE.  Returns the list of
-    (point, values), beginning with (path[0], at(path[0])).
+    ``at(x, y)`` gives the values (n, 3, k) at arrays of points (root pairs,
+    idempotents) in any order; it is called on path[0] and the starting
+    pieces' ends, then once per round of halvings.  A segment starts as
+    ``pieces(P0, P1)`` equal parts (one when ``pieces`` is None); a part
+    whose move costs more than ``max_move`` (match_roots' summed ``dist``)
+    is halved until its parameter length is MIN_PIECE.  Returns the points
+    (n, 2), path[0] first, and their values labelled by chain_labels.
     """
-    pts = [np.asarray(p, dtype=complex) for p in path]
-    trail = [(pts[0], at(pts[0]))]
-    for P0, P1 in zip(pts[:-1], pts[1:]):
-        n = 1 if pieces is None else pieces(P0, P1)
-        stack = [(i / n, (i + 1) / n) for i in range(n - 1, -1, -1)]
-        while stack:
-            t0, t1 = stack.pop()
-            pt = P0 + t1 * (P1 - P0)
-            vals, cost = match_roots(trail[-1][1], at(pt), dist)
-            if cost > max_move and (t1 - t0) > MIN_PIECE:
-                mid = 0.5 * (t0 + t1)
-                stack += [(mid, t1), (t0, mid)]
-            else:
-                trail.append((pt, vals))
-    return trail
+    pts = np.asarray(path, dtype=complex)
+    n = [1 if pieces is None else pieces(pts[s], pts[s + 1])
+         for s in range(len(pts) - 1)]
+    # each point's segment and parameter on it; path[0] is on none
+    seg = np.repeat(np.arange(-1, len(n)), [1] + n)
+    t = np.concatenate([[0.0]] + [np.arange(1, k + 1) / k for k in n])
+
+    def point(s, t):
+        return pts[s] + t[:, None] * (pts[s + 1] - pts[s])
+
+    x = np.concatenate([pts[:1], point(seg[1:], t[1:])])
+    vals, j = at(*x.T), np.arange(1, len(t))  # j: the untested pieces' ends
+    prev = np.arange(-1, len(t) - 1)  # each point's neighbour towards path[0]
+    while j.size:
+        t0 = np.where(seg[prev[j]] == seg[j], t[prev[j]], 0.0)
+        halve = ((match_roots(vals[prev[j]], vals[j], dist)[1] > max_move)
+                 & (t[j] - t0 > MIN_PIECE))
+        j, mid = j[halve], 0.5 * (t0 + t[j])[halve]
+        if not j.size:
+            break
+        mx, m = point(seg[j], mid), np.arange(len(t), len(t) + j.size)
+        x, t, seg, prev, vals = (np.concatenate([a, b]) for a, b in (
+            (x, mx), (t, mid), (seg, seg[j]), (prev, prev[j]),
+            (vals, at(*mx.T))))
+        prev[j] = m  # each old end now follows its midpoint
+        j = np.concatenate([m, j])  # both halves are untested
+    order = np.lexsort((t, seg))
+    return x[order], chain_labels(vals[order], dist)
 
 
 ROOT_SEP_TOL = 1e-8  # projective separation below which roots coincide

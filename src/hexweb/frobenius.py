@@ -424,20 +424,6 @@ def _idempotent_pieces(P0, P1):
     return max(1, int(np.ceil(seg_len / IDEMPOTENT_STEP)))
 
 
-def continue_idempotents(pot, curve, t0=0.0):
-    """Idempotent bases continued along a slice polyline.
-
-    Returns the list of (point, [e1, e2, e3]) with a coherent labeling;
-    subdivides steps whenever the idempotents move too much at once.
-    """
-    def at(pt):
-        return idempotents(multiplication_table(pot, (t0, pt[0], pt[1])))
-
-    return continue_along(curve, at, IDEMPOTENT_MAX_MOVE,
-                          dist=lambda u, v: float(np.max(np.abs(u - v))),
-                          pieces=_idempotent_pieces)
-
-
 def frobenius_transport(pot, curve, v, t0=0.0, rng=None):
     """Transport a slice tangent vector by freezing idempotent coordinates.
 
@@ -445,11 +431,14 @@ def frobenius_transport(pot, curve, v, t0=0.0, rng=None):
     tangent space as (0, vx, vy), expanded in the idempotent basis there;
     the coordinates are held constant along the curve, and the resulting
     vector at the end point is projected back to the slice along e = dt.
-    ``rng`` is accepted and ignored; it is kept only for callers outside
-    src/.
+    continue_along carries the idempotents along the curve.  ``rng`` is
+    accepted and ignored; it is kept only for callers outside src/.
     """
-    trail = continue_idempotents(pot, curve, t0=t0)
-    start, end = (np.column_stack(trail[k][1]) for k in (0, -1))
+    _, frames = continue_along(
+        curve, lambda x, y: idempotents(multiplication_table(pot, (t0, x, y))),
+        IDEMPOTENT_MAX_MOVE, dist=lambda u, v: np.abs(u - v).max(axis=-1),
+        pieces=_idempotent_pieces)
+    start, end = (np.column_stack(frames[k]) for k in (0, -1))
     eta = np.linalg.solve(start, np.array([0.0, v[0], v[1]], dtype=complex))
     w = end @ eta
     return (w[1], w[2])

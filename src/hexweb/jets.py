@@ -77,8 +77,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_ORDER = 6
-
 
 class JetError(ValueError):
     pass

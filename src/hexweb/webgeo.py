@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chern, cubic
-from .cubic import (PERMS, REGULAR_DISC_TOL, SingularPointError,
-                    coeff_values, continued_sigma, discriminant_of_coeffs,
-                    discriminant_scale, least_cost_perm, match_roots,
-                    nonvanishing, proj_distance)
+from .cubic import (REGULAR_DISC_TOL, SingularPointError, coeff_values,
+                    continued_sigma, discriminant_of_coeffs,
+                    discriminant_scale, match_roots, nonvanishing,
+                    proj_distance)
 
 
 class LeafIntegrationError(ValueError):
@@ -191,6 +191,8 @@ def _leaf_steps(field, start, branch, sign, tol, h, total, land=None,
     row = np.array(co)
     mag = np.abs(row)  # the one modulus pass of the start
     D0 = discriminant_of_coeffs(*co)
+    if not cmath.isfinite(D0):  # abs() of a NaN can raise OverflowError
+        raise SingularPointError(f"discriminant not finite at the start {pt}")
     scale = discriminant_scale(row, mag)
     if abs(D0) <= REGULAR_DISC_TOL * scale:
         raise SingularPointError(f"start on the discriminant: |D|={abs(D0):.2e}")
@@ -253,7 +255,8 @@ def _leaf_steps(field, start, branch, sign, tol, h, total, land=None,
         tans.append(k4[:2])
         params.append(s_done)
         yield half
-        if abs(discriminant_of_coeffs(*co)) <= prox:
+        D = discriminant_of_coeffs(*co)
+        if cmath.isfinite(D) and abs(D) <= prox:
             termination = "discriminant-proximity"
             break
         if domain is not None:
@@ -546,7 +549,7 @@ def first_integrals(field, base, path):
     co = nonvanishing(coeff_values(jets), x, y)
     gam = np.stack(chern.gamma_from_jets(jets, x, y).values(), axis=-1)
     sig, _ = continued_sigma([j.truncate(0) for j in jets], x, y,
-                             _chain_labels(cubic.roots_proj(co)))
+                             cubic.chain_labels(cubic.roots_proj(co)))
 
     # composite Simpson on the pairs (2j, 2j + 1, 2j + 2) of equal steps dP
     pair = 2 * np.arange(len(nodes) // 2)[:, None] + np.arange(3)
@@ -571,23 +574,6 @@ def first_integrals(field, base, path):
                               abelian_residual=residual)
 
 
-def _chain_labels(vals):
-    """The sorted root values (n, 3, 2) at the nodes of a path, relabelled
-    along it: node i's roots take the labels that move them least from node
-    i - 1's, as match_roots picks them, and node 0 keeps the sorted order.
-    One least_cost_perm pass matches every node's roots under each of the
-    labellings the last node may have; only the walk is sequential.
-    roots_proj's roots are finite with a unit component, so no distance is
-    NaN."""
-    d = proj_distance((vals[:-1, :, None, 0], vals[:-1, :, None, 1]),
-                      (vals[1:, None, :, 0], vals[1:, None, :, 1]))
-    choice = least_cost_perm(d[:, PERMS]).tolist()
-    k = [0]
-    for c in choice:
-        k.append(c[k[-1]])
-    return np.take_along_axis(vals, PERMS[k][:, :, None], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Infinitesimal diagonal symmetries
 
@@ -599,9 +585,9 @@ def symmetry_residual(field, weights, samples, a=0.1):
     (x, y) -> (exp(w1 a) x, exp(w2 a) y); web directions at each sample are
     pushed forward and compared (optimal matching, projective metric) with
     the directions at the image point.  The samples and their images are
-    solved in one lift and one roots_proj call; DegenerateFieldError names
-    the first of them, each sample before its image, where the field
-    vanishes.
+    solved in one lift and one roots_proj call and matched in one
+    match_roots call; DegenerateFieldError names the first of them, each
+    sample before its image, where the field vanishes.
     """
     w1, w2 = weights
     s1, s2 = np.exp(w1 * a), np.exp(w2 * a)
@@ -610,11 +596,11 @@ def symmetry_residual(field, weights, samples, a=0.1):
     x = np.stack([x, s1 * x], axis=-1).ravel()
     y = np.stack([y, s2 * y], axis=-1).ravel()
     co = nonvanishing(coeff_values(field.coeff_jets(x, y, 0)), x, y)
+    here, there = np.moveaxis(cubic.roots_proj(co).reshape(-1, 2, 3, 2), 1, 0)
+    pushed = [[(s1 * q, s2 * -p) for p, q in roots] for roots in here]
+    matched, _ = match_roots(pushed, np.stack([there[..., 1], -there[..., 0]],
+                                              axis=-1))
     worst = 0.0
-    for here, there in cubic.roots_proj(co).reshape(-1, 2, 3, 2):
-        pushed = [(s1 * q, s2 * -p) for p, q in here]
-        image_dirs = [(q, -p) for p, q in there]
-        matched, _ = match_roots(pushed, image_dirs)
-        worst = max(worst, max(proj_distance(pushed[i], matched[i])
-                               for i in range(3)))
+    for u, v in zip(pushed, matched):
+        worst = max(worst, max(proj_distance(u[i], v[i]) for i in range(3)))
     return float(worst)

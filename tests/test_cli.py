@@ -315,6 +315,25 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
 
 
+    def test_overflowing_field_reports_its_start(self, tmp_path, capsys):
+        # a = 1e160 (1 + x): the discriminant at the leaf start is nan + nanj
+        big = {"kind": "field",
+               "a": [{"exps": [0, 0], "coef": 1e160},
+                     {"exps": [1, 0], "coef": 1e160}],
+               "b": [{"exps": [0, 0], "coef": 1}],
+               "c": [{"exps": [0, 1], "coef": 1}],
+               "r": [{"exps": [0, 0], "coef": 1}]}
+        cfg = write_config(tmp_path, big)
+        out = tmp_path / "out"
+        assert main(["closure", "--config", cfg, "--out", str(out)]) == 1
+        rep = json.loads((out / "closure_report.json").read_text())
+        assert rep["pass"] is False and "not finite" in rep["error"]
+        assert main(["leaves", "--config", cfg, "--out", str(out)]) == 1
+        rep = json.loads((out / "leaves_report.json").read_text())
+        assert rep["pass"] is False and rep["leaf_count"] == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestReports:
     def test_report_metadata(self, tmp_path):
         cfg = write_config(tmp_path, SOLUTION_A, samples=4,

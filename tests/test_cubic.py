@@ -1,7 +1,6 @@
 """Cubic binary fields: roots, discriminant, normalized factorization,
 depressed form."""
 
-import itertools
 import math
 
 import mpmath
@@ -9,19 +8,23 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from hexweb.chern import FRAME_MAX_MOVE
 from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
                           DirectionField, PolyCoeffField, SingularPointError,
-                          TranslatedField, _root_jets, continue_along,
-                          depress_jets, discriminant_of_coeffs,
-                          discriminant_scale, factorization_residual,
-                          match_roots, normalize_roots, proj_distance,
-                          regular_cutoff, roots_proj)
-from hexweb.frobenius import (idempotents, multiplication_table,
+                          TranslatedField, _root_jets, coeff_values,
+                          continue_along, depress_jets,
+                          discriminant_of_coeffs, discriminant_scale,
+                          factorization_residual, match_roots,
+                          nonvanishing, normalize_roots, proj_distance,
+                          regular_cutoff, root_distance, roots_proj)
+from hexweb.frobenius import (IDEMPOTENT_MAX_MOVE, _idempotent_pieces,
+                              idempotents, multiplication_table,
                               solution_potential)
 from hexweb.jets import JetError, PolyExpr, base_point
 from hexweb.singular import normal_form_field, symmetry_losing_web
+from test_chern import FRAME_WINDOWS
 from webs import (CONTROL_GENERIC, CONTROL_SLOPES, moved_triples,
-                  random_poly, root_triples)
+                  random_poly, root_triples, search_per_permutation)
 
 RNG = np.random.default_rng(8571)
 
@@ -55,17 +58,6 @@ class TestDiscriminant:
             assert abs(got - want) < 1e-10 * (1 + abs(want))
 
 
-def search_per_permutation(ref, new, dist=proj_distance):
-    """Reference for match_roots: each permutation sums its own dist calls,
-    and the first of least cost wins."""
-    best, best_cost = None, np.inf
-    for perm in itertools.permutations(range(len(new))):
-        cost = sum(dist(ref[i], new[perm[i]]) for i in range(len(ref)))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    return [new[i] for i in best], best_cost
-
-
 class TestRoots:
     def test_roots_satisfy_cubic(self):
         for _ in range(20):
@@ -93,33 +85,56 @@ class TestRoots:
     def test_match_roots_custom_distance_recovers_idempotents(self, perm):
         # 3-vectors, which the default projective distance cannot compare
         fp = multiplication_table(solution_potential("A"), (0.0, 0.3, 0.9))
-        ref = list(idempotents(fp))  # three 3-vectors
+        ref = idempotents(fp)  # three 3-vectors
         calls = []
 
         def max_abs(u, v):
-            calls.append(1)
-            return float(np.max(np.abs(u - v)))
+            calls.append(np.broadcast_shapes(u.shape, v.shape))
+            return np.abs(u - v).max(axis=-1)
 
-        matched, cost = match_roots(ref, [ref[i] for i in perm],
-                                    dist=max_abs)
+        matched, cost = match_roots(ref, ref[perm], dist=max_abs)
         assert cost == 0.0
-        assert len(calls) == 3 * 3  # one distance a pair
-        for u, v in zip(ref, matched):
-            assert u is v
+        assert calls == [(3, 3, 3)]  # one call, on the nine pairs
+        assert np.array_equal(bits(matched), bits(ref))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(root_triples(), root_triples()),
+                    min_size=1, max_size=6))
+    def test_a_batch_equals_its_rows_alone(self, pairs):
+        ref, new = (np.array(side) for side in zip(*pairs))
+        calls = []
+
+        def counted(u, v):
+            calls.append(1)
+            return root_distance(u, v)
+
+        got, cost = match_roots(ref, new, dist=counted)
+        assert len(calls) == 1 and cost.shape == (len(pairs),)
+        for i, (r, n) in enumerate(pairs):
+            want, want_cost = match_roots(r, n)
+            assert np.array_equal(bits(got[i]), bits(want))
+            assert float(cost[i]).hex() == float(want_cost).hex()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_match_roots_equals_the_search_per_permutation(self, data):
         # exact ties (coinciding roots), near ties and random triples: the
-        # same permutation wins with the same cost float as when every
-        # permutation called dist on its own pairs
-        ref = data.draw(root_triples())
-        new = data.draw(moved_triples(ref))
+        # same permutation wins with the same cost float as when each
+        # permutation sums its own entries of the same distance table
+        ref = np.array(data.draw(root_triples()))
+        new = np.array(data.draw(moved_triples(ref)))
+        table = root_distance(ref[:, None], new[None])
+        want, want_cost = search_per_permutation(
+            range(3), range(3), dist=lambda i, j: table[i, j])
+        # labels as values: the relabelled labels are the winner itself
+        label = np.arange(3)[:, None]
+        perm, cost = match_roots(label, label, dist=lambda u, v: table[
+            u[..., 0], v[..., 0]])
+        assert perm[:, 0].tolist() == want
+        assert float(cost).hex() == float(want_cost).hex()
         got, cost = match_roots(ref, new)
-        want, want_cost = search_per_permutation(ref, new)
-        assert all(u is v for u, v in zip(got, want))
-        assert (type(cost), float(cost).hex()) \
-            == (type(want_cost), float(want_cost).hex())
+        assert np.array_equal(bits(got), bits(new[want]))
+        assert float(cost).hex() == float(want_cost).hex()
 
     def test_root_jets_follow_the_root(self):
         # d/dx of the tracked slope matches a finite difference
@@ -433,69 +448,166 @@ class TestFirstOrder:
 
 
 class TestContinueAlong:
-    """The shared subdivision walker on a toy value: the x coordinate."""
+    """The shared subdivision walker on triple-valued toys over arrays."""
 
     PATH = [(0.0, 0.0), (1.0, 0.0)]
 
     @staticmethod
-    def xs(trail):
-        return [float(pt[0].real) for pt, _ in trail]
-
-    @staticmethod
-    def at_x(pt):
-        return [float(pt[0].real)]
+    def at_x(x, y):
+        # three values a point, in order: x, x + 10 and x + 20
+        return x.real[:, None, None] + np.array([[0.0], [10.0], [20.0]])
 
     @staticmethod
     def gap(u, v):
-        return abs(u - v)
+        return np.abs(u - v)[..., 0]
 
     def test_pieces_set_the_initial_steps(self):
-        trail = continue_along(self.PATH, self.at_x, 1.0, dist=self.gap,
-                               pieces=lambda P0, P1: 4)
-        assert self.xs(trail) == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert [v for _, (v,) in trail] == self.xs(trail)
-        assert trail[0][1] == [0.0]
+        x, vals = continue_along(self.PATH, self.at_x, 1.0, dist=self.gap,
+                                 pieces=lambda P0, P1: 4)
+        assert x[:, 0].real.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert np.array_equal(vals, self.at_x(*x.T))
+        assert vals[0].ravel().tolist() == [0.0, 10.0, 20.0]
 
     def test_one_piece_per_segment_by_default(self):
         path = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
-        trail = continue_along(path, self.at_x, 0.5,
-                               dist=lambda u, v: 0.0)
-        assert [v for _, (v,) in trail] == [0.0, 1.0, 1.0]
-        assert [tuple(pt) for pt, _ in trail] == path
+        x, vals = continue_along(path, self.at_x, 0.5,
+                                 dist=lambda u, v: 0.0 * self.gap(u, v))
+        assert vals[:, 0, 0].tolist() == [0.0, 1.0, 1.0]
+        assert [tuple(pt) for pt in x] == path
 
     def test_costly_move_halves_the_step(self):
-        trail = continue_along(self.PATH, self.at_x, 0.3, dist=self.gap)
-        assert self.xs(trail) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        # a step of dx costs 3 dx: 0.75 passes, 1.5 does not
+        x, _ = continue_along(self.PATH, self.at_x, 0.9, dist=self.gap)
+        assert x[:, 0].real.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_halving_stops_at_the_floor(self):
-        # the value jumps at x = 1/2: no piece across it is cheap enough
-        trail = continue_along(self.PATH,
-                               lambda pt: [float(pt[0].real >= 0.5)], 0.5,
-                               dist=self.gap)
-        xs = self.xs(trail)
-        jumps = [i for i in range(1, len(trail))
-                 if trail[i][1] != trail[i - 1][1]]
+        # the values jump at x = 1/2: no piece across it is cheap enough
+        def at(x, y):
+            return self.at_x((x.real >= 0.5).astype(float), y)
+
+        x, vals = continue_along(self.PATH, at, 0.5, dist=self.gap)
+        xs = x[:, 0].real
+        jumps = np.flatnonzero(np.diff(vals[:, 0, 0])) + 1
         assert len(jumps) == 1
         gap = xs[jumps[0]] - xs[jumps[0] - 1]
         assert MIN_PIECE / 2 < gap <= MIN_PIECE
         assert xs[jumps[0]] == 0.5 and xs[-1] == 1.0
 
     def test_labels_follow_the_values_past_a_sort_swap(self):
-        # two antipodal points turn by 3 pi / 4: at lists them sorted, and
-        # the turn swaps their sorted order; continued, each keeps its label
-        def at(pt):
-            t = np.pi * float(pt[0].real)
-            return sorted([(np.cos(t), np.sin(t)), (-np.cos(t), -np.sin(t))])
+        # three points of the unit circle, 2 pi / 3 apart, turn by 3 pi / 4:
+        # at lists them sorted by their first coordinate, and the turn
+        # changes that order; continued, each keeps its label
+        phase = np.array([4, 2, 0]) * np.pi / 3  # the order at x = 0
 
-        trail = continue_along([(0.0, 0.0), (0.75, 0.0)], at, 0.5,
-                               dist=lambda u, v: np.hypot(u[0] - v[0],
-                                                          u[1] - v[1]))
-        assert len(trail) == 17  # a move of pi / 16 per point costs 0.39
-        for pt, (u, v) in trail:
-            t = np.pi * float(pt[0].real)
-            assert u == pytest.approx((-np.cos(t), -np.sin(t)), abs=1e-15)
-            assert v == pytest.approx((np.cos(t), np.sin(t)), abs=1e-15)
-        assert trail[-1][1] != at(trail[-1][0])
+        def at(x, y):
+            t = np.pi * x.real[:, None] + phase[::-1]
+            pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
+            order = np.argsort(pts[..., 0], axis=-1)
+            return np.take_along_axis(pts, order[..., None], axis=1)
+
+        x, vals = continue_along(
+            [(0.0, 0.0), (0.75, 0.0)], at, 0.5,
+            dist=lambda u, v: np.hypot(*np.moveaxis(u - v, -1, 0)))
+        assert len(x) == 17  # a move of 3 pi / 64 per point costs 0.44
+        t = np.pi * x[:, :1].real + phase
+        assert np.allclose(vals, np.stack([np.cos(t), np.sin(t)], axis=-1),
+                           rtol=0, atol=1e-15)
+        assert not np.array_equal(vals[-1], at(x[-1:, 0], x[-1:, 1])[0])
+
+
+def walk_per_point(path, at, max_move, dist, pieces=None):
+    """The walker continue_along replaced: a stack of pieces, one at(point)
+    call a point, each point relabelled by the per-permutation loop against
+    the last accepted one.  Returns the points, the labelled values and
+    how many times the deepest piece was halved."""
+    pts = [np.asarray(p, dtype=complex) for p in path]
+    trail, depth = [(pts[0], at(*pts[0]))], 0
+    for P0, P1 in zip(pts[:-1], pts[1:]):
+        n = 1 if pieces is None else pieces(P0, P1)
+        stack = [(i / n, (i + 1) / n, 0) for i in range(n - 1, -1, -1)]
+        while stack:
+            t0, t1, d = stack.pop()
+            depth = max(depth, d)
+            pt = P0 + t1 * (P1 - P0)
+            vals, cost = search_per_permutation(trail[-1][1], at(*pt), dist)
+            if cost > max_move and (t1 - t0) > MIN_PIECE:
+                mid = 0.5 * (t0 + t1)
+                stack += [(mid, t1, d + 1), (t0, mid, d + 1)]
+            else:
+                trail.append((pt, vals))
+    return (np.array([pt for pt, _ in trail]),
+            np.array([vals for _, vals in trail]), depth)
+
+
+def roots_at(field):
+    """PathFrame's values: the sorted roots, at a point or point arrays."""
+    def at(x, y):
+        return roots_proj(nonvanishing(coeff_values(field.coeff_jets(
+            x, y, 0)), x, y))
+    return at
+
+
+def idempotents_at(pot):
+    """frobenius_transport's values: the idempotents on the t = 0 slice."""
+    return lambda x, y: idempotents(multiplication_table(pot, (0.0, x, y)))
+
+
+def walker_cases():
+    """(name, at, max_move, array dist, per-pair dist, pieces, path): random
+    four-vertex paths (seeded) on the path-frame windows and on the
+    idempotent frames of potentials A and B, a one-point path and paths
+    with a repeated vertex."""
+    rng = np.random.default_rng(2511)
+    frames = [(name, roots_at(field), FRAME_MAX_MOVE, root_distance,
+               proj_distance, None, window)
+              for name, (field, window) in FRAME_WINDOWS.items()]
+    # B's table is constant; from one piece a segment, A's idempotents
+    # turn fast enough below y = 1 to be halved
+    maxabs = (lambda u, v: np.abs(u - v).max(axis=-1),
+              lambda u, v: float(np.max(np.abs(u - v))))
+    for name, case, pieces in (("A", "A", _idempotent_pieces),
+                               ("A, one piece", "A", None),
+                               ("B", "B", _idempotent_pieces)):
+        frames.append((f"idempotents {name}",
+                       idempotents_at(solution_potential(case)),
+                       IDEMPOTENT_MAX_MOVE, *maxabs, pieces,
+                       ((-0.4, 0.4), (0.5, 1.0)) if case == "A"
+                       else ((-0.8, 0.8), (-0.8, 0.8))))
+    out = []
+    for *frame, ((x0, x1), (y0, y1)) in frames:
+        paths = [[(rng.uniform(x0, x1), rng.uniform(y0, y1))
+                  for _ in range(4)] for _ in range(6)]
+        paths[0] = paths[0][:1]
+        paths[1] = paths[1][:2] + paths[1][1:]
+        out += [(*frame, path) for path in paths]
+    return out
+
+
+class TestWalkerReference:
+    def test_equals_the_walk_a_point_at_a_time(self):
+        """The points and labelled values equal the per-point stack walk's
+        bit for bit, and at is called once per round: once for the ends of
+        the starting pieces and once per depth of halving."""
+        refined = set()
+        for name, at, max_move, dist, pair_dist, pieces, path in \
+                walker_cases():
+            calls = []
+
+            def counted(x, y):
+                calls.append(len(x))
+                return at(x, y)
+
+            x, vals = continue_along(path, counted, max_move, dist=dist,
+                                     pieces=pieces)
+            x_w, vals_w, depth = walk_per_point(path, at, max_move,
+                                                pair_dist, pieces)
+            assert np.array_equal(bits(x), bits(x_w)), name
+            assert np.array_equal(bits(vals), bits(vals_w)), name
+            assert len(calls) == depth + 1 and sum(calls) == len(x)
+            if depth:
+                refined.add(name)
+        assert refined == {"A", "control D > 0", "control D < 0", "complex",
+                           "idempotents A, one piece"}
 
 
 # ---------------------------------------------------------------------------

@@ -176,11 +176,15 @@ def test_every_replayed_formula_is_checked_against_its_eager_run():
 
 
 # ---------------------------------------------------------------------------
-# One permutation matcher: cubic.match_roots tries the permutations, and
-# cubic.PERMS is the table of them (in match_roots' order) that the path
-# labelling shares; no other module-level statement of src/ enumerates them.
+# One permutation matcher: cubic.PERMS is the table of the labellings of a
+# triple, and cubic.least_cost_perm picks one of them per distance table.
+# No other module-level statement of src/ enumerates the permutations, and
+# only the matcher, the chain labeller and the Theorem 2 pairing call
+# least_cost_perm.
 
-MATCHER = {("cubic.py", "match_roots"), ("cubic.py", "PERMS")}
+MATCHER = {("cubic.py", "PERMS")}
+PERM_CALLERS = {("cubic.py", "match_roots"), ("cubic.py", "chain_labels"),
+                ("frobenius.py", "theorem2_residual")}
 
 
 def permutation_sites(source):
@@ -215,6 +219,35 @@ def test_one_permutation_matcher():
     sites = {(path.name, name) for path in SOURCES
              for name, _ in permutation_sites(path.read_text())}
     assert sites == MATCHER
+
+
+def least_cost_perm_callers(source):
+    """(top-level name, line) of each call of least_cost_perm in source,
+    bare or through a module; the name is the enclosing module-level
+    function's or class's ("" at module level)."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func).split(
+                    ".")[-1] == "least_cost_perm"):
+                found.append((getattr(stmt, "name", ""), node.lineno))
+    return found
+
+
+def test_scan_finds_least_cost_perm_calls():
+    source = ("from .cubic import least_cost_perm\n"
+              "k = least_cost_perm(d)\n"
+              "def f(d):\n    return cubic.least_cost_perm(d)[0]\n"
+              "class C:\n    def m(self, d):\n"
+              "        return [least_cost_perm(e) for e in d]\n"
+              "def g(d):\n    pick = least_cost_perm\n    return pick\n")
+    assert least_cost_perm_callers(source) == [("", 2), ("f", 4), ("C", 7)]
+
+
+def test_only_the_matchers_call_least_cost_perm():
+    sites = {(path.name, name) for path in SOURCES
+             for name, _ in least_cost_perm_callers(path.read_text())}
+    assert sites == PERM_CALLERS
 
 
 # ---------------------------------------------------------------------------

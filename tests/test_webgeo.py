@@ -14,20 +14,19 @@ from hypothesis import strategies as st
 from hexweb import cubic, webgeo
 from hexweb.chern import curvature, gamma_cubic, integrate_gamma
 from hexweb.cubic import (CallableJetField, DegenerateFieldError,
-                          PolyCoeffField, SingularPointError, coeff_values,
-                          match_roots, normalization_core, normalize_roots,
-                          proj_distance, roots_proj)
+                          PolyCoeffField, SingularPointError, chain_labels,
+                          coeff_values, match_roots, normalization_core,
+                          normalize_roots, proj_distance, roots_proj)
 from hexweb.frobenius import Potential, solution_potential
 from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import symmetry_losing_web
 from hexweb.webgeo import (FI_STEP, START_IMAG_TOL, FirstIntegralState,
-                           LeafIntegrationError, _chain_labels,
-                           _first_crossing, _quotient,
+                           LeafIntegrationError, _first_crossing, _quotient,
                            first_integrals, integrate_leaf, leaf_through,
                            real_directions, symmetry_residual,
                            thomsen_closure)
 from webs import (X, Y, CONTROL_GENERIC, CONTROL_SLOPES as CONTROL,
-                  root_chains, slope_web)
+                  root_chains, search_per_permutation, slope_web)
 
 PARALLEL = slope_web(0.0, 1.0, -2.0)        # three families of parallel lines
 FIELD_A = solution_potential("A").characteristic_field()
@@ -179,6 +178,15 @@ class TestLeafIntegration:
     def test_singular_start_rejected(self):
         with pytest.raises(SingularPointError):
             integrate_leaf(FIELD_A, (0.0, 0.0), 1, 0.5)
+
+    def test_start_where_the_discriminant_overflows_is_rejected(self):
+        # a = 1e160 (1 + x): D is nan + nanj at (0, 1), whose abs() may
+        # raise OverflowError
+        field = PolyCoeffField(PolyExpr.const(1e160, 2) + X * 1e160,
+                               PolyExpr.const(1, 2), Y, PolyExpr.const(1, 2))
+        with pytest.raises(SingularPointError, match=r"not finite at the "
+                           r"start \(0\.0, 1\.0\)"):
+            integrate_leaf(field, (0.0, 1.0), 1, 0.3)
 
 
 class TestCarriedDirection:
@@ -507,14 +515,14 @@ def first_integrals_per_node(field, base, path):
 
 
 def chain_labels_per_node(vals):
-    """Reference for _chain_labels: one match_roots call a node, on the
-    distances between the two nodes' roots."""
+    """Reference for chain_labels: at each node the per-permutation search
+    on the distances between the two nodes' roots."""
     d = proj_distance((vals[:-1, :, None, 0], vals[:-1, :, None, 1]),
                       (vals[1:, None, :, 0], vals[1:, None, :, 1])).tolist()
     labels = [(0, 1, 2)]
     for di in d:
-        labels.append(match_roots(labels[-1], (0, 1, 2),
-                                  dist=lambda a, b: di[a][b])[0])
+        labels.append(search_per_permutation(
+            labels[-1], (0, 1, 2), dist=lambda a, b: di[a][b])[0])
     return np.take_along_axis(vals, np.array(labels)[:, :, None], axis=1)
 
 
@@ -523,7 +531,7 @@ class TestChainLabels:
     @given(root_chains())
     def test_equal_to_one_match_a_node(self, vals):
         # random moves, exact ties (coinciding roots) and near ties
-        assert (_chain_labels(vals).tobytes()
+        assert (chain_labels(vals).tobytes()
                 == chain_labels_per_node(vals).tobytes())
 
 

@@ -2,13 +2,14 @@
 the two non-flat control webs used as negative witnesses; triples of
 projective roots for the labelling tests; and the recorded sample draws."""
 
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
-from hexweb.cubic import PolyCoeffField
+from hexweb.cubic import PolyCoeffField, proj_distance
 from hexweb.jets import PolyExpr
 
 X = PolyExpr.var(0, 2)
@@ -102,3 +103,16 @@ def root_chains(draw, max_nodes=10):
     for _ in range(draw(st.integers(1, max_nodes - 1))):
         chain.append(draw(moved_triples(chain[-1])))
     return np.array(chain)
+
+
+def search_per_permutation(ref, new, dist=proj_distance):
+    """The per-permutation loop that match_roots replaced: each permutation
+    of new, in itertools order, sums its own dist calls on the pairs
+    (ref[i], new[perm[i]]), and the first of least cost wins.  Returns the
+    reordered new (a list) and its cost."""
+    best, best_cost = None, np.inf
+    for perm in itertools.permutations(range(len(new))):
+        cost = sum(dist(ref[i], new[perm[i]]) for i in range(len(ref)))
+        if cost < best_cost:
+            best, best_cost = perm, cost
+    return [new[i] for i in best], best_cost
