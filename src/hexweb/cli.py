@@ -380,13 +380,13 @@ def run_leaves(obj, cfg, rng, report, outdir):
                     continue
                 layers.append((leaf.points, BRANCH_COLORS[branch], 1.5))
                 count += 1
+    report["leaf_count"] = count  # also when the trace raises
     trace = trace_discriminant(field, window, n=max(16, 4 * n))
     for curve in trace.curves:
         layers.append((curve, "#000000", 3.0))
     path = outdir / "leaves.svg"
     write_svg(path, window, layers)
     report["artifacts"] = [path.name]
-    report["leaf_count"] = count
     return count > 0
 
 

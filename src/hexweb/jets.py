@@ -756,7 +756,8 @@ def lift(polys, base, order, tables):
     """The order-K Taylor coefficients of the 2-variable polynomials polys
     at base (base_point's), c[j1, j2] of polys[p] at p (K+1)^2 + j1 (K+1) +
     j2: Python complex numbers at a point, an array (len(polys) (K+1)^2,
-    ...) at arrays of points.  tables: the group owner's _term_table cache.
+    ...) at arrays of points.  tables: the group owner's cache of
+    _term_table's tables, each held with its point function (below).
 
     Each power x0^n, y0^n is taken once, and each coefficient adds its
     terms cc * (C(e1, j1) x0^(e1-j1)) * C(e2, j2) * y0^(e2-j2) onto +0.0 in
@@ -764,15 +765,36 @@ def lift(polys, base, order, tables):
     factor, where numpy's vectorised complex multiply rounds as Python's
     does, and numpy's integer powers of real values differ from Python's at
     most in the sign of a zero imaginary part, which adding onto +0.0
-    drops: an array of real points lifts as each point alone does.
+    drops: an array of real points lifts as each point alone does.  At a
+    point the loop runs as a function generated on the table's first point
+    call: one statement per power and per term, in the loop's order, whose
+    source holds only names and ints (the coefficients are its globals).
     """
     try:
-        size, powers, terms = tables[order]
+        size, powers, terms, at_point = tables[order]
     except KeyError:
-        size, powers, terms = tables[order] = _term_table(polys, order)
+        size, powers, terms, at_point = tables[order] = (
+            *_term_table(polys, order), None)
+    if type(base[0]) is complex:
+        if at_point is None:
+            body = [f"p{u} = {'xy'[axis]} ** {n}"
+                    for u, (axis, n) in enumerate(powers)]
+            sums = set()  # the slots with a term so far
+            for i, (slot, _, k1, u, k2, v) in enumerate(terms):
+                prev = f"s{slot}" if slot in sums else "z"
+                body.append(f"s{slot} = {prev} + c{i} * ({k1} * p{u})"
+                            f" * {k2} * p{v}")
+                sums.add(slot)
+            body.append("return [" + ", ".join(
+                f"s{s}" if s in sums else "z" for s in range(size)) + "]")
+            scope = {f"c{i}": term[1] for i, term in enumerate(terms)}
+            scope["z"] = 0j
+            exec("def at_point(x, y):\n    " + "\n    ".join(body), scope)
+            at_point = scope["at_point"]
+            tables[order] = size, powers, terms, at_point
+        return at_point(*base)
     pw = [base[axis] ** n for axis, n in powers]
-    out = ([0j] * size if type(base[0]) is complex
-           else np.zeros((size,) + base[0].shape, dtype=complex))
+    out = np.zeros((size,) + base[0].shape, dtype=complex)
     for slot, cc, k1, u, k2, v in terms:
         out[slot] += cc * (k1 * pw[u]) * k2 * pw[v]
     return out

@@ -16,9 +16,9 @@ from operator import mul
 
 import numpy as np
 
-from .cubic import (CallableJetField, PolyCoeffField, TranslatedField,
-                    at_first, coeff_values, discriminant_of_coeffs,
-                    discriminant_scale, nonvanishing)
+from .cubic import (CallableJetField, PolyCoeffField, SingularPointError,
+                    TranslatedField, at_first, coeff_values,
+                    discriminant_of_coeffs, discriminant_scale, nonvanishing)
 from .jets import (Jet, JetError, PolyExpr, any_set, base_point,
                    compose_series, jet_pow, jet_tan)
 from .webgeo import symmetry_residual
@@ -45,10 +45,19 @@ def _grid_seeds(field, xs, ys):
     """Re D on the grid xs x ys (one array lift), and the mask (n, n, 2) of
     the grid edges whose ends have Re D < 0 at one and Re D >= 0 at the
     other: the edge from (i, j) to (i + 1, j) at k = 0, to (i, j + 1) at
-    k = 1.  A node on D = 0 thus has a side, and each cell 0, 2 or 4 edges."""
+    k = 1.  A node on D = 0 thus has a side, and each cell 0, 2 or 4 edges.
+    Raises SingularPointError naming the first node (row-major) where D is
+    not finite (an overflowing field), where no side is defined."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Dg = discriminant_of_coeffs(
-        *(j.value for j in field.coeff_jets(X, Y, 0))).real
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        D = discriminant_of_coeffs(
+            *(j.value for j in field.coeff_jets(X, Y, 0)))
+    bad = ~np.isfinite(D)
+    if bad.any():
+        x, y = at_first(bad, X, Y)
+        raise SingularPointError(
+            f"discriminant not finite at the grid node ({x}, {y})")
+    Dg = D.real
     pos, change = Dg >= 0, np.zeros(Dg.shape + (2,), dtype=bool)
     change[:-1, :, 0] = pos[:-1] != pos[1:]
     change[:, :-1, 1] = pos[:, :-1] != pos[:, 1:]
@@ -86,7 +95,8 @@ def trace_discriminant(field, window, n=32):
     D = 0, each cell joins the points on its sides, and the joins are
     walked into curves (free ends first, then closed loops), each point
     once, except that a closed loop repeats its first point at its end.
-    An empty trace is a valid result.
+    An empty trace is a valid result; a grid node where D is not finite
+    raises SingularPointError.
     """
     (x0, x1), (y0, y1) = window
     if n < 8:

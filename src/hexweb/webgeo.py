@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chern, cubic
-from .cubic import (REGULAR_DISC_TOL, SingularPointError, coeff_values,
-                    continued_sigma, discriminant_of_coeffs,
-                    discriminant_scale, match_roots, nonvanishing,
-                    proj_distance)
+from .cubic import (COEF_VANISH_TOL, REGULAR_DISC_TOL, SingularPointError,
+                    coeff_values, continued_sigma, discriminant_of_coeffs,
+                    match_roots, nonvanishing, proj_distance)
 
 
 class LeafIntegrationError(ValueError):
@@ -90,16 +89,17 @@ def real_directions(field, point):
     and the rows are sorted by angle; raises when any root is genuinely
     complex (D <= 0 region).
     """
-    return _real_directions(field.coeffs(point[0], point[1]), point)
+    return np.array(_real_directions(field.coeffs(point[0], point[1]), point))
 
 
 def _real_directions(co, point, mag=None):
-    """real_directions from the field's coefficients co at the point (and
-    their moduli mag, if known), in Python floats (math.sqrt(x*x + y*y) is
-    numpy's norm of a pair)."""
-    dirs = []
-    pq = cubic.roots_proj(nonvanishing(co, point[0], point[1], mag), mag)
-    for p, q in pq.tolist():
+    """real_directions as a list of pairs of Python floats, from the four
+    coefficients co at the point and their moduli mag, if known
+    (math.sqrt(x*x + y*y) is numpy's norm of a pair; NaN never vanishes)."""
+    dirs, mag = [], np.abs(co) if mag is None else mag
+    if all(m <= COEF_VANISH_TOL for m in mag.tolist()):
+        nonvanishing(co, point[0], point[1], mag)
+    for p, q in cubic.roots_proj(co, mag).tolist():
         imag = max(abs(p.imag), abs(q.imag))
         if imag > START_IMAG_TOL * max(abs(p), abs(q)):
             raise LeafIntegrationError(
@@ -108,8 +108,7 @@ def _real_directions(co, point, mag=None):
         norm = math.sqrt(x * x + y * y)
         x, y = x / norm, y / norm
         dirs.append((-x, -y) if y < 0 or (y == 0 and x < 0) else (x, y))
-    dirs.sort(key=lambda u: math.atan2(u[1], u[0]) % math.pi)
-    return np.array(dirs)
+    return sorted(dirs, key=lambda u: math.atan2(u[1], u[0]) % math.pi)
 
 
 def _quotient(n, d):
@@ -187,18 +186,19 @@ def _leaf_steps(field, start, branch, sign, tol, h, total, land=None,
     """
     pt = (float(start[0]), float(start[1]))
     first = field.first_order(*pt)
-    co = first[0]
-    row = np.array(co)
-    mag = np.abs(row)  # the one modulus pass of the start
-    D0 = discriminant_of_coeffs(*co)
+    mag = np.abs(first[0])  # the one modulus pass of the start
+    D0 = discriminant_of_coeffs(*first[0])
     if not cmath.isfinite(D0):  # abs() of a NaN can raise OverflowError
         raise SingularPointError(f"discriminant not finite at the start {pt}")
-    scale = discriminant_scale(row, mag)
+    try:  # discriminant_scale's pow, which gives inf where Python's raises
+        scale = (1.0 + max(mag.tolist())) ** 4
+    except OverflowError:
+        scale = math.inf
     if abs(D0) <= REGULAR_DISC_TOL * scale:
         raise SingularPointError(f"start on the discriminant: |D|={abs(D0):.2e}")
     prox = LEAF_PROX_FACTOR * scale
-    dirs = _real_directions(row, pt, mag)
-    state = pt + tuple((sign * dirs[branch - 1]).tolist())
+    ux, uy = _real_directions(first[0], pt, mag)[branch - 1]
+    state = pt + (sign * ux, sign * uy)
     half = _Half([pt], [state[2:]], [0.0])
     pts, tans, params = half.points, half.tangents, half.params
     yield half

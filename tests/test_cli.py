@@ -82,6 +82,15 @@ def write_config(tmp_path, inp, **extra):
     return str(path)
 
 
+# a = 1e160 (1 + x): a^2 overflows, so D is nan + nanj wherever x != -1
+OVERFLOWING_FIELD = {"kind": "field",
+                     "a": [{"exps": [0, 0], "coef": 1e160},
+                           {"exps": [1, 0], "coef": 1e160}],
+                     "b": [{"exps": [0, 0], "coef": 1}],
+                     "c": [{"exps": [0, 1], "coef": 1}],
+                     "r": [{"exps": [0, 0], "coef": 1}]}
+
+
 class TestLoadSpec:
     def test_potential(self):
         pot = load_spec(SOLUTION_A)
@@ -316,14 +325,8 @@ class TestExitCodes:
 
 
     def test_overflowing_field_reports_its_start(self, tmp_path, capsys):
-        # a = 1e160 (1 + x): the discriminant at the leaf start is nan + nanj
-        big = {"kind": "field",
-               "a": [{"exps": [0, 0], "coef": 1e160},
-                     {"exps": [1, 0], "coef": 1e160}],
-               "b": [{"exps": [0, 0], "coef": 1}],
-               "c": [{"exps": [0, 1], "coef": 1}],
-               "r": [{"exps": [0, 0], "coef": 1}]}
-        cfg = write_config(tmp_path, big)
+        # the discriminant at the leaf start is nan + nanj
+        cfg = write_config(tmp_path, OVERFLOWING_FIELD)
         out = tmp_path / "out"
         assert main(["closure", "--config", cfg, "--out", str(out)]) == 1
         rep = json.loads((out / "closure_report.json").read_text())
@@ -331,6 +334,18 @@ class TestExitCodes:
         assert main(["leaves", "--config", cfg, "--out", str(out)]) == 1
         rep = json.loads((out / "leaves_report.json").read_text())
         assert rep["pass"] is False and rep["leaf_count"] == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_overflowing_field_has_no_discriminant_trace(self, tmp_path,
+                                                         capsys):
+        # D = nan + nanj on the grid: no trace, rather than an empty one
+        cfg = write_config(tmp_path, OVERFLOWING_FIELD)
+        out = tmp_path / "out"
+        assert main(["discriminant", "--config", cfg, "--out", str(out)]) == 1
+        rep = json.loads((out / "discriminant_report.json").read_text())
+        assert rep["pass"] is False and "trace" not in rep
+        assert rep["error"].startswith(
+            "discriminant not finite at the grid node (")
         assert "Traceback" not in capsys.readouterr().err
 
 

@@ -324,6 +324,49 @@ def test_one_lift_loop():
 
 
 # ---------------------------------------------------------------------------
+# One code generator: jets.lift alone turns source into code (its function
+# for a term table at a point); no other function of src/ uses the builtins
+# exec, eval or compile.
+
+CODE_GENERATORS = {("jets.py", "lift")}
+
+
+def code_generation_sites(source):
+    """(function, line) of each use of the names exec, eval and compile in
+    source (attributes such as re.compile are not the builtins); the
+    function is the innermost enclosing def ("" at module level)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Name) and node.id in ("exec", "eval",
+                                                      "compile"):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_scan_finds_code_generation():
+    source = ("import re\nPAT = re.compile('x')\nrun = exec\n"
+              "def lift(src, scope):\n    exec(src, scope)\n"
+              "class C:\n    def m(self, s):\n"
+              "        return eval(compile(s, '<s>', 'eval'))\n"
+              "def f(text):\n    return re.compile(text).match\n")
+    assert code_generation_sites(source) == [("", 3), ("lift", 5), ("m", 8),
+                                             ("m", 8)]
+
+
+def test_only_lift_generates_code():
+    sites = {(path.name, name) for path in SOURCES
+             for name, _ in code_generation_sites(path.read_text())}
+    assert sites == CODE_GENERATORS
+
+
+# ---------------------------------------------------------------------------
 # No random knob: the idempotents come from fixed algebra elements, so no
 # function of src/ takes an rng, except three frobenius routes that keep the
 # keyword (accepted and ignored) for callers outside src/.  cli.py is

@@ -1,6 +1,7 @@
 """Truncated two-variable Taylor arithmetic against finite differences and
 closed-form series."""
 
+import ast
 import math
 
 import numpy as np
@@ -640,13 +641,20 @@ ARRAY_POINTS = st.integers(1, 3).flatmap(lambda n: st.tuples(
     st.one_of(REALS, arrays(np.float64, (2, n), elements=REALS))))
 
 
+# points whose coordinates have signed zero parts, real or complex
+SIGNED_ZEROS = st.sampled_from([
+    0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+    complex(-1.5, -0.0), complex(-0.0, 2.0), 0.5])
+
+
 class TestLift:
     """PolyExpr.__call__ and .jet, and PolyCoeffField.coeffs, .first_order
-    and .coeff_jets, all run jets.lift; each equals the dense loop."""
+    and .coeff_jets, all run jets.lift; each equals the dense loop.  At a
+    point, lift runs the function it generates from the term table."""
 
     @staticmethod
-    def check(polys, point, order):
-        field = cubic.PolyCoeffField(*polys)
+    def check(polys, point, order, field=None):
+        field = field or cubic.PolyCoeffField(*polys)
         x0, y0 = jets.base_point(*point)
         want = [reference_lift(p, x0, y0, order) for p in polys]
         for p, w in zip(polys, want):
@@ -657,16 +665,71 @@ class TestLift:
         values = np.moveaxis(np.array([w[0, 0] for w in want]), 0, -1)
         assert same_bits(field.coeffs(*point), values)
 
-    @settings(max_examples=100, deadline=None)
-    @given(POLYS, NUMBER_POINTS, st.integers(0, 3))
-    def test_numbers_equal_the_dense_loop(self, polys, point, order):
-        self.check(polys, point, order)
-        field = cubic.PolyCoeffField(*polys)
+    @staticmethod
+    def check_first_order(polys, point, field):
         got = field.first_order(*point)
         assert all(type(v) is complex for row in got for v in row)
         want = [reference_lift(p, *jets.base_point(*point), 1) for p in polys]
         assert same_bits(np.array(got), np.array(
             [[w[i, j] for w in want] for i, j in ((0, 0), (1, 0), (0, 1))]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(POLYS, NUMBER_POINTS, st.integers(0, 3))
+    def test_numbers_equal_the_dense_loop(self, polys, point, order):
+        self.check(polys, point, order)
+        self.check_first_order(polys, point, cubic.PolyCoeffField(*polys))
+
+    @settings(max_examples=30, deadline=None)
+    @given(POLYS, st.tuples(SIGNED_ZEROS, SIGNED_ZEROS))
+    def test_signed_zeros_and_complex_points_equal_the_dense_loop(
+            self, polys, point):
+        field = cubic.PolyCoeffField(*polys)
+        for order in range(4):
+            self.check(polys, point, order, field)
+        self.check_first_order(polys, point, field)
+
+    @settings(max_examples=30, deadline=None)
+    @given(POLYS, NUMBER_POINTS, ARRAY_POINTS, st.integers(0, 3))
+    def test_a_point_arrays_and_the_point_again_on_one_owner(
+            self, polys, point, arrays_of_points, order):
+        field = cubic.PolyCoeffField(*polys)
+        for at in (point, arrays_of_points, point):
+            self.check(polys, at, order, field)
+            self.check_first_order(polys, point, field)
+
+    def test_one_point_function_per_owner_and_order(self, monkeypatch):
+        sources = []
+
+        def counted_exec(source, scope):
+            sources.append(source)
+            exec(source, scope)
+
+        monkeypatch.setattr(jets, "exec", counted_exec, raising=False)
+        X, Y = PolyExpr.var(0), PolyExpr.var(1)
+        polys = [X * X * Y * 0.3 + 2, Y * (1.5 - 2j), X * X * X * (1 / 7),
+                 PolyExpr.zero()]
+        field = cubic.PolyCoeffField(*polys)
+        tables = field._lift_tables
+        xs = np.linspace(-1.0, 1.0, 5)
+        field.coeffs(xs, xs)
+        field.coeff_jets(xs, 0.5, 2)
+        assert not sources
+        assert [tables[k][3] for k in (0, 2)] == [None, None]
+        field.coeffs(0.1, 0.2)
+        at_point = tables[0][3]
+        field.coeffs(-0.3, 0.7j)
+        field.coeff_jets(0.1, 0.2, 0)
+        field.coeffs(xs, xs)
+        assert tables[0][3] is at_point and len(sources) == 1
+        field.first_order(0.1, 0.2)
+        field.first_order(1.0, 2.0)
+        assert len(sources) == 2 and tables[2][3] is None
+        polys[0](0.1, 0.2)  # another owner, with its own tables
+        assert len(sources) == 3 and sorted(tables) == [0, 1, 2]
+        for source in sources:  # names and ints only: no coefficient
+            assert all(type(node.value) is int
+                       for node in ast.walk(ast.parse(source))
+                       if isinstance(node, ast.Constant))
 
     @settings(max_examples=40, deadline=None)
     @given(POLYS, ARRAY_POINTS, st.integers(0, 3))

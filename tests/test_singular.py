@@ -2,13 +2,15 @@
 F(t) ODE, and weight classification."""
 
 import dataclasses
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
 from hexweb.chern import curvature, gamma_depressed
-from hexweb.cubic import (PolyCoeffField, TranslatedField, coeff_values,
+from hexweb.cubic import (PolyCoeffField, SingularPointError,
+                          TranslatedField, coeff_values,
                           discriminant_of_coeffs, discriminant_scale)
 from hexweb.frobenius import solution_potential
 from hexweb.jets import JetError, PolyExpr
@@ -186,6 +188,16 @@ class TestTracingKernels:
         trace = trace_discriminant(f, ((-1.0, 1.0), (-1.0, 1.0)), 8)
         assert trace.empty
         assert trace.all_points().shape == (0, 2)
+
+    def test_non_finite_discriminant_names_its_first_node(self):
+        # a = 1e160 (1 + x): a^2 overflows, D = nan + nanj on every node but
+        # those at x = -1, where a = 0; an empty trace would pass vacuously
+        a = PolyExpr.from_dict({(0, 0): 1e160, (1, 0): 1e160})
+        one = PolyExpr.const(1, 2)
+        f = PolyCoeffField(a, one, PolyExpr.var(1), one)
+        with pytest.raises(SingularPointError, match=re.escape(
+                "discriminant not finite at the grid node (-0.75, -1.0)")):
+            trace_discriminant(f, ((-1.0, 1.0), (-1.0, 1.0)), 9)
 
     def test_lifts_arrays_only(self, monkeypatch):
         calls = []

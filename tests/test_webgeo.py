@@ -2,6 +2,7 @@
 scaling symmetries."""
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from hexweb import cubic, webgeo
 from hexweb.chern import curvature, gamma_cubic, integrate_gamma
-from hexweb.cubic import (CallableJetField, DegenerateFieldError,
-                          PolyCoeffField, SingularPointError, chain_labels,
+from hexweb.cubic import (REGULAR_DISC_TOL, CallableJetField,
+                          DegenerateFieldError, PolyCoeffField,
+                          SingularPointError, chain_labels,
                           coeff_values, match_roots, normalization_core,
                           normalize_roots, proj_distance, roots_proj)
 from hexweb.frobenius import Potential, solution_potential
@@ -290,9 +292,56 @@ def divisors(draw):
     return complex(re, im)
 
 
+def constant_field(row):
+    return PolyCoeffField(*(PolyExpr.const(v, 2) for v in row))
+
+
+def random_real_poly(rng):
+    """1-3 monomials of degree <= 2 in each variable, real coefficients."""
+    return PolyExpr.from_dict({
+        (int(rng.integers(0, 3)), int(rng.integers(0, 3))):
+        float(rng.standard_normal()) for _ in range(rng.integers(1, 4))})
+
+
+def product_field(rng, zero=None):
+    """C(p, q) = (al1 p + be1 q)(al2 p + be2 q)(al3 p + be3 q) with random
+    real polynomials al, be: three real directions wherever no factor
+    vanishes or two agree; al1 = 0 makes a = 0, be1 = 0 makes r = 0."""
+    al, be = ([random_real_poly(rng) for _ in range(3)] for _ in range(2))
+    if zero == "a":
+        al[0] = PolyExpr.zero()
+    elif zero == "r":
+        be[0] = PolyExpr.zero()
+    return PolyCoeffField(
+        al[0] * al[1] * al[2],
+        al[0] * al[1] * be[2] + al[0] * be[1] * al[2] + be[0] * al[1] * al[2],
+        al[0] * be[1] * be[2] + be[0] * al[1] * be[2] + be[0] * be[1] * al[2],
+        be[0] * be[1] * be[2])
+
+
+def leaf_start(field, point, branch, sign):
+    """The leaf loop's start: its scale and first state, read from the
+    generator's frame at its first yield."""
+    steps = webgeo._leaf_steps(field, point, branch, sign, 1e-10, 0.01, 0.1)
+    next(steps)
+    return steps.gi_frame.f_locals["scale"], steps.gi_frame.f_locals["state"]
+
+
+def numpy_leaf_start(field, point, branch, sign):
+    """The same in the numpy formulas that the start replaced."""
+    row = np.array(field.first_order(*point)[0])
+    scale = cubic.discriminant_scale(row)
+    if abs(cubic.discriminant_of_coeffs(*row)) <= REGULAR_DISC_TOL * scale:
+        raise SingularPointError("start on the discriminant")
+    dirs = numpy_real_directions(field, point)
+    return scale, point + tuple((sign * dirs[branch - 1]).tolist())
+
+
 class TestScalarStages:
     """The leaf stages' Python scalars round as the numpy calls they
-    replace: the turning rate's quotient and the norm of u."""
+    replace: the turning rate's quotient, the norm of u, and the start's
+    scale, directions and first state; the start's vanishing test agrees
+    with nonvanishing's, NaN rows included."""
 
     @settings(max_examples=400, deadline=None)
     @given(SCALARS, SCALARS, divisors())
@@ -316,6 +365,82 @@ class TestScalarStages:
     @given(SCALARS, SCALARS)
     def test_complex_abs_is_numpy_hypot(self, a, b):
         assert bits(abs(complex(a, b))) == bits(float(np.hypot(a, b)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(SCALARS, min_size=4, max_size=4))
+    def test_scale_is_discriminant_scale(self, row):
+        # the start's formula: Python's pow, inf where it overflows
+        mag = np.abs(np.array(row, dtype=complex))
+        try:
+            scale = (1.0 + max(mag.tolist())) ** 4
+        except OverflowError:
+            scale = math.inf
+        with np.errstate(over="ignore"):
+            assert bits(scale) == bits(cubic.discriminant_scale(mag))
+
+    def test_overflowing_scale_is_inf(self):
+        # D = -27 a^2 r^2 is finite, the scale (1 + 1e80)^4 is not: every
+        # |D| is below REGULAR_DISC_TOL * inf
+        field = constant_field((1e80, 0.0, 0.0, 1.0))
+        with pytest.raises(SingularPointError, match=re.escape(
+                "start on the discriminant: |D|=2.70e+161")):
+            leaf_start(field, (0.0, 0.0), 1, 1.0)
+
+    def test_seeded_real_fields_start_as_the_numpy_formulas(self):
+        rng = np.random.default_rng(2026)
+        compared = refused = 0
+        fields = [PolyCoeffField(*(random_real_poly(rng) for _ in range(4)))
+                  for _ in range(3)] + [product_field(rng, zero) for zero in
+                                        (None, None, None, "a", "r")]
+        for field in fields:
+            for x, y in rng.uniform(-1.0, 1.0, (12, 2)).tolist():
+                branch, sign = int(rng.integers(1, 4)), rng.choice([-1., 1.])
+                try:
+                    want = numpy_leaf_start(field, (x, y), branch, sign)
+                except (LeafIntegrationError, SingularPointError) as e:
+                    refused += 1  # complex directions, or D = 0
+                    with pytest.raises(type(e)):
+                        leaf_start(field, (x, y), branch, sign)
+                    continue
+                got = leaf_start(field, (x, y), branch, sign)
+                assert type(got[0]) is float
+                assert bits(got[0], *got[1]) == bits(want[0], *want[1])
+                dirs = webgeo._real_directions(field.coeffs(x, y), (x, y))
+                assert bits(*sum(dirs, ())) == bits(
+                    *numpy_real_directions(field, (x, y)).ravel())
+                compared += 1
+        # 54 and 42 with this seed
+        assert compared >= 40 and refused >= 20
+
+    @pytest.mark.parametrize("row", [(0.0, 0.0, 0.0, 0.0),
+                                     (1e-12, 0.0, -1e-12j, 5e-13)])
+    def test_vanishing_row_keeps_its_error(self, row):
+        point = (0.25, -0.5)
+        with pytest.raises(DegenerateFieldError) as want:
+            cubic.nonvanishing(np.array(row, dtype=complex), *point)
+        with pytest.raises(DegenerateFieldError) as got:
+            real_directions(constant_field(row), point)
+        assert str(got.value) == str(want.value)
+        assert "all cubic coefficients vanish at (0.25, -0.5)" in str(
+            got.value)
+
+    @pytest.mark.parametrize("row", [(np.nan, 0.0, 0.0, 0.0),
+                                     (0.0, np.nan, 0.0, 0.0),
+                                     (0.0, 0.0, 0.0, np.nan),
+                                     (1.0, complex(0.0, np.nan), 1.0, 1.0)])
+    def test_nan_row_does_not_vanish(self, row):
+        # the root solve gets the row and raises its own error, as it did
+        # after nonvanishing; the leaf start names the NaN discriminant
+        field = constant_field(row)
+        with pytest.raises(Exception) as want:
+            roots_proj(np.array(row, dtype=complex))
+        with pytest.raises(Exception) as got:
+            real_directions(field, (0.0, 0.0))
+        assert type(got.value) is type(want.value) is not DegenerateFieldError
+        assert str(got.value) == str(want.value)
+        with pytest.raises(SingularPointError,
+                           match="discriminant not finite at the start"):
+            leaf_start(field, (0.0, 0.0), 1, 1.0)
 
 
 # Thomsen hexagons as float.hex, recorded when every hexagon leaf was
