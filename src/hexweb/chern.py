@@ -330,15 +330,12 @@ def integrate_gamma(field, path):
     return complex(sum(sums, 0j))
 
 
-FRAME_MAX_MOVE = 0.2  # summed projective move allowed between checkpoints
-
-
 class PathFrame:
     """Continuation of the normalized root triple along a polyline.
 
     The roots are walked by continue_along, which keeps their labels
     coherent and refines the checkpoints until consecutive root matches
-    move by <= FRAME_MAX_MOVE in the projective metric; then one
+    move by <= MAX_MOVE in the projective metric; then one
     continued_sigma call on all checkpoints normalizes them, continuing the
     cube-root branch.  ``checkpoints`` is the list of (point, sigma values
     (3, 2)).  Raises SingularPointError where D is real at two consecutive
@@ -350,7 +347,7 @@ class PathFrame:
         def at(x, y):
             return roots_proj(nonvanishing(field.coeffs(x, y), x, y))
 
-        pts, vals = continue_along(path, at, FRAME_MAX_MOVE)
+        pts, vals = continue_along(path, at)
         x, y = pts.T
         jets = field.coeff_jets(x, y, 0)
         D = discriminant_of_coeffs(*(j.value for j in jets))

@@ -357,7 +357,7 @@ def run_gamma(obj, cfg, rng, report, outdir):
                      "re_gamma_dy", "im_gamma_dy", "re_K", "im_K"], rows)
     report["artifacts"] = [path.name]
     report["grid"] = n
-    return True
+    return bool(ok.any())  # no regular grid point: nothing was checked
 
 
 def run_leaves(obj, cfg, rng, report, outdir):
@@ -463,7 +463,7 @@ def run_normalforms(obj, cfg, rng, report, outdir):
         sym = symmetry_residual(nf.field, nf.weights, samples, a=0.05)
         entry = {"id": fid, "m0": m0, "weights": list(nf.weights),
                  "max_curvature": worst_k, "symmetry_residual": sym,
-                 "pass": worst_k <= tol["curvature"]
+                 "pass": bool(pts) and worst_k <= tol["curvature"]
                          and sym <= tol["symmetry"]}
         if fid == 2:
             g = gamma_depressed(nf.field, (0.3, 0.4))

@@ -246,7 +246,8 @@ def proj_distance(u, v):
 
 
 def root_distance(u, v):
-    """proj_distance between the projective points in rows (..., 2)."""
+    """proj_distance between the projective points that the first two
+    components of rows (..., k) make: roots, or idempotents' slice parts."""
     return proj_distance((u[..., 0], u[..., 1]), (v[..., 0], v[..., 1]))
 
 
@@ -261,28 +262,25 @@ def least_cost_perm(dist):
     return np.argmin(t[..., 0] + t[..., 1] + t[..., 2], axis=-1)
 
 
-def match_roots(ref, new, dist=root_distance):
+def match_roots(ref, new):
     """The values new (..., 3, k) relabelled to move least from ref, and
-    their summed distance to ref per row of three.
-
-    dist takes arrays of rows (..., k) and is called once, on the nine
-    pairs of every row; least_cost_perm picks each row's labelling.
-    """
+    each label's root_distance to ref (..., 3): root_distance is called
+    once, on the nine pairs of every row, and least_cost_perm picks each
+    row's labelling."""
     new = np.asarray(new)
-    d = dist(np.asarray(ref)[..., :, None, :], new[..., None, :, :])
-    perm = PERMS[least_cost_perm(d)]
-    t = np.take_along_axis(d, perm[..., None], axis=-1)[..., 0]
-    return (np.take_along_axis(new, perm[..., None], axis=-2),
-            t[..., 0] + t[..., 1] + t[..., 2])
+    d = root_distance(np.asarray(ref)[..., :, None, :], new[..., None, :, :])
+    perm = PERMS[least_cost_perm(d)][..., None]
+    return (np.take_along_axis(new, perm, axis=-2),
+            np.take_along_axis(d, perm, axis=-1)[..., 0])
 
 
-def chain_labels(vals, dist=root_distance):
+def chain_labels(vals):
     """The values (n, 3, k) at the points of a chain, relabelled along it:
     point i's values take the labels that move them least from point
     i - 1's, as match_roots picks them, and point 0 keeps its order.  One
     least_cost_perm pass matches every point's values under each of the
     labellings the last point may have; only the walk is sequential."""
-    d = dist(vals[:-1, :, None], vals[1:, None])
+    d = root_distance(vals[:-1, :, None], vals[1:, None])
     k = [0]
     for c in least_cost_perm(d[:, PERMS]).tolist():
         k.append(c[k[-1]])
@@ -290,25 +288,24 @@ def chain_labels(vals, dist=root_distance):
 
 
 MIN_PIECE = 1e-8  # parameter length at which continue_along stops halving
+MAX_MOVE = 0.2  # summed root_distance move allowed between two path points
 
 
-def continue_along(path, at, max_move, dist=root_distance, pieces=None):
+def continue_along(path, at):
     """Labelled values continued along a polyline by adaptive bisection.
 
     ``at(x, y)`` gives the values (n, 3, k) at arrays of points (root pairs,
-    idempotents) in any order; it is called on path[0] and the starting
-    pieces' ends, then once per round of halvings.  A segment starts as
-    ``pieces(P0, P1)`` equal parts (one when ``pieces`` is None); a part
-    whose move costs more than ``max_move`` (match_roots' summed ``dist``)
-    is halved until its parameter length is MIN_PIECE.  Returns the points
-    (n, 2), path[0] first, and their values labelled by chain_labels.
+    idempotents with their slice part first) in any order; it is called on
+    the path's vertices, then once per round of halvings.  A segment starts
+    as one piece; a piece whose move (match_roots' distances, summed) is
+    above MAX_MOVE is halved until its parameter length is MIN_PIECE.
+    Returns the points (n, 2), path[0] first, and their values labelled by
+    chain_labels.
     """
     pts = np.asarray(path, dtype=complex)
-    n = [1 if pieces is None else pieces(pts[s], pts[s + 1])
-         for s in range(len(pts) - 1)]
     # each point's segment and parameter on it; path[0] is on none
-    seg = np.repeat(np.arange(-1, len(n)), [1] + n)
-    t = np.concatenate([[0.0]] + [np.arange(1, k + 1) / k for k in n])
+    seg = np.arange(-1, len(pts) - 1)
+    t = (seg >= 0) * 1.0
 
     def point(s, t):
         return pts[s] + t[:, None] * (pts[s + 1] - pts[s])
@@ -318,7 +315,8 @@ def continue_along(path, at, max_move, dist=root_distance, pieces=None):
     prev = np.arange(-1, len(t) - 1)  # each point's neighbour towards path[0]
     while j.size:
         t0 = np.where(seg[prev[j]] == seg[j], t[prev[j]], 0.0)
-        halve = ((match_roots(vals[prev[j]], vals[j], dist)[1] > max_move)
+        d = match_roots(vals[prev[j]], vals[j])[1]
+        halve = ((d[:, 0] + d[:, 1] + d[:, 2] > MAX_MOVE)
                  & (t[j] - t0 > MIN_PIECE))
         j, mid = j[halve], 0.5 * (t0 + t[j])[halve]
         if not j.size:
@@ -330,7 +328,7 @@ def continue_along(path, at, max_move, dist=root_distance, pieces=None):
         prev[j] = m  # each old end now follows its midpoint
         j = np.concatenate([m, j])  # both halves are untested
     order = np.lexsort((t, seg))
-    return x[order], chain_labels(vals[order], dist)
+    return x[order], chain_labels(vals[order])
 
 
 ROOT_SEP_TOL = 1e-8  # projective separation below which roots coincide

@@ -22,9 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cubic import (PERMS, PolyCoeffField, at_first,
-                    characteristic_coeffs_from_f3, continue_along,
-                    least_cost_perm, nonvanishing, proj_distance, roots_proj)
+from .cubic import (PolyCoeffField, at_first, characteristic_coeffs_from_f3,
+                    continue_along, match_roots, nonvanishing, roots_proj)
 from .jets import (Jet, PolyExpr, any_set, base_point, jet_to_polyexpr,
                    lift)
 
@@ -305,12 +304,11 @@ class CanonicalValues:
 SEMISIMPLE_GAP_TOL = 1e-8  # least relative eigenvalue gap of v -> E . v
 
 
-def mu_E(pot, point, euler=None):
-    """Eigenvalues of v -> E . v, sorted lexicographically in (Re, Im);
-    the Euler data is pot.euler unless given."""
-    ed = euler if euler is not None else pot.euler
+def mu_E(pot, point):
+    """Eigenvalues of v -> E . v, sorted lexicographically in (Re, Im), for
+    the Euler data pot.euler."""
     fp = multiplication_table(pot, point)
-    vals = np.linalg.eigvals(mult_operator(ed.euler_vector(point), fp))
+    vals = np.linalg.eigvals(mult_operator(pot.euler.euler_vector(point), fp))
     vals = sorted(vals, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
     gap = min(abs(vals[i] - vals[j])
               for i, j in itertools.combinations(range(3), 2))
@@ -343,28 +341,25 @@ def booklet_directions(pot, slice_point, t0=0.0, rng=None, table=None):
     return XY / m
 
 
-def theorem2_residual(pot, point, rng=None, table=None):
+def theorem2_residual(pot, point, rng=None):
     """Mismatch between booklet directions and characteristic leaf directions.
 
     Returns the max projective distance between the idempotent slice
     directions and the leaf directions of the characteristic cubic at the
-    same (x, y), paired by least_cost_perm: a float at a point (t, x, y),
-    an array at arrays of points.  ``rng`` is accepted and ignored; it is
-    kept only for callers outside src/.
+    same (x, y), paired by match_roots: a float at a point (t, x, y), an
+    array at arrays of points.  ``rng`` is accepted and ignored; it is kept
+    only for callers outside src/.
     """
     t0, x, y = (v.ravel() for v in np.broadcast_arrays(*point))
-    own = multiplication_table(pot, (t0, x, y))
-    dirs = booklet_directions(pot, (x, y), t0=t0, table=own if table is None
-                              else table).reshape(-1, 3, 1, 2)
+    fp = multiplication_table(pot, (t0, x, y))
+    dirs = booklet_directions(pot, (x, y), t0=t0, table=fp)
     # the characteristic field's coefficients, from the table's f3 values
-    f3 = own.c.reshape(-1, 27)[:, F3_AT[pot.case]].T
+    f3 = fp.c.reshape(-1, 27)[:, F3_AT[pot.case]].T
     co = np.stack(characteristic_coeffs_from_f3(
         pot.case, *f3, np.ones_like(f3[0])), axis=-1)
-    pq = roots_proj(nonvanishing(co, x, y))[:, None]
-    d = proj_distance((dirs[..., 0], dirs[..., 1]),
-                      (pq[..., 1], -pq[..., 0]))  # leaf direction (q, -p)
-    res = d[np.arange(len(d))[:, None], range(3), PERMS[least_cost_perm(d)]]
-    res = res.max(axis=-1).reshape(np.broadcast(*point).shape)
+    pq = roots_proj(nonvanishing(co, x, y))  # leaf direction (q, -p)
+    _, d = match_roots(dirs, np.stack([pq[..., 1], -pq[..., 0]], axis=-1))
+    res = d.max(axis=-1).reshape(np.broadcast(*point).shape)
     return float(res) if res.ndim == 0 else res
 
 
@@ -415,15 +410,6 @@ def taylor_solve(case, data, order=8, x0=0.0):
 # Idempotent-coordinate parallel transport on a t-slice
 
 
-IDEMPOTENT_STEP = 0.05  # longest first step (L1 length) along a curve
-IDEMPOTENT_MAX_MOVE = 0.5  # summed max-abs move allowed between points
-
-
-def _idempotent_pieces(P0, P1):
-    seg_len = abs(P1[0] - P0[0]) + abs(P1[1] - P0[1])
-    return max(1, int(np.ceil(seg_len / IDEMPOTENT_STEP)))
-
-
 def frobenius_transport(pot, curve, v, t0=0.0, rng=None):
     """Transport a slice tangent vector by freezing idempotent coordinates.
 
@@ -431,14 +417,15 @@ def frobenius_transport(pot, curve, v, t0=0.0, rng=None):
     tangent space as (0, vx, vy), expanded in the idempotent basis there;
     the coordinates are held constant along the curve, and the resulting
     vector at the end point is projected back to the slice along e = dt.
-    continue_along carries the idempotents along the curve.  ``rng`` is
-    accepted and ignored; it is kept only for callers outside src/.
+    continue_along carries the idempotents along the curve, labelled by
+    their slice directions (X, Y), which are the leaf directions of the
+    characteristic web (Theorem 2).  ``rng`` is accepted and ignored; it is
+    kept only for callers outside src/.
     """
-    _, frames = continue_along(
-        curve, lambda x, y: idempotents(multiplication_table(pot, (t0, x, y))),
-        IDEMPOTENT_MAX_MOVE, dist=lambda u, v: np.abs(u - v).max(axis=-1),
-        pieces=_idempotent_pieces)
-    start, end = (np.column_stack(frames[k]) for k in (0, -1))
+    _, frames = continue_along(curve, lambda x, y: np.roll(  # (X, Y, T)
+        idempotents(multiplication_table(pot, (t0, x, y))), -1, axis=-1))
+    start, end = (np.column_stack(np.roll(frames[k], 1, axis=-1))
+                  for k in (0, -1))
     eta = np.linalg.solve(start, np.array([0.0, v[0], v[1]], dtype=complex))
     w = end @ eta
     return (w[1], w[2])

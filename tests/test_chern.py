@@ -10,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from hexweb import chern
 from hexweb import cubic
-from hexweb.chern import (FRAME_MAX_MOVE, PathFrame, blaschke_transport,
-                          corollary_residual, curvature, dual_frame,
-                          frame_components, gamma_cubic, gamma_depressed,
+from hexweb.chern import (PathFrame, blaschke_transport, corollary_residual,
+                          curvature, dual_frame, frame_components,
+                          gamma_cubic, gamma_depressed,
                           gamma_expressions_from_sigma, gamma_from_definition,
                           integrate_gamma)
-from hexweb.cubic import (MIN_PIECE, PolyCoeffField, SingularPointError,
-                          coeff_values, discriminant_of_coeffs,
-                          discriminant_scale, factorization_residual,
+from hexweb.cubic import (MAX_MOVE, MIN_PIECE, PolyCoeffField,
+                          SingularPointError, coeff_values,
+                          discriminant_of_coeffs, discriminant_scale,
+                          factorization_residual,
                           match_roots, normalization_core, normalize_roots,
                           proj_distance, roots_proj)
 from hexweb.frobenius import Potential, solution_potential, taylor_solve
@@ -288,7 +289,7 @@ def reference_frame(field, path):
             pt = P0 + t1 * (P1 - P0)
             ref, lam = trail[-1][1:]
             sigma, lam_pt = triple(pt, ref, lam)
-            if (sum(map(proj_distance, ref, sigma)) > FRAME_MAX_MOVE
+            if (sum(map(proj_distance, ref, sigma)) > MAX_MOVE
                     and t1 - t0 > MIN_PIECE):
                 mid = 0.5 * (t0 + t1)
                 stack += [(mid, t1), (t0, mid)]

@@ -478,7 +478,8 @@ class TestPointSets:
         counting(cli, "gamma_cubic", calls, monkeypatch)
         counting(cli, "curvature", calls, monkeypatch)
         cfg = write_config(tmp_path, DEGENERATE_FIELD, grid=5)
-        assert main(["gamma", "--config", cfg, "--out", str(tmp_path)]) == 0
+        # no regular point: the run checked nothing and fails
+        assert main(["gamma", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert calls == []
         rows = (tmp_path / "gamma.csv").read_text().splitlines()[1:]
         assert len(rows) == 25
@@ -526,3 +527,13 @@ class TestPointSets:
         rep = json.loads((tmp_path / "normalforms.json").read_text())
         assert calls == []
         assert [e["max_curvature"] for e in rep["catalog"]] == [0.0] * 8
+
+    def test_form_without_regular_sample_fails(self, tmp_path, monkeypatch):
+        # a form whose sampler finds no regular point checked no curvature
+        monkeypatch.setattr(cli, "_random_regular_points",
+                            lambda field, window, rng, count, tries: [])
+        cfg = write_config(tmp_path, SOLUTION_A)
+        assert main(["normalforms", "--config", cfg, "--out",
+                     str(tmp_path)]) == 1
+        rep = json.loads((tmp_path / "normalforms.json").read_text())
+        assert [e["pass"] for e in rep["catalog"]] == [False] * 8

@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hexweb.chern import FRAME_MAX_MOVE
-from hexweb.cubic import (MIN_PIECE, CallableJetField, DegenerateFieldError,
-                          DirectionField, PolyCoeffField, SingularPointError,
-                          TranslatedField, _root_jets, coeff_values,
-                          continue_along, depress_jets,
-                          discriminant_of_coeffs, discriminant_scale,
-                          factorization_residual, match_roots,
-                          nonvanishing, normalize_roots, proj_distance,
-                          regular_cutoff, root_distance, roots_proj)
-from hexweb.frobenius import (IDEMPOTENT_MAX_MOVE, _idempotent_pieces,
-                              idempotents, multiplication_table,
+from hexweb import cubic
+from hexweb.cubic import (MAX_MOVE, MIN_PIECE, PERMS, CallableJetField,
+                          DegenerateFieldError, DirectionField,
+                          PolyCoeffField, SingularPointError, TranslatedField,
+                          _root_jets, coeff_values, continue_along,
+                          depress_jets, discriminant_of_coeffs,
+                          discriminant_scale, factorization_residual,
+                          least_cost_perm, match_roots, nonvanishing,
+                          normalize_roots, proj_distance, regular_cutoff,
+                          root_distance, roots_proj)
+from hexweb.frobenius import (idempotents, multiplication_table,
                               solution_potential)
 from hexweb.jets import JetError, PolyExpr, base_point
 from hexweb.singular import normal_form_field, symmetry_losing_web
@@ -82,18 +82,22 @@ class TestRoots:
             assert proj_distance(u, v) < 1e-12
 
     @pytest.mark.parametrize("perm", [[0, 2, 1], [1, 2, 0], [2, 1, 0]])
-    def test_match_roots_custom_distance_recovers_idempotents(self, perm):
-        # 3-vectors, which the default projective distance cannot compare
+    def test_match_roots_custom_distance_recovers_idempotents(self, perm,
+                                                              monkeypatch):
+        # 3-vectors with their slice part (X, Y) first, as
+        # frobenius_transport walks the idempotents: root_distance reads
+        # that pair and ignores the third component
         fp = multiplication_table(solution_potential("A"), (0.0, 0.3, 0.9))
-        ref = idempotents(fp)  # three 3-vectors
+        ref = np.roll(idempotents(fp), -1, axis=-1)  # three (X, Y, T)
         calls = []
 
-        def max_abs(u, v):
+        def counted(u, v):
             calls.append(np.broadcast_shapes(u.shape, v.shape))
-            return np.abs(u - v).max(axis=-1)
+            return root_distance(u, v)
 
-        matched, cost = match_roots(ref, ref[perm], dist=max_abs)
-        assert cost == 0.0
+        monkeypatch.setattr(cubic, "root_distance", counted)
+        matched, d = match_roots(ref, ref[perm])
+        assert d.max() < 1e-30  # complex cross products of equal pairs
         assert calls == [(3, 3, 3)]  # one call, on the nine pairs
         assert np.array_equal(bits(matched), bits(ref))
 
@@ -108,12 +112,14 @@ class TestRoots:
             calls.append(1)
             return root_distance(u, v)
 
-        got, cost = match_roots(ref, new, dist=counted)
-        assert len(calls) == 1 and cost.shape == (len(pairs),)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cubic, "root_distance", counted)
+            got, d = match_roots(ref, new)
+        assert len(calls) == 1 and d.shape == (len(pairs), 3)
         for i, (r, n) in enumerate(pairs):
-            want, want_cost = match_roots(r, n)
+            want, want_d = match_roots(r, n)
             assert np.array_equal(bits(got[i]), bits(want))
-            assert float(cost[i]).hex() == float(want_cost).hex()
+            assert d[i].tobytes() == want_d.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -126,15 +132,28 @@ class TestRoots:
         table = root_distance(ref[:, None], new[None])
         want, want_cost = search_per_permutation(
             range(3), range(3), dist=lambda i, j: table[i, j])
-        # labels as values: the relabelled labels are the winner itself
-        label = np.arange(3)[:, None]
-        perm, cost = match_roots(label, label, dist=lambda u, v: table[
-            u[..., 0], v[..., 0]])
-        assert perm[:, 0].tolist() == want
-        assert float(cost).hex() == float(want_cost).hex()
-        got, cost = match_roots(ref, new)
+        k = least_cost_perm(table)
+        assert PERMS[k].tolist() == want
+        t = table[range(3), PERMS[k]]
+        assert float(t[0] + t[1] + t[2]).hex() == float(want_cost).hex()
+        got, d = match_roots(ref, new)
         assert np.array_equal(bits(got), bits(new[want]))
-        assert float(cost).hex() == float(want_cost).hex()
+        assert d.tobytes() == t.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(root_triples(), root_triples()),
+                    min_size=1, max_size=6))
+    def test_label_distances_sum_to_the_least_cost(self, pairs):
+        # each label's distance is root_distance of the matched pair, and
+        # the three, summed in ref's order, are the least cost that
+        # least_cost_perm minimised, bit for bit
+        ref, new = (np.array(side) for side in zip(*pairs))
+        got, d = match_roots(ref, new)
+        assert d.tobytes() == root_distance(ref, got).tobytes()
+        table = root_distance(ref[:, :, None], new[:, None])
+        cost = [min(sum(table[i][m, p[m]] for m in range(3)) for p in PERMS)
+                for i in range(len(pairs))]
+        assert (d[:, 0] + d[:, 1] + d[:, 2]).tolist() == cost
 
     def test_root_jets_follow_the_root(self):
         # d/dx of the tracked slope matches a finite difference
@@ -448,44 +467,40 @@ class TestFirstOrder:
 
 
 class TestContinueAlong:
-    """The shared subdivision walker on triple-valued toys over arrays."""
+    """The shared subdivision walker on toys over arrays: three real
+    projective pairs a point."""
 
     PATH = [(0.0, 0.0), (1.0, 0.0)]
 
     @staticmethod
-    def at_x(x, y):
-        # three values a point, in order: x, x + 10 and x + 20
-        return x.real[:, None, None] + np.array([[0.0], [10.0], [20.0]])
-
-    @staticmethod
-    def gap(u, v):
-        return np.abs(u - v)[..., 0]
-
-    def test_pieces_set_the_initial_steps(self):
-        x, vals = continue_along(self.PATH, self.at_x, 1.0, dist=self.gap,
-                                 pieces=lambda P0, P1: 4)
-        assert x[:, 0].real.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert np.array_equal(vals, self.at_x(*x.T))
-        assert vals[0].ravel().tolist() == [0.0, 10.0, 20.0]
+    def turning(rate):
+        """at: three directions pi / 3 apart, turned by rate x; a step of
+        dx moves each by sin(rate dx), and costs 3 sin(rate dx)."""
+        def at(x, y):
+            t = rate * np.real(x)[:, None] + np.arange(3) * np.pi / 3
+            return np.stack([np.cos(t), np.sin(t)], axis=-1)
+        return at
 
     def test_one_piece_per_segment_by_default(self):
+        # a step of 1 costs 3 sin(0.01), under MAX_MOVE
         path = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
-        x, vals = continue_along(path, self.at_x, 0.5,
-                                 dist=lambda u, v: 0.0 * self.gap(u, v))
-        assert vals[:, 0, 0].tolist() == [0.0, 1.0, 1.0]
+        at = self.turning(0.01)
+        x, vals = continue_along(path, at)
         assert [tuple(pt) for pt in x] == path
+        assert np.array_equal(vals, at(*x.T))
 
     def test_costly_move_halves_the_step(self):
-        # a step of dx costs 3 dx: 0.75 passes, 1.5 does not
-        x, _ = continue_along(self.PATH, self.at_x, 0.9, dist=self.gap)
+        # a step of 1/4 costs 0.150 and passes, a step of 1/2 costs 0.300
+        x, vals = continue_along(self.PATH, self.turning(0.2))
         assert x[:, 0].real.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert np.array_equal(vals, self.turning(0.2)(*x.T))
 
     def test_halving_stops_at_the_floor(self):
         # the values jump at x = 1/2: no piece across it is cheap enough
         def at(x, y):
-            return self.at_x((x.real >= 0.5).astype(float), y)
+            return self.turning(0.2)((np.real(x) >= 0.5) * 1.0, y)
 
-        x, vals = continue_along(self.PATH, at, 0.5, dist=self.gap)
+        x, vals = continue_along(self.PATH, at)
         xs = x[:, 0].real
         jumps = np.flatnonzero(np.diff(vals[:, 0, 0])) + 1
         assert len(jumps) == 1
@@ -505,32 +520,29 @@ class TestContinueAlong:
             order = np.argsort(pts[..., 0], axis=-1)
             return np.take_along_axis(pts, order[..., None], axis=1)
 
-        x, vals = continue_along(
-            [(0.0, 0.0), (0.75, 0.0)], at, 0.5,
-            dist=lambda u, v: np.hypot(*np.moveaxis(u - v, -1, 0)))
-        assert len(x) == 17  # a move of 3 pi / 64 per point costs 0.44
+        x, vals = continue_along([(0.0, 0.0), (0.75, 0.0)], at)
+        assert len(x) == 65  # a move of 3 pi / 256 per point costs 0.110
         t = np.pi * x[:, :1].real + phase
         assert np.allclose(vals, np.stack([np.cos(t), np.sin(t)], axis=-1),
                            rtol=0, atol=1e-15)
         assert not np.array_equal(vals[-1], at(x[-1:, 0], x[-1:, 1])[0])
 
 
-def walk_per_point(path, at, max_move, dist, pieces=None):
+def walk_per_point(path, at):
     """The walker continue_along replaced: a stack of pieces, one at(point)
-    call a point, each point relabelled by the per-permutation loop against
-    the last accepted one.  Returns the points, the labelled values and
-    how many times the deepest piece was halved."""
+    call a point, each point relabelled by the per-permutation loop on
+    proj_distance against the last accepted one.  Returns the points, the
+    labelled values and how many times the deepest piece was halved."""
     pts = [np.asarray(p, dtype=complex) for p in path]
     trail, depth = [(pts[0], at(*pts[0]))], 0
     for P0, P1 in zip(pts[:-1], pts[1:]):
-        n = 1 if pieces is None else pieces(P0, P1)
-        stack = [(i / n, (i + 1) / n, 0) for i in range(n - 1, -1, -1)]
+        stack = [(0.0, 1.0, 0)]
         while stack:
             t0, t1, d = stack.pop()
             depth = max(depth, d)
             pt = P0 + t1 * (P1 - P0)
-            vals, cost = search_per_permutation(trail[-1][1], at(*pt), dist)
-            if cost > max_move and (t1 - t0) > MIN_PIECE:
+            vals, cost = search_per_permutation(trail[-1][1], at(*pt))
+            if cost > MAX_MOVE and (t1 - t0) > MIN_PIECE:
                 mid = 0.5 * (t0 + t1)
                 stack += [(mid, t1, d + 1), (t0, mid, d + 1)]
             else:
@@ -548,66 +560,59 @@ def roots_at(field):
 
 
 def idempotents_at(pot):
-    """frobenius_transport's values: the idempotents on the t = 0 slice."""
-    return lambda x, y: idempotents(multiplication_table(pot, (0.0, x, y)))
+    """frobenius_transport's values: the idempotents on the t = 0 slice,
+    their slice part (X, Y) first."""
+    return lambda x, y: np.roll(
+        idempotents(multiplication_table(pot, (0.0, x, y))), -1, axis=-1)
 
 
 def walker_cases():
-    """(name, at, max_move, array dist, per-pair dist, pieces, path): random
-    four-vertex paths (seeded) on the path-frame windows and on the
-    idempotent frames of potentials A and B, a one-point path and paths
-    with a repeated vertex."""
+    """(name, at, path): random four-vertex paths (seeded) on the
+    path-frame windows and on the idempotent frames of potentials A (two
+    windows) and B, a one-point path and paths with a repeated vertex."""
     rng = np.random.default_rng(2511)
-    frames = [(name, roots_at(field), FRAME_MAX_MOVE, root_distance,
-               proj_distance, None, window)
+    frames = [(name, roots_at(field), window)
               for name, (field, window) in FRAME_WINDOWS.items()]
-    # B's table is constant; from one piece a segment, A's idempotents
-    # turn fast enough below y = 1 to be halved
-    maxabs = (lambda u, v: np.abs(u - v).max(axis=-1),
-              lambda u, v: float(np.max(np.abs(u - v))))
-    for name, case, pieces in (("A", "A", _idempotent_pieces),
-                               ("A, one piece", "A", None),
-                               ("B", "B", _idempotent_pieces)):
+    for name, case, window in (
+            ("A", "A", ((-0.4, 0.4), (0.5, 1.0))),
+            ("A, y >= 0.75", "A", ((-0.4, 0.4), (0.75, 1.3))),
+            ("B", "B", ((-0.8, 0.8), (-0.8, 0.8)))):
         frames.append((f"idempotents {name}",
-                       idempotents_at(solution_potential(case)),
-                       IDEMPOTENT_MAX_MOVE, *maxabs, pieces,
-                       ((-0.4, 0.4), (0.5, 1.0)) if case == "A"
-                       else ((-0.8, 0.8), (-0.8, 0.8))))
+                       idempotents_at(solution_potential(case)), window))
     out = []
-    for *frame, ((x0, x1), (y0, y1)) in frames:
+    for name, at, ((x0, x1), (y0, y1)) in frames:
         paths = [[(rng.uniform(x0, x1), rng.uniform(y0, y1))
                   for _ in range(4)] for _ in range(6)]
         paths[0] = paths[0][:1]
         paths[1] = paths[1][:2] + paths[1][1:]
-        out += [(*frame, path) for path in paths]
+        out += [(name, at, path) for path in paths]
     return out
 
 
 class TestWalkerReference:
     def test_equals_the_walk_a_point_at_a_time(self):
         """The points and labelled values equal the per-point stack walk's
-        bit for bit, and at is called once per round: once for the ends of
-        the starting pieces and once per depth of halving."""
+        bit for bit, and at is called once per round: once for the
+        vertices and once per depth of halving."""
         refined = set()
-        for name, at, max_move, dist, pair_dist, pieces, path in \
-                walker_cases():
+        for name, at, path in walker_cases():
             calls = []
 
             def counted(x, y):
                 calls.append(len(x))
                 return at(x, y)
 
-            x, vals = continue_along(path, counted, max_move, dist=dist,
-                                     pieces=pieces)
-            x_w, vals_w, depth = walk_per_point(path, at, max_move,
-                                                pair_dist, pieces)
+            x, vals = continue_along(path, counted)
+            x_w, vals_w, depth = walk_per_point(path, at)
             assert np.array_equal(bits(x), bits(x_w)), name
             assert np.array_equal(bits(vals), bits(vals_w)), name
             assert len(calls) == depth + 1 and sum(calls) == len(x)
             if depth:
                 refined.add(name)
+        # B's table is constant, so its idempotents never move; A's turn
+        # enough between vertices to be halved in both windows
         assert refined == {"A", "control D > 0", "control D < 0", "complex",
-                           "idempotents A, one piece"}
+                           "idempotents A", "idempotents A, y >= 0.75"}
 
 
 # ---------------------------------------------------------------------------

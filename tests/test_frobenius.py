@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexweb import frobenius
+from hexweb.cubic import match_roots, roots_proj
 from hexweb.frobenius import (SPLIT_C1, SPLIT_TOL, FrobeniusPoint,
                               NonSemisimpleError, NotQuasiHomogeneousError,
-                              Potential, euler_data, frobenius_transport,
-                              idempotents, mu_E, mult_operator,
-                              multiplication_table, multiply,
+                              Potential, booklet_directions, euler_data,
+                              frobenius_transport, idempotents, mu_E,
+                              mult_operator, multiplication_table, multiply,
                               solution_potential, taylor_solve,
                               theorem2_residual)
 from hexweb.jets import PolyExpr
@@ -169,7 +170,7 @@ class TestEuler:
             assert np.max(np.abs(w - lam * np.asarray(e))) < 1e-12
             lams.append(complex(lam))
         lams.sort(key=lambda z: (round(z.real, 10), round(z.imag, 10)))
-        cv = mu_E(pot, pt, euler=ed)
+        cv = mu_E(pot, pt)
         assert cv.semisimple
         assert np.allclose(lams, cv.lambdas, atol=1e-10)
         assert cv.lambdas[0] == pytest.approx(-0.5535308618, abs=1e-9)
@@ -185,9 +186,12 @@ class TestEuler:
         monkeypatch.setattr(frobenius, "euler_data", counted)
         for case in ("A", "B"):
             pot = solution_potential(case)
-            ed = euler_data(pot)
+            ed = euler_data(pot)  # this module's name: not counted
             for pt in [(0.2, 0.4, 1.2), (-0.1, 0.3, 0.9), (0.0, 0.1, 0.5)]:
-                assert mu_E(pot, pt) == mu_E(pot, pt, euler=ed)
+                want = np.linalg.eigvals(mult_operator(
+                    ed.euler_vector(pt), multiplication_table(pot, pt)))
+                assert np.array_equal(np.sort_complex(mu_E(pot, pt).lambdas),
+                                      np.sort_complex(want))
             assert solves.count(pot) == 1
 
 
@@ -204,7 +208,10 @@ class TestBooklet:
         # characteristic web by a visible margin
         pot = solution_potential("A")
         wrong = multiplication_table(pot, (0.0, 0.55, 0.9))
-        res = theorem2_residual(pot, (0.0, 0.3, 1.1), table=wrong)
+        dirs = booklet_directions(pot, (0.3, 1.1), table=wrong)
+        pq = roots_proj(pot.characteristic_field().coeffs(0.3, 1.1))
+        _, d = match_roots(dirs, np.stack([pq[:, 1], -pq[:, 0]], axis=-1))
+        res = d.max()
         assert res > 1e-4
         assert res == pytest.approx(0.17621, rel=1e-3)
 
@@ -314,3 +321,21 @@ class TestTransport:
         back = frobenius_transport(pot, curve[::-1],
                                    (complex(c[0]), complex(c[1])))
         assert abs(back[0] - 2.0) + abs(back[1] + 1.5) < 1e-7
+
+    def test_large_idempotents_walk_a_few_points(self, monkeypatch):
+        # |e| grows large near this path on potential A; a walk on the
+        # idempotents' absolute move halved it to 11,018 points, and the
+        # slice directions' projective move takes 16 to the same floats
+        points = []
+
+        def counted(fp):
+            points.append(fp.c[..., 0, 0, 0].size)
+            return idempotents(fp)
+
+        monkeypatch.setattr(frobenius, "idempotents", counted)
+        path = [(-0.391, 0.464), (-0.363, 0.536), (-0.015, 0.521),
+                (-0.286, 0.324)]
+        got = frobenius_transport(solution_potential("A"), path, (1.0, 0.0))
+        assert sum(points) <= 64
+        assert got == (0.5130187651299178 - 1.1934151904488686e-15j,
+                       -1.2354596252168863 - 2.0981285057149887e-15j)

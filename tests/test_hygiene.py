@@ -179,12 +179,10 @@ def test_every_replayed_formula_is_checked_against_its_eager_run():
 # One permutation matcher: cubic.PERMS is the table of the labellings of a
 # triple, and cubic.least_cost_perm picks one of them per distance table.
 # No other module-level statement of src/ enumerates the permutations, and
-# only the matcher, the chain labeller and the Theorem 2 pairing call
-# least_cost_perm.
+# only the matcher and the chain labeller call least_cost_perm.
 
 MATCHER = {("cubic.py", "PERMS")}
-PERM_CALLERS = {("cubic.py", "match_roots"), ("cubic.py", "chain_labels"),
-                ("frobenius.py", "theorem2_residual")}
+PERM_CALLERS = {("cubic.py", "match_roots"), ("cubic.py", "chain_labels")}
 
 
 def permutation_sites(source):
