@@ -369,9 +369,7 @@ class PathFrame:
 
 @dataclass
 class TransportResult:
-    components: tuple
     vector: tuple
-    frame: object  # PathFrame used for the transport
 
 
 def dual_frame(sigma):
@@ -402,7 +400,7 @@ def blaschke_transport(field, curve, xi):
     e1, e2 = dual_frame(frame.end)
     vec = (comps[0] * e1[0] + comps[1] * e2[0],
            comps[0] * e1[1] + comps[1] * e2[1])
-    return TransportResult(components=comps, vector=vec, frame=frame)
+    return TransportResult(vector=vec)
 
 
 def frame_components(triple, v):

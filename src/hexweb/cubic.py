@@ -52,19 +52,14 @@ class DirectionField:
         c = [j.c.tolist() for j in self.coeff_jets(x, y, 1)]
         return [[g[i][j] for g in c] for i, j in ((0, 0), (1, 0), (0, 1))]
 
-    def check_nondegenerate(self, x, y):
-        return nonvanishing(self.coeffs(x, y), x, y)
 
-
-def nonvanishing(co, x, y, mag=None):
+def nonvanishing(co, x, y):
     """The coefficients co of a field at (x, y), unless all of them vanish.
 
     co may be an array (..., 4) over arrays of points; the error names the
-    first point (row-major) where all four vanish.  mag is np.abs(co) when
-    the caller has it.
+    first point (row-major) where all four vanish.
     """
-    bad = np.max(np.abs(co) if mag is None else mag,
-                 axis=-1) <= COEF_VANISH_TOL
+    bad = np.max(np.abs(co), axis=-1) <= COEF_VANISH_TOL
     if any_set(bad):
         x, y = at_first(bad, x, y)
         raise DegenerateFieldError(
@@ -146,12 +141,10 @@ def discriminant_of_coeffs(a, b, c, r):
             + b * b * c * c - 4 * b * b * b * r)
 
 
-def discriminant_scale(coeffs, mag=None):
+def discriminant_scale(coeffs):
     """Scale-aware reference magnitude for |D| cutoffs (D is quartic); one
-    per row of an array (..., 4).  mag is np.abs(coeffs) when the caller
-    has it."""
-    return (1.0 + np.max(np.abs(coeffs) if mag is None else mag,
-                         axis=-1)) ** 4
+    per row of an array (..., 4)."""
+    return (1.0 + np.max(np.abs(coeffs), axis=-1)) ** 4
 
 
 REGULAR_DISC_TOL = 1e-12  # scaled |D| at or below which a point is singular

@@ -274,10 +274,7 @@ class EulerData:
 def euler_data(pot):
     """Solve the linear weight system over the monomials of F."""
     F = pot.full_potential()
-    exps = [e for e, _ in F.terms]
-    if not exps:
-        return EulerData(weights=(Fraction(1), Fraction(0), Fraction(0),
-                                  Fraction(0)))
+    exps = [e for e, _ in F.terms]  # never empty: F holds its head terms
     # unknowns (w_x, w_y, w_F) with w_t = 1:  jx wx + jy wy - wF = -jt
     A = np.array([[jx, jy, -1.0] for (jt, jx, jy) in exps])
     b = np.array([-float(jt) for (jt, jx, jy) in exps])
@@ -320,9 +317,10 @@ def mu_E(pot, point):
 # Booklet webs on t-slices
 
 
-def booklet_directions(pot, slice_point, t0=0.0, rng=None, table=None):
-    """Projective directions [X : Y] of the idempotents on a t-slice: three
-    (X, Y) pairs (3, 2) at a point, (..., 3, 2) at arrays of points.
+def booklet_directions(pot, slice_point, rng=None, table=None):
+    """Projective directions [X : Y] of the idempotents on the t-slices,
+    which all carry the same web: three (X, Y) pairs (3, 2) at a point,
+    (..., 3, 2) at arrays of points.
 
     Each idempotent N = T dt + X dx + Y dy is projected along e = dt to
     the slice tangent plane; the web leaf through the point runs in the
@@ -330,14 +328,13 @@ def booklet_directions(pot, slice_point, t0=0.0, rng=None, table=None):
     and ignored; it is kept only for callers outside src/.
     """
     x, y = slice_point
-    fp = table if table is not None else multiplication_table(pot, (t0, x, y))
+    fp = table if table is not None else multiplication_table(pot, (0.0, x, y))
     XY = idempotents(fp)[..., 1:]
     m = np.abs(XY).max(axis=-1, keepdims=True)
     bad = (m == 0).any(axis=(-1, -2))
     if any_set(bad):
-        t0, x, y = at_first(bad, t0, x, y)
-        raise NonSemisimpleError(
-            f"idempotent parallel to unity at ({t0}, {x}, {y})")
+        x, y = at_first(bad, x, y)
+        raise NonSemisimpleError(f"idempotent parallel to unity at ({x}, {y})")
     return XY / m
 
 
@@ -352,7 +349,7 @@ def theorem2_residual(pot, point, rng=None):
     """
     t0, x, y = (v.ravel() for v in np.broadcast_arrays(*point))
     fp = multiplication_table(pot, (t0, x, y))
-    dirs = booklet_directions(pot, (x, y), t0=t0, table=fp)
+    dirs = booklet_directions(pot, (x, y), table=fp)
     # the characteristic field's coefficients, from the table's f3 values
     f3 = fp.c.reshape(-1, 27)[:, F3_AT[pot.case]].T
     co = np.stack(characteristic_coeffs_from_f3(
@@ -410,20 +407,22 @@ def taylor_solve(case, data, order=8, x0=0.0):
 # Idempotent-coordinate parallel transport on a t-slice
 
 
-def frobenius_transport(pot, curve, v, t0=0.0, rng=None):
+def frobenius_transport(pot, curve, v, rng=None):
     """Transport a slice tangent vector by freezing idempotent coordinates.
 
-    The vector (vx, vy) at the start of the curve is lifted to the 3-fold
-    tangent space as (0, vx, vy), expanded in the idempotent basis there;
-    the coordinates are held constant along the curve, and the resulting
-    vector at the end point is projected back to the slice along e = dt.
+    The curve lies on the slice t = 0: the unity e = dt is flat, so every
+    slice has the same multiplication table.  The vector (vx, vy) at the
+    start of the curve is lifted to the 3-fold tangent space as (0, vx,
+    vy), expanded in the idempotent basis there; the coordinates are held
+    constant along the curve, and the resulting vector at the end point is
+    projected back to the slice along e = dt.
     continue_along carries the idempotents along the curve, labelled by
     their slice directions (X, Y), which are the leaf directions of the
     characteristic web (Theorem 2).  ``rng`` is accepted and ignored; it is
     kept only for callers outside src/.
     """
     _, frames = continue_along(curve, lambda x, y: np.roll(  # (X, Y, T)
-        idempotents(multiplication_table(pot, (t0, x, y))), -1, axis=-1))
+        idempotents(multiplication_table(pot, (0.0, x, y))), -1, axis=-1))
     start, end = (np.column_stack(np.roll(frames[k], 1, axis=-1))
                   for k in (0, -1))
     eta = np.linalg.solve(start, np.array([0.0, v[0], v[1]], dtype=complex))

@@ -11,13 +11,12 @@ the trailing axes, which index independent jets (one per point of an array
 of base points).  Every operation acts on all of them with the same numpy
 calls, so a batch costs about as many calls as one jet.  The base is a pair
 of complex scalars, or of complex arrays broadcastable to the batch shape;
-operands of a binary operation share their base, and their batch shapes
-broadcast.  ``value`` is ``c[0, 0]``, a numpy scalar for a single jet, so
-that scalar code keeps numpy's scalar arithmetic.  Scalar factors, summands
-and the constants of ``constant`` may be arrays over the batch axes;
-``jet_pow`` and ``jet_cbrt`` take the principal branch of every element.  A
-check on a value (a zero constant term, say) fails when it fails for any
-element.
+operands of a binary operation share their base and their batch shape.
+``value`` is ``c[0, 0]``, a numpy scalar for a single jet, so that scalar
+code keeps numpy's scalar arithmetic.  Scalar factors, summands and the
+constants of ``constant`` may be arrays over the batch axes; ``jet_pow``
+and ``jet_cbrt`` take the principal branch of every element.  A check on a
+value (a zero constant term, say) fails when it fails for any element.
 
 Only the triangle j1 + j2 <= K of the first two axes is meaningful.
 Products, derivatives and truncations return zeros above it and never read
@@ -228,11 +227,7 @@ class Jet:
     @classmethod
     def constant(cls, value, base, order):
         j = cls(base, order)
-        value = _scalar(value)
-        if isinstance(value, np.ndarray) and value.shape != j.c.shape[2:]:
-            shape = np.broadcast_shapes(value.shape, j.c.shape[2:])
-            j.c = np.zeros((order + 1, order + 1) + shape, dtype=complex)
-        j.c[0, 0] = value
+        j.c[0, 0] = _scalar(value)
         return j
 
     @classmethod
@@ -292,9 +287,6 @@ class Jet:
         a, b = self.c, other.c
         if K == 0:
             return Jet._raw(self.base, 0, _ZERO_1x1 + a * b)
-        if a.shape != b.shape:
-            shape = np.broadcast_shapes(a.shape, b.shape)
-            a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
         ia, ib, last = _product_plan(K)
         if a.ndim == 2:  # one jet: ravel is numpy's cheapest flattening
             acc = _sum_products(a.ravel()[ia], b.ravel()[ib]).ravel()[last]

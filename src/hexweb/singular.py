@@ -31,7 +31,6 @@ from .webgeo import symmetry_residual
 @dataclass
 class DiscriminantTrace:
     curves: list          # list of (n, 2) float arrays
-    window: tuple         # ((xmin, xmax), (ymin, ymax))
 
     @property
     def empty(self):
@@ -134,7 +133,7 @@ def trace_discriminant(field, window, n=32):
             path.append(path[0])  # a closed loop ends where it began
         if path:
             curves.append(pts[path])
-    return DiscriminantTrace(curves=curves, window=window)
+    return DiscriminantTrace(curves=curves)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,6 @@ class NormalForm:
     m0: int
     weights: tuple         # (w1, w2) of the symmetry X = w1 x dx + w2 y dy
     field: object          # DirectionField
-    label: str
     fs: object = None      # form 6: the FSolution its field interpolates
 
 
@@ -296,22 +294,21 @@ def normal_form_field(form_id, m0=0):
         ym = PolyExpr.from_dict({(0, m0): 1})
         field = PolyCoeffField(-1 * ym, PolyExpr.zero(), PolyExpr.const(1),
                                PolyExpr.zero())
-        return NormalForm(id=1, m0=m0, weights=(2 + m0, 2), field=field,
-                          label=f"form1(m0={m0})")
+        return NormalForm(id=1, m0=m0, weights=(2 + m0, 2), field=field)
     if form_id == 2:
         return NormalForm(id=2, m0=0, weights=(2, 3),
-                          field=_field_from_AB(2 * x, y), label="form2")
+                          field=_field_from_AB(2 * x, y))
     if form_id == 3:
         A = y - x * x * Fraction(2, 3)
         B = x * x * x * Fraction(4, 27) - x * y * Fraction(2, 3)
         return NormalForm(id=3, m0=0, weights=(1, 2),
-                          field=_field_from_AB(A, B), label="form3")
+                          field=_field_from_AB(A, B))
     if form_id == 4:
         x3 = x * x * x
         A = 4 * x * (y - x3 * Fraction(4, 9))
         B = y * y + x3 * x3 * Fraction(64, 81) - y * x3 * Fraction(32, 9)
         return NormalForm(id=4, m0=0, weights=(1, 3),
-                          field=_field_from_AB(A, B), label="form4")
+                          field=_field_from_AB(A, B))
     if form_id == 5:
         c_tan = 2.0 / np.sqrt(27.0)
         w_arg = 2.0 * np.sqrt(3.0)
@@ -327,7 +324,7 @@ def normal_form_field(form_id, m0=0):
             return (-one, zero, -A, B)
 
         return NormalForm(id=5, m0=0, weights=(0, 1),
-                          field=CallableJetField(kfun), label="form5")
+                          field=CallableJetField(kfun))
     if form_id == 6:
         fs = solve_F(m0, t_max=8.0)
 
@@ -350,8 +347,7 @@ def normal_form_field(form_id, m0=0):
             return (-one, zero, -A, B)
 
         return NormalForm(id=6, m0=m0, weights=(1 + m0, -2),
-                          field=CallableJetField(kfun),
-                          label=f"form6(m0={m0})", fs=fs)
+                          field=CallableJetField(kfun), fs=fs)
     raise ValueError(f"unknown normal form id {form_id!r}")
 
 

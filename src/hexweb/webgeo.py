@@ -41,7 +41,6 @@ class Leaf:
     """An integrated leaf: unit-speed polyline with tangents for Hermite
     interpolation.  ``params`` is (approximate) arclength from the start."""
 
-    branch: int
     points: np.ndarray        # (n, 2)
     tangents: np.ndarray      # (n, 2), unit vectors
     params: np.ndarray        # (n,)
@@ -98,7 +97,7 @@ def _real_directions(co, point, mag=None):
     (math.sqrt(x*x + y*y) is numpy's norm of a pair; NaN never vanishes)."""
     dirs, mag = [], np.abs(co) if mag is None else mag
     if all(m <= COEF_VANISH_TOL for m in mag.tolist()):
-        nonvanishing(co, point[0], point[1], mag)
+        nonvanishing(co, point[0], point[1])
     for p, q in cubic.roots_proj(co, mag).tolist():
         imag = max(abs(p.imag), abs(q.imag))
         if imag > START_IMAG_TOL * max(abs(p), abs(q)):
@@ -286,19 +285,18 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
     for half in _leaf_steps(field, start, branch, 1.0 if length >= 0 else -1.0,
                             tol, h, total, domain=domain):
         pass
-    return Leaf(branch=branch, points=np.array(half.points),
+    return Leaf(points=np.array(half.points),
                 tangents=np.array(half.tangents),
                 params=np.array(half.params), termination=half.termination)
 
 
-def _stitched(branch, fwd, bwd):
+def _stitched(fwd, bwd):
     """One leaf with arclength parameter from -bwd's to fwd's reach, from
     its two halves (Leaf or _Half) out of the same start.  The reverse half
     travels against the curve parameter: its tangents flip and its
     arclengths are negated."""
     bp = np.asarray(bwd.params)[::-1]
-    return Leaf(branch=branch,
-                points=np.vstack([np.asarray(bwd.points)[::-1],
+    return Leaf(points=np.vstack([np.asarray(bwd.points)[::-1],
                                   np.asarray(fwd.points)[1:]]),
                 tangents=np.vstack([-np.asarray(bwd.tangents)[::-1],
                                     np.asarray(fwd.tangents)[1:]]),
@@ -310,8 +308,8 @@ def leaf_through(field, point, branch, half_length, tol=1e-8):
     """Leaf through a point: integrate_leaf in both orientations to
     |half_length|, merged into a single curve with arclength parameter in
     [-L, +L] and the forward half's termination."""
-    return _stitched(branch, *(integrate_leaf(field, point, branch, L, tol=tol)
-                               for L in (half_length, -half_length)))
+    return _stitched(*(integrate_leaf(field, point, branch, L, tol=tol)
+                       for L in (half_length, -half_length)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +465,8 @@ def thomsen_closure(field, base, eps, tol=1e-10):
         if crossed < math.inf:
             for half in halves:
                 past(half, crossed)
-            moving = _stitched(foliation, *halves)
-            s = _first_crossing(moving, _stitched(target, *C[target]))
+            moving = _stitched(*halves)
+            s = _first_crossing(moving, _stitched(*C[target]))
         if s is None:
             for ended, name, other in (
                     (halves, f"hexagon leaf {foliation}",
@@ -485,7 +483,7 @@ def thomsen_closure(field, base, eps, tol=1e-10):
         return np.asarray(moving.point_at(s), dtype=float)
 
     past(C[1][0], eps)
-    X = np.asarray(_stitched(1, *C[1]).point_at(eps), dtype=float)
+    X = np.asarray(_stitched(*C[1]).point_at(eps), dtype=float)
     vertices = [X]
     plan = [(2, 3), (1, 2), (3, 1), (2, 3), (1, 2), (3, 1)]
     for foliation, target in plan:

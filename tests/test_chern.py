@@ -19,8 +19,8 @@ from hexweb.cubic import (MAX_MOVE, MIN_PIECE, PolyCoeffField,
                           SingularPointError, coeff_values,
                           discriminant_of_coeffs, discriminant_scale,
                           factorization_residual,
-                          match_roots, normalization_core, normalize_roots,
-                          proj_distance, roots_proj)
+                          match_roots, nonvanishing, normalization_core,
+                          normalize_roots, proj_distance, roots_proj)
 from hexweb.frobenius import Potential, solution_potential, taylor_solve
 from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import normal_form_field, symmetry_losing_web
@@ -92,6 +92,10 @@ class TestFlatness:
         for pt, kmin in [((-2.2, 0.3), 1.0), ((0.5, 0.5), 0.1),
                          ((1.0, -0.3), 0.1)]:
             assert abs(curvature(CONTROL, pt, route="cubic").K) >= kmin
+
+    def test_unknown_route(self):
+        with pytest.raises(ValueError, match="unknown curvature route"):
+            curvature(CONTROL, (0.5, 0.5), route="exact")
 
 
 class TestCorollary:
@@ -392,6 +396,12 @@ class TestDepressedChart:
         g = gamma_depressed(field, (0.9, -0.4))
         assert g.norm() < 1e-12
 
+    def test_depressed_discriminant_zero_raises(self):
+        # normal form 2, m^3 + 2x m + y: A = B = 0 at the origin
+        field = normal_form_field(2).field
+        with pytest.raises(SingularPointError, match=r"4A\^3 \+ 27B\^2"):
+            gamma_depressed(field, (0.0, 0.0))
+
 
 LABEL_FIELDS = {"A": solution_potential("A").characteristic_field(),
                 "B": solution_potential("B").characteristic_field(),
@@ -407,7 +417,7 @@ class TestLabelInvariance:
         the others are checked where gamma does not."""
         f = LABEL_FIELDS[name]
         for x, y in [(0.1, 1.0), (0.3, 0.7)]:
-            ref = roots_proj(f.check_nondegenerate(x, y))
+            ref = roots_proj(nonvanishing(f.coeffs(x, y), x, y))
             got = []
             for perm in itertools.permutations(range(3)):
                 sp, lam3 = normalization_core(f.coeff_jets(x, y, 2), x, y, 2,

@@ -68,7 +68,8 @@ HOSTILE_SITES = {
     "grid": NOT_A_COUNT,
     "eps": NOT_POSITIVE,
     "leaf_length": NOT_POSITIVE,
-    "t0": NOT_A_NUMBER,
+    "key name": st.text(min_size=1, max_size=12).filter(
+        lambda k: k not in cli.CONFIG_KEYS),
     "base": NOT_A_NUMBER,
     "point": NOT_A_NUMBER,
 }
@@ -149,6 +150,29 @@ class TestExitCodes:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "{",
+        json.dumps([{"input": SOLUTION_A}]),
+        json.dumps({"samples": 5}),
+    ], ids=["not-json", "not-an-object", "no-input"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: hexweb")
+
+    def test_reports_refuse_values_they_do_not_know(self, tmp_path):
+        # a report holds Python numbers, lists and numpy booleans only
+        with pytest.raises(TypeError, match="complex"):
+            cli.write_json(tmp_path / "report.json", {"z": 1j})
+
     def test_strict_rejects_non_solution(self, tmp_path, capsys):
         bad = {"kind": "potential", "case": "A",
                "monomials": [{"exps": [3, 1], "coef": 1}]}
@@ -187,7 +211,7 @@ class TestExitCodes:
         ("classify", SOLUTION_A, {"point": 5}),
         ("classify", SOLUTION_A, {"point": "ab"}),
         ("leaves", SOLUTION_A, {"leaf_length": [1]}),
-        ("check", SOLUTION_A, {"t0": [1]}),
+        ("check", SOLUTION_A, {"sample": 5}),
         ("check", SOLUTION_A, {"tolerances": {"corollary": 10**400}}),
         ("check", dict(SOLUTION_A, monomials=[{"exps": [2, 2],
                                               "coef": 10**400}]), {}),
@@ -211,18 +235,22 @@ class TestExitCodes:
         ("check", SOLUTION_A, {"samples": 10 ** 12}),
         ("gamma", SOLUTION_A, {"grid": cli.COUNT_LIMITS["grid"] + 1}),
         ("leaves", SOLUTION_A, {"grid": 10 ** 12}),
+        ("check", ["potential"], {}),
+        ("check", dict(SOLUTION_A, monomials=[{"exps": [2, 2]}]), {}),
+        ("gamma", {k: v for k, v in FORM3_FIELD.items() if k != "r"}, {}),
     ], ids=["window-string", "window-one-row", "window-string-bound",
             "tolerance-string", "tolerances-list", "coef-nan",
             "coef-string-imag", "exponent-string", "monomials-number",
             "samples-zero", "grid-negative", "grid-float", "eps-nan",
             "eps-string", "eps-zero", "base-one-number", "base-string",
-            "point-number", "point-string", "leaf-length-list", "t0-list",
+            "point-number", "point-string", "leaf-length-list", "key-unknown",
             "tolerance-huge-int", "coef-huge-int", "coef-huge-rational",
             "exponent-float", "exponents-string", "exponent-bool",
             "tolerance-unknown-name", "exponent-huge-potential",
             "exponent-huge-field", "exponent-over-limit",
             "derived-coef-overflow", "samples-over-limit",
-            "grid-over-limit", "grid-huge"])
+            "grid-over-limit", "grid-huge", "input-list",
+            "monomial-without-coef", "field-without-r"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, command, inp,
                                     extra):
         cfg = write_config(tmp_path, inp, **extra)
@@ -238,6 +266,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 2
         assert "'curvture'" in capsys.readouterr().err
 
+    def test_unknown_key_is_named(self, tmp_path, capsys):
+        # t0 chose the slice of the Theorem 2 check, which changed nothing
+        # (the unity is flat): a config that still sets it is stale
+        cfg = write_config(tmp_path, SOLUTION_A, samples=5, t0=0.3)
+        out = tmp_path / "out"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown config key 't0'\n"
+        assert not out.exists()
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(HOSTILE_SITES)).flatmap(
         lambda site: st.tuples(st.just(site), HOSTILE_SITES[site])))
@@ -251,6 +288,8 @@ class TestExitCodes:
             cfg["tolerances"] = {"corollary": bad}
         elif site == "tolerance name":
             cfg["tolerances"] = {bad: 1e-8}
+        elif site == "key name":
+            cfg[bad] = 5
         elif site in ("coef", "exps"):
             monomial[site] = bad
         elif site == "exponent":
@@ -516,9 +555,10 @@ class TestPointSets:
                      str(tmp_path)]) == 0
         assert solves == [(0, 8.0), (1, 8.0), (2, 8.0)]
 
-    def test_form_without_accepted_sample_reports_zero(self, tmp_path,
+    def test_form_without_accepted_sample_reports_null(self, tmp_path,
                                                        monkeypatch):
-        # no sample clears an infinite prefilter: no batch, max_curvature 0
+        # no sample clears an infinite prefilter: no batch, and no measured
+        # curvature (null, not a flat 0.0)
         calls = []
         counting(cli, "curvature", calls, monkeypatch)
         monkeypatch.setattr(cli, "SAMPLE_DMIN_FACTOR", math.inf)
@@ -526,7 +566,8 @@ class TestPointSets:
         main(["normalforms", "--config", cfg, "--out", str(tmp_path)])
         rep = json.loads((tmp_path / "normalforms.json").read_text())
         assert calls == []
-        assert [e["max_curvature"] for e in rep["catalog"]] == [0.0] * 8
+        assert [e["max_curvature"] for e in rep["catalog"]] == [None] * 8
+        assert [e["pass"] for e in rep["catalog"]] == [False] * 8
 
     def test_form_without_regular_sample_fails(self, tmp_path, monkeypatch):
         # a form whose sampler finds no regular point checked no curvature

@@ -74,7 +74,7 @@ class TestRoots:
     def test_match_roots_recovers_permutation(self):
         f = random_field()
         x, y = 0.37, -0.81
-        ref = roots_proj(f.check_nondegenerate(x, y))
+        ref = roots_proj(nonvanishing(f.coeffs(x, y), x, y))
         perm = [2, 0, 1]
         shuffled = [ref[i] for i in perm]
         matched, _ = match_roots(ref, shuffled)
@@ -349,7 +349,21 @@ class TestDepress:
     def test_degenerate_field_raises(self):
         zero = PolyExpr.zero()
         with pytest.raises(DegenerateFieldError):
-            PolyCoeffField(zero, zero, zero, zero).check_nondegenerate(0, 0)
+            nonvanishing(PolyCoeffField(zero, zero, zero, zero).coeffs(0, 0),
+                         0, 0)
+
+    def test_depressing_a_vanishing_field_raises(self):
+        zero = PolyExpr.zero()
+        jets = PolyCoeffField(zero, zero, zero, zero).coeff_jets(0.1, 0.2, 1)
+        with pytest.raises(DegenerateFieldError, match="all coefficients"):
+            depress_jets(jets, 0.1, 0.2)
+
+    def test_depressing_without_an_end_coefficient_raises(self):
+        # a = r = 0: the slope cubic has no leading term in either chart
+        zero, one = PolyExpr.zero(), PolyExpr.const(1)
+        jets = PolyCoeffField(zero, one, one, zero).coeff_jets(0.1, 0.2, 1)
+        with pytest.raises(SingularPointError, match="no valid affine chart"):
+            depress_jets(jets, 0.1, 0.2)
 
 
 class TestCallableJetField:

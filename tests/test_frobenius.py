@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexweb import frobenius
-from hexweb.cubic import match_roots, roots_proj
+from hexweb.cubic import characteristic_coeffs_from_f3, match_roots, roots_proj
 from hexweb.frobenius import (SPLIT_C1, SPLIT_TOL, FrobeniusPoint,
                               NonSemisimpleError, NotQuasiHomogeneousError,
                               Potential, booklet_directions, euler_data,
@@ -50,6 +50,17 @@ class TestPotentials:
         else:
             want = (d["yyy"], -d["xyy"], -d["xxy"], d["xxx"])
         assert np.allclose(co, want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Potential(case="C", f=PolyExpr.zero()),
+        lambda: solution_potential("C"),
+        lambda: taylor_solve("C", [PolyExpr.zero()] * 3),
+        lambda: characteristic_coeffs_from_f3("C", 1, 2, 3, 4, 1)],
+        ids=["Potential", "solution_potential", "taylor_solve",
+             "characteristic_coeffs_from_f3"])
+    def test_unknown_case(self, make):
+        with pytest.raises(ValueError, match="unknown case 'C'"):
+            make()
 
 
 class TestAlgebra:
@@ -267,6 +278,29 @@ class TestPointArrays:
                         assert type(want) is float
 
 
+class TestSliceIndependence:
+    """The unity e = dt is flat, so the structure constants do not depend on
+    t: the table and Theorem 2's residual on any slice are those of t = 0,
+    bit for bit, at a point and at arrays of points."""
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    @pytest.mark.parametrize("t", [0.3, -0.37, 2.5,
+                                   np.array([0.3, -0.37, 2.5])],
+                             ids=["0.3", "-0.37", "2.5", "array"])
+    def test_every_slice_has_the_floats_of_t_zero(self, case, t):
+        pot = solution_potential(case)
+        x, y = np.array([0.1, -0.3, 0.4]), np.array([1.0, 0.8, 1.2])
+        points = [(x, y)] + ([] if np.ndim(t) else [(x[1], y[1])])
+        for xy in points:
+            for fn in (lambda p: multiplication_table(pot, p).c,
+                       lambda p: theorem2_residual(pot, p)):
+                got, want = fn((t, *xy)), fn((0.0, *xy))
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(
+                    want).tobytes()
+
+
 class TestTaylorSolve:
     def test_reconstructs_solution_a(self):
         x = PolyExpr.var(0, 2)
@@ -307,6 +341,23 @@ class TestTaylorSolve:
         data = [PolyExpr.zero(), PolyExpr.zero(), PolyExpr.zero()]
         with pytest.raises(ValueError):
             taylor_solve("B", data, order=6)
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_data_in_x_alone(self, case):
+        # the documented input, polynomials in x, gives the Taylor
+        # polynomial of the same data written in (x, y)
+        in_xy = [PolyExpr.from_dict({(1, 0): "1/3", (3, 0): 1.0}),
+                 PolyExpr.from_dict({(2, 0): 0.5 - 0.25j}),
+                 PolyExpr.from_dict({(0, 0): -0.25, (4, 0): "1/5"})]
+        in_x = [PolyExpr(tuple(((e[0],), c) for e, c in p.terms))
+                for p in in_xy]
+        assert [p.nvars for p in in_x] == [1, 1, 1]
+        assert (taylor_solve(case, in_x, order=7).f
+                == taylor_solve(case, in_xy, order=7).f)
+
+    def test_data_in_three_variables_is_refused(self):
+        with pytest.raises(ValueError, match=r"in x or in \(x, y\)"):
+            taylor_solve("A", [PolyExpr.var(0, 3)] * 3)
 
 
 class TestTransport:

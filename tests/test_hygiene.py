@@ -4,7 +4,8 @@ tolerance hides as a literal inside a function, no module indexes jet
 coefficients as trailing axes, every formula replayed as a jet program is
 checked against its eager run, only cubic's matcher enumerates
 permutations, only jets.lift sums a polynomial's lift terms, no numeric
-routine takes a random generator, and a CLI run loads no scipy module.
+routine takes a random generator, every dataclass field is read, and a CLI
+run loads no scipy module.
 
 AST scans of the modules under src/ and tests/; package __init__.py files
 are exempt from the import scan because their imports are the package's
@@ -442,6 +443,54 @@ def test_result_fields_the_tracer_hooks_read(cls, name):
 
     fields = dataclasses.fields(getattr(hexweb.webgeo, cls))
     assert name in {f.name for f in fields}
+
+
+# ---------------------------------------------------------------------------
+# No unread result field: each field of a @dataclass of src/ is read as an
+# attribute (x.field) somewhere in src/, tests/ or perfbench/.  A field that
+# nothing reads is work no caller uses.
+
+READERS = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
+
+
+def dataclass_fields(source):
+    """(class, field) of each annotated field of each class of source
+    decorated with dataclass (bare, called, or through a module)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass"
+                for d in node.decorator_list):
+            found += [(node.name, s.target.id) for s in node.body
+                      if isinstance(s, ast.AnnAssign)
+                      and isinstance(s.target, ast.Name)]
+    return found
+
+
+def attributes_read(source):
+    """Names read as attributes (x.name, not assigned) in source."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_scan_finds_dataclass_fields_and_attribute_reads():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass\nclass A:\n    x: int\n    y: float = 0.0\n"
+              "    z = 3\n    def f(self):\n        return self.x\n"
+              "@dataclasses.dataclass(frozen=True)\nclass B:\n    w: str\n"
+              "class C:\n    v: int\n"
+              "b = B('s')\nb.w = 't'\nprint(a.y.real)\n")
+    assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("B", "w")]
+    assert attributes_read(source) == {"dataclass", "x", "y", "real"}
+
+
+def test_every_dataclass_field_is_read():
+    fields = [(path.name, cls, name) for path in SOURCES
+              for cls, name in dataclass_fields(path.read_text())]
+    read = set().union(*(attributes_read(p.read_text()) for p in READERS))
+    assert len(fields) >= 40
+    assert [f for f in fields if f[2] not in read] == []
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,50 @@ class TestElementary:
         assert abs(t.value - np.tan(0.3)) < 1e-12
 
 
+class TestGuards:
+    """Each guard of the jet layer raises before any arithmetic: JetError,
+    and ValueError for a polynomial's repeated exponent tuple."""
+
+    BASE = (0.3, 0.7)
+
+    def test_negative_order(self):
+        with pytest.raises(JetError, match="order must be >= 0"):
+            Jet(self.BASE, -1)
+
+    def test_order_zero_has_no_derivative(self):
+        with pytest.raises(JetError, match="order-0"):
+            Jet.variable(0, self.BASE, 0).deriv(1)
+
+    @pytest.mark.parametrize("order, message", [(3, "raise jet order"),
+                                                (-1, "order must be >= 0")])
+    def test_truncation_stays_within_the_orders(self, order, message):
+        with pytest.raises(JetError, match=message):
+            Jet.variable(0, self.BASE, 2).truncate(order)
+
+    @pytest.mark.parametrize("root", [lambda u: jet_pow(u, 0.5), jet_cbrt],
+                             ids=["pow", "cbrt"])
+    def test_roots_need_a_nonzero_constant_term(self, root):
+        with pytest.raises(JetError, match="zero constant term"):
+            root(Jet.variable(0, (0.0, 1.0), 2))  # x at x = 0
+
+    def test_tan_at_its_pole(self):
+        with pytest.raises(JetError, match="pole"):
+            jet_tan(Jet.constant(np.pi / 2, self.BASE, 2))
+
+    def test_repeated_exponent_tuple(self):
+        with pytest.raises(ValueError, match=r"duplicate exponent tuple "
+                           r"\(1, 0\)"):
+            PolyExpr.from_dict({(1, 0): 1, ("1", 0): 2})
+
+    def test_lift_order_is_nonnegative(self):
+        with pytest.raises(JetError, match="order must be >= 0"):
+            PolyExpr.var(0).jet(self.BASE, -1)
+
+    def test_lift_takes_two_variables(self):
+        with pytest.raises(JetError, match="2-variable"):
+            PolyExpr.var(0, 3)(*self.BASE)
+
+
 class TestCompose:
     def test_compose_geometric_series(self):
         # g(u) = 1/(1-u) composed with a nilpotent-plus-base jet

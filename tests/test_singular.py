@@ -45,6 +45,10 @@ class TestTraceDiscriminant:
         trace = trace_discriminant(FIELD_B, ((-1.0, 1.0), (-1.0, 1.0)))
         assert trace.empty
 
+    def test_grid_of_fewer_than_8_nodes_is_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 8"):
+            trace_discriminant(FIELD_A, ((-1.0, 1.0), (-0.2, 1.0)), n=7)
+
     def test_circle_discriminant(self):
         f = _circle_field()
         trace = trace_discriminant(f, ((-1.0, 1.0), (-1.0, 1.0)))
@@ -363,6 +367,12 @@ class TestNormalForms:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             normal_form_field(7)
+
+    @pytest.mark.parametrize("form_id", [1, 6])
+    @pytest.mark.parametrize("m0", [-1, 0.5])
+    def test_m0_is_a_nonnegative_integer(self, form_id, m0):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            normal_form_field(form_id, m0)
 
 
 def _swap(p):

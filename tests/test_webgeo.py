@@ -17,8 +17,9 @@ from hexweb.chern import curvature, gamma_cubic, integrate_gamma
 from hexweb.cubic import (REGULAR_DISC_TOL, CallableJetField,
                           DegenerateFieldError, PolyCoeffField,
                           SingularPointError, chain_labels,
-                          coeff_values, match_roots, normalization_core,
-                          normalize_roots, proj_distance, roots_proj)
+                          coeff_values, match_roots, nonvanishing,
+                          normalization_core, normalize_roots,
+                          proj_distance, roots_proj)
 from hexweb.frobenius import Potential, solution_potential
 from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import symmetry_losing_web
@@ -189,6 +190,40 @@ class TestLeafIntegration:
         with pytest.raises(SingularPointError, match=r"not finite at the "
                            r"start \(0\.0, 1\.0\)"):
             integrate_leaf(field, (0.0, 1.0), 1, 0.3)
+
+    def test_a_step_rejected_at_the_least_size_ends_the_leaf(self):
+        # the steep branch of slope 1e6 x + 2.5, from (0, 0): no step down
+        # to LEAF_MIN_STEP meets tol = 1e-300, though tol = 1e-8 is met
+        field = slope_web(0.0, 1.0, X * 1e6 + 2.5)
+        assert integrate_leaf(field, (0.0, 0.0), 3, 0.5).termination == \
+            "length"
+        leaf = integrate_leaf(field, (0.0, 0.0), 3, 0.5, tol=1e-300)
+        assert leaf.termination == "discriminant-proximity"
+        assert leaf.points.tolist() == [[0.0, 0.0]]
+
+    def test_failing_stages_end_the_leaf_at_the_retry_step(self,
+                                                          monkeypatch):
+        # every stage fails: the first step, LEAF_MAX_STEP, is quartered
+        # until it is at or below LEAF_RETRY_STEP
+        calls = []
+
+        def failing(field, state, first_order=None):
+            calls.append(state)
+            raise LeafIntegrationError("leaf direction not real")
+
+        monkeypatch.setattr(webgeo, "_turning_rate", failing)
+        leaf = integrate_leaf(FIELD_A, (0.0, 1.0), 1, 0.5)
+        assert leaf.termination == "discriminant-proximity"
+        assert leaf.points.tolist() == [[0.0, 1.0]]
+        assert len(calls) == 1 + math.ceil(math.log(
+            webgeo.LEAF_MAX_STEP / webgeo.LEAF_RETRY_STEP, 4))
+
+    def test_a_complex_turning_rate_is_refused(self):
+        # r = i x: at (0.5, 0) the covector (0, 1) turns at the rate i
+        field = PolyCoeffField(PolyExpr.zero(), PolyExpr.zero(),
+                               PolyExpr.const(1), X * 1j)
+        with pytest.raises(LeafIntegrationError, match="not real"):
+            webgeo._turning_rate(field, (0.5, 0.0, 1.0, 0.0))
 
 
 class TestCarriedDirection:
@@ -538,6 +573,12 @@ class TestThomsenClosure:
         for r in ratios:
             assert r == pytest.approx(8.0, rel=0.2)
 
+    @pytest.mark.parametrize("eps, tol", [(0.0, 1e-10), (math.inf, 1e-10),
+                                          (0.05, 0.0), (0.05, math.nan)])
+    def test_bad_eps_or_tol(self, eps, tol):
+        with pytest.raises(ValueError, match="bad eps/tol"):
+            thomsen_closure(FIELD_A, (0.0, 1.0), eps, tol=tol)
+
 
 class TestFirstIntegrals:
     def test_abelian_relation_and_path_independence(self):
@@ -574,6 +615,10 @@ class TestFirstIntegrals:
             st = first_integrals(field, path[0], path)
             want = np.exp(-integrate_gamma(field, path))
             assert abs(st.k_end - want) < 1e-9
+
+    def test_path_must_start_at_the_base(self):
+        with pytest.raises(ValueError, match="start at the base"):
+            first_integrals(FIELD_A, (0.0, 1.0), [(0.1, 1.0), (0.2, 1.1)])
 
     def test_one_point_path(self):
         base = (0.0, 1.0)
@@ -744,9 +789,10 @@ class TestSymmetry:
             worst = 0.0
             for x, y in samples:
                 pushed = [(s1 * q, s2 * -p) for p, q in roots_proj(
-                    field.check_nondegenerate(x, y))]
+                    nonvanishing(field.coeffs(x, y), x, y))]
                 image = [(q, -p) for p, q in roots_proj(
-                    field.check_nondegenerate(s1 * x, s2 * y))]
+                    nonvanishing(field.coeffs(s1 * x, s2 * y), s1 * x,
+                                 s2 * y))]
                 matched, _ = match_roots(pushed, image)
                 worst = max(worst, max(proj_distance(u, v)
                                        for u, v in zip(pushed, matched)))
