@@ -333,13 +333,11 @@ def _root_jets(coeff_jets, x, y, order, root_values):
 
     Each root is a pair of jets (p, q) with the chart component held at the
     constant 1.  Requires three pairwise distinct roots.  For arrays of
-    points the jets run over them; the root values are (..., 3, 2), or
-    three (p, q) pairs for one point (None solves for them).  The three
+    points the jets run over them; the labelled root values are
+    (..., 3, 2), or three (p, q) pairs for one point.  The three
     roots ride a first batch axis (3, ...), each on its own chart: Newton
     steps polish their values, then one chord step per order, with the
     derivative frozen at the polished value, gives their jets."""
-    if root_values is None:
-        root_values = roots_proj(coeff_values(coeff_jets))
     p0, q0 = np.moveaxis(np.asarray(root_values), (-1, -2), (0, 1))
     i, j = [0, 0, 1], [1, 2, 2]
     seps = proj_distance((p0[i], q0[i]), (p0[j], q0[j]))
@@ -503,9 +501,9 @@ def continued_sigma(coeff_jets, x, y, vals):
         # scalar product rounds unlike its array loop
         lam.append((r[i:i + 1] * cbrt_factor(r[i], lam[-1]))[0])
     lam = Jet._raw(lam3.base, 0, np.array(lam)[None, None])
-    sigma = np.stack([np.stack([(lam * P).value, (lam * Q).value], axis=-1)
-                      for P, Q in sp], axis=1)
-    return sigma, lam.value
+    sigma = replay(_scaled, lam, *(j for pair in sp for j in pair))
+    return np.stack([np.stack([P.value, Q.value], axis=-1)
+                     for P, Q in sigma], axis=1), lam.value
 
 
 def factorization_residual(field, triple):
@@ -514,7 +512,7 @@ def factorization_residual(field, triple):
     complex products of scalars unlike its array loops."""
     sigma = np.array(triple.values())[:, :, None]  # (3, 2, 1, ...)
     got = np.concatenate(_product_coeffs(sigma))
-    want = np.array([j.value for j in field.coeff_jets(*triple.point, 0)])
+    want = np.moveaxis(field.coeffs(*triple.point), -1, 0)
     return np.max(np.abs(got - want), axis=0) / (
         1.0 + np.max(np.abs(want), axis=0))
 

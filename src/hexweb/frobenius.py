@@ -104,18 +104,6 @@ class Potential:
         return PolyCoeffField(*characteristic_coeffs_from_f3(
             self.case, *self.f3.values(), PolyExpr.const(1)))
 
-    def full_potential(self):
-        """F(t, x, y) as a 3-variable polynomial (t = axis 0)."""
-        t = PolyExpr.var(0, 3)
-        x = PolyExpr.var(1, 3)
-        y = PolyExpr.var(2, 3)
-        f3v = PolyExpr(tuple(((0, e[0], e[1]), c) for e, c in self.f.terms))
-        if self.case == "A":
-            head = t * t * y * Fraction(1, 2) + t * x * x * Fraction(1, 2)
-        else:
-            head = t * t * t * Fraction(1, 6) + t * x * y
-        return head + f3v
-
     def eta(self):
         """Flat metric eta_{ab} = F_{t t^a t^b} in the (t, x, y) basis."""
         if self.case == "A":
@@ -271,18 +259,20 @@ class EulerData:
         return np.array([w_t * t, w_x * x, w_y * y], dtype=complex)
 
 
+# exponents (t, x, y) of the head of F, per case: t^2 y, t x^2 and t^3, t x y
+_HEAD_EXPONENTS = {"A": [(1, 2, 0), (2, 0, 1)], "B": [(1, 1, 1), (3, 0, 0)]}
+
+
 def euler_data(pot):
-    """Solve the linear weight system over the monomials of F."""
-    F = pot.full_potential()
-    exps = [e for e, _ in F.terms]  # never empty: F holds its head terms
+    """Solve the linear weight system over the monomials of F: its head's
+    and f's, which has no t, in the order of their exponents."""
+    exps = sorted(_HEAD_EXPONENTS[pot.case]
+                  + [(0, *e) for e, _ in pot.f.terms])
     # unknowns (w_x, w_y, w_F) with w_t = 1:  jx wx + jy wy - wF = -jt
     A = np.array([[jx, jy, -1.0] for (jt, jx, jy) in exps])
     b = np.array([-float(jt) for (jt, jx, jy) in exps])
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    weights = (Fraction(1),
-               Fraction(sol[0]).limit_denominator(64),
-               Fraction(sol[1]).limit_denominator(64),
-               Fraction(sol[2]).limit_denominator(64))
+    weights = (Fraction(1), *(Fraction(w).limit_denominator(64) for w in sol))
     for (jt, jx, jy) in exps:
         if jt * weights[0] + jx * weights[1] + jy * weights[2] != weights[3]:
             raise NotQuasiHomogeneousError(

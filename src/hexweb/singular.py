@@ -17,8 +17,8 @@ from operator import mul
 import numpy as np
 
 from .cubic import (CallableJetField, PolyCoeffField, SingularPointError,
-                    TranslatedField, at_first, coeff_values,
-                    discriminant_of_coeffs, discriminant_scale, nonvanishing)
+                    TranslatedField, at_first, discriminant_of_coeffs,
+                    discriminant_scale, nonvanishing)
 from .jets import (Jet, JetError, PolyExpr, any_set, base_point,
                    compose_series, jet_pow, jet_tan)
 from .webgeo import symmetry_residual
@@ -49,8 +49,7 @@ def _grid_seeds(field, xs, ys):
     not finite (an overflowing field), where no side is defined."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        D = discriminant_of_coeffs(
-            *(j.value for j in field.coeff_jets(X, Y, 0)))
+        D = discriminant_of_coeffs(*np.moveaxis(field.coeffs(X, Y), -1, 0))
     bad = ~np.isfinite(D)
     if bad.any():
         x, y = at_first(bad, X, Y)
@@ -76,7 +75,7 @@ def _bisect_edges(field, xs, ys, Dg, i, j, k):
     pos_lo = Dg[i, j] >= 0
     for _ in range(EDGE_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        co = coeff_values(field.coeff_jets(mid[0], mid[1], 0))
+        co = field.coeffs(mid[0], mid[1])
         D = discriminant_of_coeffs(*np.moveaxis(co, -1, 0))
         on = np.abs(D) <= TRACE_TOL * discriminant_scale(co)
         if on.all():
@@ -279,6 +278,18 @@ def _field_from_AB(A, B):
     return PolyCoeffField(-1 * PolyExpr.const(1), PolyExpr.zero(), -1 * A, B)
 
 
+def _jet_field_from_AB(AB):
+    """The jet twin of _field_from_AB: the field of m^3 + A m + B with
+    (A, B) = AB(jx, jy, px, py), jx and jy the coordinate jets at (px, py)."""
+    def kfun(px, py, order):
+        base = base_point(px, py)
+        A, B = AB(*(Jet.variable(i, base, order) for i in (0, 1)), px, py)
+        one = Jet.constant(1.0, base, order)
+        return (-one, Jet.constant(0.0, base, order), -A, B)
+
+    return CallableJetField(kfun)
+
+
 def normal_form_field(form_id, m0=0):
     """Catalog entry ``form_id`` in {1..6}; m0 parametrizes forms 1 and 6.
 
@@ -313,41 +324,27 @@ def normal_form_field(form_id, m0=0):
         c_tan = 2.0 / np.sqrt(27.0)
         w_arg = 2.0 * np.sqrt(3.0)
 
-        def kfun(px, py, order):
-            base = base_point(px, py)
-            jx = Jet.variable(0, base, order)
-            jy = Jet.variable(1, base, order)
-            A = jy * jy
-            B = -c_tan * (jy ** 3) * jet_tan(w_arg * jx)
-            one = Jet.constant(1.0, base, order)
-            zero = Jet.constant(0.0, base, order)
-            return (-one, zero, -A, B)
+        def AB(jx, jy, px, py):
+            return jy * jy, -c_tan * (jy ** 3) * jet_tan(w_arg * jx)
 
         return NormalForm(id=5, m0=0, weights=(0, 1),
-                          field=CallableJetField(kfun))
+                          field=_jet_field_from_AB(AB))
     if form_id == 6:
         fs = solve_F(m0, t_max=8.0)
 
-        def kfun(px, py, order):
-            base = base_point(px, py)
-            jx = Jet.variable(0, base, order)
-            jy = Jet.variable(1, base, order)
-            A = jy ** (3 + m0)
+        def AB(jx, jy, px, py):
             t_arg = (m0 + 1) * jx * jet_pow(jy, Fraction(1 + m0, 2))
             t0 = t_arg.value.real
-            bad = (base[1].real <= 0) | ~((0 <= t0) & (t0 <= fs.t_max))
+            bad = (jy.value.real <= 0) | ~((0 <= t0) & (t0 <= fs.t_max))
             if any_set(bad):  # fractional powers need Re y > 0
                 x, y = at_first(bad, px, py)
                 raise JetError(f"form 6 needs Re y > 0 and F sampled in [0, "
                                f"{fs.t_max}]: not at ({x}, {y})")
-            Fj = compose_series(_univariate_F_jet(fs, t0, order), t_arg)
-            B = -jet_pow(jy, Fraction(9 + 3 * m0, 2)) * Fj
-            one = Jet.constant(1.0, base, order)
-            zero = Jet.constant(0.0, base, order)
-            return (-one, zero, -A, B)
+            Fj = compose_series(_univariate_F_jet(fs, t0, jx.order), t_arg)
+            return jy ** (3 + m0), -jet_pow(jy, Fraction(9 + 3 * m0, 2)) * Fj
 
         return NormalForm(id=6, m0=m0, weights=(1 + m0, -2),
-                          field=CallableJetField(kfun), fs=fs)
+                          field=_jet_field_from_AB(AB), fs=fs)
     raise ValueError(f"unknown normal form id {form_id!r}")
 
 

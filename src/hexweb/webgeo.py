@@ -76,6 +76,7 @@ LEAF_PROX_FACTOR = 1e-6  # |D| at which a leaf stops, scaled at its start
 LEAF_LENGTH_SLACK = 1e-14  # arclength short of the goal that ends a leaf
 LEAF_RETRY_STEP = 1e-10  # step at or below which a failed stage ends a leaf
 LEAF_MIN_STEP = 1e-12  # step at or below which a rejected step ends a leaf
+LEAF_MIN_TOL = 1e-15  # least leaf tolerance: smaller errors are round-off
 # cubic Hermite basis h00, h10, h01, h11 (rows) in powers 1, u, u^2, u^3
 HERMITE_BASIS = np.array([[1.0, 0.0, -3.0, 2.0], [0.0, 1.0, -2.0, 1.0],
                           [0.0, 0.0, 3.0, -2.0], [0.0, 0.0, -1.0, 1.0]])
@@ -275,10 +276,10 @@ def integrate_leaf(field, start, branch, length, tol=1e-8, domain=None):
     to arclength |length|, from a first step of min(LEAF_MAX_STEP,
     |length| / 4).  Branches 1..3 ascend in angle at the start; negative
     ``length`` integrates in the reverse orientation.  A bad branch, length
-    or tol raises ValueError.
+    or tol (one below LEAF_MIN_TOL too) raises ValueError.
     """
     if not (branch in (1, 2, 3) and math.isfinite(length)
-            and 0 < tol < math.inf):
+            and LEAF_MIN_TOL <= tol < math.inf):
         raise ValueError(f"bad branch/length/tol {branch}, {length}, {tol}")
     total = abs(float(length))
     h = min(LEAF_MAX_STEP, total / 4 if total > 0 else LEAF_MAX_STEP)
@@ -397,9 +398,9 @@ def thomsen_closure(field, base, eps, tol=1e-10):
     theta_min the smallest angle between the three leaf directions at base.
     A moving leaf that finds no crossing raises LeafIntegrationError, which
     names the discriminant when a half of it or of its target ended at
-    D = 0.  A bad eps or tol raises ValueError.
+    D = 0.  A bad eps or tol (one below LEAF_MIN_TOL too) raises ValueError.
     """
-    if not (0 < eps < math.inf and 0 < tol < math.inf):
+    if not (0 < eps < math.inf and LEAF_MIN_TOL <= tol < math.inf):
         raise ValueError(f"bad eps/tol {eps}, {tol}")
     base = (float(base[0]), float(base[1]))
     reach = CLOSURE_REACH * eps
@@ -593,7 +594,7 @@ def symmetry_residual(field, weights, samples, a=0.1):
     # each sample followed by its image under the flow
     x = np.stack([x, s1 * x], axis=-1).ravel()
     y = np.stack([y, s2 * y], axis=-1).ravel()
-    co = nonvanishing(coeff_values(field.coeff_jets(x, y, 0)), x, y)
+    co = nonvanishing(field.coeffs(x, y), x, y)
     here, there = np.moveaxis(cubic.roots_proj(co).reshape(-1, 2, 3, 2), 1, 0)
     pushed = [[(s1 * q, s2 * -p) for p, q in roots] for roots in here]
     matched, _ = match_roots(pushed, np.stack([there[..., 1], -there[..., 0]],

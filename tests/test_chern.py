@@ -17,12 +17,13 @@ from hexweb.chern import (PathFrame, blaschke_transport, corollary_residual,
                           integrate_gamma)
 from hexweb.cubic import (MAX_MOVE, MIN_PIECE, PolyCoeffField,
                           SingularPointError, coeff_values,
+                          continue_along, continued_sigma,
                           discriminant_of_coeffs, discriminant_scale,
                           factorization_residual,
                           match_roots, nonvanishing, normalization_core,
                           normalize_roots, proj_distance, roots_proj)
 from hexweb.frobenius import Potential, solution_potential, taylor_solve
-from hexweb.jets import PolyExpr, cbrt_factor, jet_cbrt
+from hexweb.jets import Jet, PolyExpr, cbrt_factor, jet_cbrt
 from hexweb.singular import normal_form_field, symmetry_losing_web
 from webs import CONTROL_GENERIC as CONTROL, random_poly
 
@@ -341,6 +342,28 @@ class TestPathFrame:
             refined += len(got) > len(path)
         # web B's field is constant: its roots never move
         assert (refined > 0) == (name != "B")
+
+    @pytest.mark.parametrize("name", ["A", "complex"])
+    def test_sigma_equals_the_eager_products(self, name):
+        """continued_sigma scales by lam through the jet program of
+        normalize_roots: the bits of the eager products lam P, lam Q of
+        each pair, on a chain of points that bisects."""
+        field, ((x0, x1), (y0, y1)) = FRAME_WINDOWS[name]
+        rng = np.random.default_rng(2917)
+        path = [(rng.uniform(x0, x1), rng.uniform(y0, y1))
+                for _ in range(4)]
+        pts, vals = continue_along(
+            path, lambda x, y: roots_proj(field.coeffs(x, y)))
+        assert len(pts) > len(path)
+        x, y = pts.T
+        jets = field.coeff_jets(x, y, 0)
+        sigma, lam = continued_sigma(jets, x, y, vals)
+        # the reference: each pair's eager products, on the same lam
+        sp, lam3 = normalization_core(jets, x, y, 0, vals)
+        lam = Jet._raw(lam3.base, 0, np.array(lam)[None, None])
+        want = np.stack([np.stack([(lam * P).value, (lam * Q).value],
+                                  axis=-1) for P, Q in sp], axis=1)
+        assert np.array_equal(bits(sigma), bits(want))
 
     def test_makes_no_normalize_roots_call(self, monkeypatch):
         calls = []

@@ -187,6 +187,20 @@ class TestExitCodes:
         assert main(["check", "--config", cfg, "--strict",
                      "--out", str(tmp_path / "out")]) == 0
 
+    def test_check_keeps_its_associativity_tolerance(self, tmp_path):
+        # 1e-9 y^6 leaves an associativity residual of about 4e-7, over
+        # the default 1e-8: the corollary must read the config's 1e-4
+        near = dict(SOLUTION_A, monomials=SOLUTION_A["monomials"] + [
+            {"exps": [0, 6], "coef": 1e-9}])
+        cfg = write_config(tmp_path, near, samples=5, tolerances={
+            "associativity": 1e-4, "theorem2": 1e-6})
+        out = tmp_path / "out"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "check_report.json").read_text())
+        assert "error" not in rep
+        assert rep["invariants"]["associativity"]["max_residual"] > 1e-8
+        assert rep["invariants"]["corollary"]["pass"] is True
+
     @pytest.mark.parametrize("command, inp, extra", [
         ("check", SOLUTION_A, {"window": "abc"}),
         ("check", SOLUTION_A, {"window": [[0, 1]]}),

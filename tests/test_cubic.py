@@ -164,10 +164,12 @@ class TestRoots:
             PolyExpr.const(1, 2),
         )
         x, y = 0.2, 0.9
-        rj = _root_jets(f.coeff_jets(x, y, 1), x, y, 1, None)
+        rj = _root_jets(f.coeff_jets(x, y, 1), x, y, 1,
+                        roots_proj(f.coeffs(x, y)))
         h = 1e-6
         ref = [(p.value, q.value) for p, q in rj]
-        rp = _root_jets(f.coeff_jets(x + h, y, 1), x + h, y, 1, None)
+        rp = _root_jets(f.coeff_jets(x + h, y, 1), x + h, y, 1,
+                        roots_proj(f.coeffs(x + h, y)))
         newvals, _ = match_roots(ref, [(p.value, q.value) for p, q in rp])
         for (pj, qj), (pn, qn), (p0, q0) in zip(rj, newvals, ref):
             # compare in the slope chart s = p/q (projective scale drops out)
@@ -785,7 +787,7 @@ class TestRootJetTrueError:
         with mpmath.workdps(40):
             for order in (1, 2):
                 got = _root_jets(f.coeff_jets(xs, ys, order), xs, ys, order,
-                                 None)
+                                 roots_proj(f.coeffs(xs, ys)))
                 unit = np.zeros((order + 1, order + 1))
                 unit[0, 0] = 1.0  # the chart component: the constant jet 1
                 for n, (x, y) in enumerate(zip(xs, ys)):

@@ -1,6 +1,8 @@
 """Tangent algebras of associativity-equation solutions: multiplication,
 idempotents, Euler weights, booklet directions, series solver."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,16 @@ class TestEuler:
     def test_solution_weights(self):
         assert euler_data(solution_potential("A")).weights == (1, 0.75, 0.5, 2.5)
         assert euler_data(solution_potential("B")).weights == (1, 1, 1, 3)
+
+    @pytest.mark.parametrize("f, weights", [
+        ({(3, 1): "1/6", (2, 3): "1/6", (0, 7): "1/210"},
+         ("1", "2/3", "1/3", "7/3")),
+        ({(3, 2): "1/6", (2, 5): "1/20", (0, 11): "1/3960"},
+         ("1", "3/5", "1/5", "11/5"))], ids=["B3", "H3"])
+    def test_coxeter_weights(self, f, weights):
+        # the polynomial potentials of B3 and H3 in case A (Dubrovin 1996)
+        pot = Potential(case="A", f=PolyExpr.from_dict(f))
+        assert euler_data(pot).weights == tuple(map(Fraction, weights))
 
     def test_rejects_inhomogeneous(self):
         mixed = Potential(case="A", f=PolyExpr.from_dict(

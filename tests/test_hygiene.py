@@ -4,8 +4,9 @@ tolerance hides as a literal inside a function, no module indexes jet
 coefficients as trailing axes, every formula replayed as a jet program is
 checked against its eager run, only cubic's matcher enumerates
 permutations, only jets.lift sums a polynomial's lift terms, no numeric
-routine takes a random generator, every dataclass field is read, and a CLI
-run loads no scipy module.
+routine takes a random generator, field values are read through
+DirectionField.coeffs alone, every dataclass field is read, and a CLI run
+loads no scipy module.
 
 AST scans of the modules under src/ and tests/; package __init__.py files
 are exempt from the import scan because their imports are the package's
@@ -404,6 +405,91 @@ def test_no_rng_parameter():
     found = {(path.name, name) for path in SOURCES if path.name != "cli.py"
              for name in rng_parameters(path.read_text())}
     assert found == RNG_KEPT
+
+
+# ---------------------------------------------------------------------------
+# One read of field values: DirectionField.coeffs.  No other function of src/
+# builds order-0 coefficient jets only to read their values back: passes a
+# coeff_jets(..., 0) call to coeff_values or iterates it for .value, directly
+# or through a name it reads in no other way.  Jets passed on (PathFrame's,
+# to continued_sigma) are not a value read.
+
+VALUE_READERS = {("cubic.py", "coeffs")}
+
+
+def order0_value_reads(source):
+    """(function, line) of each read of values through order-0 coefficient
+    jets in source; the function is the innermost enclosing def."""
+    def order0(node):
+        return (isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "coeff_jets"
+                and any(isinstance(a, ast.Constant) and a.value == 0
+                        for a in node.args[-1:] + [
+                            k.value for k in node.keywords
+                            if k.arg == "order"]))
+
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        parent, todo = {}, [fn]
+        while todo:  # fn's own nodes, without its nested functions'
+            node = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.Lambda,
+                                          ast.AsyncFunctionDef)):
+                    parent[child] = node
+                    todo.append(child)
+
+        def reads_values(node):
+            up = parent.get(node)
+            if isinstance(up, ast.Call) and any(a is node for a in up.args):
+                return ast.unparse(up.func).split(".")[-1] == "coeff_values"
+            elt = getattr(parent.get(up), "elt", None)
+            return (isinstance(up, ast.comprehension) and up.iter is node
+                    and isinstance(elt, ast.Attribute) and elt.attr == "value"
+                    and ast.unparse(elt.value) == ast.unparse(up.target))
+
+        bound = {t.id for n in parent if isinstance(n, ast.Assign)
+                 and order0(n.value) for t in n.targets
+                 if isinstance(t, ast.Name)}
+        values_only = bound - {
+            n.id for n in parent if isinstance(n, ast.Name) and n.id in bound
+            and isinstance(n.ctx, ast.Load) and not reads_values(n)}
+        found += [(fn.name, n.lineno) for n in parent if reads_values(n)
+                  and (order0(n) or getattr(n, "id", None) in values_only)]
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_scan_finds_order0_value_reads():
+    source = ("def f(field, x, y):\n"
+              "    return coeff_values(field.coeff_jets(x, y, 0))\n"
+              "def g(field, p, x, y):\n"
+              "    D = disc(*(j.value for j in field.coeff_jets(*p, 0)))\n"
+              "    jets = field.coeff_jets(x, y, order=0)\n"
+              "    co = coeff_values(jets)\n"
+              "    return [j.value for j in jets], co, D\n"
+              "def h(field, x, y):\n"
+              "    jets = field.coeff_jets(x, y, 0)\n"
+              "    D = disc(*(j.value for j in jets))\n"
+              "    return continued_sigma(jets, D)\n"
+              "def k(field, x, y, order):\n"
+              "    jets = field.coeff_jets(x, y, 1)\n"
+              "    v = [j.c for j in field.coeff_jets(x, y, 0)]\n"
+              "    return coeff_values(jets), coeff_values(\n"
+              "        field.coeff_jets(x, y, order)), v\n"
+              "class C:\n    def coeffs(self, x, y):\n"
+              "        def at(u):\n"
+              "            return coeff_values(self.coeff_jets(*u, 0))\n"
+              "        return at((x, y))\n")
+    assert order0_value_reads(source) == [("f", 2), ("g", 4), ("g", 6),
+                                          ("g", 7), ("at", 20)]
+
+
+def test_values_are_read_through_coeffs():
+    sites = {(path.name, name) for path in SOURCES
+             for name, _ in order0_value_reads(path.read_text())}
+    assert sites == VALUE_READERS
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ class TestTracingKernels:
             monkeypatch.setattr(PolyCoeffField, name, lambda *a, _m=method,
                                 _n=name: calls.append(_n) or _m(*a))
         trace_discriminant(FIELD_A, ((-1.0, 1.0), (-0.2, 1.0)))
-        assert calls.count("coeff_jets") == len(calls)
+        assert calls.count("coeffs") == len(calls)
         assert 1 < len(calls) <= 1 + EDGE_BISECTIONS
 
 

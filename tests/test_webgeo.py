@@ -142,7 +142,7 @@ class TestLeafIntegration:
 
     @pytest.mark.parametrize("length, tol", [
         (np.nan, 1e-8), (np.inf, 1e-8), (0.03, np.nan), (0.03, -1.0),
-        (0.03, 0.0), (0.03, np.inf)])
+        (0.03, 0.0), (0.03, np.inf), (0.03, 1e-16), (0.03, 1e-300)])
     def test_bad_length_or_tol_raises_before_any_work(self, length, tol):
         calls = []
         field = CallableJetField(
@@ -191,13 +191,16 @@ class TestLeafIntegration:
                            r"start \(0\.0, 1\.0\)"):
             integrate_leaf(field, (0.0, 1.0), 1, 0.3)
 
-    def test_a_step_rejected_at_the_least_size_ends_the_leaf(self):
-        # the steep branch of slope 1e6 x + 2.5, from (0, 0): no step down
-        # to LEAF_MIN_STEP meets tol = 1e-300, though tol = 1e-8 is met
+    def test_a_step_rejected_at_the_least_size_ends_the_leaf(self,
+                                                            monkeypatch):
+        # the steep branch of slope 1e6 x + 2.5, from (0, 0): its first
+        # step meets tol = 1e-8 only below 1e-6, so with LEAF_MIN_STEP
+        # raised to 1e-6 a step rejected at that size ends the leaf
         field = slope_web(0.0, 1.0, X * 1e6 + 2.5)
         assert integrate_leaf(field, (0.0, 0.0), 3, 0.5).termination == \
             "length"
-        leaf = integrate_leaf(field, (0.0, 0.0), 3, 0.5, tol=1e-300)
+        monkeypatch.setattr(webgeo, "LEAF_MIN_STEP", 1e-6)
+        leaf = integrate_leaf(field, (0.0, 0.0), 3, 0.5)
         assert leaf.termination == "discriminant-proximity"
         assert leaf.points.tolist() == [[0.0, 0.0]]
 
@@ -574,7 +577,8 @@ class TestThomsenClosure:
             assert r == pytest.approx(8.0, rel=0.2)
 
     @pytest.mark.parametrize("eps, tol", [(0.0, 1e-10), (math.inf, 1e-10),
-                                          (0.05, 0.0), (0.05, math.nan)])
+                                          (0.05, 0.0), (0.05, math.nan),
+                                          (0.05, 1e-16)])
     def test_bad_eps_or_tol(self, eps, tol):
         with pytest.raises(ValueError, match="bad eps/tol"):
             thomsen_closure(FIELD_A, (0.0, 1.0), eps, tol=tol)
